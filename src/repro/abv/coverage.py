@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
-from ..psl.monitor import CoverMonitor, Monitor, SuffixImplicationMonitor
-from ..psl.semantics import Verdict
+from ..psl.monitor import Monitor
 
 
 @dataclass(frozen=True)
@@ -37,35 +36,30 @@ class CoverageCollector:
         self.monitors.append(monitor)
 
     def entries(self) -> List[CoverageEntry]:
+        """One entry per monitor, classified by protocol, not by class.
+
+        Covers (``is_cover``) report their ``hits``; monitors counting
+        antecedent matches (``triggered``, the suffix implications)
+        report those; every other assertion reports cycles observed.
+        Both PSL engines expose the same protocol.
+        """
         collected: List[CoverageEntry] = []
         for monitor in self.monitors:
-            if isinstance(monitor, CoverMonitor):
-                collected.append(
-                    CoverageEntry(
-                        name=monitor.name,
-                        kind="cover",
-                        hits=monitor.hits,
-                        verdict=monitor.verdict().value,
-                    )
-                )
-            elif isinstance(monitor, SuffixImplicationMonitor):
-                collected.append(
-                    CoverageEntry(
-                        name=monitor.name,
-                        kind="assertion",
-                        hits=monitor.triggered,
-                        verdict=monitor.verdict().value,
-                    )
-                )
+            triggered = getattr(monitor, "triggered", None)
+            if monitor.is_cover:
+                kind, hits = "cover", monitor.hits
+            elif triggered is not None:
+                kind, hits = "assertion", triggered
             else:
-                collected.append(
-                    CoverageEntry(
-                        name=monitor.name,
-                        kind="assertion",
-                        hits=max(monitor.cycle + 1, 0),
-                        verdict=monitor.verdict().value,
-                    )
+                kind, hits = "assertion", max(monitor.cycle + 1, 0)
+            collected.append(
+                CoverageEntry(
+                    name=monitor.name,
+                    kind=kind,
+                    hits=hits,
+                    verdict=monitor.verdict().value,
                 )
+            )
         return collected
 
     @property

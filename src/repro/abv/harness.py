@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from ..obs.runtime import OBS
+from ..psl.compiled import CompiledProperty, FusedPropertySet
+from ..psl.letter import freeze_letter
 from ..psl.monitor import Monitor, MonitorReport
 from ..psl.semantics import Verdict
 from ..sysc.clock import Clock
@@ -72,6 +74,10 @@ class AbvHarness:
         #: the stream into fresh monitors (see :mod:`repro.checkpoint`)
         self.record_letters = False
         self.recorded_letters: List[Dict[str, Any]] = []
+        #: (fused sets stepped whole, bindings stepped one by one),
+        #: rebuilt when bindings change or a bound set splits
+        self._plan: Optional[tuple] = None
+        self._plan_generation = -1
         simulator.register_process(
             _make_sampler(self)
         )
@@ -90,6 +96,7 @@ class AbvHarness:
             warning_signal=warning_signal,
         )
         self.bindings.append(binding)
+        self._plan = None
         return binding
 
     def add_monitors(
@@ -131,20 +138,65 @@ class AbvHarness:
         recorded letter stream through fresh monitors: replay reproduces
         verdicts, ``fired`` flags and ``cycles_observed`` exactly,
         whichever stepping engine the monitors use.
+
+        Compiled members whose whole :class:`FusedPropertySet` is bound
+        here advance in one generated step per set (the letter frozen
+        once); every other monitor steps on its own.  Failure actions
+        then run in binding order, as if each monitor had stepped in
+        turn -- stepping has no side effects they could observe.
         """
         if self.record_letters:
             self.recorded_letters.append(dict(letter))
         self.cycles_observed += 1
+        if self._plan is None or self._plan_generation != FusedPropertySet.generation:
+            self._regroup()
+        fused_sets, solo, check = self._plan
+        if fused_sets:
+            letter = freeze_letter(letter)
+            for fused in fused_sets:
+                if fused.step(letter):
+                    check = True
+        for binding in solo:
+            if binding.monitor.step(letter) is Verdict.FAILS and not binding.fired:
+                check = True
+        if not check:
+            return
+        self._plan = (fused_sets, solo, False)
         stop_requested: Optional[str] = None
         for binding in self.bindings:
-            verdict = binding.monitor.step(letter)
-            if verdict is Verdict.FAILS and not binding.fired:
+            if not binding.fired and binding.monitor.verdict() is Verdict.FAILS:
                 binding.fired = True
                 reason = self._run_failure_actions(binding)
                 if reason is not None:
                     stop_requested = reason
         if stop_requested is not None:
             raise SimulationStopped(stop_requested)
+
+    def _regroup(self) -> None:
+        """Split bindings into whole bound sets and solo monitors."""
+        bound: Dict[int, int] = {}
+        for binding in self.bindings:
+            key = id(binding.monitor)
+            bound[key] = bound.get(key, 0) + 1
+        fused_sets: List[FusedPropertySet] = []
+        solo: List[AssertionBinding] = []
+        for binding in self.bindings:
+            monitor = binding.monitor
+            fused = (
+                monitor.property_set
+                if isinstance(monitor, CompiledProperty) else None
+            )
+            if fused is not None and all(
+                bound.get(id(m)) == 1 for m in fused.members
+            ):
+                if fused not in fused_sets:
+                    fused_sets.append(fused)
+            else:
+                solo.append(binding)
+        # the first observe after regrouping scans every verdict once,
+        # so a monitor bound after it failed still fires
+        self._plan = (fused_sets, solo, True)
+        self._plan_generation = FusedPropertySet.generation
 
     def replay_letters(self, letters: Sequence[Mapping[str, Any]]) -> None:
         """Re-observe a recorded letter stream (checkpoint restore)."""
@@ -200,10 +252,11 @@ class AbvHarness:
         Each monitor's ``step_seconds`` becomes one ``psl.monitor/...``
         span parented under the most recent kernel run span, so
         ``trace_report`` subtracts monitor time from kernel self-time
-        and ranks properties individually.  Both engines accumulate
-        through the shared ``Monitor.step`` timer, so the numbers stay
-        honest post-compile; the ``engine`` attribute/label says which
-        stepping engine the time was actually spent in.
+        and ranks properties individually.  A fused set is timed with
+        one ``perf_counter`` pair per set step and its members share
+        that time in proportion to their step counts; interpreted
+        monitors time their own steps.  The ``engine`` attribute/label
+        says which stepping engine the time was actually spent in.
         """
         parent = self.simulator.last_run_span_id
         for binding in self.bindings:

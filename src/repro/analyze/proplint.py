@@ -5,7 +5,7 @@ match, an atom no signal assignment satisfies, a cover that cannot be
 hit -- passes every regression while checking nothing.  This pass
 lints directives *statically*, using the same machinery the runtime
 uses: :func:`repro.psl.compiled.shared_automaton` for the DFA and the
-compiled Boolean closures for atom evaluation, so what the linter
+generated Boolean functions for atom evaluation, so what the linter
 reasons about is exactly what the monitors execute.
 
 Satisfiability is decided by bounded enumeration: each variable ranges
@@ -52,7 +52,8 @@ from ..psl.ast_nodes import (
     Sere,
     SereBool,
 )
-from ..psl.compiled import SereAutomaton, _as_directive, _compiled_bool, shared_automaton
+from ..psl.codegen import bool_function
+from ..psl.compiled import SereAutomaton, _as_directive, shared_automaton
 from ..psl.errors import PslError, PslUnsupportedError
 from ..psl.monitor import history_depth
 from .findings import Finding
@@ -122,7 +123,7 @@ def _expr_profile(expr: Expr) -> Optional[Tuple[bool, bool]]:
     when over budget / the expression is unsupported."""
     try:
         depth = history_depth(expr)
-        fn = _compiled_bool(expr)
+        fn = bool_function(expr)
     except PslError:
         return None
     variables = sorted(expr.variables())

@@ -107,12 +107,9 @@ from .errors import (
 )
 from .compiled import (
     CompiledCover,
-    CompiledEventually,
-    CompiledInvariant,
-    CompiledNeverSere,
     CompiledProperty,
     CompiledSuffixImplication,
-    CompiledUntil,
+    FusedPropertySet,
     SereAutomaton,
     clear_compile_caches,
     compile_cache_stats,
@@ -168,9 +165,8 @@ __all__ = [
     "ReplayMonitor", "SereTracker", "SuffixImplicationMonitor",
     "build_monitor", "run_monitor",
     # compiled engine
-    "CompiledCover", "CompiledEventually", "CompiledInvariant",
-    "CompiledNeverSere", "CompiledProperty", "CompiledSuffixImplication",
-    "CompiledUntil", "SereAutomaton", "clear_compile_caches",
+    "CompiledCover", "CompiledProperty", "CompiledSuffixImplication",
+    "FusedPropertySet", "SereAutomaton", "clear_compile_caches",
     "compile_cache_stats", "compile_properties", "compile_property",
     "default_engine", "property_digest", "set_default_engine",
     "shared_automaton",

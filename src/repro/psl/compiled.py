@@ -1,4 +1,4 @@
-"""Table-driven compiled assertion monitors.
+"""Compiled assertion monitors: fused, generated property sets.
 
 :mod:`repro.psl.monitor` interprets Brzozowski derivative sets
 symbolically every cycle: each ``step()`` re-walks the SERE AST,
@@ -6,30 +6,34 @@ allocates fresh residual ``frozenset``s and hashes structural SERE
 nodes.  That is exact but slow, and it repeats identical work for
 every scenario in a regression (same properties x thousands of seeds).
 
-This module lowers each property **once per process** into a
-table-driven automaton:
+This module lowers the properties of one :func:`compile_properties`
+call into one :class:`FusedPropertySet`.  Each cycle the set
 
-* the Boolean layer is pre-bound: every atom (the ``SereBool``
-  expressions reachable from the desugared SERE) compiles to a closure
-  over the bounded history window, and a cycle's atom valuation packs
-  into one integer *symbol* (bit ``i`` = truth of atom ``i``);
-* the SERE layer is enumerated: reachable derivative residual sets
-  become integer state indices, and transitions ``(state, symbol) ->
-  (next_state, matched)`` fill a per-state table lazily, exactly like
-  a lazy-DFA regular-expression engine.  Filling a cell runs the
-  *same* :func:`repro.psl.monitor.derivatives` machinery the
-  interpreted engine uses -- over a symbolic letter -- so the two
-  engines agree by construction;
-* suffix implication tracks antecedent attempts and consequent
-  obligations as **bitsets of state indices** (one Python int each),
-  so a monitor step is a handful of dict lookups and integer ops with
-  no AST in sight.
+* freezes the letter once and pushes it into one history window sized
+  to the set's deepest property;
+* evaluates the union of the set's Boolean atoms once, as straight-line
+  Python generated by :mod:`repro.psl.codegen` with every signal read
+  hoisted into a local;
+* advances every property in the same generated function: invariants,
+  ``eventually!`` and ``until`` are inline compares; SERE, cover and
+  suffix-implication members look their next state up in shared
+  :class:`SereAutomaton` tables (lazily filled by running the
+  interpreted :func:`~repro.psl.monitor.derivatives` over a symbolic
+  letter, so both engines agree by construction), with the common
+  "only the start state is live" cycle inlined.  One-letter SERE
+  operands (``{b}``) skip the table and compare inline too.
 
-Automata and per-property compilation plans are memoized process-wide,
-keyed by the (hashable, immutable) property AST plus the signal
-binding -- equivalent to keying by source digest, since equal sources
-parse to equal ASTs (:func:`property_digest` exposes the digest form).
-Cache hit/miss counts are surfaced through ``OBS.metrics`` as
+Set state is one flat list; the members returned to the caller are
+:class:`CompiledProperty` views over their slice of it, keeping the
+:class:`~repro.psl.monitor.Monitor` protocol (``verdict``, ``report``,
+``cycle``, ``snapshot``/``restore``).  A member's own ``step()`` (and
+``reset``/``restore``) first splits it into a singleton set, run
+through the same generator.
+
+Generated step functions are memoized process-wide per (property-set
+key, binding), beside the per-property plans and the shared automata,
+so a regression generates code once per distinct suite.  Cache
+hit/miss counts are surfaced through ``OBS.metrics`` as
 ``psl.compile.cache`` / ``psl.compile.automaton`` counters and through
 :func:`compile_cache_stats` for the worker ``/healthz`` endpoint.
 
@@ -43,10 +47,12 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import os
+from time import perf_counter as _perf_counter
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..obs.runtime import OBS
 from .ast_nodes import (
+    Const,
     Directive,
     DirectiveKind,
     Expr,
@@ -71,6 +77,7 @@ from .ast_nodes import (
     TRUE,
     Var,
 )
+from .codegen import Lowering, Unsupported, bool_function, define
 from .errors import PslParseError, PslUnsupportedError
 from .letter import freeze_letter
 from .monitor import (
@@ -78,7 +85,6 @@ from .monitor import (
     SereTracker,
     _as_sere,
     _consequent_is_strong,
-    _HistoryMixin,
     _sanctioned_construction,
     build_monitor,
     derivatives,
@@ -182,19 +188,6 @@ def _collect_atoms(item: Sere, out: Dict[Expr, None]) -> None:
         raise TypeError(f"unknown SERE node {type(item).__name__}")
 
 
-def _compiled_bool(expression: Expr) -> Callable[[Sequence[Letter]], bool]:
-    """Compile a Boolean-layer expression, sharing the monitor cache."""
-    from .monitor import _COMPILED_BOOL
-
-    compiled = _COMPILED_BOOL.get(expression)
-    if compiled is None:
-        from .compile_ import compile_bool
-
-        compiled = compile_bool(expression)
-        _COMPILED_BOOL[expression] = compiled
-    return compiled
-
-
 # ---------------------------------------------------------------------------
 # The automaton
 # ---------------------------------------------------------------------------
@@ -228,7 +221,7 @@ class SereAutomaton:
         # sure TRUE is always a known atom.
         atoms.setdefault(TRUE)
         self.atoms: Tuple[Expr, ...] = tuple(atoms)
-        self._atom_fns = tuple(_compiled_bool(a) for a in self.atoms)
+        self._atom_fns = tuple(bool_function(a) for a in self.atoms)
         start_set = frozenset({self.sere})
         self._states: List[frozenset] = [start_set]
         self._index: Dict[frozenset, int] = {start_set: 0}
@@ -254,6 +247,44 @@ class SereAutomaton:
         if entry is None:
             entry = self._fill(state, symbol)
         return entry
+
+    def advance_all(self, states: int, symbol: int) -> Tuple[int, int]:
+        """Advance a bitset of live states: ``(survivors, matches)``."""
+        table = self._table
+        survivors = 0
+        matches = 0
+        while states:
+            low = states & -states
+            state = low.bit_length() - 1
+            states ^= low
+            entry = table[state].get(symbol) or self._fill(state, symbol)
+            if entry[1]:
+                matches += 1
+            if entry[0] >= 0:
+                survivors |= 1 << entry[0]
+        return survivors, matches
+
+    def discharge(self, obligations: int, symbol: int) -> Tuple[int, bool]:
+        """Advance consequent obligations: ``(still_live, any_failed)``.
+
+        A matching obligation is discharged; one whose residual set
+        died without matching fails the property.
+        """
+        table = self._table
+        live = 0
+        failed = False
+        while obligations:
+            low = obligations & -obligations
+            state = low.bit_length() - 1
+            obligations ^= low
+            entry = table[state].get(symbol) or self._fill(state, symbol)
+            if entry[1]:
+                continue
+            if entry[0] < 0:
+                failed = True
+            else:
+                live |= 1 << entry[0]
+        return live, failed
 
     # -- cold path --------------------------------------------------------
 
@@ -318,21 +349,468 @@ def shared_automaton(item: Sere) -> SereAutomaton:
     return automaton
 
 
-def _iter_bits(mask: int):
-    """Yield set-bit indices of ``mask`` (a state bitset), ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+# ---------------------------------------------------------------------------
+# Per-property plans
+# ---------------------------------------------------------------------------
+
+#: A SERE operand: an automaton, or a bare expression when the SERE
+#: is one Boolean letter (``{b}`` matches exactly when ``b`` holds).
+Operand = Any
+
+#: State slots per member in the set's flat state list.
+_VERDICT, _FAILED_AT, _STAT, _K0, _K1, _K2 = range(6)
+_WIDTH = 6
+
+
+def _operand(item: Sere) -> Operand:
+    core = desugar(item)
+    if isinstance(core, SereBool):
+        return core.expr
+    return shared_automaton(core)
+
+
+def _operand_depth(operand: Operand) -> int:
+    if isinstance(operand, SereAutomaton):
+        return operand.depth
+    return history_depth(operand)  # raises on next(), like an automaton
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class _Plan:
+    """One compiled property: what the step generator lowers.
+
+    ``kind`` is ``invariant`` / ``eventually`` / ``until`` / ``never``
+    / ``cover`` / ``implication``; ``left``/``right`` are its operands
+    (expressions, or SERE operands for the last three); ``depth`` is
+    the history window it needs beyond the current letter.  Calling a
+    plan builds a fresh, unattached member.
+    """
+
+    kind: str
+    name: str
+    report: str
+    left: Operand
+    right: Operand = None
+    depth: int = 0
+    expect: bool = True  # invariant: always (True) / never (False)
+    strong: bool = False
+    inclusive: bool = False  # until
+    overlapping: bool = False  # implication: |-> vs |=>
+    key: Tuple = ()
+
+    def variables(self) -> frozenset:
+        """Signal names the property samples."""
+        names = self.left.variables()
+        if self.right is not None:
+            names = names | self.right.variables()
+        return names
+
+    def initial_verdict(self) -> Verdict:
+        """Verdict before the first letter (mirrors the interpreter)."""
+        if self.kind == "eventually" or (self.kind == "until" and self.strong):
+            return Verdict.PENDING
+        return Verdict.HOLDS
+
+    def __call__(self) -> "CompiledProperty":
+        cls = {
+            "cover": CompiledCover,
+            "implication": CompiledSuffixImplication,
+        }.get(self.kind, CompiledProperty)
+        return cls(self)
 
 
 # ---------------------------------------------------------------------------
-# Compiled monitors
+# The step generator
 # ---------------------------------------------------------------------------
 
 
-class CompiledProperty(Monitor, _HistoryMixin):
-    """Base for table-driven monitors.
+class _StepSource:
+    """Builds one set's generated step function.
+
+    ``step(letter, H, S, c) -> changed``: push ``letter`` into the
+    window ``H``, evaluate the atom union, advance every member's slots
+    in ``S`` at cycle ``c``; ``changed`` is true when some member's
+    verdict became definite (failed, or held strongly) this cycle.
+    """
+
+    def __init__(self, plans: Sequence[_Plan]):
+        self.plans = plans
+        self.reads: Dict[Tuple[str, int], int] = {}
+        self.bool_reads: Dict[Tuple[str, int], None] = {}
+        self.atoms: Dict[Expr, str] = {}
+        self.atom_lines: List[str] = []
+        self.slow_lines: List[str] = []
+        self.namespace: Dict[str, Any] = {
+            "FAILS": Verdict.FAILS,
+            "HOLDS": Verdict.HOLDS,
+            "PENDING": Verdict.PENDING,
+            "HOLDS_STRONGLY": Verdict.HOLDS_STRONGLY,
+        }
+        self.lowering = Lowering(self._read, self._read_bool, guarded=False)
+        self._automata: Dict[int, str] = {}
+
+    # -- atoms -------------------------------------------------------------
+
+    def _read(self, name: str, offset: int) -> str:
+        index = self.reads.setdefault((name, offset), len(self.reads))
+        return f"v{index}"
+
+    def _read_bool(self, name: str, offset: int) -> str:
+        self._read(name, offset)
+        self.bool_reads.setdefault((name, offset))
+        return f"b{self.reads[(name, offset)]}"
+
+    def atom(self, expression: Expr) -> str:
+        """Local holding ``expression``'s truth this cycle."""
+        local = self.atoms.get(expression)
+        if local is not None:
+            return local
+        index = len(self.atoms)
+        function = f"F{index}"
+        self.namespace[function] = bool_function(expression)
+        try:
+            source = self.lowering.boolean(expression)
+        except Unsupported:
+            source = f"{function}(H)"
+        if source in ("True", "False") or source.isidentifier():
+            local = source
+        else:
+            local = f"t{index}"
+            self.atom_lines.append(f"{local} = {source}")
+        if local not in ("True", "False"):
+            self.slow_lines.append(f"{local} = {function}(H)")
+        self.atoms[expression] = local
+        return local
+
+    def automaton(self, automaton: SereAutomaton) -> str:
+        """Namespace suffix binding an automaton, its start row and fill."""
+        suffix = self._automata.get(id(automaton))
+        if suffix is None:
+            suffix = str(len(self._automata))
+            self._automata[id(automaton)] = suffix
+            self.namespace[f"A{suffix}"] = automaton
+            self.namespace[f"R{suffix}"] = automaton._table[automaton.start]
+            self.namespace[f"FILL{suffix}"] = automaton._fill
+        return suffix
+
+    def symbol(self, automaton: SereAutomaton) -> str:
+        """Source packing ``automaton``'s atoms into its symbol."""
+        constant = 0
+        parts = []
+        for bit, expression in enumerate(automaton.atoms):
+            if isinstance(expression, Const) and isinstance(expression.value, bool):
+                constant |= expression.value << bit
+                continue
+            local = self.atom(expression)
+            parts.append(local if bit == 0 else f"({local} << {bit})")
+        if constant or not parts:
+            parts.append(str(constant))
+        return " | ".join(parts)
+
+    # -- members -----------------------------------------------------------
+
+    def member(self, plan: _Plan, base: int) -> List[str]:
+        """Statements advancing one member whose slots start at ``base``."""
+        v, stat, k0 = (f"S[{base + slot}]" for slot in (_VERDICT, _STAT, _K0))
+        fail = [
+            f"{v} = FAILS",
+            f"S[{base + _FAILED_AT}] = c",
+            "ch = True",
+        ]
+        kind = plan.kind
+        if kind == "invariant":
+            truth = self.atom(plan.left)
+            test = f"not {truth}" if plan.expect else truth
+            return [f"if {test} and {v} is not FAILS:", *_indent(fail)]
+        if kind == "eventually":
+            return [
+                f"if {v} is PENDING and {self.atom(plan.left)}:",
+                f"    {v} = HOLDS_STRONGLY",
+                "    ch = True",
+            ]
+        if kind == "until":
+            left, right = self.atom(plan.left), self.atom(plan.right)
+            release = f"{right} and {left}" if plan.inclusive else right
+            return [
+                f"if {v} is not HOLDS_STRONGLY and {v} is not FAILS:",
+                f"    if {release}:",
+                f"        {v} = HOLDS_STRONGLY",
+                "        ch = True",
+                f"    elif not {left}:",
+                *_indent(fail, 2),
+            ]
+        if kind == "never":
+            lines, matched = self._attempts(plan.left, k0)
+            return [
+                f"if {v} is not FAILS:",
+                *_indent(lines),
+                f"    if {matched}:",
+                *_indent(fail, 2),
+            ]
+        if kind == "cover":
+            lines, matched = self._attempts(plan.left, k0)
+            return [
+                *lines,
+                f"if {matched}:",
+                f"    {stat} += {matched}",
+                f"{v} = HOLDS_STRONGLY if {stat} else PENDING",
+            ]
+        return [f"if {v} is not FAILS:", *_indent(self._implication(plan, base, fail))]
+
+    def _attempts(self, operand: Operand, slot: str) -> Tuple[List[str], str]:
+        """Advance attempts anchored every cycle; returns the statements
+        and a source expression that is truthy (the match count) when
+        an attempt completed this cycle."""
+        if not isinstance(operand, SereAutomaton):
+            return [], self.atom(operand)
+        n = self.automaton(operand)
+        symbol = self.symbol(operand)
+        return [
+            f"y = {symbol}",
+            f"if {slot} <= 1:",  # only the start state is live
+            f"    e = R{n}.get(y) or FILL{n}(0, y)",
+            "    m = e[1]",
+            f"    {slot} = 1 << e[0] if e[0] >= 0 else 0",
+            "else:",
+            f"    {slot}, m = A{n}.advance_all({slot} | 1, y)",
+        ], "m"
+
+    def _implication(self, plan: _Plan, base: int, fail: List[str]) -> List[str]:
+        """``always {r} |->/|=> {s}``; slots: antecedent attempts,
+        obligations, obligations spawned last cycle (``|=>``)."""
+        stat = f"S[{base + _STAT}]"
+        verdict = f"S[{base + _VERDICT}]"
+        attempts, obligations, fresh = (
+            f"S[{base + slot}]" for slot in (_K0, _K1, _K2)
+        )
+        lines, matched = self._attempts(plan.left, attempts)
+        consequent = plan.right
+        if not isinstance(consequent, SereAutomaton):
+            truth = self.atom(consequent)
+            if plan.overlapping:
+                return [
+                    *lines,
+                    f"if {matched}:",
+                    f"    {stat} += 1",
+                    f"    if not {truth}:",
+                    *_indent(fail, 2),
+                ]
+            lines += [
+                f"f = {fresh} and not {truth}",
+                f"if {matched}:",
+                f"    {stat} += 1",
+                f"    {fresh} = 1",
+                "else:",
+                f"    {fresh} = 0",
+                "if f:",
+                *_indent(fail),
+            ]
+            if plan.strong:
+                lines += [
+                    "else:",
+                    f"    {verdict} = PENDING if {fresh} else HOLDS",
+                ]
+            return lines
+        n = self.automaton(consequent)
+        symbol = self.symbol(consequent)
+        lines += [
+            "f = False",
+            "live = 0",
+            f"if {obligations} or {fresh}:",
+            f"    live, f = A{n}.discharge({obligations} | {fresh}, {symbol})",
+            f"{fresh} = 0",
+            f"if {matched}:",
+            f"    {stat} += 1",
+        ]
+        if plan.overlapping:
+            lines += [
+                f"    y = {symbol}",
+                f"    e = R{n}.get(y) or FILL{n}(0, y)",
+                "    if not e[1]:",
+                "        if e[0] < 0:",
+                "            f = True",
+                "        else:",
+                "            live |= 1 << e[0]",
+            ]
+        else:
+            lines.append(f"    {fresh} = 1")
+        lines += [f"{obligations} = live", "if f:", *_indent(fail)]
+        if plan.strong:
+            lines += [
+                "else:",
+                f"    {verdict} = PENDING if live or {fresh} else HOLDS",
+            ]
+        return lines
+
+    # -- the function --------------------------------------------------------
+
+    def build(self) -> Callable:
+        members: List[str] = []
+        for index, plan in enumerate(self.plans):
+            members += [f"# {plan.kind} {plan.name}"]
+            members += self.member(plan, index * _WIDTH)
+        window = max((plan.depth for plan in self.plans), default=0) + 1
+        offsets = sorted({offset for _, offset in self.reads})
+        prologue = [
+            f"L{offset} = letter._data" if offset == 0
+            else f"L{offset} = H[-{offset + 1}]._data"
+            for offset in offsets
+        ]
+        for (name, offset), index in self.reads.items():
+            prologue.append(f"v{index} = L{offset}[{name!r}]")
+            if (name, offset) in self.bool_reads:
+                prologue.append(
+                    f"b{index} = v{index} is True or "
+                    f"(v{index} is not False and as_bool(v{index}))"
+                )
+        prologue += self.atom_lines
+        body = [
+            "H.append(letter)",
+            f"if len(H) > {window}:",
+            "    del H[0]",
+        ]
+        if prologue:
+            # any surprise (missing signal, short window, odd value)
+            # re-evaluates every atom exactly, one function each
+            body += [
+                "try:",
+                *_indent(prologue),
+                "except Exception:",
+                *_indent(self.slow_lines or ["pass"]),
+            ]
+        body += ["ch = False", *members, "return ch"]
+        namespace = {**self.lowering.namespace, **self.namespace}
+        names = sorted(namespace)
+        source = "\n".join([
+            f"def make({', '.join(names)}):",
+            "    def step(letter, H, S, c):",
+            *_indent(body, 2),
+            "    return step",
+            "",
+        ])
+        make = define(source, "make", {})
+        step = make(**namespace)
+        step.source = source
+        return step
+
+
+def _indent(lines: Sequence[str], depth: int = 1) -> List[str]:
+    pad = "    " * depth
+    return [pad + line for line in lines]
+
+
+#: Generated step functions: tuple of member plan keys -> function.
+_STEP_CACHE: Dict[Tuple, Callable] = {}
+
+
+def _step_function(plans: Sequence[_Plan]) -> Callable:
+    key = tuple(plan.key for plan in plans)
+    function = _STEP_CACHE.get(key)
+    if function is None:
+        function = _StepSource(plans).build()
+        _STEP_CACHE[key] = function
+    return function
+
+
+# ---------------------------------------------------------------------------
+# Fused property sets and their members
+# ---------------------------------------------------------------------------
+
+
+class FusedPropertySet:
+    """One generated step for every compiled property of a set.
+
+    Owns the shared letter window, the cycle counter and the flat
+    member state; :meth:`step` returns true when some member's verdict
+    became definite, so a harness only scans verdicts on those cycles.
+    With observability on, one ``perf_counter`` pair times each set
+    step; members apportion it by their step counts.
+    """
+
+    #: Bumped whenever a set splits, so holders of sets can regroup.
+    generation = 0
+
+    def __init__(
+        self,
+        members: Sequence["CompiledProperty"],
+        cycle: int = -1,
+        history: Sequence[Letter] = (),
+    ):
+        self.members: Tuple[CompiledProperty, ...] = tuple(members)
+        self.plans = tuple(member.plan for member in self.members)
+        self.depth = max((plan.depth for plan in self.plans), default=0)
+        self.history: List[Letter] = list(history)[-(self.depth + 1):] if history else []
+        self.cycle = cycle
+        self.retired = False
+        self.obs_seconds = 0.0
+        self.obs_steps = 0
+        state: List[Any] = []
+        for member in self.members:
+            state += member._join(self, len(state))
+        self.state = state
+        self._latched = self._latched_members()
+        self._function: Optional[Callable] = None
+
+    def step(self, letter: Letter) -> bool:
+        """Advance every member by one letter; true if a verdict latched."""
+        letter = freeze_letter(letter)
+        self.cycle += 1
+        function = self._function or self._compile()
+        if OBS.enabled:
+            for member in self._latched:
+                member._obs_skipped += 1
+            started = _perf_counter()
+            changed = function(letter, self.history, self.state, self.cycle)
+            self.obs_seconds += _perf_counter() - started
+            self.obs_steps += 1
+        else:
+            changed = function(letter, self.history, self.state, self.cycle)
+        if changed:
+            self._latched = self._latched_members()
+        return changed
+
+    def reset(self) -> None:
+        """Every member back to its pre-trace state."""
+        self.history = []
+        self.cycle = -1
+        self.obs_seconds = 0.0
+        self.obs_steps = 0
+        for member in self.members:
+            member._obs_steps_base = 0
+            member._obs_seconds_base = 0.0
+            member._obs_skipped = 0
+            self.state[member._base:member._base + _WIDTH] = member._initial()
+        self._latched = []
+
+    @property
+    def source(self) -> str:
+        """The generated Python source of this set's step function."""
+        return (self._function or self._compile()).source
+
+    def _compile(self) -> Callable:
+        self._function = _step_function(self.plans)
+        return self._function
+
+    def _latched_members(self) -> List["CompiledProperty"]:
+        return [
+            m for m in self.members
+            if m.latch_definite and m.verdict().is_definite
+        ]
+
+    def _split(self, member: "CompiledProperty") -> "FusedPropertySet":
+        """Move ``member`` into a singleton set (and the rest into
+        another); returns the singleton."""
+        rest = [m for m in self.members if m is not member]
+        self.retired = True
+        FusedPropertySet.generation += 1
+        if rest:
+            FusedPropertySet(rest, self.cycle, self.history)
+        return FusedPropertySet([member], self.cycle, self.history)
+
+
+class CompiledProperty(Monitor):
+    """A member of a :class:`FusedPropertySet`: the monitor protocol as
+    a view over the set's state.
 
     Same protocol as the interpreted :class:`Monitor` --
     ``reset/step/verdict/snapshot/restore/variables`` -- so harness,
@@ -342,367 +820,137 @@ class CompiledProperty(Monitor, _HistoryMixin):
 
     engine = "compiled"
 
-    def _push_letter(self, letter: Letter) -> List[Letter]:
-        history = self._history
-        history.append(freeze_letter(letter))
-        if len(history) > self._depth + 1:
-            del history[0]
-        return history
+    def __init__(self, plan: _Plan):
+        self.plan = plan
+        self.name = plan.name
+        self.report_message = plan.report
+        self.property_set: Optional[FusedPropertySet] = None
+        self._base = 0
+        self._obs_steps_base = 0
+        self._obs_seconds_base = 0.0
+        self._obs_skipped = 0
 
+    # -- views over the set --------------------------------------------------
 
-class CompiledInvariant(CompiledProperty):
-    """``always b`` (expect=True) / ``never b`` (expect=False)."""
+    @property
+    def _verdict(self) -> Verdict:
+        return self.property_set.state[self._base + _VERDICT]
 
-    def __init__(self, expression: Expr, expect: bool, name: str, report: str = ""):
-        super().__init__(name, report)
-        self.expression = expression
-        self.expect = expect
-        self._fn = _compiled_bool(expression)
-        self._init_history(history_depth(expression))
+    @property
+    def cycle(self) -> int:
+        """Index of the last letter stepped (-1 before the first)."""
+        return self.property_set.cycle
 
-    def reset(self) -> None:
-        """Return to the initial (pre-trace) monitor state."""
-        super().reset()
-        self._history = []
+    @property
+    def failure_cycle(self) -> Optional[int]:
+        """Cycle at which the property first failed, if it did."""
+        return self.property_set.state[self._base + _FAILED_AT]
 
-    def variables(self) -> frozenset:
-        """Signal names this monitor samples each cycle."""
-        return self.expression.variables()
+    @property
+    def steps_traced(self) -> int:
+        """Steps taken while observability was on (latched cycles skip)."""
+        return self._obs_steps_base + self.property_set.obs_steps - self._obs_skipped
 
-    def _advance(self, letter: Letter) -> Verdict:
-        history = self._push_letter(letter)
-        if self._fn(history) != self.expect:
-            return Verdict.FAILS
-        return Verdict.HOLDS
-
-    def snapshot(self) -> Any:
-        """Opaque, immutable state for :meth:`restore`."""
-        return (self._verdict, self._history_snapshot())
-
-    def restore(self, snap: Any) -> None:
-        """Reinstate monitor state captured by :meth:`snapshot`."""
-        self._verdict, history = snap
-        self._history_restore(history)
-
-
-class CompiledEventually(CompiledProperty):
-    """``eventually! b``: PENDING until b holds once."""
-
-    def __init__(self, expression: Expr, name: str, report: str = ""):
-        super().__init__(name, report)
-        self.expression = expression
-        self._fn = _compiled_bool(expression)
-        self._init_history(history_depth(expression))
-        self._verdict = Verdict.PENDING
-
-    def reset(self) -> None:
-        """Return to the initial (pre-trace) monitor state."""
-        super().reset()
-        self._verdict = Verdict.PENDING
-        self._history = []
+    @property
+    def step_seconds(self) -> float:
+        """This member's share of its sets' timed step seconds."""
+        fused = self.property_set
+        total = sum(fused.obs_steps - m._obs_skipped for m in fused.members)
+        share = 0.0
+        if total:
+            steps = fused.obs_steps - self._obs_skipped
+            share = fused.obs_seconds * steps / total
+        return self._obs_seconds_base + share
 
     def variables(self) -> frozenset:
         """Signal names this monitor samples each cycle."""
-        return self.expression.variables()
+        return self.plan.variables()
 
-    def _advance(self, letter: Letter) -> Verdict:
-        history = self._push_letter(letter)
-        if self._fn(history):
-            return Verdict.HOLDS_STRONGLY
-        return Verdict.PENDING
+    # -- protocol --------------------------------------------------------------
 
-    def snapshot(self) -> Any:
-        """Opaque, immutable state for :meth:`restore`."""
-        return (self._verdict, self._history_snapshot())
-
-    def restore(self, snap: Any) -> None:
-        """Reinstate monitor state captured by :meth:`snapshot`."""
-        self._verdict, history = snap
-        self._history_restore(history)
-
-
-class CompiledUntil(CompiledProperty):
-    """``a until b`` / ``a until! b`` over boolean operands."""
-
-    def __init__(
-        self,
-        left: Expr,
-        right: Expr,
-        *,
-        strong: bool,
-        inclusive: bool = False,
-        name: str = "until",
-        report: str = "",
-    ):
-        super().__init__(name, report)
-        self.left = left
-        self.right = right
-        self.strong = strong
-        self.inclusive = inclusive
-        self._left_fn = _compiled_bool(left)
-        self._right_fn = _compiled_bool(right)
-        self._released = False
-        self._init_history(max(history_depth(left), history_depth(right)))
-        self._verdict = Verdict.PENDING if strong else Verdict.HOLDS
+    def step(self, letter: Letter) -> Verdict:
+        """Consume one letter through a singleton set; the verdict."""
+        self._solo().step(letter)
+        return self.verdict()
 
     def reset(self) -> None:
         """Return to the initial (pre-trace) monitor state."""
-        super().reset()
-        self._released = False
-        self._verdict = Verdict.PENDING if self.strong else Verdict.HOLDS
-        self._history = []
-
-    def variables(self) -> frozenset:
-        """Signal names this monitor samples each cycle."""
-        return self.left.variables() | self.right.variables()
-
-    def _advance(self, letter: Letter) -> Verdict:
-        if self._released:
-            return self._verdict
-        history = self._push_letter(letter)
-        if self._right_fn(history) and (
-            not self.inclusive or self._left_fn(history)
-        ):
-            self._released = True
-            return Verdict.HOLDS_STRONGLY
-        if not self._left_fn(history):
-            return Verdict.FAILS
-        return Verdict.PENDING if self.strong else Verdict.HOLDS
+        self._solo().reset()
 
     def snapshot(self) -> Any:
-        """Opaque, immutable state for :meth:`restore`."""
-        return (self._verdict, self._released, self._history_snapshot())
+        """Opaque, immutable state for :meth:`restore`.
+
+        Statistics (cover hit counts beyond "covered", implication
+        trigger counts) stay out, mirroring the interpreted monitors.
+        """
+        fused = self.property_set
+        base = self._base
+        state = fused.state
+        window = tuple(fused.history[-(self.plan.depth + 1):])
+        return (
+            state[base + _VERDICT],
+            tuple(state[base + _K0:base + _WIDTH]),
+            self.is_cover and state[base + _STAT] > 0,
+            window,
+        )
 
     def restore(self, snap: Any) -> None:
         """Reinstate monitor state captured by :meth:`snapshot`."""
-        self._verdict, self._released, history = snap
-        self._history_restore(history)
+        fused = self._solo()
+        verdict, kind_state, covered, window = snap
+        base = self._base
+        fused.state[base + _VERDICT] = verdict
+        fused.state[base + _K0:base + _WIDTH] = kind_state
+        if covered and fused.state[base + _STAT] == 0:
+            fused.state[base + _STAT] = 1
+        fused.history = list(window)
+        fused._latched = fused._latched_members()
 
+    # -- set membership ------------------------------------------------------------
 
-class CompiledNeverSere(CompiledProperty):
-    """``never {r}``: attempts tracked as a bitset of state indices."""
+    def _initial(self) -> List[Any]:
+        return [self.plan.initial_verdict(), None, 0, 0, 0, 0]
 
-    def __init__(self, item: Sere, name: str = "never_sere", report: str = ""):
-        super().__init__(name, report)
-        self.automaton = shared_automaton(item)
-        self._attempts = 0  # bitset of live automaton states
-        self._init_history(self.automaton.depth)
+    def _join(self, fused: FusedPropertySet, base: int) -> List[Any]:
+        """Move into ``fused`` at ``base``; returns the slots to carry."""
+        previous = self.property_set
+        if previous is None:
+            slots = self._initial()
+        else:
+            slots = previous.state[self._base:self._base + _WIDTH]
+            self._obs_steps_base = self.steps_traced
+            self._obs_seconds_base = self.step_seconds
+            self._obs_skipped = 0
+        self.property_set = fused
+        self._base = base
+        return slots
 
-    def reset(self) -> None:
-        """Return to the initial (pre-trace) monitor state."""
-        super().reset()
-        self._attempts = 0
-        self._history = []
-
-    def variables(self) -> frozenset:
-        """Signal names this monitor samples each cycle."""
-        return self.automaton.variables()
-
-    def _advance(self, letter: Letter) -> Verdict:
-        history = self._push_letter(letter)
-        automaton = self.automaton
-        symbol = automaton.valuation(history)
-        advance = automaton.advance
-        survivors = 0
-        for state in _iter_bits(self._attempts | (1 << automaton.start)):
-            next_state, matched = advance(state, symbol)
-            if matched:
-                return Verdict.FAILS
-            if next_state >= 0:
-                survivors |= 1 << next_state
-        self._attempts = survivors
-        return Verdict.HOLDS
-
-    def snapshot(self) -> Any:
-        """Opaque, immutable state for :meth:`restore`."""
-        return (self._verdict, self._attempts, self._history_snapshot())
-
-    def restore(self, snap: Any) -> None:
-        """Reinstate monitor state captured by :meth:`snapshot`."""
-        self._verdict, self._attempts, history = snap
-        self._history_restore(history)
+    def _solo(self) -> FusedPropertySet:
+        fused = self.property_set
+        if len(fused.members) > 1:
+            fused = fused._split(self)
+        return fused
 
 
 class CompiledCover(CompiledProperty):
-    """``cover {r}``: per-attempt hit counting on integer states."""
+    """``cover {r}``: counts completed matches."""
 
     latch_definite = False  # keep counting after the first hit
     is_cover = True
 
-    def __init__(self, item: Sere, name: str = "cover", report: str = ""):
-        super().__init__(name, report)
-        self.automaton = shared_automaton(item)
-        self._attempts = 0
-        self.hits = 0
-        self._init_history(self.automaton.depth)
-
-    def reset(self) -> None:
-        """Return to the initial (pre-trace) monitor state."""
-        super().reset()
-        self._attempts = 0
-        self._history = []
-        self.hits = 0
-
-    def variables(self) -> frozenset:
-        """Signal names this monitor samples each cycle."""
-        return self.automaton.variables()
-
-    def _advance(self, letter: Letter) -> Verdict:
-        history = self._push_letter(letter)
-        automaton = self.automaton
-        symbol = automaton.valuation(history)
-        advance = automaton.advance
-        survivors = 0
-        for state in _iter_bits(self._attempts | (1 << automaton.start)):
-            next_state, matched = advance(state, symbol)
-            if matched:
-                self.hits += 1
-            if next_state >= 0:
-                survivors |= 1 << next_state
-        self._attempts = survivors
-        return Verdict.HOLDS_STRONGLY if self.hits else Verdict.PENDING
-
-    def snapshot(self) -> Any:
-        """Opaque, immutable state for :meth:`restore`."""
-        # Mirror the interpreted CoverMonitor: the covered bit is
-        # semantic state, the exact count is a statistic.
-        return (self._verdict, self._attempts, self.hits > 0, self._history_snapshot())
-
-    def restore(self, snap: Any) -> None:
-        """Reinstate monitor state captured by :meth:`snapshot`."""
-        self._verdict, self._attempts, covered, history = snap
-        if covered and self.hits == 0:
-            self.hits = 1
-        self._history_restore(history)
+    @property
+    def hits(self) -> int:
+        """Completed matches so far."""
+        return self.property_set.state[self._base + _STAT]
 
 
 class CompiledSuffixImplication(CompiledProperty):
-    """``always {r} |->/|=> {s}`` on two shared automata.
+    """``always {r} |->/|=> {s}`` (and ``always b -> f``)."""
 
-    Antecedent attempts and consequent obligations are bitsets of
-    state indices; the per-cycle work is two symbol valuations plus
-    one table lookup per live state.  Obligation lifecycle (spawn,
-    discharge on match, fail on death, PENDING under a strong
-    consequent) mirrors ``SuffixImplicationMonitor._advance`` line by
-    line.
-    """
-
-    def __init__(
-        self,
-        antecedent: Sere,
-        consequent: Sere,
-        *,
-        overlapping: bool,
-        strong_consequent: bool = False,
-        name: str = "suffix_implication",
-        report: str = "",
-    ):
-        super().__init__(name, report)
-        self.antecedent_automaton = shared_automaton(antecedent)
-        self.consequent_automaton = shared_automaton(consequent)
-        self.overlapping = overlapping
-        self.strong_consequent = strong_consequent
-        self._antecedent_states = 0  # bitset of live antecedent states
-        self._obligations = 0  # bitset of live consequent states
-        self._fresh_obligations = 0  # spawned this cycle, consume next
-        self._init_history(
-            max(self.antecedent_automaton.depth, self.consequent_automaton.depth)
-        )
-        self.triggered = 0  # completed antecedent matches (activity metric)
-
-    def reset(self) -> None:
-        """Return to the initial (pre-trace) monitor state."""
-        super().reset()
-        self._antecedent_states = 0
-        self._obligations = 0
-        self._fresh_obligations = 0
-        self._history = []
-        self.triggered = 0
-
-    def variables(self) -> frozenset:
-        """Signal names this monitor samples each cycle."""
-        return self.antecedent_automaton.variables() | (
-            self.consequent_automaton.variables()
-        )
-
-    def _advance(self, letter: Letter) -> Verdict:
-        history = self._push_letter(letter)
-        antecedent = self.antecedent_automaton
-        consequent = self.consequent_automaton
-        antecedent_symbol = antecedent.valuation(history)
-        consequent_symbol = consequent.valuation(history)
-
-        # 1. advance antecedent attempts (plus a fresh anchor at this cycle)
-        matched_now = False
-        new_attempts = 0
-        advance_antecedent = antecedent.advance
-        for state in _iter_bits(self._antecedent_states | (1 << antecedent.start)):
-            next_state, matched = advance_antecedent(state, antecedent_symbol)
-            if matched:
-                matched_now = True
-            if next_state >= 0:
-                new_attempts |= 1 << next_state
-        self._antecedent_states = new_attempts
-
-        # 2. advance outstanding obligations (those spawned before this cycle)
-        live = 0
-        failed = False
-        advance_consequent = consequent.advance
-        for state in _iter_bits(self._obligations | self._fresh_obligations):
-            next_state, matched = advance_consequent(state, consequent_symbol)
-            if matched:
-                continue  # discharged
-            if next_state < 0:
-                failed = True
-                continue
-            live |= 1 << next_state
-        self._fresh_obligations = 0
-
-        # 3. a completed antecedent spawns a consequent obligation
-        if matched_now:
-            self.triggered += 1
-            if self.overlapping:
-                # |->: the consequent's first letter is the current one.
-                next_state, matched = advance_consequent(
-                    consequent.start, consequent_symbol
-                )
-                if not matched:
-                    if next_state < 0:
-                        failed = True
-                    else:
-                        live |= 1 << next_state
-            else:
-                # |=>: the consequent starts next cycle.
-                self._fresh_obligations = 1 << consequent.start
-
-        self._obligations = live
-        if failed:
-            return Verdict.FAILS
-        if (self._obligations or self._fresh_obligations) and self.strong_consequent:
-            return Verdict.PENDING
-        return Verdict.HOLDS
-
-    def snapshot(self) -> Any:
-        """Opaque, immutable state for :meth:`restore`."""
-        # ``triggered`` stays out, mirroring the interpreted monitor.
-        return (
-            self._verdict,
-            self._antecedent_states,
-            self._obligations,
-            self._fresh_obligations,
-            self._history_snapshot(),
-        )
-
-    def restore(self, snap: Any) -> None:
-        """Reinstate monitor state captured by :meth:`snapshot`."""
-        (
-            self._verdict,
-            self._antecedent_states,
-            self._obligations,
-            self._fresh_obligations,
-            history,
-        ) = snap
-        self._history_restore(history)
+    @property
+    def triggered(self) -> int:
+        """Cycles on which the antecedent completed a match."""
+        return self.property_set.state[self._base + _STAT]
 
 
 # ---------------------------------------------------------------------------
@@ -741,6 +989,7 @@ def compile_cache_stats() -> Dict[str, int]:
     stats["automaton_states"] = sum(
         a.state_count for a in _AUTOMATON_CACHE.values()
     )
+    stats["step_functions"] = len(_STEP_CACHE)
     return stats
 
 
@@ -748,6 +997,7 @@ def clear_compile_caches() -> None:
     """Drop all compilation caches (tests and memory-pressure hooks)."""
     _PLAN_CACHE.clear()
     _AUTOMATON_CACHE.clear()
+    _STEP_CACHE.clear()
     for key in _CACHE_STATS:
         _CACHE_STATS[key] = 0
 
@@ -820,21 +1070,24 @@ def compile_properties(
     :class:`Formula` objects and PSL source text.  ``bindings``
     renames signal references (formal -> actual) before compilation
     and is part of the cache key.  ``engine`` selects ``"compiled"``
-    (table-driven automata, the default) or ``"interpreted"`` (the
-    original derivative interpreter); ``None`` defers to
-    :func:`default_engine`, i.e. ``REPRO_PSL_ENGINE`` when set.
+    (one fused, generated property set, the default) or
+    ``"interpreted"`` (the original derivative interpreter); ``None``
+    defers to :func:`default_engine`, i.e. ``REPRO_PSL_ENGINE`` when
+    set.
 
-    Properties the compiled engine cannot lower (deep ``until``
-    nests, unbounded-residual SEREs, ...) transparently fall back to
-    the interpreted :func:`build_monitor` result, so both engines
-    accept the full supported PSL subset and produce identical
-    verdict traces.
+    Under the compiled engine every returned :class:`CompiledProperty`
+    is a member of one :class:`FusedPropertySet`.  Properties it
+    cannot lower (deep ``until`` nests, unbounded-residual SEREs, ...)
+    transparently fall back to the interpreted :func:`build_monitor`
+    result, so both engines accept the full supported PSL subset and
+    produce identical verdict traces.
     """
     resolved = _validate_engine(engine) if engine is not None else default_engine()
-    return [
-        compile_property(source, bindings=bindings, engine=resolved)
-        for source in sources
-    ]
+    monitors = [_compile_one(source, bindings, resolved) for source in sources]
+    members = [m for m in monitors if isinstance(m, CompiledProperty)]
+    if members:
+        FusedPropertySet(members)
+    return monitors
 
 
 def compile_property(
@@ -846,140 +1099,127 @@ def compile_property(
 ) -> Monitor:
     """Compile one property (see :func:`compile_properties`)."""
     resolved = _validate_engine(engine) if engine is not None else default_engine()
+    monitor = _compile_one(source, bindings, resolved)
+    if isinstance(monitor, CompiledProperty):
+        FusedPropertySet([monitor])
+    if name is not None:
+        monitor.name = name
+    return monitor
+
+
+def _compile_one(
+    source: Property | Directive | Formula | str,
+    bindings: Optional[Mapping[str, str]],
+    engine: str,
+) -> Monitor:
     directive = _as_directive(source)
     if bindings:
         directive = _rebind(directive, dict(bindings))
     binding_key = (
         tuple(sorted(bindings.items())) if bindings else None
     )
-    key = (resolved, directive.kind, directive.prop, binding_key)
+    key = (engine, directive.kind, directive.prop, binding_key)
     plan = _PLAN_CACHE.get(key)
     if plan is None:
         _bump("plan_misses", "psl.compile.cache", "miss")
-        plan = _build_plan(directive, resolved)
+        plan = _build_plan(directive, engine, key)
         _PLAN_CACHE[key] = plan
     else:
         _bump("plan_hits", "psl.compile.cache", "hit")
-    monitor = plan()
-    if name is not None:
-        monitor.name = name
-    return monitor
+    return plan()
 
 
-def _build_plan(directive: Directive, engine: str) -> Callable[[], Monitor]:
-    """Build the per-property monitor factory for one engine."""
-    if engine == "interpreted":
-        def interpreted_plan() -> Monitor:
-            with _sanctioned_construction():
-                return build_monitor(directive)
+def _build_plan(
+    directive: Directive, engine: str, key: Tuple
+) -> Callable[[], Monitor]:
+    """Build the per-property monitor factory for one engine.
 
-        return interpreted_plan
+    Compiled plans build their automata now, so unsupported SEREs
+    surface (and fall back) here rather than mid-regression.
+    """
+    if engine == "compiled":
+        try:
+            plan = _match_compiled(directive, key)
+        except PslUnsupportedError:
+            plan = None
+        if plan is not None:
+            return plan
 
-    builder = _match_compiled(directive)
-    if builder is None:
-        # Transparent fallback: patterns (or SEREs) the table engine
-        # cannot lower run on the interpreted engine instead.
-        def fallback_plan() -> Monitor:
-            with _sanctioned_construction():
-                return build_monitor(directive)
-
-        return fallback_plan
-
-    def compiled_plan() -> Monitor:
+    def interpreted_plan() -> Monitor:
         with _sanctioned_construction():
-            return builder()
+            return build_monitor(directive)
 
-    # Compile eagerly once so unsupported SEREs surface now (and fall
-    # back) rather than mid-regression.
-    try:
-        compiled_plan()
-    except PslUnsupportedError:
-        def unsupported_plan() -> Monitor:
-            with _sanctioned_construction():
-                return build_monitor(directive)
-
-        return unsupported_plan
-    return compiled_plan
+    return interpreted_plan
 
 
-def _match_compiled(directive: Directive) -> Optional[Callable[[], Monitor]]:
-    """Mirror of ``build_monitor``'s pattern match, building table-driven
-    monitors; ``None`` means no compiled lowering exists."""
+def _match_compiled(directive: Directive, key: Tuple) -> Optional[_Plan]:
+    """Mirror of ``build_monitor``'s pattern match, building plans for
+    the step generator; ``None`` means no compiled lowering exists."""
     prop = directive.prop
     formula = prop.formula
-    name = prop.name
-    report = prop.report
+
+    def make(kind: str, left: Operand, right: Operand = None, **fields: Any) -> _Plan:
+        operands = (left,) if right is None else (left, right)
+        depth = max(_operand_depth(operand) for operand in operands)
+        return _Plan(
+            kind, prop.name, prop.report, left, right, depth, key=key, **fields
+        )
 
     if directive.kind == DirectiveKind.COVER:
         target = formula
         if isinstance(target, FlEventually):
             target = target.operand
         if isinstance(target, FlSere):
-            sere = target.sere
-            return lambda: CompiledCover(sere, name=name, report=report)
+            return make("cover", _operand(target.sere))
         if isinstance(target, FlBool):
-            sere = SereBool(target.expr)
-            return lambda: CompiledCover(sere, name=name, report=report)
+            return make("cover", _operand(SereBool(target.expr)))
         return None
 
     if isinstance(formula, FlAlways):
         body = formula.operand
         if isinstance(body, FlBool):
-            expr = body.expr
-            return lambda: CompiledInvariant(expr, True, name, report)
+            return make("invariant", body.expr)
         if isinstance(body, FlNot) and isinstance(body.operand, FlBool):
-            expr = body.operand.expr
-            return lambda: CompiledInvariant(expr, False, name, report)
+            return make("invariant", body.operand.expr, expect=False)
         if isinstance(body, FlSuffixImpl):
             consequent = _as_sere(body.consequent)
             if consequent is not None:
-                antecedent = body.antecedent
-                overlapping = body.overlapping
-                strong = _consequent_is_strong(body.consequent)
-                return lambda: CompiledSuffixImplication(
-                    antecedent,
-                    consequent,
-                    overlapping=overlapping,
-                    strong_consequent=strong,
-                    name=name,
-                    report=report,
+                return make(
+                    "implication",
+                    _operand(body.antecedent),
+                    right=_operand(consequent),
+                    overlapping=body.overlapping,
+                    strong=_consequent_is_strong(body.consequent),
                 )
         if isinstance(body, FlImplies) and isinstance(body.left, FlBool):
             consequent = _as_sere(body.right)
             if consequent is not None:
-                antecedent = SereBool(body.left.expr)
-                strong = _consequent_is_strong(body.right)
-                return lambda: CompiledSuffixImplication(
-                    antecedent,
-                    consequent,
+                return make(
+                    "implication",
+                    _operand(SereBool(body.left.expr)),
+                    right=_operand(consequent),
                     overlapping=True,
-                    strong_consequent=strong,
-                    name=name,
-                    report=report,
+                    strong=_consequent_is_strong(body.right),
                 )
     if isinstance(formula, FlNever):
         body = formula.operand
         if isinstance(body, FlBool):
-            expr = body.expr
-            return lambda: CompiledInvariant(expr, False, name, report)
+            return make("invariant", body.expr, expect=False)
         if isinstance(body, FlSere):
-            sere = body.sere
-            return lambda: CompiledNeverSere(sere, name=name, report=report)
+            operand = _operand(body.sere)
+            if isinstance(operand, SereAutomaton):
+                return make("never", operand)
+            return make("invariant", operand, expect=False)
     if isinstance(formula, FlEventually) and isinstance(formula.operand, FlBool):
-        expr = formula.operand.expr
-        return lambda: CompiledEventually(expr, name=name, report=report)
+        return make("eventually", formula.operand.expr)
     if isinstance(formula, FlUntil):
         if isinstance(formula.left, FlBool) and isinstance(formula.right, FlBool):
-            left = formula.left.expr
-            right = formula.right.expr
-            strong = formula.strong
-            inclusive = formula.inclusive
-            return lambda: CompiledUntil(
-                left,
-                right,
-                strong=strong,
-                inclusive=inclusive,
-                name=name,
-                report=report,
+            return make(
+                "until",
+                formula.left.expr,
+                right=formula.right.expr,
+                strong=formula.strong,
+                inclusive=formula.inclusive,
             )
     return None
+

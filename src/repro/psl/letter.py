@@ -19,7 +19,7 @@ class FrozenLetter(Mapping[str, Any]):
 
     def __init__(self, values: Mapping[str, Any]):
         self._data = dict(values)
-        self._hash = hash(frozenset(self._data.items()))
+        self._hash = None  # computed on first use: most letters never hash
 
     def __getitem__(self, key: str) -> Any:
         return self._data[key]
@@ -34,11 +34,13 @@ class FrozenLetter(Mapping[str, Any]):
         return key in self._data
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(frozenset(self._data.items()))
         return self._hash
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, FrozenLetter):
-            return self._hash == other._hash and self._data == other._data
+            return hash(self) == hash(other) and self._data == other._data
         if isinstance(other, Mapping):
             return self._data == dict(other)
         return NotImplemented

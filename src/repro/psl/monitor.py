@@ -68,7 +68,8 @@ from .ast_nodes import (
     SereRepeat,
     TRUE,
 )
-from .errors import PslEvaluationError, PslUnsupportedError
+from .codegen import bool_function
+from .errors import PslUnsupportedError
 from .letter import FrozenLetter, freeze_letter
 from .semantics import Evaluator, Verdict
 from .sere import desugar
@@ -170,18 +171,14 @@ def _concat(head: Sere, tail: Sere) -> Sere:
     return SereConcat(head_parts + tail_parts)
 
 
-#: Compiled-expression cache shared by all monitors (expressions are
-#: immutable, so compilation is done once per distinct AST).
-_COMPILED_BOOL: Dict[Expr, Any] = {}
-
-
 class _LetterView:
     """Evaluation window: current letter plus bounded history.
 
     ``holds`` memoizes per view (i.e. per letter): a derivative step
     asks about the same atom once per residual containing it, so
     shared subexpressions evaluate once per cycle, not once per
-    residual-set member.
+    residual-set member.  Atoms evaluate through the generated
+    per-expression functions of :mod:`repro.psl.codegen`.
     """
 
     __slots__ = ("history", "_memo")
@@ -193,13 +190,7 @@ class _LetterView:
     def holds(self, expression: Expr) -> bool:
         value = self._memo.get(expression)
         if value is None:
-            compiled = _COMPILED_BOOL.get(expression)
-            if compiled is None:
-                from .compile_ import compile_bool
-
-                compiled = compile_bool(expression)
-                _COMPILED_BOOL[expression] = compiled
-            value = bool(compiled(self.history))
+            value = bool(bool_function(expression)(self.history))
             self._memo[expression] = value
         return value
 

@@ -52,6 +52,7 @@ ambiguity is harmless (and resolved the same way by real PSL tools).
 
 from __future__ import annotations
 
+import functools
 from typing import List, Optional
 
 from .ast_nodes import (
@@ -640,8 +641,13 @@ class Parser:
 # -- module-level one-shot helpers ------------------------------------------------
 
 
+@functools.lru_cache(maxsize=4096)
 def parse_formula(source: str) -> Formula:
-    """Parse a single FL formula, e.g. ``"always {req} |=> {gnt}"``."""
+    """Parse a single FL formula, e.g. ``"always {req} |=> {gnt}"``.
+
+    Memoized by text: formulas are immutable, and model property
+    suites re-parse the same texts for every scenario they monitor.
+    """
     parser = Parser(source)
     formula = parser.parse_formula()
     if not parser.at_end():

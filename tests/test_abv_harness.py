@@ -2,7 +2,18 @@
 
 import pytest
 
-from repro.psl import CoverMonitor, Verdict, build_monitor, parse_formula, parse_sere
+from repro.psl import (
+    CoverMonitor,
+    Directive,
+    DirectiveKind,
+    FlSere,
+    Property,
+    Verdict,
+    build_monitor,
+    compile_properties,
+    parse_formula,
+    parse_sere,
+)
 from repro.abv import AbvHarness, CoverageCollector, FailureAction
 from repro.sysc import Clock, ReportHandler, Signal, Simulator, ns
 
@@ -262,3 +273,28 @@ class TestCoverageCollector:
         assert "ghost" in collector.never_triggered
         assert "follow" not in collector.never_triggered
         assert collector.uncovered == []
+
+    @pytest.mark.parametrize("engine", ["compiled", "interpreted"])
+    def test_starved_monitors_are_seen_under_both_engines(self, engine):
+        """Classification follows the monitor protocol, so a compiled
+        cover / implication that never matched is reported as such."""
+        cover = Directive(
+            DirectiveKind.COVER,
+            Property("cov_ab", FlSere(parse_sere("a ; b"))),
+        )
+        follow = Directive(
+            DirectiveKind.ASSERT,
+            Property("follow_ab", parse_formula("always {a} |=> {b}")),
+        )
+        monitors = compile_properties([cover, follow], engine=engine)
+        sim = Simulator()
+        harness = AbvHarness(sim, Clock("clk", ns(10), sim), dict)
+        harness.add_monitors(monitors)
+        harness.replay_letters([{"a": False, "b": False}] * 5)
+        collector = CoverageCollector(monitors)
+        assert [(e.kind, e.hits) for e in collector.entries()] == [
+            ("cover", 0),
+            ("assertion", 0),
+        ]
+        assert collector.uncovered == ["cov_ab"]
+        assert collector.never_triggered == ["follow_ab"]

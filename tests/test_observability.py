@@ -220,6 +220,26 @@ class TestKernelAndMonitorSpans:
             assert span.attrs["steps"] > 0
             assert span.attrs["verdict"]
 
+    def test_fused_set_spans_share_one_timer(self):
+        """A compiled set is timed once per step; its members' spans
+        split that time by step count and keep every attribute."""
+        enable_tracing()
+        system = PciSystemModel(1, 1, seed=11)
+        harness = AbvHarness(system.simulator, system.clock, system.letter)
+        harness.add_properties(pci_safety_properties(1, 1)[:3], engine="compiled")
+        system.run_cycles(150)
+        harness.finish()
+        fused = harness.bindings[0].monitor.property_set
+        assert fused.obs_steps == harness.cycles_observed
+        spans = [s for s in OBS.tracer.spans() if s.component == "psl.monitor"]
+        assert len(spans) == 3
+        for span in spans:
+            assert span.parent_id == system.simulator.last_run_span_id
+            assert span.attrs["engine"] == "compiled"
+            assert span.attrs["steps"] == fused.obs_steps
+            assert span.attrs["verdict"]
+        assert sum(s.duration_s for s in spans) == pytest.approx(fused.obs_seconds)
+
     def test_monitor_step_counts_disabled_path_untouched(self):
         system = self._simulate()
         assert system.simulator.last_run_span_id is None

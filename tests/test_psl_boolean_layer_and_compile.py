@@ -1,5 +1,5 @@
 """Tests for the typed Boolean layer, SignalHistory, and the
-expression compiler (compiled-vs-interpreted equivalence)."""
+Boolean-layer source generator (generated-vs-interpreted equivalence)."""
 
 import hypothesis.strategies as st
 import pytest
@@ -19,7 +19,14 @@ from repro.psl import (
     coerce,
     parse_bool,
 )
-from repro.psl.compile_ import compile_bool, compile_expr
+from repro.psl import (
+    Directive,
+    DirectiveKind,
+    FlBool,
+    Property,
+    compile_properties,
+)
+from repro.psl.codegen import bool_function
 
 
 class TestTypedLayer:
@@ -147,34 +154,61 @@ EXPRESSIONS = [
 ]
 
 
+def _reference(expression, history):
+    """The AST interpreter at the window's end, missing values False."""
+    try:
+        return bool(expression.eval_bool(EvalContext(history, len(history) - 1)))
+    except PslEvaluationError:
+        return False
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(EXPRESSIONS), histories)
 def test_compiled_matches_interpreter(text, history):
     expression = text() if callable(text) else parse_bool(text)
-    compiled = compile_bool(expression)
-    # interpreter reference: evaluate at the last position with the
-    # same missing-value conventions
-    try:
-        expected = bool(
-            expression.eval_bool(EvalContext(history, len(history) - 1))
-        )
-    except PslEvaluationError:
-        expected = False
-    assert compiled(history) == expected, text
+    compiled = bool_function(expression)
+    assert compiled(history) == _reference(expression, history), text
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(EXPRESSIONS), histories)
+def test_fused_lowering_matches_interpreter(text, history):
+    """The fused set's hoisted, unguarded lowering of the same atom:
+    a ``cover`` member counts a hit exactly when the atom holds."""
+    expression = text() if callable(text) else parse_bool(text)
+    directive = Directive(
+        kind=DirectiveKind.COVER, prop=Property(name="c", formula=FlBool(expression))
+    )
+    cover, = compile_properties([directive], engine="compiled")
+    for position, letter in enumerate(history):
+        before = cover.hits
+        cover.step(letter)
+        truth = _reference(expression, history[: position + 1])
+        assert (cover.hits - before == 1) == truth, (text, position)
 
 
 def test_compiler_fallback_on_exotic_nodes():
     expression = parse_bool("isunknown(zz)")
-    compiled = compile_expr(expression)
+    compiled = bool_function(expression)
     assert compiled([{"a": 1}]) is True  # zz missing -> unknown
 
 
 def test_compiled_missing_signal_is_false():
-    compiled = compile_bool(parse_bool("ghost && a"))
+    compiled = bool_function(parse_bool("ghost && a"))
     assert compiled([{"a": True}]) is False
 
 
 def test_prev_with_nonconstant_depth_falls_back():
     expression = parse_bool("prev(count, count) == 0")
-    compiled = compile_expr(expression)  # must not crash at build time
+    compiled = bool_function(expression)  # must not crash at build time
     assert callable(compiled)
+
+
+def test_short_history_is_false_not_an_error():
+    assert bool_function(parse_bool("rose(a)"))([{"a": True}]) is False
+    assert bool_function(parse_bool("prev(a, 2)"))([{"a": True}] * 2) is False
+
+
+def test_type_errors_still_propagate():
+    with pytest.raises(PslTypeError):
+        bool_function(parse_bool("a"))([{"a": 1.5}])

@@ -9,13 +9,17 @@ drives both engines in lockstep over
 
 and additionally checks the redesigned ``compile_properties`` API
 surface (bindings, engine selection, the deprecation shim, cache
-counters) and the kernel fast path the compiled engine rides on.
+counters), the fused property sets (Hypothesis streams through whole
+shipped suites, harness stop cycles, replay restore) and the kernel
+fast path the compiled engine rides on.
 """
 
 import random
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.models.master_slave.properties import (
     ms_cover_properties,
@@ -26,6 +30,7 @@ from repro.models.pci.properties import (
     pci_cover_properties,
     pci_safety_properties,
 )
+from repro.abv import AbvHarness, FailureAction
 from repro.psl import (
     BooleanInvariantMonitor,
     Verdict,
@@ -35,6 +40,7 @@ from repro.psl import (
 from repro.psl.compiled import (
     ENGINE_ENV_VAR,
     CompiledProperty,
+    FusedPropertySet,
     clear_compile_caches,
     compile_cache_stats,
     compile_property,
@@ -44,6 +50,7 @@ from repro.psl.compiled import (
     shared_automaton,
 )
 from repro.psl.parser import parse_sere
+from repro.sysc import Clock, Simulator, SimulationStopped, ns
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +183,166 @@ class TestRandomCorpus:
             text = f"cover {{{random_sere(rng)}}};"
             trace = random_trace(ATOMS, 25, seed=1000 + index)
             lockstep(text, trace)
+
+
+# ---------------------------------------------------------------------------
+# fused property sets: whole shipped suites, Hypothesis letter streams
+# ---------------------------------------------------------------------------
+
+
+def _suite(choice):
+    kind, first, second, handshake = choice
+    if kind == "ms_invariants":
+        return ms_invariant_properties(first, second, include_handshake=handshake)
+    if kind == "pci_safety":
+        return pci_safety_properties(first, second)
+    return pci_cover_properties(first, second)
+
+
+SUITE_CHOICES = st.one_of(
+    st.tuples(
+        st.just("ms_invariants"), st.integers(1, 3), st.integers(1, 2), st.booleans()
+    ),
+    st.tuples(
+        st.sampled_from(["pci_safety", "pci_covers"]),
+        st.integers(1, 2),
+        st.integers(1, 2),
+        st.just(False),
+    ),
+)
+
+
+def observables(monitor):
+    """Everything a caller can read off a monitor."""
+    return (
+        monitor.verdict(),
+        monitor.cycle,
+        monitor.failure_cycle,
+        getattr(monitor, "hits", None),
+        getattr(monitor, "triggered", None),
+        monitor.report(),
+    )
+
+
+def _letters(data, monitors, max_size=30):
+    names = sorted(frozenset().union(*(m.variables() for m in monitors)))
+    letter = st.fixed_dictionaries({name: st.booleans() for name in names})
+    return data.draw(st.lists(letter, max_size=max_size), label="letters")
+
+
+def _harness(directives, engine, actions=(FailureAction.REPORT,)):
+    simulator = Simulator()
+    clock = Clock("clk", ns(10), simulator)
+    harness = AbvHarness(simulator, clock, dict)
+    harness.add_properties(directives, engine=engine, actions=actions)
+    return harness
+
+
+def _harness_view(harness):
+    return (
+        harness.cycles_observed,
+        [binding.fired for binding in harness.bindings],
+        [observables(binding.monitor) for binding in harness.bindings],
+        [(r.label, r.message) for r in harness.reports.errors()],
+    )
+
+
+class TestFusedSets:
+    @settings(max_examples=40, deadline=None)
+    @given(choice=SUITE_CHOICES, data=st.data())
+    def test_fused_set_matches_interpreter(self, choice, data):
+        directives = _suite(choice)
+        fused = compile_properties(directives, engine="compiled")
+        reference = compile_properties(directives, engine="interpreted")
+        assert all(isinstance(m, CompiledProperty) for m in fused)
+        property_set = fused[0].property_set
+        assert property_set.members == tuple(fused)
+        letters = _letters(data, reference)
+        for letter in letters:
+            property_set.step(letter)
+            for monitor in reference:
+                monitor.step(letter)
+            for got, want in zip(fused, reference):
+                assert observables(got) == observables(want), got.name
+        # a member's own step() runs it as a singleton set
+        singles = compile_properties(directives, engine="compiled")
+        for single, want in zip(singles, reference):
+            for letter in letters:
+                single.step(letter)
+            assert len(single.property_set.members) == (1 if letters else len(singles))
+            assert observables(single) == observables(want), single.name
+
+    @settings(max_examples=25, deadline=None)
+    @given(choice=SUITE_CHOICES, data=st.data())
+    def test_stop_action_halts_at_the_same_cycle(self, choice, data):
+        directives = _suite(choice)
+        letters = _letters(data, compile_properties(directives), max_size=25)
+        views = []
+        for engine in ("compiled", "interpreted"):
+            harness = _harness(
+                directives, engine, (FailureAction.REPORT, FailureAction.STOP)
+            )
+            stopped = None
+            try:
+                harness.replay_letters(letters)
+            except SimulationStopped as stop:
+                stopped = str(stop)
+            views.append((stopped, _harness_view(harness)))
+        assert views[0] == views[1]
+
+    @settings(max_examples=25, deadline=None)
+    @given(choice=SUITE_CHOICES, data=st.data())
+    def test_replay_restore_then_continue_matches_a_straight_run(self, choice, data):
+        """restore(snapshot(T)) + k == run(T + k), via replay_letters."""
+        directives = _suite(choice)
+        letters = _letters(data, compile_properties(directives))
+        split = data.draw(st.integers(0, len(letters)), label="T")
+        straight = _harness(directives, "compiled")
+        straight.replay_letters(letters)
+        first = _harness(directives, "compiled")
+        first.record_letters = True
+        first.replay_letters(letters[:split])
+        resumed = _harness(directives, "compiled")
+        resumed.replay_letters(first.recorded_letters)
+        resumed.replay_letters(letters[split:])
+        assert _harness_view(resumed) == _harness_view(straight)
+
+    def test_partially_bound_set_splits_and_agrees(self):
+        """Binding only some members steps those alone; the rest of
+        the set is left untouched."""
+        directives = ms_invariant_properties(2, 2)
+        monitors = compile_properties(directives, engine="compiled")
+        reference = compile_properties(directives, engine="interpreted")
+        simulator = Simulator()
+        harness = AbvHarness(simulator, Clock("clk", ns(10), simulator), dict)
+        harness.add_monitors(monitors[:3])
+        trace = random_trace(monitors[0].variables() | monitors[3].variables(), 30, 5)
+        for letter in trace:
+            harness._observe(letter)
+            for monitor in reference[:3]:
+                monitor.step(letter)
+        for got, want in zip(monitors[:3], reference[:3]):
+            assert observables(got) == observables(want)
+        assert all(m.cycle == -1 for m in monitors[3:])
+
+    def test_step_functions_are_memoized_per_suite(self):
+        clear_compile_caches()
+        try:
+            first = compile_properties(pci_safety_properties(2, 2))
+            second = compile_properties(pci_safety_properties(2, 2))
+            first[0].property_set.step({})
+            second[0].property_set.step({})
+            assert compile_cache_stats()["step_functions"] == 1
+            assert first[0].property_set.source == second[0].property_set.source
+        finally:
+            clear_compile_caches()
+
+    def test_split_bumps_the_generation(self):
+        monitors = compile_properties(["always a", "never b"], engine="compiled")
+        before = FusedPropertySet.generation
+        monitors[0].step({"a": True, "b": False})
+        assert FusedPropertySet.generation == before + 1
+        assert monitors[1].property_set is not monitors[0].property_set
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ from .machine import (
 from .state import FullState, Location, StateKey
 from .types import Bit, BitVector, Byte, bounded_int_range, ensure_in_range
 from .updates import StepMode, UpdateSet
+from . import lower  # noqa: F401  (loaded with the package, not inside the first action call)
 
 __all__ = [
     "AsmSet",

@@ -14,6 +14,7 @@ Figure 4).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Any, Callable, Iterable, Iterator, Mapping, Tuple, TypeVar
 
 from .errors import NoChoiceError
@@ -138,47 +139,81 @@ class AsmSet(frozenset):
 class Map(Mapping[K, V]):
     """An immutable mapping with AsmL-style functional updates.
 
-    Stored as a sorted tuple of pairs so two Maps with equal content hash
-    equally -- required for state snapshots.
+    Stored as a tuple of pairs sorted by ``repr(key)`` so two Maps with
+    equal content hash equally -- required for state snapshots.
+    Functional updates insert by bisection over the cached key order
+    instead of re-sorting, so a write costs one ``repr``.
 
     >>> m = Map({1: 'a'})
     >>> m.set(2, 'b')[2]
     'b'
     """
 
-    __slots__ = ("_pairs", "_index")
+    __slots__ = ("_pairs", "_index", "_order")
 
     def __init__(self, items: Mapping[K, V] | Iterable[tuple[K, V]] = ()):
         if isinstance(items, Map):
-            pairs = items._pairs
-        elif isinstance(items, Mapping):
-            pairs = tuple(sorted(items.items(), key=lambda kv: repr(kv[0])))
-        else:
-            pairs = tuple(sorted(dict(items).items(), key=lambda kv: repr(kv[0])))
-        self._pairs = pairs
-        self._index = dict(pairs)
+            self._pairs = items._pairs
+            self._index = items._index
+            self._order = items._order
+            return
+        if not isinstance(items, Mapping):
+            items = dict(items)
+        self._pairs = tuple(sorted(items.items(), key=lambda kv: repr(kv[0])))
+        self._index = dict(self._pairs)
+        #: repr of each key in _pairs order, built on the first update
+        self._order: list | None = None
+
+    def _keys_order(self) -> list:
+        order = self._order
+        if order is None:
+            order = self._order = [repr(k) for k, _ in self._pairs]
+        return order
+
+    @classmethod
+    def _build(cls, pairs: tuple, order: list, index: dict) -> "Map[K, V]":
+        built = cls.__new__(cls)
+        built._pairs = pairs
+        built._index = index
+        built._order = order
+        return built
 
     def set(self, key: K, value: V) -> "Map[K, V]":
         """Return a new Map with ``key`` bound to ``value``."""
-        updated = dict(self._index)
-        updated[key] = value
-        return Map(updated)
+        pairs, order = self._pairs, self._keys_order()
+        index = self._index.copy()
+        if key in index:
+            # dict semantics: an equal key keeps the stored key object
+            at = _position(pairs, order, key)
+            pairs = pairs[:at] + ((pairs[at][0], value),) + pairs[at + 1:]
+        else:
+            text = repr(key)
+            at = bisect_right(order, text)
+            pairs = pairs[:at] + ((key, value),) + pairs[at:]
+            order = order[:at] + [text] + order[at:]
+        index[key] = value
+        return Map._build(pairs, order, index)
 
     def remove(self, key: K) -> "Map[K, V]":
-        updated = dict(self._index)
-        updated.pop(key, None)
-        return Map(updated)
+        if key not in self._index:
+            return self
+        pairs, order = self._pairs, self._keys_order()
+        at = _position(pairs, order, key)
+        index = self._index.copy()
+        del index[key]
+        return Map._build(pairs[:at] + pairs[at + 1:], order[:at] + order[at + 1:], index)
 
     def merge(self, other: Mapping[K, V]) -> "Map[K, V]":
-        updated = dict(self._index)
-        updated.update(other)
-        return Map(updated)
+        merged = self
+        for key in other.keys():
+            merged = merged.set(key, other[key])
+        return merged
 
     def __getitem__(self, key: K) -> V:
         return self._index[key]
 
     def __iter__(self) -> Iterator[K]:
-        return iter(self._index)
+        return (key for key, _ in self._pairs)
 
     def __len__(self) -> int:
         return len(self._pairs)
@@ -196,6 +231,23 @@ class Map(Mapping[K, V]):
     def __repr__(self) -> str:
         body = ", ".join(f"{k!r}: {v!r}" for k, v in self._pairs)
         return f"Map({{{body}}})"
+
+
+def _position(pairs: tuple, order: list, key: Any) -> int:
+    """Index in ``pairs`` of the stored key equal to ``key``."""
+    text = repr(key)
+    at = bisect_left(order, text)
+    while at < len(order) and order[at] == text:
+        stored = pairs[at][0]
+        if stored is key or stored == key:
+            return at
+        at += 1
+    # an equal key with another repr (1 and True): dict semantics keep
+    # the stored key, so find it by equality
+    for at, (stored, _) in enumerate(pairs):
+        if stored is key or stored == key:
+            return at
+    raise KeyError(key)  # pragma: no cover -- callers checked membership
 
 
 #: types freeze returns unchanged -- checked first because nearly every

@@ -36,13 +36,12 @@ from .domains import Domain, cartesian_product
 from .errors import (
     AsmError,
     DomainError,
-    InconsistentUpdateError,
     ModelRuleViolation,
     NoChoiceError,
     RequirementFailure,
 )
 from .state import FullState, Location, StateKey
-from .updates import _MISSING, PARALLEL, SEQUENTIAL, StepMode, UpdateSet
+from .updates import PARALLEL, SEQUENTIAL, StepMode, UpdateSet
 
 __all__ = [
     "StateVar",
@@ -135,17 +134,8 @@ class StateVar:
         step = (instance if model is None else model)._active_step
         if step is None:
             instance._state[self.name] = value
-            return
-        # Inlined UpdateSet.record -- this is the hottest write path in
-        # the scoreboard's lockstep replay (one call per rule firing).
-        location = instance._location(self.name)
-        updates = step._updates
-        if location in updates:
-            if step.mode is StepMode.PARALLEL and updates[location] != value:
-                raise InconsistentUpdateError(
-                    str(location), updates[location], value
-                )
-        updates[location] = value
+        else:
+            step.record(instance._location(self.name), value)
 
 
 @dataclass(frozen=True)
@@ -222,25 +212,21 @@ def action(
             if owner._active_step is not None:
                 # Nested call inside an ongoing step: share the context.
                 return f(self, *args, **kwargs)
-            # Reuse the owner's spare UpdateSet when one is parked:
-            # action replay allocates one step per call, and the spare
-            # makes the common non-nested case allocation-free.
-            step = owner._spare_step
-            if step is None:
-                step = UpdateSet(info.mode)
-            else:
-                owner._spare_step = None
-                step.mode = info.mode
+            if model is not None and model._lowered is not None:
+                # Sealed model: run the compiled action (repro.asm.lower)
+                try:
+                    run = model._lowered[self.__class__, f]
+                except KeyError:
+                    run = model._bind_lowered(self.__class__, f, info.mode)
+                if run is not None:
+                    return run(self, *args, **kwargs)
+            step = UpdateSet(info.mode)
             owner._active_step = step
             try:
                 result = f(self, *args, **kwargs)
-            except BaseException:
-                owner._active_step = None  # discard buffered updates
-                raise
-            owner._active_step = None
+            finally:
+                owner._active_step = None  # a raise discards the updates
             owner._apply(step)
-            step._updates.clear()
-            owner._spare_step = step
             return result
 
         wrapper.asm_action = info  # type: ignore[attr-defined]
@@ -298,7 +284,6 @@ class AsmMachine(metaclass=_MachineMeta):
             var_name: var.default for var_name, var in self._state_vars.items()
         }
         self._active_step: UpdateSet | None = None
-        self._spare_step: UpdateSet | None = None
         self.model: AsmModel | None = None
         self.name = name or f"{type(self).__name__.lower()}"
         #: interned Location objects, keyed by variable; rebuilt lazily
@@ -363,8 +348,11 @@ class AsmModel:
         self.machines: Dict[str, AsmMachine] = {}
         self._globals: Dict[str, Any] = {}
         self._active_step: UpdateSet | None = None
-        self._spare_step: UpdateSet | None = None
         self._sealed = False
+        #: (machine class, action function) -> bound compiled action, or
+        #: None where the lowerer declined; set to {} at seal().  Tests
+        #: set it back to None to run the interpreted reference.
+        self._lowered: Dict[tuple, Callable | None] | None = None
         self._initial_state: FullState | None = None
         #: presorted (Location, machine, var) triples, filled at seal()
         self._machine_locations: tuple | None = None
@@ -442,6 +430,16 @@ class AsmModel:
             )
         )
         self._initial_state = self.full_state()
+        self._lowered = {}
+
+    def _bind_lowered(
+        self, cls: type, func: Callable, mode: StepMode
+    ) -> Callable | None:
+        """Bind (once) the compiled form of one action to this model."""
+        from .lower import bind
+
+        run = self._lowered[cls, func] = bind(self, cls, func, mode)
+        return run
 
     @property
     def sealed(self) -> bool:
@@ -485,9 +483,12 @@ class AsmModel:
     def restore(self, state: FullState) -> None:
         if self._active_step is not None:
             raise AsmError("cannot restore state during an active step")
+        # in place: compiled actions hold this very dict
+        globals_ = self._globals
+        globals_.clear()
         for location, value in state.items():
             if location.machine == "$globals":
-                self._globals[location.variable] = value
+                globals_[location.variable] = value
             else:
                 self.machines[location.machine]._state[location.variable] = value
 

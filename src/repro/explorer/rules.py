@@ -13,7 +13,8 @@ static check can only approximate the rule.
   correctly instantiated (we check an ``init_action`` is configured and
   exists).
 * **R3** -- every explorable method declares preconditions (we inspect
-  the action source for ``require(``).
+  the action source for ``require(``; :func:`repro.asm.lower.has_require`
+  reads each action's source once per process, shared with lowering).
 * **R4** -- every action parameter draws from a finite, restricted
   domain inherited from ASM types.
 """
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 from typing import List
 
 from ..asm.errors import ModelRuleViolation
+from ..asm.lower import has_require
 from ..asm.machine import AsmModel
 from .config import ExplorationConfig
 
@@ -116,13 +118,8 @@ def _check_r3(model: AsmModel) -> List[RuleFinding]:
     for machine_name in sorted(model.machines):
         machine = model.machines[machine_name]
         for action_name in type(machine).declared_actions():
-            method = getattr(machine, action_name)
-            unwrapped = inspect.unwrap(method)
-            try:
-                source = inspect.getsource(unwrapped)
-            except (OSError, TypeError):
-                continue
-            if "require(" not in source:
+            unwrapped = inspect.unwrap(getattr(machine, action_name))
+            if has_require(unwrapped) is False:
                 findings.append(
                     RuleFinding(
                         "R3_FSM",

@@ -123,19 +123,12 @@ class AsmLockstep:
     def __init__(self, model: AsmModel):
         self.model = model
         self.calls_executed = 0
-        #: bound @action methods keyed by (machine, action) -- replay
-        #: scripts hit the same few actions thousands of times, so the
-        #: per-call getattr/validation runs once per distinct action
-        self._methods: Dict[Tuple[str, str], Any] = {}
 
     def call(self, machine: str, action: str, *args: Any) -> Optional[str]:
-        method = self._methods.get((machine, action))
-        if method is None:
-            method = getattr(self.model.machines[machine], action)
-            if getattr(method, "asm_action", None) is None:
-                label = ActionCall(machine, action, tuple(args)).label()
-                return f"{label} rejected: {machine}.{action} is not an @action"
-            self._methods[(machine, action)] = method
+        method = getattr(self.model.machines[machine], action)
+        if getattr(method, "asm_action", None) is None:
+            label = ActionCall(machine, action, tuple(args)).label()
+            return f"{label} rejected: {machine}.{action} is not an @action"
         try:
             method(*args)
         except RequirementFailure as failure:

@@ -1,4 +1,12 @@
-"""Unit tests for machines, actions, update-set semantics and models."""
+"""Unit tests for machines, actions, update-set semantics and models.
+
+The step-semantics cases run on both execution paths: the compiled
+actions a sealed model dispatches to (:mod:`repro.asm.lower`) and the
+interpreted reference, reached by clearing the model's private
+``_lowered`` table.
+"""
+
+import inspect
 
 import pytest
 
@@ -8,9 +16,11 @@ from repro.asm import (
     AsmMachine,
     AsmModel,
     Domain,
+    DomainError,
     InconsistentUpdateError,
     ModelRuleViolation,
     NoChoiceError,
+    PARALLEL,
     RequirementFailure,
     SEQUENTIAL,
     StateVar,
@@ -22,7 +32,38 @@ from repro.asm import (
     for_all,
     require,
 )
+from repro.asm.lower import compile_action
+from repro.models.master_slave.asm_model import build_master_slave_model
 from conftest import Counter, ToyArbiter, ToyMaster
+
+PATHS = ("interpreted", "lowered")
+
+
+def sealed(machine_cls, path, name="m"):
+    """One machine in a sealed model, running on the chosen path."""
+    model = AsmModel()
+    machine = machine_cls(model=model, name=name)
+    model.seal()
+    if path == "interpreted":
+        model._lowered = None
+    return model, machine
+
+
+def assert_path(model, machine, action_name, path):
+    """The lowered path really ran compiled code (no silent fallback)."""
+    if path == "lowered":
+        info = type(machine)._actions[action_name]
+        func = inspect.unwrap(getattr(type(machine), action_name))
+        assert compile_action(type(machine), func, info.mode).declined is None
+        assert model._lowered[type(machine), func] is not None
+
+
+def outcome(call):
+    """(exception type, message) of a call, or (None, result)."""
+    try:
+        return None, call()
+    except Exception as error:  # noqa: BLE001 -- compared across paths
+        return type(error), str(error)
 
 
 class TestStateVar:
@@ -323,3 +364,219 @@ class TestChooseHelpers:
         assert not exists_where([1, 3], lambda x: x == 2)
         assert for_all([2, 4], lambda x: x % 2 == 0)
         assert not for_all([2, 3], lambda x: x % 2 == 0)
+
+
+class Swap(AsmMachine):
+    a = StateVar(1)
+    b = StateVar(2)
+
+    @action
+    def swap(self):
+        self.a = self.b
+        self.b = self.a
+
+
+class Conflict(AsmMachine):
+    x = StateVar(0)
+
+    @action
+    def clash(self):
+        self.x = 1
+        self.x = 2
+
+    @action
+    def same(self):
+        self.x = 5
+        self.x = 5
+
+
+class Accumulate(AsmMachine):
+    total = StateVar(0)
+
+    @action(mode=SEQUENTIAL)
+    def add_twice(self):
+        self.total = self.total + 1
+        self.total = self.total + 1
+
+    @action(mode=SEQUENTIAL)
+    def bump_then_fail(self):
+        self.total = self.total + 1
+        require(False, "always fails")
+
+    @action
+    def write_then_fail(self):
+        self.total = 9
+        require(self.total == 9, "parallel reads see the pre-state")
+
+
+class Outer(AsmMachine):
+    a = StateVar(0)
+    b = StateVar(0)
+
+    @action
+    def inner(self):
+        self.b = 10
+
+    @action
+    def outer(self):
+        self.a = 1
+        self.inner()
+
+    @action
+    def outer_clash(self):
+        self.b = 3
+        self.inner()
+
+
+class Limited(AsmMachine):
+    mode = StateVar("off", domain=Domain.of("modes", "off", "on"))
+
+    @action
+    def switch(self, value):
+        self.mode = value
+
+
+class GlobalWriter(AsmMachine):
+    flag = StateVar(False)
+
+    @action
+    def publish(self, value):
+        self.model.set_global("shared", value)
+        self.model.set_global("shared", value)
+        self.flag = True
+
+    @action
+    def publish_clash(self):
+        self.model.set_global("shared", 1)
+        self.model.set_global("shared", 2)
+
+    @action
+    def read_back(self):
+        require(self.model.get_global("shared", 0) == 7, "not published")
+        self.flag = False
+
+
+@pytest.mark.parametrize("path", PATHS)
+class TestStepSemanticsOnBothPaths:
+    def test_parallel_reads_see_prestate(self, path):
+        model, machine = sealed(Swap, path)
+        machine.swap()
+        assert (machine.a, machine.b) == (2, 1)
+        assert_path(model, machine, "swap", path)
+
+    def test_parallel_conflict(self, path):
+        model, machine = sealed(Conflict, path)
+        kind, text = outcome(machine.clash)
+        assert kind is InconsistentUpdateError
+        assert text == (
+            "inconsistent update set: location 'm.x' assigned both 1 and 2 "
+            "in the same step"
+        )
+        assert machine.x == 0
+        assert_path(model, machine, "clash", path)
+
+    def test_duplicate_same_value_write(self, path):
+        model, machine = sealed(Conflict, path)
+        machine.same()
+        assert machine.x == 5
+        assert_path(model, machine, "same", path)
+
+    def test_sequential_reads_own_writes(self, path):
+        model, machine = sealed(Accumulate, path)
+        machine.add_twice()
+        assert machine.total == 2
+        assert_path(model, machine, "add_twice", path)
+
+    def test_rollback_on_failed_require(self, path):
+        model, machine = sealed(Accumulate, path)
+        assert outcome(machine.bump_then_fail) == (RequirementFailure, "always fails")
+        assert outcome(machine.write_then_fail) == (
+            RequirementFailure, "parallel reads see the pre-state"
+        )
+        assert machine.total == 0
+        assert_path(model, machine, "bump_then_fail", path)
+        assert_path(model, machine, "write_then_fail", path)
+
+    def test_nested_action_shares_step(self, path):
+        model, machine = sealed(Outer, path)
+        machine.outer()
+        assert (machine.a, machine.b) == (1, 10)
+        kind, text = outcome(machine.outer_clash)
+        assert kind is InconsistentUpdateError and "'m.b'" in text
+        assert_path(model, machine, "outer", path)
+
+    def test_domain_enforced_inside_action(self, path):
+        model, machine = sealed(Limited, path)
+        machine.switch("on")
+        assert machine.mode == "on"
+        assert outcome(lambda: machine.switch("blink")) == (
+            DomainError, "m.mode: value 'blink' outside domain 'modes'"
+        )
+        assert machine.mode == "on"
+        assert_path(model, machine, "switch", path)
+
+    def test_globals_are_buffered_and_checked(self, path):
+        model, machine = sealed(GlobalWriter, path)
+        assert outcome(machine.read_back)[0] is RequirementFailure
+        machine.publish(7)
+        assert model.get_global("shared") == 7 and machine.flag
+        kind, text = outcome(machine.publish_clash)
+        assert kind is InconsistentUpdateError and "'$globals.shared'" in text
+        assert model.get_global("shared") == 7
+        machine.read_back()
+        assert not machine.flag
+        assert_path(model, machine, "publish", path)
+
+    def test_reset_restores_globals_exactly(self, path):
+        model = build_master_slave_model(1, 1, 2)
+        if path == "interpreted":
+            model._lowered = None
+        model.execute(ActionCall("system", "init"))
+        assert model._globals == {"system_init": True}
+        globals_dict = model._globals
+        model.reset()
+        assert model.full_state() == model.initial_state()
+        assert model._globals == {} and model._globals is globals_dict
+        # rule R2: nothing is enabled before init runs again
+        ok, _ = model.try_execute(ActionCall("master0", "request"))
+        assert not ok
+        model.execute(ActionCall("system", "init"))
+        assert model.try_execute(ActionCall("master0", "request"))[0]
+
+
+class Escaping(AsmMachine):
+    total = StateVar(0)
+
+    @action
+    def bump(self):
+        self.total = self.total + 1
+        return self.total
+
+    @action
+    def hand_out(self):
+        choose_any([self])
+        self.total = 0
+
+
+def test_declined_actions_run_interpreted():
+    """An action outside the lowered subset falls back, per action."""
+    model, machine = sealed(Escaping, "lowered")
+    for name in ("bump", "hand_out"):
+        func = inspect.unwrap(getattr(Escaping, name))
+        assert compile_action(Escaping, func, PARALLEL).declined
+    assert machine.bump() == 0  # the interpreted step returns pre-state reads
+    assert machine.total == 1
+    machine.hand_out()
+    assert machine.total == 0
+    assert set(model._lowered.values()) == {None}
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_argument_errors_read_the_same_on_both_paths(path):
+    model, machine = sealed(Limited, path)
+    assert outcome(lambda: machine.switch()) == (
+        TypeError, "Limited.switch() missing 1 required positional argument: 'value'"
+    )
+    assert outcome(lambda: machine.switch("on", "off"))[1] == (
+        "Limited.switch() takes 2 positional arguments but 3 were given"
+    )

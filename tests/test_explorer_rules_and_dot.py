@@ -1,5 +1,7 @@
 """Tests for R-FSM rule checking, DOT export, and exploration stats."""
 
+import inspect
+
 import pytest
 
 from repro.asm import AsmMachine, AsmModel, Domain, StateVar, action, require
@@ -15,6 +17,9 @@ from repro.explorer import (
     violation_filter,
 )
 from repro.asm.errors import ModelRuleViolation
+from repro.asm import lower
+from repro.models.master_slave.asm_model import build_master_slave_model
+from repro.models.pci.asm_model import build_pci_model
 from conftest import ToyMaster
 
 
@@ -52,6 +57,52 @@ class TestRuleChecker:
         model.seal()
         findings = check_rules(model)
         assert any(f.rule == "R3_FSM" for f in findings)
+
+    def test_r3_text_is_unchanged_and_source_is_read_once(self, monkeypatch):
+        class Unguarded(AsmMachine):
+            x = StateVar(0)
+
+            @action
+            def anything(self):
+                self.x = 1
+
+            @action
+            def guarded(self):
+                require(self.x == 0)
+
+        model = AsmModel()
+        Unguarded(model=model, name="u")
+        model.seal()
+        first = [str(f) for f in check_rules(model) if f.rule == "R3_FSM"]
+        assert first == [
+            "[warning] R3_FSM: action u.anything declares no require(...) precondition"
+        ]
+        reads = []
+        original = lower.inspect.getsource
+        monkeypatch.setattr(
+            lower.inspect, "getsource", lambda f: reads.append(f) or original(f)
+        )
+        assert [str(f) for f in check_rules(model) if f.rule == "R3_FSM"] == first
+        assert reads == []
+
+    @pytest.mark.parametrize("model_name", ["master_slave", "pci"])
+    def test_r3_on_shipped_models_matches_a_source_scan(self, model_name):
+        """The memoized answer equals a fresh ``inspect.getsource`` scan."""
+        if model_name == "master_slave":
+            model = build_master_slave_model(1, 1, 2)
+        else:
+            model = build_pci_model(2, 2)
+        expected = []
+        for machine_name in sorted(model.machines):
+            machine = model.machines[machine_name]
+            for action_name in type(machine).declared_actions():
+                source = inspect.getsource(inspect.unwrap(getattr(machine, action_name)))
+                if "require(" not in source:
+                    expected.append(f"{machine_name}.{action_name}")
+        found = [f.message for f in check_rules(model) if f.rule == "R3_FSM"]
+        assert found == [
+            f"action {name} declares no require(...) precondition" for name in expected
+        ]
 
     def test_missing_domain_is_r4_error(self):
         class Param(AsmMachine):

@@ -1,8 +1,8 @@
 """Repo lint framework: registered AST checks over the codebase.
 
-Generalizes the original ``tools/check_docstrings.py`` gate into a
-registry of typed-finding checks sharing the analyzer's report and
-suppression pipeline::
+Generalizes the original public-API docstring gate into a registry
+of typed-finding checks sharing the analyzer's report and suppression
+pipeline::
 
     python -m tools.lint            # run every check, gate on clean
     python -m tools.lint --list     # show the registered rules

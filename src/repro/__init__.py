@@ -20,8 +20,9 @@ A complete Python reproduction of Habibi & Tahar's DATE 2005 paper:
   generic Master/Slave bus (Table 2),
 * :mod:`repro.workbench` -- the unified verification-session API:
   DUV registry, typed stages, pluggable engines, session reports,
-* :mod:`repro.flow` -- the Figure 1 pipeline as a preset plan (the
-  legacy ``DesignFlow`` entry point, deprecated),
+* :mod:`repro.service` / :mod:`repro.store` -- the shared JSON
+  service base and content store under the dispatch worker and the
+  coordinator daemons,
 * :mod:`repro.cli` -- the ``python -m repro`` command line.
 
 Quickstart::

@@ -14,9 +14,9 @@ first-class, shippable object instead:
   monitor letter streams) with the restore-equivalence guarantee
   ``restore(snapshot(T)) + k cycles == run(T + k)``, byte-identical
   digests included.
-* :mod:`~repro.checkpoint.store` -- digest-addressed registry with
-  disk spill (``REPRO_CHECKPOINT_DIR``) plus atomic single-file
-  persistence for the CLI.
+* :mod:`~repro.checkpoint.store` -- the digest-keyed global registry
+  (a :class:`~repro.store.ContentStore`) with disk spill
+  (``REPRO_CHECKPOINT_DIR``) plus single-file reading for the CLI.
 
 Consumers: ``ScenarioSpec.resume_from`` (regression runs forked from a
 frontier state), the directed-closure frontier planner
@@ -42,12 +42,11 @@ from .errors import (
 from .snapshot import WIRE_VERSION, Checkpoint
 from .store import (
     SPILL_DIR_ENV,
-    CheckpointRegistry,
+    checkpoint_store,
     ensure_spill_dir,
     global_registry,
     load_checkpoint,
     reset_global_registry,
-    save_checkpoint,
 )
 
 __all__ = [
@@ -55,19 +54,18 @@ __all__ = [
     "CheckpointError",
     "CheckpointFormatError",
     "CheckpointIntegrityError",
-    "CheckpointRegistry",
     "CheckpointStateError",
     "CheckpointVersionError",
     "SPILL_DIR_ENV",
     "UnknownCheckpointError",
     "WIRE_VERSION",
+    "checkpoint_store",
     "ensure_spill_dir",
     "global_registry",
     "load_checkpoint",
     "reset_global_registry",
     "restore_scenario",
     "restore_system",
-    "save_checkpoint",
     "snapshot_scenario_run",
     "snapshot_system",
 ]

@@ -1,24 +1,20 @@
 """Checkpoint persistence and by-digest sharing.
 
-Two tiers, matching how runs are dispatched:
-
-* :class:`CheckpointRegistry` -- a process-local, thread-safe map from
-  digest to :class:`~repro.checkpoint.snapshot.Checkpoint`, with an
-  optional *spill directory*.  With a spill directory every ``put``
-  also lands on disk and every miss falls back to disk, which is what
-  lets ``ScenarioSpec.resume_from`` cross process boundaries: the
-  serial engine resolves digests from memory, multiprocessing workers
-  and :class:`~repro.dispatch.hosts.LocalSubprocessHost` shard
+* :func:`global_registry` -- the process-global
+  :class:`~repro.store.ContentStore` of checkpoints keyed by digest
+  (``put`` returns the digest, ``get`` raises
+  :class:`UnknownCheckpointError`).  With a spill directory every
+  ``put`` also lands on disk and every miss falls back to disk, which
+  is what lets ``ScenarioSpec.resume_from`` cross process boundaries:
+  the serial engine resolves digests from memory, multiprocessing
+  workers and :class:`~repro.dispatch.hosts.LocalSubprocessHost` shard
   subprocesses resolve the same digests from the directory named by
-  ``REPRO_CHECKPOINT_DIR``.  HTTP workers use the dispatch layer's
+  ``REPRO_CHECKPOINT_DIR``.  HTTP workers use the daemons'
   ``/checkpoints`` upload instead (:mod:`repro.dispatch.worker`).
 
-* :func:`save_checkpoint` / :func:`load_checkpoint` -- single-file
-  persistence for the CLI.  Writes are atomic (tempfile + fsync +
-  rename, the :class:`~repro.coordinator.store.ResultStore`
-  discipline) so a crash mid-write leaves either the old file or no
-  file, never a half-checkpoint -- and if one appears anyway, the
-  digest check in ``Checkpoint.from_json`` rejects it.
+* :func:`load_checkpoint` -- single-file reading for the CLI, whose
+  ``checkpoint --out`` writes through :func:`repro.store.atomic_write`;
+  a torn file is rejected by the digest check in ``Checkpoint.from_json``.
 """
 
 from __future__ import annotations
@@ -27,8 +23,9 @@ import json
 import os
 import tempfile
 import threading
-from typing import Dict, Iterable, Optional
+from typing import Callable, Optional
 
+from ..store import ContentStore
 from .errors import CheckpointFormatError, UnknownCheckpointError
 from .snapshot import Checkpoint
 
@@ -36,38 +33,27 @@ from .snapshot import Checkpoint
 SPILL_DIR_ENV = "REPRO_CHECKPOINT_DIR"
 
 
-def write_checkpoint_file(checkpoint: Checkpoint, path: str) -> str:
-    """Atomically write one checkpoint wire document to ``path``.
-
-    tempfile in the destination directory, fsync, then rename: the
-    destination is never observable half-written, even through a crash
-    or a killed worker (the satellite fix this PR ships -- restore can
-    trust any file that exists).
-    """
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    handle, tmp = tempfile.mkstemp(
-        dir=directory, prefix=".checkpoint-", suffix=".tmp"
+def checkpoint_store(
+    directory: Optional[str] = None,
+    limit: Optional[int] = None,
+    missing: Optional[Callable[[str], Exception]] = None,
+) -> ContentStore:
+    """A digest-keyed checkpoint store (see :class:`~repro.store.ContentStore`)."""
+    return ContentStore(
+        key_of=lambda checkpoint: checkpoint.digest,
+        encode=Checkpoint.to_json,
+        decode=Checkpoint.from_json,
+        limit=limit,
+        directory=directory,
+        missing=missing
+        or (lambda digest: UnknownCheckpointError(
+            f"unknown checkpoint {digest!r}"
+        )),
     )
-    try:
-        with os.fdopen(handle, "w", encoding="utf-8") as stream:
-            json.dump(checkpoint.to_json(), stream, sort_keys=True)
-            stream.flush()
-            os.fsync(stream.fileno())
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-    return path
-
-
-def save_checkpoint(checkpoint: Checkpoint, path: str) -> str:
-    """Public single-file save (CLI ``python -m repro checkpoint``)."""
-    return write_checkpoint_file(checkpoint, path)
 
 
 def load_checkpoint(path: str) -> Checkpoint:
-    """Read and verify a checkpoint file written by ``save_checkpoint``."""
+    """Read and verify one checkpoint file (CLI ``resume --from``)."""
     try:
         with open(path, "r", encoding="utf-8") as stream:
             doc = json.load(stream)
@@ -78,93 +64,15 @@ def load_checkpoint(path: str) -> Checkpoint:
     return Checkpoint.from_json(doc)
 
 
-class CheckpointRegistry:
-    """Digest-addressed checkpoint map with optional disk spill."""
-
-    def __init__(self, spill_dir: Optional[str] = None):
-        self._lock = threading.Lock()
-        self._entries: Dict[str, Checkpoint] = {}
-        self.spill_dir = spill_dir
-        if spill_dir:
-            os.makedirs(spill_dir, exist_ok=True)
-
-    def _spill_path(self, digest: str) -> Optional[str]:
-        if not self.spill_dir:
-            return None
-        return os.path.join(self.spill_dir, f"{digest}.checkpoint.json")
-
-    def put(self, checkpoint: Checkpoint) -> str:
-        """Register a checkpoint; returns its digest (the handle)."""
-        digest = checkpoint.digest
-        with self._lock:
-            self._entries[digest] = checkpoint
-        path = self._spill_path(digest)
-        if path is not None and not os.path.exists(path):
-            write_checkpoint_file(checkpoint, path)
-        return digest
-
-    def get(self, digest: str) -> Checkpoint:
-        """Resolve a digest; raises :class:`UnknownCheckpointError`."""
-        with self._lock:
-            hit = self._entries.get(digest)
-        if hit is not None:
-            return hit
-        path = self._spill_path(digest)
-        if path is not None and os.path.exists(path):
-            checkpoint = load_checkpoint(path)
-            if checkpoint.digest != digest:
-                raise UnknownCheckpointError(
-                    f"spill file for {digest} holds {checkpoint.digest}"
-                )
-            with self._lock:
-                self._entries[digest] = checkpoint
-            return checkpoint
-        raise UnknownCheckpointError(f"unknown checkpoint {digest!r}")
-
-    def attach_spill(self, spill_dir: str) -> None:
-        """Late-bind a spill directory and flush current entries to it.
-
-        Used right before a fan-out: checkpoints registered while the
-        registry was memory-only become visible to child processes the
-        moment the directory exists and ``REPRO_CHECKPOINT_DIR`` names
-        it.
-        """
-        os.makedirs(spill_dir, exist_ok=True)
-        self.spill_dir = spill_dir
-        with self._lock:
-            entries = list(self._entries.values())
-        for checkpoint in entries:
-            path = self._spill_path(checkpoint.digest)
-            if path is not None and not os.path.exists(path):
-                write_checkpoint_file(checkpoint, path)
-
-    def __contains__(self, digest: str) -> bool:
-        try:
-            self.get(digest)
-        except UnknownCheckpointError:
-            return False
-        return True
-
-    def digests(self) -> Iterable[str]:
-        """Digests of every in-memory entry (spilled-only ones excluded)."""
-        with self._lock:
-            return list(self._entries)
-
-    def clear(self) -> None:
-        """Drop the in-memory entries; spill files stay on disk."""
-        with self._lock:
-            self._entries.clear()
-
-
 #: the process-global registry ``ScenarioSpec.resume_from`` resolves
 #: against; its spill directory follows ``REPRO_CHECKPOINT_DIR`` so
 #: worker subprocesses inherit the parent's checkpoints
-_GLOBAL: Optional[CheckpointRegistry] = None
+_GLOBAL: Optional[ContentStore] = None
 _GLOBAL_LOCK = threading.Lock()
 
 
-def global_registry() -> CheckpointRegistry:
-    """The lazily-created process-global registry.
+def global_registry() -> ContentStore:
+    """The lazily-created process-global checkpoint store.
 
     Re-reads ``REPRO_CHECKPOINT_DIR`` when the registry is first
     created in this process, which is exactly when a freshly spawned
@@ -173,7 +81,7 @@ def global_registry() -> CheckpointRegistry:
     global _GLOBAL
     with _GLOBAL_LOCK:
         if _GLOBAL is None:
-            _GLOBAL = CheckpointRegistry(os.environ.get(SPILL_DIR_ENV))
+            _GLOBAL = checkpoint_store(os.environ.get(SPILL_DIR_ENV))
         return _GLOBAL
 
 
@@ -194,12 +102,12 @@ def ensure_spill_dir() -> str:
     the spill directory.
     """
     registry = global_registry()
-    if registry.spill_dir:
-        os.environ.setdefault(SPILL_DIR_ENV, registry.spill_dir)
-        return registry.spill_dir
+    if registry.directory:
+        os.environ.setdefault(SPILL_DIR_ENV, registry.directory)
+        return registry.directory
     spill = os.environ.get(SPILL_DIR_ENV) or tempfile.mkdtemp(
         prefix="repro-checkpoints-"
     )
     os.environ[SPILL_DIR_ENV] = spill
-    registry.attach_spill(spill)
+    registry.attach(spill)
     return spill

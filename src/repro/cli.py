@@ -232,13 +232,14 @@ def _cmd_analyze(options: argparse.Namespace) -> int:
 
 def _cmd_checkpoint(options: argparse.Namespace) -> int:
     """Run a scenario from reset and persist its snapshot to a file."""
-    from .checkpoint import save_checkpoint, snapshot_scenario_run
+    from .checkpoint import snapshot_scenario_run
     from .scenarios.regression import (
         MODELS,
         MS_TOPOLOGIES,
         PCI_TOPOLOGIES,
         ScenarioSpec,
     )
+    from .store import atomic_write
 
     if options.model not in MODELS:
         raise SystemExit(
@@ -260,7 +261,7 @@ def _cmd_checkpoint(options: argparse.Namespace) -> int:
         with_monitors=options.with_monitors,
     )
     checkpoint = snapshot_scenario_run(spec, options.cycles)
-    path = save_checkpoint(checkpoint, options.out)
+    path = atomic_write(options.out, checkpoint.to_json())
     doc = {
         "digest": checkpoint.digest,
         "cycles_run": checkpoint.cycles_run,
@@ -529,8 +530,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     options = parser.parse_args(argv)
     reject_hosts_conflict(parser, options)
-    # stdout carries exactly one report; diagnostics (including the
-    # DesignFlow/RegressionRunner deprecation shims) go to stderr so
+    # stdout carries exactly one report; diagnostics go to stderr so
     # --json output stays parseable
     route_warnings_to_stderr()
     # --trace/--metrics wrap the whole subcommand; report digests are

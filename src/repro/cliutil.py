@@ -10,8 +10,7 @@ the stdout/stderr hygiene live here once.
 
 The JSON-mode contract: **stdout is the report and nothing else**.
 Dispatchers and CI pipe ``--json`` output straight into a parser, so
-every diagnostic -- including :class:`DeprecationWarning` from the
-``DesignFlow``/``RegressionRunner`` shims -- must land on stderr.
+every diagnostic -- warnings included -- must land on stderr.
 :func:`route_warnings_to_stderr` pins that down regardless of what a
 caller (or an embedding process) did to ``warnings.showwarning``.
 """

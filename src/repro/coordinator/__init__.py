@@ -16,9 +16,10 @@ Around that core, the service adds what a shared daemon needs:
 * **spec caching** -- a regression's spec list crosses the wire once,
   keyed by :func:`~repro.dispatch.planner.specs_fingerprint`; jobs and
   worker shard requests then reference the 16-hex key,
-* **a persistent result store** (:class:`~.store.ResultStore`) --
-  repeat submissions of the same ``(fingerprint, seed set)`` are
-  answered from disk with the digest re-verified on read,
+* **a persistent result store** (a :class:`~repro.store.ContentStore`
+  of :class:`~.service.StoredReport` entries) -- repeat submissions of
+  the same ``(fingerprint, seed set)`` are answered from disk with the
+  digest re-verified on read,
 * **shared-secret auth** -- one ``--token`` across coordinator,
   workers, and clients.
 
@@ -34,10 +35,12 @@ from .daemon import CoordinatorHandle, start_coordinator
 from .service import (
     Coordinator,
     Job,
+    StoredReport,
     UnknownFingerprintError,
     WorkerRegistry,
+    report_store,
+    store_key,
 )
-from .store import ResultStore, store_key
 
 __all__ = [
     "Coordinator",
@@ -46,9 +49,10 @@ __all__ = [
     "CoordinatorError",
     "CoordinatorHandle",
     "Job",
-    "ResultStore",
+    "StoredReport",
     "UnknownFingerprintError",
     "WorkerRegistry",
+    "report_store",
     "start_coordinator",
     "store_key",
 ]

@@ -18,16 +18,12 @@ from __future__ import annotations
 
 import json
 import time
-import urllib.error
-import urllib.request
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..dispatch.planner import specs_fingerprint
 from ..obs.runtime import OBS
 from ..scenarios.regression import RegressionReport, ScenarioSpec
-
-#: Wire-format version the client speaks.
-WIRE_VERSION = 1
+from ..service import WIRE_VERSION, encode, http_request
 
 
 class CoordinatorError(RuntimeError):
@@ -58,35 +54,26 @@ class CoordinatorClient:
         self, path: str, doc: Optional[Dict[str, Any]] = None
     ) -> Tuple[int, Dict[str, Any]]:
         """One request; returns (status, body) with HTTP errors decoded."""
-        headers = {"Content-Type": "application/json"}
-        if self.token:
-            headers["Authorization"] = f"Bearer {self.token}"
-        data = (
-            json.dumps(doc, sort_keys=True).encode("utf-8")
-            if doc is not None
-            else None
-        )
-        request = urllib.request.Request(
-            f"{self.url}{path}",
-            data=data,
-            headers=headers,
-            method="POST" if data is not None else "GET",
-        )
         try:
-            with urllib.request.urlopen(
-                request, timeout=self.request_timeout
-            ) as response:
-                return response.status, json.loads(response.read())
-        except urllib.error.HTTPError as exc:
-            try:
-                body = json.loads(exc.read())
-            except (TypeError, ValueError):
-                body = {"error": f"HTTP {exc.code}"}
-            return exc.code, body
-        except (OSError, ValueError) as exc:
+            status, raw = http_request(
+                f"{self.url}{path}",
+                encode(doc) if doc is not None else None,
+                self.token,
+                self.request_timeout,
+            )
+        except OSError as exc:
             raise CoordinatorError(
                 f"coordinator {self.url} unreachable: {exc}"
             ) from exc
+        try:
+            body = json.loads(raw)
+        except ValueError:
+            if status == 200:
+                raise CoordinatorError(
+                    f"coordinator {self.url} sent an unparseable body"
+                ) from None
+            body = {"error": f"HTTP {status}"}
+        return status, body
 
     def upload_checkpoints(self, specs: List[ScenarioSpec]) -> int:
         """Ship every checkpoint the specs resume from to the coordinator.

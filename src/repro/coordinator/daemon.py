@@ -1,10 +1,12 @@
 """The coordinator daemon: ``python -m repro.coordinator --port N``.
 
-A thin stdlib-HTTP adapter over :class:`~.service.Coordinator`.  One
-long-lived daemon fronts an elastic worker fleet: workers self-register
-and heartbeat, clients submit regression jobs and poll for the merged
-report, and repeat submissions are answered from the persistent result
-store without touching a worker.
+A route table over :class:`~.service.Coordinator` on the shared JSON
+service base (:mod:`repro.service`, which owns body reading, auth, the
+error taxonomy and the server).  One long-lived daemon fronts an
+elastic worker fleet: workers self-register and heartbeat, clients
+submit regression jobs and poll for the merged report, and repeat
+submissions are answered from the persistent result store without
+touching a worker.
 
 Endpoints (full contract in ``docs/coordinator.md``; every request and
 response body is JSON):
@@ -31,11 +33,12 @@ response body is JSON):
     (digest included) plus dispatch facts.
 ``POST /checkpoints``
     ``{"version": 1, "checkpoint": {...}}`` uploads one scenario
-    checkpoint (:class:`repro.checkpoint.Checkpoint` wire form) into
-    the coordinator's registry so specs submitted with ``resume_from``
-    resolve it; the coordinator's per-worker hosts re-ship it to
-    whichever worker draws the shard.  Malformed, truncated, or
-    stale-version documents are rejected with ``400``.
+    checkpoint into the process-global registry so specs submitted
+    with ``resume_from`` resolve it; the coordinator's per-worker hosts
+    re-ship it to whichever worker draws the shard.  The worker's
+    upload function
+    (:func:`~repro.dispatch.worker.store_checkpoint_request`):
+    malformed, truncated, or stale-version documents get ``400``.
 ``GET /status``
     Pool and queue overview (live workers, joins/leaves, store size).
 ``GET /metrics``
@@ -44,37 +47,26 @@ response body is JSON):
 ``GET /healthz``
     Bare liveness, always open.
 
-Auth mirrors the worker daemon: started with ``--token SECRET`` every
-POST and the job/status/metrics GETs require ``Authorization: Bearer
-SECRET`` (``401`` otherwise); ``/healthz`` stays open so load-balancer
-probes need no secret.
+Auth is the worker daemon's: started with ``--token SECRET`` every
+endpoint except ``/`` and ``/healthz`` requires ``Authorization:
+Bearer SECRET`` (``401`` otherwise).
 
-The process writes exactly one line to stdout when ready
-(``repro-coordinator listening on http://HOST:PORT``) so parents
-spawning ``--port 0`` can parse the ephemeral port; request logging
-goes to stderr.  Jobs execute on a single background runner thread in
-submission order -- the worker pool is the parallelism, not the job
-queue.  In-process embedding goes through :func:`start_coordinator`.
+Jobs execute on a single background runner thread in submission order
+-- the worker pool is the parallelism, not the job queue.  In-process
+embedding goes through :func:`start_coordinator`.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import threading
-import time
-from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Callable, Dict, Optional, Sequence
 
 from ..cliutil import route_warnings_to_stderr
 from ..scenarios.regression import ScenarioSpec
-from .service import Coordinator, UnknownFingerprintError, WorkerRegistry
-from .store import ResultStore
-
-#: Wire-format version the coordinator speaks.
-WIRE_VERSION = 1
+from ..service import BadRequest, JsonService, NotFound, ServiceHandle, serve_main
+from .service import Coordinator, WorkerRegistry
 
 #: Default on-disk result-store location (relative to the CWD the
 #: daemon was started in).
@@ -100,215 +92,108 @@ class _JobRunner(threading.Thread):
     def stop(self) -> None:
         """End the loop after the current job (if any) finishes."""
         self._halt.set()
+        self.join(timeout=30)
 
 
-class _CoordinatorRequestHandler(BaseHTTPRequestHandler):
-    """HTTP plumbing around the pure :class:`~.service.Coordinator`."""
-
-    server_version = "repro-coordinator/1"
-    protocol_version = "HTTP/1.1"
-
-    def _respond(self, status: int, doc: Dict[str, Any]) -> None:
-        payload = json.dumps(doc, sort_keys=True).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def _authorized(self) -> bool:
-        """Bearer-token gate for everything except bare ``/healthz``."""
-        token = self.server.token
-        if not token:
-            return True
-        if self.headers.get("Authorization") == f"Bearer {token}":
-            return True
-        self._respond(
-            401,
-            {"error": "missing or invalid bearer token (coordinator has --token)"},
-        )
-        return False
-
-    def _read_body(self) -> Optional[Dict[str, Any]]:
+def _submit(coordinator: Coordinator, body: Dict[str, Any]) -> Dict[str, Any]:
+    """``POST /jobs``: by reference, or by value with the specs inline."""
+    specs = None
+    if "specs" in body:
+        if not isinstance(body["specs"], list):
+            raise BadRequest('"specs" must be a list')
         try:
-            length = int(self.headers.get("Content-Length", 0))
-            body = json.loads(self.rfile.read(length)) if length else {}
-        except (TypeError, ValueError) as exc:
-            self._respond(400, {"error": f"unparseable request body: {exc}"})
-            return None
-        if not isinstance(body, dict):
-            self._respond(400, {"error": "request body must be a JSON object"})
-            return None
-        version = body.get("version", WIRE_VERSION)
-        if isinstance(version, int) and version > WIRE_VERSION:
-            self._respond(
-                400,
-                {
-                    "error": f"wire version {version} is newer than this "
-                    f"coordinator ({WIRE_VERSION})"
-                },
-            )
-            return None
-        return body
+            specs = [ScenarioSpec.from_json(doc) for doc in body["specs"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise BadRequest(f"unparseable spec in submission: {exc}") from exc
+    job = coordinator.submit(fingerprint=body.get("fingerprint"), specs=specs)
+    return job.to_json()
 
-    def do_GET(self) -> None:  # noqa: N802 -- http.server API
-        """Health, status, metrics, and job polling."""
-        coordinator = self.server.coordinator
-        if self.path in ("/", "/healthz"):
-            self._respond(200, {"ok": True, "role": "coordinator"})
-            return
-        if not self._authorized():
-            return
-        if self.path == "/status":
-            self._respond(200, coordinator.status())
-            return
-        if self.path == "/metrics":
-            self._respond(
-                200, {"ok": True, "metrics": coordinator.metrics.to_json()}
-            )
-            return
-        if self.path.startswith("/jobs/"):
-            job_id = self.path[len("/jobs/"):]
-            try:
-                job = coordinator.job(job_id)
-            except KeyError:
-                self._respond(404, {"error": f"unknown job {job_id!r}"})
-                return
-            self._respond(200, job.to_json())
-            return
-        self._respond(404, {"error": f"unknown path {self.path!r}"})
 
-    def do_POST(self) -> None:  # noqa: N802 -- http.server API
-        """Worker lifecycle and job submission."""
-        if not self._authorized():
-            return
-        body = self._read_body()
-        if body is None:
-            return
-        coordinator = self.server.coordinator
-        if self.path in (
-            "/workers/register",
-            "/workers/heartbeat",
-            "/workers/deregister",
-        ):
-            address = body.get("address")
-            if not isinstance(address, str) or not address:
-                self._respond(400, {"error": 'worker calls need an "address"'})
-                return
-            if self.path == "/workers/register":
-                coordinator.registry.register(
+def _worker_call(
+    action: Callable[[str, Dict[str, Any]], bool]
+) -> Callable[[Dict[str, Any]], Dict[str, Any]]:
+    """A ``/workers/*`` route: validate the address, apply ``action``."""
+
+    def call(body: Dict[str, Any]) -> Dict[str, Any]:
+        address = body.get("address")
+        if not isinstance(address, str) or not address:
+            raise BadRequest('worker calls need an "address"')
+        if not action(address, body):
+            raise NotFound(f"unknown worker {address!r} -- re-register")
+        return {"ok": True, "address": address}
+
+    return call
+
+
+def coordinator_service(
+    coordinator: Coordinator, host: str = "127.0.0.1", port: int = 0
+) -> JsonService:
+    """Bind the coordinator's route table (not yet serving)."""
+    from ..checkpoint.store import global_registry
+    from ..dispatch.worker import store_checkpoint_request
+
+    registry = coordinator.registry
+
+    def health(body: Dict[str, Any]) -> Dict[str, Any]:
+        return {"ok": True, "role": "coordinator"}
+
+    routes = {
+        ("GET", "/"): health,
+        ("GET", "/healthz"): health,
+        ("GET", "/status"): lambda body: coordinator.status(),
+        ("GET", "/metrics"): lambda body: {
+            "ok": True,
+            "metrics": coordinator.metrics.to_json(),
+        },
+        ("GET", "/jobs/*"): lambda body, job_id: coordinator.job(job_id).to_json(),
+        ("POST", "/jobs"): lambda body: _submit(coordinator, body),
+        ("POST", "/workers/register"): _worker_call(
+            lambda address, body: bool(
+                registry.register(
                     address, version=str(body.get("worker_version", ""))
                 )
-                self._respond(200, {"ok": True, "address": address})
-            elif self.path == "/workers/heartbeat":
-                if coordinator.registry.heartbeat(address):
-                    self._respond(200, {"ok": True, "address": address})
-                else:
-                    self._respond(
-                        404,
-                        {"error": f"unknown worker {address!r} -- re-register"},
-                    )
-            else:
-                coordinator.registry.deregister(address)
-                self._respond(200, {"ok": True, "address": address})
-            return
-        if self.path == "/jobs":
-            fingerprint = body.get("fingerprint")
-            specs = None
-            if "specs" in body:
-                if not isinstance(body["specs"], list):
-                    self._respond(400, {"error": '"specs" must be a list'})
-                    return
-                try:
-                    specs = [
-                        ScenarioSpec.from_json(doc) for doc in body["specs"]
-                    ]
-                except (KeyError, TypeError, ValueError) as exc:
-                    self._respond(
-                        400, {"error": f"unparseable spec in submission: {exc}"}
-                    )
-                    return
-            try:
-                job = coordinator.submit(fingerprint=fingerprint, specs=specs)
-            except UnknownFingerprintError as exc:
-                self._respond(404, {"error": str(exc.args[0])})
-                return
-            except ValueError as exc:
-                self._respond(400, {"error": str(exc)})
-                return
-            self._respond(200, job.to_json())
-            return
-        if self.path == "/checkpoints":
-            from ..checkpoint import Checkpoint, CheckpointError
-            from ..checkpoint.store import global_registry
-
-            document = body.get("checkpoint")
-            if not isinstance(document, dict):
-                self._respond(
-                    400,
-                    {"error": 'checkpoint upload needs a "checkpoint" object'},
-                )
-                return
-            try:
-                checkpoint = Checkpoint.from_json(document)
-            except CheckpointError as exc:
-                self._respond(
-                    400, {"error": f"rejected checkpoint upload: {exc}"}
-                )
-                return
-            digest = global_registry().put(checkpoint)
-            coordinator.metrics.counter(
-                "coordinator.checkpoint_uploads"
-            ).inc()
-            self._respond(200, {"ok": True, "digest": digest})
-            return
-        self._respond(404, {"error": f"unknown path {self.path!r}"})
-
-    def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-        """Request log to stderr; stdout carries only the ready line."""
-        sys.stderr.write(
-            f"repro-coordinator {self.address_string()} {format % args}\n"
-        )
+            )
+        ),
+        ("POST", "/workers/heartbeat"): _worker_call(
+            lambda address, body: registry.heartbeat(address)
+        ),
+        ("POST", "/workers/deregister"): _worker_call(
+            lambda address, body: registry.deregister(address) or True
+        ),
+        ("POST", "/checkpoints"): lambda body: store_checkpoint_request(
+            body,
+            global_registry(),
+            coordinator.metrics,
+            counter="coordinator.checkpoint_uploads",
+        ),
+    }
+    return JsonService(
+        (host, port), "repro-coordinator", routes, token=registry.token
+    )
 
 
-class _CoordinatorServer(ThreadingHTTPServer):
-    """Threading server so polls answer while a job dispatches."""
-
-    daemon_threads = True
-
-    def __init__(self, address, handler, coordinator: Coordinator):
-        super().__init__(address, handler)
-        self.coordinator = coordinator
-        self.token = coordinator.registry.token
-
-
-@dataclass
-class CoordinatorHandle:
+class CoordinatorHandle(ServiceHandle):
     """An in-process coordinator daemon (tests, benchmarks, examples)."""
 
-    server: _CoordinatorServer
-    thread: threading.Thread
-    runner: _JobRunner
-    coordinator: Coordinator
+    @property
+    def runner(self) -> _JobRunner:
+        """The background job runner."""
+        return self.companions[0]
 
     @property
-    def port(self) -> int:
-        """The actually-bound TCP port (resolved when port 0 was asked)."""
-        return self.server.server_address[1]
+    def coordinator(self) -> Coordinator:
+        """The service object behind the routes."""
+        return self.runner.coordinator
 
-    @property
-    def url(self) -> str:
-        """Base URL clients and workers point at."""
-        host = self.server.server_address[0]
-        return f"http://{host}:{self.port}"
 
-    def stop(self) -> None:
-        """Stop the job runner, shut the server down, join threads."""
-        self.runner.stop()
-        self.runner.join(timeout=30)
-        self.server.shutdown()
-        self.thread.join(timeout=10)
-        self.server.server_close()
+def _coordinator(
+    store_path: str, token: Optional[str], stale_after: float, idle_timeout: float
+) -> Coordinator:
+    return Coordinator(
+        store_path,
+        registry=WorkerRegistry(token=token, stale_after=stale_after),
+        idle_timeout=idle_timeout,
+    )
 
 
 def start_coordinator(
@@ -326,23 +211,13 @@ def start_coordinator(
     silent worker stays in the pool; ``idle_timeout`` bounds how long a
     running job waits for the pool to become non-empty before failing.
     """
-    coordinator = Coordinator(
-        store=ResultStore(store_path),
-        registry=WorkerRegistry(token=token, stale_after=stale_after),
-        idle_timeout=idle_timeout,
-    )
-    server = _CoordinatorServer(
-        (host, port), _CoordinatorRequestHandler, coordinator
-    )
-    thread = threading.Thread(
-        target=server.serve_forever, name="repro-coordinator", daemon=True
-    )
-    thread.start()
+    coordinator = _coordinator(store_path, token, stale_after, idle_timeout)
     runner = _JobRunner(coordinator)
-    runner.start()
-    return CoordinatorHandle(
-        server=server, thread=thread, runner=runner, coordinator=coordinator
+    handle = CoordinatorHandle(
+        coordinator_service(coordinator, host, port), runner
     )
+    runner.start()
+    return handle
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -395,33 +270,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     options = parser.parse_args(argv)
     route_warnings_to_stderr()
-    coordinator = Coordinator(
-        store=ResultStore(options.store),
-        registry=WorkerRegistry(
-            token=options.token, stale_after=options.stale_after
-        ),
-        idle_timeout=options.idle_timeout,
+    coordinator = _coordinator(
+        options.store, options.token, options.stale_after, options.idle_timeout
     )
-    server = _CoordinatorServer(
-        (options.host, options.port), _CoordinatorRequestHandler, coordinator
-    )
+    server = coordinator_service(coordinator, options.host, options.port)
     runner = _JobRunner(coordinator)
     runner.start()
-    bound_host, bound_port = server.server_address[:2]
-    # the one stdout line: parents spawning `--port 0` parse it
-    print(
-        f"repro-coordinator listening on http://{bound_host}:{bound_port}",
-        flush=True,
-    )
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        runner.stop()
-        server.server_close()
-    return 0
-
+    return serve_main(server, runner)
 
 if __name__ == "__main__":
     sys.exit(main())

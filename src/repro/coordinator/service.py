@@ -17,7 +17,8 @@ The pieces:
   its seed set, a lifecycle status, and eventually the merged report
   (or the abort reason).
 * :class:`Coordinator` -- ties them together.  ``submit`` answers from
-  the persistent :class:`~.store.ResultStore` when the exact
+  the persistent result store (a :class:`~repro.store.ContentStore` of
+  :class:`StoredReport` entries) when the exact
   ``(fingerprint, seed set)`` ran before (digest re-verified on read),
   otherwise queues a job; ``run_next`` executes the oldest queued job
   over *whatever workers are live while it runs* -- the pool may grow
@@ -27,7 +28,8 @@ The pieces:
   of the spec list and the merge re-sorts canonically.
 
 Jobs are additionally *resumable*: every completed shard's report is
-checkpointed to the :class:`~.store.ShardStore` as it lands, so a job
+checkpointed to the shard store (same entries, keyed by the shard's
+plan geometry too) as it lands, so a job
 that dies mid-run (every worker gone, daemon killed) picks up from its
 last completed shard on resubmission -- checkpointed shards are
 pre-completed from disk, only the remainder is dispatched, and the
@@ -36,11 +38,22 @@ merged digest is byte-identical to an uninterrupted run.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Deque,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from collections import deque
 
@@ -55,7 +68,8 @@ from ..dispatch.planner import (
 from ..obs.metrics import MetricsRegistry
 from ..obs.runtime import OBS
 from ..scenarios.regression import RegressionReport, ScenarioSpec
-from .store import ResultStore, ShardStore
+from ..service import BadRequest, NotFound
+from ..store import ContentStore
 
 #: Failure kinds that mean "the worker itself is gone", retiring it
 #: from the pool, as opposed to "this shard's run went wrong on an
@@ -64,13 +78,87 @@ from .store import ResultStore, ShardStore
 FATAL_WORKER_KINDS = frozenset({"refused", "reset", "timeout", "transport"})
 
 
-class UnknownFingerprintError(KeyError):
+class UnknownFingerprintError(NotFound):
     """A by-fingerprint submission referenced specs never uploaded here.
 
-    The daemon maps this to a 404 whose body contains ``"unknown spec
-    fingerprint"``; the client reacts by resubmitting with the spec
-    list included.
+    The daemon answers 404 with ``"unknown spec fingerprint"`` in the
+    error; the client reacts by resubmitting with the spec list
+    included.
     """
+
+
+#: Store entry wire-format version, bumped if the entry layout changes.
+STORE_VERSION = 1
+
+
+def store_key(
+    fingerprint: str, seeds: Sequence[int], shard: Tuple[int, ...] = ()
+) -> str:
+    """The filename-safe key for one ``(fingerprint, seed set)`` entry.
+
+    The fingerprint already covers the full spec content (seeds
+    included), but the key states the seed set explicitly so the
+    pairing the paper's regression protocol cares about -- *which
+    seeds produced this digest* -- is part of the identity.  A shard
+    resume checkpoint adds its plan geometry ``(index, of)``.
+    """
+    seed_part = ",".join(str(seed) for seed in sorted(set(seeds)))
+    key = hashlib.sha256(
+        f"{fingerprint}:{seed_part}".encode("utf-8")
+    ).hexdigest()[:32]
+    return key + (f".shard-{shard[0]}-of-{shard[1]}" if shard else "")
+
+
+class StoredReport(NamedTuple):
+    """One stored report and the job identity it answers.
+
+    A merged job report has no ``shard``; a shard resume checkpoint
+    carries its ``(index, of)``.  Decoding rebuilds the report from its
+    wire form and re-verifies the recorded digest against the verdict
+    lines, so a rotted or tampered entry never decodes.
+    """
+
+    fingerprint: str
+    seeds: Tuple[int, ...]
+    report: RegressionReport
+    shard: Tuple[int, ...] = ()
+
+    def key(self) -> str:
+        """The store key this entry belongs under."""
+        return store_key(self.fingerprint, self.seeds, self.shard)
+
+    def to_json(self) -> Dict[str, Any]:
+        """The on-disk document."""
+        return {
+            "version": STORE_VERSION,
+            "fingerprint": self.fingerprint,
+            "seeds": sorted(set(self.seeds)),
+            "shard": list(self.shard),
+            "report": self.report.to_json(),
+        }
+
+    @classmethod
+    def from_json(cls, doc: Dict[str, Any]) -> "StoredReport":
+        """Decode and verify one document (raises on any corruption)."""
+        stored = doc["report"]
+        report = RegressionReport.from_json(stored)
+        if report.digest() != stored["digest"]:
+            raise ValueError("stored digest does not match content")
+        return cls(
+            doc["fingerprint"], tuple(doc["seeds"]), report, tuple(doc["shard"])
+        )
+
+
+def report_store(directory: str) -> ContentStore:
+    """A directory of :class:`StoredReport` entries, read from disk
+    (and re-verified) on every fetch."""
+    return ContentStore(
+        key_of=StoredReport.key,
+        encode=StoredReport.to_json,
+        decode=StoredReport.from_json,
+        limit=0,
+        directory=directory,
+    )
 
 
 @dataclass
@@ -219,14 +307,15 @@ class Coordinator:
     One coordinator serves many clients: a spec list is uploaded once
     (keyed by :func:`~repro.dispatch.planner.specs_fingerprint`),
     submissions reference the fingerprint, repeat submissions are
-    served straight from the :class:`~.store.ResultStore`.  Jobs run
-    one at a time in submission order (the worker pool is the
+    served straight from the result store rooted at ``store_path``
+    (shard resume checkpoints live in its ``shards`` subdirectory).
+    Jobs run one at a time in submission order (the worker pool is the
     parallelism, not the job queue).
     """
 
     def __init__(
         self,
-        store: ResultStore,
+        store_path: str,
         registry: Optional[WorkerRegistry] = None,
         token: Optional[str] = None,
         max_attempts: int = 6,
@@ -234,8 +323,8 @@ class Coordinator:
         poll_interval: float = 0.05,
         metrics: Optional[MetricsRegistry] = None,
     ):
-        self.store = store
-        self.shard_store = ShardStore(os.path.join(store.root, "shards"))
+        self.store = report_store(store_path)
+        self.shard_store = report_store(os.path.join(store_path, "shards"))
         self.registry = registry or WorkerRegistry(token=token)
         self.max_attempts = max_attempts
         self.idle_timeout = idle_timeout
@@ -287,13 +376,13 @@ class Coordinator:
         if specs is not None:
             actual = self.put_specs(specs)
             if fingerprint is not None and fingerprint != actual:
-                raise ValueError(
+                raise BadRequest(
                     f"submitted fingerprint {fingerprint} does not match "
                     f"spec content {actual}"
                 )
             fingerprint = actual
         elif fingerprint is None:
-            raise ValueError("submit needs a fingerprint or a spec list")
+            raise BadRequest("submit needs a fingerprint or a spec list")
         else:
             specs = self.specs_for(fingerprint)
         seeds = tuple(sorted({spec.seed for spec in specs}))
@@ -307,11 +396,11 @@ class Coordinator:
             )
             self._jobs[job.job_id] = job
         self.metrics.counter("coordinator.jobs_submitted").inc()
-        cached = self.store.fetch(fingerprint, seeds)
+        cached = self.store.fetch(store_key(fingerprint, seeds))
         if cached is not None:
             job.status = "done"
             job.from_cache = True
-            job.report_doc = cached.to_json()
+            job.report_doc = cached.report.to_json()
             self.metrics.counter("coordinator.jobs_from_store").inc()
             return job
         with self._lock:
@@ -319,8 +408,10 @@ class Coordinator:
         return job
 
     def job(self, job_id: str) -> Job:
-        """Look a job up by id (KeyError -> daemon 404)."""
+        """Look a job up by id (:class:`NotFound` -> daemon 404)."""
         with self._lock:
+            if job_id not in self._jobs:
+                raise NotFound(f"unknown job {job_id!r}")
             return self._jobs[job_id]
 
     def jobs(self) -> List[Job]:
@@ -391,15 +482,17 @@ class Coordinator:
         # The plan is deterministic for a given live-pool size, so a
         # resubmission against the same pool reuses every checkpoint;
         # a different pool size replans and the stale entries simply
-        # miss (and are pruned when the job completes).
+        # miss.
         precompleted: List[Tuple[Any, RegressionReport]] = []
         remaining = []
         for shard in shards:
-            cached = self.shard_store.fetch_shard(
-                job.fingerprint, job.seeds, shard.index, shard.of
+            cached = self.shard_store.fetch(
+                store_key(job.fingerprint, job.seeds, (shard.index, shard.of))
             )
-            if cached is not None and len(cached.verdicts) == len(shard.specs):
-                precompleted.append((shard, cached))
+            if cached is not None and len(cached.report.verdicts) == len(
+                shard.specs
+            ):
+                precompleted.append((shard, cached.report))
             else:
                 remaining.append(shard)
         if precompleted:
@@ -455,12 +548,13 @@ class Coordinator:
                         record.shards_completed += 1
                         # Checkpoint the completed shard so a job
                         # interrupted later resumes past it.
-                        self.shard_store.put_shard(
-                            job.fingerprint,
-                            job.seeds,
-                            pending.shard.index,
-                            pending.shard.of,
-                            report,
+                        self.shard_store.put(
+                            StoredReport(
+                                job.fingerprint,
+                                job.seeds,
+                                report,
+                                (pending.shard.index, pending.shard.of),
+                            )
                         )
 
         idle_since: Optional[float] = None
@@ -512,8 +606,11 @@ class Coordinator:
         )
         merged.wall_seconds = time.perf_counter() - started
         merged.workers = len(shards) or 1
-        self.store.put(job.fingerprint, job.seeds, merged)
-        self.shard_store.prune(job.fingerprint, job.seeds)
+        self.store.put(StoredReport(job.fingerprint, job.seeds, merged))
+        for shard in shards:
+            self.shard_store.discard(
+                store_key(job.fingerprint, job.seeds, (shard.index, shard.of))
+            )
         saved_delta = max(0, self._bytes_saved() - bytes_saved_before)
         job.dispatch = {
             "shards": len(shards),
@@ -555,7 +652,7 @@ class Coordinator:
             "jobs": jobs,
             "jobs_queued": queued,
             "spec_lists_cached": spec_lists,
-            "store_entries": self.store.entries(),
+            "store_entries": len(self.store),
             "store_corruptions": self.store.corruptions,
-            "shard_checkpoints": self.shard_store.entries(),
+            "shard_checkpoints": len(self.shard_store),
         }

@@ -9,9 +9,8 @@ HTTP daemon on another one (:mod:`.http_host` / :mod:`.worker`) -- and
 the per-shard reports fold back together in canonical spec order
 (:mod:`.dispatcher`), so the merged
 :class:`~repro.scenarios.regression.RegressionReport` digest is
-byte-identical to a serial run at any shard count, under either
-dispatch schedule (work-stealing default, static for comparison),
-including after host failures, retries and steal races.
+byte-identical to a serial run at any shard count, including after
+host failures, retries and work-stealing races.
 
 Three ways in:
 
@@ -26,7 +25,6 @@ Three ways in:
 """
 
 from .dispatcher import (
-    SCHEDULES,
     DispatchError,
     DispatchOutcome,
     ShardDispatcher,
@@ -53,7 +51,6 @@ from .planner import (
 )
 
 __all__ = [
-    "SCHEDULES",
     "DispatchError",
     "DispatchOutcome",
     "ShardDispatcher",

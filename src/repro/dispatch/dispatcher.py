@@ -2,23 +2,16 @@
 
 ``ShardDispatcher`` partitions a spec list with the deterministic
 planner and runs every (non-empty) shard on a pool of
-:class:`Host`\\ s.  Two schedules are registered:
+:class:`Host`\\ s by work stealing: one serving thread per host pulls
+the next pending shard from a shared :class:`ShardQueue` the moment it
+finishes its previous one.  Skewed shard runtimes therefore stop
+bounding wall clock on the slowest host: a fast host "steals" the
+queue's tail while a slow host grinds through one shard.  Use more
+shards than hosts (``planner.shards_for_hosts``) so there is a tail to
+steal.
 
-* ``"stealing"`` (the default) -- one serving thread per host pulls
-  the next pending shard from a shared :class:`ShardQueue` the moment
-  it finishes its previous one.  Skewed shard runtimes therefore stop
-  bounding wall clock on the slowest host: a fast host "steals" the
-  queue's tail while a slow host grinds through one shard.  Use more
-  shards than hosts (``planner.shards_for_hosts``) so there is a tail
-  to steal.
-* ``"static"`` -- the PR-3 behaviour, one thread per shard with the
-  shard's index pinning its starting host.  Kept for comparison (the
-  rebalance benchmark measures stealing against it) and for tests that
-  need a deterministic first assignment.
-
-Fault tolerance is schedule-independent: a :class:`HostFailure`
-re-queues the shard away from the host that failed it, up to
-``max_attempts`` total tries.  Completion is idempotent per shard --
+Fault tolerance: a :class:`HostFailure` re-queues the shard away from
+the host that failed it, up to ``max_attempts`` total tries.  Completion is idempotent per shard --
 the first result wins, any later one is counted and dropped.  With
 today's blocking transports a serving thread either fails or completes
 (never both), so duplicates cannot actually arise through the
@@ -31,8 +24,8 @@ retried or stolen shard reproduces byte-identical verdicts.
 The merge invariant (the whole point): ``merge_reports`` re-sorts the
 concatenated verdicts exactly like ``RegressionRunner.run`` does, so
 the merged digest is byte-identical to a serial run of the same specs
-at any shard count, under any schedule, any host pool -- subprocess or
-HTTP -- and any recovered failure pattern.
+at any shard count, any host pool -- subprocess or HTTP -- and any
+recovered failure pattern.
 """
 
 from __future__ import annotations
@@ -42,7 +35,6 @@ import tempfile
 import threading
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -54,10 +46,6 @@ from ..scenarios.regression import (
 )
 from .hosts import Host, HostFailure, LocalSubprocessHost, ShardWork
 from .planner import Shard, plan_digest, plan_shards
-
-#: Registered dispatch schedules (see module docstring).
-SCHEDULES = ("stealing", "static")
-
 
 class DispatchError(RuntimeError):
     """A shard exhausted every attempt; the regression has no verdicts
@@ -93,7 +81,6 @@ class DispatchOutcome:
     runs: List[ShardRun] = field(default_factory=list)
     hosts: Tuple[str, ...] = ()
     plan_fingerprint: str = ""
-    schedule: str = "stealing"
     #: completions dropped because the shard had already completed
     #: elsewhere -- always 0 with today's blocking transports (a
     #: serving thread fails or completes, never both); the counter
@@ -133,7 +120,7 @@ class DispatchOutcome:
         """Human-readable dispatch trace (CLIs print it to stderr)."""
         lines = [
             f"dispatch: {len(self.runs)} shard(s) over "
-            f"{len(self.hosts)} host(s), {self.schedule} schedule, "
+            f"{len(self.hosts)} host(s), work-stealing schedule, "
             f"plan {self.plan_fingerprint}"
         ]
         for run in self.runs:
@@ -380,8 +367,7 @@ class ShardDispatcher:
 
     ``hosts`` defaults to one :class:`LocalSubprocessHost` per shard;
     pass a pool of :class:`~.http_host.HttpHost` for remote dispatch.
-    ``schedule`` picks the assignment policy (``"stealing"`` default,
-    ``"static"`` for PR-3 pinned starts).  ``max_attempts`` bounds how
+    ``max_attempts`` bounds how
     many tries a shard gets before the dispatch aborts (default: one
     try per host, minimum 2 so even a single flaky host gets one
     retry).
@@ -394,15 +380,9 @@ class ShardDispatcher:
         hosts: Optional[Sequence[Host]] = None,
         max_attempts: Optional[int] = None,
         workers_per_shard: Optional[int] = None,
-        schedule: str = "stealing",
     ):
         if shards < 1:
             raise ValueError(f"shard count must be >= 1, got {shards}")
-        if schedule not in SCHEDULES:
-            raise ValueError(
-                f"unknown schedule {schedule!r} (registered: "
-                f"{', '.join(SCHEDULES)})"
-            )
         self.specs = list(specs)
         self.shards = shards
         self.hosts: List[Host] = list(
@@ -422,54 +402,6 @@ class ShardDispatcher:
             max_attempts if max_attempts is not None else max(2, len(self.hosts))
         )
         self.workers_per_shard = workers_per_shard
-        self.schedule = schedule
-
-    # -- static schedule (PR 3): one thread per shard, pinned start --------------
-
-    def _run_one_static(
-        self, shard: Shard, spec_file: str
-    ) -> Tuple[ShardRun, RegressionReport]:
-        """Execute one shard with host rotation on failure."""
-        work = ShardWork(
-            shard=shard, spec_file=spec_file, workers=self.workers_per_shard
-        )
-        failures: List[str] = []
-        failure_kinds: List[Tuple[str, str]] = []
-        # start each shard on a different host so shards spread across
-        # the pool; rotation then moves every retry to another host
-        # (single-host pools retry the only host there is)
-        for attempt in range(self.max_attempts):
-            host = self.hosts[(shard.index + attempt) % len(self.hosts)]
-            attempt_started = time.perf_counter()
-            try:
-                report = host.run_shard(work)
-            except HostFailure as exc:
-                failures.append(f"{exc.host}: {exc.reason}")
-                failure_kinds.append((exc.host, exc.kind))
-                continue
-            run = ShardRun(
-                shard=shard,
-                host=host.name,
-                attempts=len(failures) + 1,
-                failures=tuple(failures),
-                failure_kinds=tuple(failure_kinds),
-                wall_seconds=time.perf_counter() - attempt_started,
-            )
-            return run, report
-        raise DispatchError(
-            f"{shard.label} failed on every host after {self.max_attempts} "
-            f"attempt(s): {'; '.join(failures) or 'no attempts ran'}"
-        )
-
-    def _run_static(
-        self, live: Sequence[Shard], spec_file: str
-    ) -> List[Tuple[ShardRun, RegressionReport]]:
-        with ThreadPoolExecutor(max_workers=len(live)) as pool:
-            return list(
-                pool.map(lambda s: self._run_one_static(s, spec_file), live)
-            )
-
-    # -- stealing schedule: one thread per host pulling from the queue -----------
 
     def _serve(self, host: Host, queue: ShardQueue, spec_file: str) -> None:
         """One host's serving loop: pull, run, report, repeat."""
@@ -503,7 +435,7 @@ class ShardDispatcher:
                     wall_seconds=time.perf_counter() - attempt_started,
                 )
 
-    def _run_stealing(
+    def _dispatch(
         self, live: Sequence[Shard], spec_file: str
     ) -> List[Tuple[ShardRun, RegressionReport]]:
         queue = ShardQueue(
@@ -531,14 +463,13 @@ class ShardDispatcher:
     # -- entry point --------------------------------------------------------------
 
     def run(self) -> DispatchOutcome:
-        """Plan, dispatch under the configured schedule, merge, report."""
+        """Plan, dispatch, merge, report."""
         if OBS.enabled:
             with OBS.tracer.span(
                 "dispatch.run",
                 "dispatch",
                 shards=self.shards,
                 hosts=len(self.hosts),
-                schedule=self.schedule,
             ) as span:
                 outcome = self._run()
                 span.set(
@@ -562,12 +493,7 @@ class ShardDispatcher:
             if any(getattr(host, "uses_spec_file", False) for host in self.hosts):
                 spec_file = os.path.join(tmp, "specs.json")
                 save_specs(self.specs, spec_file)
-            if not live:
-                results: List[Tuple[ShardRun, RegressionReport]] = []
-            elif self.schedule == "static":
-                results = self._run_static(live, spec_file)
-            else:
-                results = self._run_stealing(live, spec_file)
+            results = self._dispatch(live, spec_file) if live else []
         runs = [run for run, _ in results]
         merged = merge_reports([report for _, report in results])
         merged.wall_seconds = time.perf_counter() - started
@@ -577,7 +503,6 @@ class ShardDispatcher:
             runs=runs,
             hosts=tuple(host.name for host in self.hosts),
             plan_fingerprint=plan_digest(plan),
-            schedule=self.schedule,
             duplicates=self._last_duplicates,
             host_metrics=self._fetch_host_metrics(),
         )

@@ -31,8 +31,9 @@ regression failed" -- and the dispatcher retries the shard elsewhere.
 
 :func:`parse_hosts` turns the CLI's ``--hosts host:port,host:port``
 string into a host pool.  Both host classes accept a shared-secret
-``token`` and send it as an ``Authorization: Bearer`` header when set
-(workers started with ``--token`` refuse unauthenticated POSTs).
+``token`` and send it as an ``Authorization: Bearer`` header on every
+request, probes included (workers started with ``--token`` refuse
+everything but ``/healthz`` without it).
 """
 
 from __future__ import annotations
@@ -40,11 +41,10 @@ from __future__ import annotations
 import json
 import socket
 import threading
-import urllib.error
-import urllib.request
 from typing import Dict, List, Optional, Sequence, Set
 
 from ..scenarios.regression import RegressionReport, ScenarioSpec
+from ..service import encode, error_text, http_request
 from .hosts import HostFailure, ShardWork
 from .planner import Shard
 
@@ -61,7 +61,7 @@ class HttpHost:
     response is the shard report's ``to_json()`` form.  Nothing but
     JSON crosses the boundary, so the worker end needs no shared
     filesystem and no pickle compatibility.  ``token`` is the fleet's
-    shared secret; when set, every POST carries it as a bearer header.
+    shared secret; when set, every request carries it as a bearer header.
     """
 
     def __init__(
@@ -80,31 +80,11 @@ class HttpHost:
 
     def _post(self, path: str, payload: bytes, label: str) -> bytes:
         """One POST round trip; every transport mishap is a HostFailure."""
-        headers = {"Content-Type": "application/json"}
-        if self.token:
-            headers["Authorization"] = f"Bearer {self.token}"
-        request = urllib.request.Request(
-            f"http://{self.address}{path}",
-            data=payload,
-            headers=headers,
-            method="POST",
-        )
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return response.read()
-        except urllib.error.HTTPError as exc:
-            # the worker answered but refused: surface its error body
-            try:
-                detail = json.loads(exc.read()).get("error", "")
-            except Exception:  # noqa: BLE001 -- error body is best-effort
-                detail = ""
-            raise HostFailure(
-                self.name,
-                label,
-                f"worker returned HTTP {exc.code}" + (f": {detail}" if detail else ""),
-                kind="non-200",
-            ) from exc
-        except (urllib.error.URLError, OSError) as exc:
+            status, raw = http_request(
+                f"http://{self.address}{path}", payload, self.token, self.timeout
+            )
+        except OSError as exc:
             # refused / reset / timed out / DNS -- the machine is gone
             reason = getattr(exc, "reason", exc)
             raise HostFailure(
@@ -113,6 +93,16 @@ class HttpHost:
                 f"transport failed: {reason}",
                 kind=_transport_kind(exc),
             ) from exc
+        if status != 200:
+            # the worker answered but refused: surface its error body
+            detail = error_text(raw)
+            raise HostFailure(
+                self.name,
+                label,
+                f"worker returned HTTP {status}" + (f": {detail}" if detail else ""),
+                kind="non-200",
+            )
+        return raw
 
     def _run_body(self, work: ShardWork) -> Dict:
         """The by-value ``POST /run`` body: the slice travels inline."""
@@ -129,8 +119,7 @@ class HttpHost:
 
     def _execute_run(self, body: Dict, shard: Shard) -> RegressionReport:
         """POST one ``/run`` body and verify the report that comes back."""
-        payload = json.dumps(body, sort_keys=True).encode("utf-8")
-        raw = self._post("/run", payload, shard.label)
+        raw = self._post("/run", encode(body), shard.label)
         try:
             doc = json.loads(raw)
             report = RegressionReport.from_json(doc)
@@ -181,10 +170,7 @@ class HttpHost:
                 if not force and digest in self._shipped_checkpoints:
                     continue
             checkpoint = registry.get(digest)
-            payload = json.dumps(
-                {"version": 1, "checkpoint": checkpoint.to_json()},
-                sort_keys=True,
-            ).encode("utf-8")
+            payload = encode({"version": 1, "checkpoint": checkpoint.to_json()})
             self._post("/checkpoints", payload, shard.label)
             with self._checkpoint_lock:
                 self._shipped_checkpoints.add(digest)
@@ -215,10 +201,12 @@ class HttpHost:
     def _get_json(self, path: str) -> Optional[dict]:
         """Best-effort GET returning the parsed body; None on any problem."""
         try:
-            with urllib.request.urlopen(
-                f"http://{self.address}{path}", timeout=min(self.timeout, 5.0)
-            ) as response:
-                doc = json.loads(response.read())
+            status, raw = http_request(
+                f"http://{self.address}{path}",
+                token=self.token,
+                timeout=min(self.timeout, 5.0),
+            )
+            doc = json.loads(raw) if status == 200 else None
         except Exception:  # noqa: BLE001 -- a probe never raises
             return None
         return doc if isinstance(doc, dict) else None
@@ -304,14 +292,13 @@ class CachingHttpHost(HttpHost):
                 f"spec cache was never primed for fingerprint {fingerprint}",
                 kind="bad-report",
             )
-        payload = json.dumps(
+        payload = encode(
             {
                 "version": 1,
                 "fingerprint": fingerprint,
                 "specs": [spec.to_json() for spec in specs],
-            },
-            sort_keys=True,
-        ).encode("utf-8")
+            }
+        )
         self._post("/specs", payload, label)
         with self._lock:
             self._uploaded.add(fingerprint)
@@ -340,9 +327,7 @@ class CachingHttpHost(HttpHost):
             },
             "workers": work.workers or 1,
         }
-        by_value_cost = len(
-            json.dumps(self._run_body(work), sort_keys=True).encode("utf-8")
-        )
+        by_value_cost = len(encode(self._run_body(work)))
         with self._lock:
             needs_upload = fingerprint not in self._uploaded
         if needs_upload:

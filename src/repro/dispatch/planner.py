@@ -64,7 +64,7 @@ def plan_shards(specs: Sequence[ScenarioSpec], shards: int) -> List[Shard]:
 #: Default shards-per-host factor.  1 would pin each host to exactly
 #: one shard (no queue, nothing to steal); higher factors shrink the
 #: stealable work unit but pay more per-shard overhead.  2 keeps the
-#: slowest host's worst case at half its static-schedule share.
+#: slowest host's worst case at half its one-shard-per-host share.
 OVERSUBSCRIPTION = 2
 
 

@@ -1,15 +1,15 @@
 """The shard worker daemon: ``python -m repro.dispatch.worker --port N``.
 
-The remote end of the HTTP transport.  A worker is a lightweight
-stdlib :mod:`http.server` daemon that accepts one kind of work --
-"run this shard of a scenario regression" -- and speaks nothing but
-the established JSON wire forms
+The remote end of the HTTP transport: a route table over the shared
+JSON service base (:mod:`repro.service`, which owns body reading,
+auth, the error taxonomy and the server).  A worker accepts one kind
+of work -- "run this shard of a scenario regression" -- and speaks
+nothing but the established JSON wire forms
 (:class:`~repro.scenarios.regression.ScenarioSpec` in,
 :class:`~repro.scenarios.regression.RegressionReport` out), so a
 worker on another machine needs only this package and a port.
 
-Endpoints (see ``docs/dispatch.md`` and ``docs/coordinator.md`` for
-the full wire contract):
+Endpoints (full wire contract in ``docs/dispatch.md``):
 
 ``POST /run``
     Body: ``{"version": 1, "shard": {"index": K, "of": N,
@@ -22,85 +22,67 @@ the full wire contract):
     ``"shard": {"index": K, "of": N, "fingerprint": F}`` re-derives
     the slice from the ``POST /specs`` upload keyed by ``F`` with the
     shared deterministic planner (``404`` with ``"unknown spec
-    fingerprint"`` when the worker does not hold ``F``).  Malformed
-    bodies get ``400``, run crashes ``500``; all carry
-    ``{"error": ...}``.
+    fingerprint"`` when the worker does not hold ``F``).
 
 ``POST /specs``
     Body: ``{"version": 1, "fingerprint": F, "specs": [...]}`` -- the
     spec-cache upload: one regression's full spec list, shipped once
     per worker and addressed by
-    :func:`~repro.dispatch.planner.specs_fingerprint` thereafter.  The
-    worker recomputes the fingerprint and refuses a mismatch (``400``).
-    The cache is bounded (:data:`SPEC_CACHE_LIMIT`, least recently
-    used evicted first); a ``/run`` that references an evicted entry
-    gets the 404 and the client re-uploads.
+    :func:`~repro.dispatch.planner.specs_fingerprint` thereafter.  A
+    list that does not hash to ``F`` is refused (``400``).  The cache
+    is a bounded LRU (:data:`SPEC_CACHE_LIMIT`); a ``/run`` that
+    references an evicted entry gets the 404 and the client re-uploads.
 
 ``POST /checkpoints``
     Body: ``{"version": 1, "checkpoint": <wire doc>}`` -- the
-    checkpoint upload backing ``ScenarioSpec.resume_from``: one
-    snapshot of a mid-run scenario system, shipped once per worker and
-    addressed by its SHA-256 digest thereafter.  The wire document is
-    fully re-verified (kind, wire version, payload digest); any
-    corrupt, truncated or stale-version upload gets ``400`` with the
-    typed rejection.  A ``/run`` whose specs reference a digest this
-    worker does not hold gets ``404`` with ``"unknown checkpoint"``
-    and the client re-uploads.  The cache is bounded
-    (:data:`CHECKPOINT_CACHE_LIMIT`, LRU).
+    checkpoint upload backing ``ScenarioSpec.resume_from``, addressed
+    by its SHA-256 digest thereafter.  Corrupt, truncated or
+    stale-version documents get ``400``; a ``/run`` whose specs
+    reference a digest this worker does not hold gets ``404`` with
+    ``"unknown checkpoint"`` and the client re-uploads.  The cache is
+    a bounded LRU (:data:`CHECKPOINT_CACHE_LIMIT`).
 
 ``GET /healthz``
-    ``200`` with a JSON liveness document: ``{"ok": true, "version":
-    ..., "uptime_seconds": ..., "shards_served": n,
-    "spec_cache_entries": n}`` -- dispatcher-side liveness probes,
-    readiness polling, and fleet dashboards.
+    A JSON liveness document (version, uptime, shards served, cache
+    sizes, PSL engine and compile-cache counters).
 
 ``GET /metrics``
-    ``200 {"ok": true, "metrics": {...}}`` -- the worker's own
-    counters and fixed-bucket histograms
-    (:meth:`repro.obs.MetricsRegistry.to_json` wire shape: shards and
-    scenarios served, failures, transactions, per-shard latency,
-    spec-cache activity).  The dispatcher pulls these after a dispatch
-    and folds them into the fleet aggregate in the session report's
-    ``observability`` section.
+    ``{"ok": true, "metrics": {...}}`` -- the worker's own counters and
+    histograms (:meth:`repro.obs.MetricsRegistry.to_json`), which the
+    dispatcher folds into the session report's fleet aggregate.
 
-Auth: started with ``--token SECRET`` the worker refuses POSTs whose
-``Authorization`` header is not ``Bearer SECRET`` (``401``); the GET
-probes stay open.  Started with ``--coordinator URL`` the worker
-self-registers with a coordinator daemon on startup and heartbeats it
-every ``--heartbeat`` seconds (re-registering whenever the coordinator
-forgot it), which is how an elastic fleet grows: start a worker
-anywhere, point it at the coordinator, and it joins the pool mid-run.
-
-The process writes exactly one line to stdout when it is ready to
-serve (``repro-worker listening on http://HOST:PORT``) so a parent
-that spawned it with ``--port 0`` can parse the ephemeral port;
-request logging goes to stderr.  In-process embedding (tests, the
-benchmark harness) goes through :func:`start_worker`, which serves the
-same handler from a daemon thread and returns a handle with the bound
-port and a ``stop()``.
+Auth: started with ``--token SECRET`` every endpoint except ``/`` and
+``/healthz`` needs ``Authorization: Bearer SECRET`` (``401``).
+Started with ``--coordinator URL`` the worker self-registers with a
+coordinator daemon and heartbeats it every ``--heartbeat`` seconds
+(re-registering whenever the coordinator forgot it), which is how an
+elastic fleet grows.  In-process embedding goes through
+:func:`start_worker`.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import threading
 import time
-import urllib.error
-import urllib.request
-from collections import OrderedDict
-from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 from .. import __version__
 from ..cliutil import route_warnings_to_stderr
 from ..obs.metrics import MetricsRegistry
-
-#: Wire-format version the worker speaks; requests carrying a higher
-#: version are rejected rather than half-understood.
-WIRE_VERSION = 1
+from ..service import (
+    WIRE_VERSION,
+    BadRequest,
+    JsonService,
+    NotFound,
+    ServiceHandle,
+    checked_envelope,
+    encode,
+    http_request,
+    serve_main,
+)
+from ..store import ContentStore, KeyMismatchError
 
 #: Spec-cache capacity in distinct fingerprints.  A worker usually
 #: serves a handful of concurrent regressions; least recently used
@@ -116,16 +98,14 @@ CHECKPOINT_CACHE_LIMIT = 16
 #: Default seconds between heartbeats to a ``--coordinator``.
 DEFAULT_HEARTBEAT = 2.0
 
+#: A request the worker understood enough to refuse (-> 400).
+WorkerError = BadRequest
 
-class WorkerError(ValueError):
-    """A request the worker understood enough to refuse (-> 400)."""
 
-
-class UnknownFingerprintError(WorkerError):
+class UnknownFingerprintError(NotFound):
     """A /run referenced a fingerprint this worker does not hold (-> 404).
 
-    Distinct from :class:`WorkerError` so the HTTP layer can answer
-    404 and the client knows to re-upload rather than treat the worker
+    The 404 tells the client to re-upload rather than treat the worker
     as broken.
     """
 
@@ -139,110 +119,41 @@ class UnknownCheckpointDigestError(UnknownFingerprintError):
     """
 
 
-class SpecCache:
-    """Bounded LRU map from spec-list fingerprint to the list itself.
+def make_spec_cache(limit: int = SPEC_CACHE_LIMIT) -> ContentStore:
+    """The worker's LRU of uploaded spec lists, keyed by fingerprint.
 
-    The worker-side half of the spec-cache protocol: ``put`` verifies
-    the claimed fingerprint against the content before caching (a
-    corrupt upload must not poison later by-reference runs), ``get``
-    refreshes recency.  Thread-safe, because the daemon handles
-    requests on a thread per connection.
+    A put whose list does not hash to its claimed fingerprint is
+    refused, so a corrupt upload cannot poison later by-reference runs.
     """
+    from .planner import specs_fingerprint
 
-    def __init__(self, limit: int = SPEC_CACHE_LIMIT):
-        self.limit = limit
-        self._entries: "OrderedDict[str, List[Any]]" = OrderedDict()
-        self._lock = threading.Lock()
-
-    def put(self, fingerprint: str, specs: List[Any]) -> None:
-        """Cache one verified spec list, evicting the LRU entry if full."""
-        from .planner import specs_fingerprint
-
-        actual = specs_fingerprint(specs)
-        if actual != fingerprint:
-            raise WorkerError(
-                f"spec upload fingerprint mismatch: claimed {fingerprint}, "
-                f"content hashes to {actual}"
-            )
-        with self._lock:
-            self._entries[fingerprint] = specs
-            self._entries.move_to_end(fingerprint)
-            while len(self._entries) > self.limit:
-                self._entries.popitem(last=False)
-
-    def get(self, fingerprint: str) -> List[Any]:
-        """The cached list for a fingerprint; raises the 404-class miss."""
-        with self._lock:
-            if fingerprint not in self._entries:
-                raise UnknownFingerprintError(
-                    f"unknown spec fingerprint {fingerprint} "
-                    "(never uploaded, or evicted -- POST /specs and retry)"
-                )
-            self._entries.move_to_end(fingerprint)
-            return self._entries[fingerprint]
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+    return ContentStore(
+        key_of=specs_fingerprint,
+        limit=limit,
+        missing=lambda fingerprint: UnknownFingerprintError(
+            f"unknown spec fingerprint {fingerprint} "
+            "(never uploaded, or evicted -- POST /specs and retry)"
+        ),
+    )
 
 
-class CheckpointCache:
-    """Bounded LRU map from checkpoint digest to the checkpoint itself.
+def make_checkpoint_cache(limit: int = CHECKPOINT_CACHE_LIMIT) -> ContentStore:
+    """The worker's LRU of uploaded checkpoints, keyed by digest."""
+    from ..checkpoint.store import checkpoint_store
 
-    The worker-side half of the ``POST /checkpoints`` protocol.
-    Uploads arrive already verified (:meth:`Checkpoint.from_json`
-    recomputes the digest over the canonical payload), so ``put`` only
-    has to index by digest; ``get`` refreshes recency and raises the
-    404-class miss when the digest was never uploaded or got evicted.
-    """
-
-    def __init__(self, limit: int = CHECKPOINT_CACHE_LIMIT):
-        self.limit = limit
-        self._entries: "OrderedDict[str, Any]" = OrderedDict()
-        self._lock = threading.Lock()
-
-    def put(self, checkpoint: Any) -> str:
-        """Cache one verified checkpoint, evicting the LRU entry if full."""
-        digest = checkpoint.digest
-        with self._lock:
-            self._entries[digest] = checkpoint
-            self._entries.move_to_end(digest)
-            while len(self._entries) > self.limit:
-                self._entries.popitem(last=False)
-        return digest
-
-    def get(self, digest: str) -> Any:
-        """The cached checkpoint for a digest; raises the 404-class miss."""
-        with self._lock:
-            if digest not in self._entries:
-                raise UnknownCheckpointDigestError(
-                    f"unknown checkpoint {digest} (never uploaded, or "
-                    "evicted -- POST /checkpoints and retry)"
-                )
-            self._entries.move_to_end(digest)
-            return self._entries[digest]
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-
-def _checked_body(body: Dict[str, Any]) -> Dict[str, Any]:
-    """Shared request envelope validation (type + wire version)."""
-    if not isinstance(body, dict):
-        raise WorkerError("request body must be a JSON object")
-    version = body.get("version", WIRE_VERSION)
-    if not isinstance(version, int):
-        raise WorkerError(f"wire version must be an integer, got {version!r}")
-    if version > WIRE_VERSION:
-        raise WorkerError(
-            f"wire version {version} is newer than this worker ({WIRE_VERSION})"
-        )
-    return body
+    return checkpoint_store(
+        limit=limit,
+        missing=lambda digest: UnknownCheckpointDigestError(
+            f"unknown checkpoint {digest} (never uploaded, or "
+            "evicted -- POST /checkpoints and retry)"
+        ),
+    )
 
 
 def store_specs_request(
-    body: Dict[str, Any], cache: SpecCache, metrics: Optional[MetricsRegistry] = None
+    body: Dict[str, Any],
+    cache: ContentStore,
+    metrics: Optional[MetricsRegistry] = None,
 ) -> Dict[str, Any]:
     """Execute one ``POST /specs`` body against the worker's spec cache.
 
@@ -252,7 +163,7 @@ def store_specs_request(
     """
     from ..scenarios.regression import ScenarioSpec
 
-    body = _checked_body(body)
+    body = checked_envelope(body)
     fingerprint = body.get("fingerprint")
     if not isinstance(fingerprint, str) or not fingerprint:
         raise WorkerError('spec upload needs a string "fingerprint"')
@@ -262,7 +173,10 @@ def store_specs_request(
         specs = [ScenarioSpec.from_json(doc) for doc in body["specs"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise WorkerError(f"unparseable spec in upload: {exc}") from exc
-    cache.put(fingerprint, specs)
+    try:
+        cache.put(specs, key=fingerprint)
+    except KeyMismatchError as exc:
+        raise WorkerError(f"spec upload fingerprint mismatch: {exc}") from exc
     if metrics is not None:
         metrics.counter("worker.spec_uploads").inc()
         metrics.counter("worker.spec_upload_specs").inc(len(specs))
@@ -271,31 +185,34 @@ def store_specs_request(
 
 def store_checkpoint_request(
     body: Dict[str, Any],
-    cache: CheckpointCache,
+    store: ContentStore,
     metrics: Optional[MetricsRegistry] = None,
+    counter: str = "worker.checkpoint_uploads",
 ) -> Dict[str, Any]:
-    """Execute one ``POST /checkpoints`` body against the worker's cache.
+    """Execute one ``POST /checkpoints`` body against a checkpoint store.
 
-    The wire document is verified end to end by
-    :meth:`~repro.checkpoint.snapshot.Checkpoint.from_json` -- wrong
-    kind, truncated payload, stale/newer wire version and digest
-    mismatch all surface as :class:`WorkerError` (-> 400) with the
-    typed checkpoint error's message, so a corrupt upload can never
+    The one upload path of both daemons: the worker stores into its
+    bounded cache, the coordinator into the process-global registry
+    (counting under ``counter``).  The wire document is verified end
+    to end by :meth:`~repro.checkpoint.snapshot.Checkpoint.from_json`
+    -- wrong kind, truncated payload, stale/newer wire version and
+    digest mismatch all surface as :class:`WorkerError` (-> 400) with
+    the typed checkpoint error's message, so a corrupt upload can never
     poison a later by-reference resume.
     """
     from ..checkpoint.errors import CheckpointError
     from ..checkpoint.snapshot import Checkpoint
 
-    body = _checked_body(body)
+    body = checked_envelope(body)
     if not isinstance(body.get("checkpoint"), dict):
         raise WorkerError('checkpoint upload needs a "checkpoint" object')
     try:
         checkpoint = Checkpoint.from_json(body["checkpoint"])
     except CheckpointError as exc:
         raise WorkerError(f"rejected checkpoint upload: {exc}") from exc
-    digest = cache.put(checkpoint)
+    digest = store.put(checkpoint)
     if metrics is not None:
-        metrics.counter("worker.checkpoint_uploads").inc()
+        metrics.counter(counter).inc()
     return {
         "ok": True,
         "digest": digest,
@@ -306,7 +223,7 @@ def store_checkpoint_request(
 
 def _resolve_resume_checkpoints(
     specs: Sequence[Any],
-    checkpoint_cache: Optional[CheckpointCache],
+    checkpoint_cache: Optional[ContentStore],
     workers: int,
     metrics: Optional[MetricsRegistry] = None,
 ) -> None:
@@ -344,8 +261,8 @@ def _resolve_resume_checkpoints(
 def run_shard_request(
     body: Dict[str, Any],
     metrics: Optional[MetricsRegistry] = None,
-    spec_cache: Optional[SpecCache] = None,
-    checkpoint_cache: Optional[CheckpointCache] = None,
+    spec_cache: Optional[ContentStore] = None,
+    checkpoint_cache: Optional[ContentStore] = None,
 ) -> Dict[str, Any]:
     """Execute one ``POST /run`` body and return the report wire form.
 
@@ -361,7 +278,7 @@ def run_shard_request(
     # imported lazily so `--help` and handler import stay instant
     from ..scenarios.regression import RegressionRunner, ScenarioSpec
 
-    body = _checked_body(body)
+    body = checked_envelope(body)
     shard = body.get("shard")
     if not isinstance(shard, dict) or not ("specs" in shard or "fingerprint" in shard):
         raise WorkerError(
@@ -415,115 +332,20 @@ def run_shard_request(
     return doc
 
 
-class _ShardRequestHandler(BaseHTTPRequestHandler):
-    """HTTP plumbing around the pure request handlers."""
+class _WorkerState:
+    """One worker daemon's caches and counters, plus its route table."""
 
-    server_version = "repro-worker/1"
-    protocol_version = "HTTP/1.1"
-
-    def _respond(self, status: int, doc: Dict[str, Any]) -> None:
-        payload = json.dumps(doc, sort_keys=True).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def _authorized(self) -> bool:
-        """Bearer-token check for POST endpoints (GET probes stay open)."""
-        token = self.server.token
-        if not token:
-            return True
-        if self.headers.get("Authorization") == f"Bearer {token}":
-            return True
-        self._respond(
-            401, {"error": "missing or invalid bearer token (worker has --token)"}
-        )
-        return False
-
-    def do_GET(self) -> None:  # noqa: N802 -- http.server API
-        """Health probe and metrics export."""
-        if self.path == "/metrics":
-            self._respond(
-                200, {"ok": True, "metrics": self.server.metrics.to_json()}
-            )
-            return
-        if self.path not in ("/", "/healthz"):
-            self._respond(404, {"error": f"unknown path {self.path!r}"})
-            return
-        self._respond(200, self.server.health_doc())
-
-    def do_POST(self) -> None:  # noqa: N802 -- http.server API
-        """Run one shard (or store one spec/checkpoint upload), answer JSON."""
-        if self.path not in ("/run", "/specs", "/checkpoints"):
-            self._respond(404, {"error": f"unknown path {self.path!r}"})
-            return
-        if not self._authorized():
-            return
-        try:
-            length = int(self.headers.get("Content-Length", 0))
-            body = json.loads(self.rfile.read(length))
-        except (TypeError, ValueError) as exc:
-            self._respond(400, {"error": f"unparseable request body: {exc}"})
-            return
-        try:
-            if self.path == "/specs":
-                doc = store_specs_request(
-                    body, self.server.spec_cache, metrics=self.server.metrics
-                )
-            elif self.path == "/checkpoints":
-                doc = store_checkpoint_request(
-                    body,
-                    self.server.checkpoint_cache,
-                    metrics=self.server.metrics,
-                )
-            else:
-                doc = run_shard_request(
-                    body,
-                    metrics=self.server.metrics,
-                    spec_cache=self.server.spec_cache,
-                    checkpoint_cache=self.server.checkpoint_cache,
-                )
-        except UnknownFingerprintError as exc:
-            self._respond(404, {"error": str(exc)})
-            return
-        except WorkerError as exc:
-            self._respond(400, {"error": str(exc)})
-            return
-        except Exception as exc:  # noqa: BLE001 -- crash maps to 500, daemon survives
-            self._respond(
-                500, {"error": f"shard run crashed: {type(exc).__name__}: {exc}"}
-            )
-            return
-        if self.path == "/run":
-            self.server.shards_served += 1
-        self._respond(200, doc)
-
-    def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-        """Request log to stderr; stdout carries only the ready line."""
-        sys.stderr.write(
-            f"repro-worker {self.address_string()} {format % args}\n"
-        )
-
-
-class _WorkerServer(ThreadingHTTPServer):
-    """Threading server so health probes answer while a shard runs."""
-
-    daemon_threads = True
-
-    def __init__(self, address, handler, token: Optional[str] = None):
-        super().__init__(address, handler)
+    def __init__(self) -> None:
         self.shards_served = 0
-        self.token = token
-        self.spec_cache = SpecCache()
-        self.checkpoint_cache = CheckpointCache()
+        self.spec_cache = make_spec_cache()
+        self.checkpoint_cache = make_checkpoint_cache()
         self.started_monotonic = time.monotonic()
         # the daemon's own registry (not the process-global OBS one):
         # an in-process worker embedded by tests must not leak its
         # counters into -- or read them from -- the embedding run
         self.metrics = MetricsRegistry(enabled=True)
 
-    def health_doc(self) -> Dict[str, Any]:
+    def health_doc(self, body: Dict[str, Any]) -> Dict[str, Any]:
         """The ``GET /healthz`` body: liveness plus serving facts."""
         from ..psl.compiled import compile_cache_stats, default_engine
 
@@ -539,6 +361,44 @@ class _WorkerServer(ThreadingHTTPServer):
             "psl_engine": default_engine(),
             "compile_cache": compile_cache_stats(),
         }
+
+    def run(self, body: Dict[str, Any]) -> Dict[str, Any]:
+        """``POST /run``: one shard, counted once it answered."""
+        doc = run_shard_request(
+            body,
+            metrics=self.metrics,
+            spec_cache=self.spec_cache,
+            checkpoint_cache=self.checkpoint_cache,
+        )
+        self.shards_served += 1
+        return doc
+
+    def routes(self) -> Dict[Any, Any]:
+        """The worker's route table over the shared service base."""
+        return {
+            ("GET", "/"): self.health_doc,
+            ("GET", "/healthz"): self.health_doc,
+            ("GET", "/metrics"): lambda body: {
+                "ok": True,
+                "metrics": self.metrics.to_json(),
+            },
+            ("POST", "/run"): self.run,
+            ("POST", "/specs"): lambda body: store_specs_request(
+                body, self.spec_cache, metrics=self.metrics
+            ),
+            ("POST", "/checkpoints"): lambda body: store_checkpoint_request(
+                body, self.checkpoint_cache, metrics=self.metrics
+            ),
+        }
+
+
+def worker_service(
+    host: str = "127.0.0.1", port: int = 0, token: Optional[str] = None
+) -> JsonService:
+    """Bind one worker daemon (not yet serving)."""
+    return JsonService(
+        (host, port), "repro-worker", _WorkerState().routes(), token=token
+    )
 
 
 class _CoordinatorLink(threading.Thread):
@@ -570,30 +430,16 @@ class _CoordinatorLink(threading.Thread):
         self.registrations = 0
         self.heartbeats = 0
 
-    def _post(self, path: str, doc: Dict[str, Any]) -> int:
-        headers = {"Content-Type": "application/json"}
-        if self.token:
-            headers["Authorization"] = f"Bearer {self.token}"
-        request = urllib.request.Request(
-            f"{self.coordinator}{path}",
-            data=json.dumps(doc, sort_keys=True).encode("utf-8"),
-            headers=headers,
-            method="POST",
-        )
-        try:
-            with urllib.request.urlopen(request, timeout=10.0) as response:
-                response.read()
-                return response.status
-        except urllib.error.HTTPError as exc:
-            return exc.code
-
     def _announce(self, path: str) -> int:
         doc = {
             "version": WIRE_VERSION,
             "address": self.advertise,
             "worker_version": __version__,
         }
-        return self._post(path, doc)
+        status, _ = http_request(
+            f"{self.coordinator}{path}", encode(doc), self.token, timeout=10.0
+        )
+        return status
 
     def run(self) -> None:
         """Register, then heartbeat until :meth:`stop` (daemon thread)."""
@@ -628,32 +474,13 @@ class _CoordinatorLink(threading.Thread):
             pass
 
 
-@dataclass
-class WorkerHandle:
+class WorkerHandle(ServiceHandle):
     """An in-process worker daemon (tests, benchmarks, examples)."""
 
-    server: _WorkerServer
-    thread: threading.Thread
-    link: Optional[_CoordinatorLink] = None
-
     @property
-    def port(self) -> int:
-        """The actually-bound TCP port (resolved when port 0 was asked)."""
-        return self.server.server_address[1]
-
-    @property
-    def address(self) -> str:
-        """``host:port`` as :class:`~.http_host.HttpHost` wants it."""
-        host = self.server.server_address[0]
-        return f"{host}:{self.port}"
-
-    def stop(self) -> None:
-        """Shut the server down and join its serving thread."""
-        if self.link is not None:
-            self.link.stop()
-        self.server.shutdown()
-        self.thread.join(timeout=10)
-        self.server.server_close()
+    def link(self) -> Optional[_CoordinatorLink]:
+        """The coordinator heartbeat loop, when one was asked for."""
+        return self.companions[0] if self.companions else None
 
 
 def start_worker(
@@ -667,25 +494,22 @@ def start_worker(
 
     ``coordinator`` points at a coordinator daemon to self-register
     with (heartbeating every ``heartbeat`` seconds); ``token`` both
-    guards this worker's POST endpoints and authenticates toward the
+    guards this worker's endpoints and authenticates toward the
     coordinator -- one shared secret across the fleet.
     """
-    server = _WorkerServer((host, port), _ShardRequestHandler, token=token)
-    thread = threading.Thread(
-        target=server.serve_forever, name="repro-worker", daemon=True
-    )
-    thread.start()
-    link = None
+    server = worker_service(host, port, token)
+    links = []
     if coordinator:
-        bound_host = server.server_address[0]
-        link = _CoordinatorLink(
-            coordinator,
-            f"{bound_host}:{server.server_address[1]}",
-            token,
-            interval=heartbeat,
+        bound_host, bound_port = server.server_address[:2]
+        links.append(
+            _CoordinatorLink(
+                coordinator, f"{bound_host}:{bound_port}", token, heartbeat
+            )
         )
+    handle = WorkerHandle(server, *links)
+    for link in links:
         link.start()
-    return WorkerHandle(server=server, thread=thread, link=link)
+    return handle
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -711,8 +535,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--token",
         default=None,
-        help="shared fleet secret: refuse POSTs without this bearer "
-        "token, and present it to --coordinator",
+        help="shared fleet secret: refuse every endpoint but /healthz "
+        "without this bearer token, and present it to --coordinator",
     )
     parser.add_argument(
         "--coordinator",
@@ -738,31 +562,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     options = parser.parse_args(argv)
     route_warnings_to_stderr()
-    server = _WorkerServer(
-        (options.host, options.port), _ShardRequestHandler, token=options.token
-    )
+    server = worker_service(options.host, options.port, options.token)
     bound_host, bound_port = server.server_address[:2]
-    link = None
+    links = []
     if options.coordinator:
-        link = _CoordinatorLink(
-            options.coordinator,
-            options.advertise or f"{bound_host}:{bound_port}",
-            options.token,
-            interval=options.heartbeat,
+        links.append(
+            _CoordinatorLink(
+                options.coordinator,
+                options.advertise or f"{bound_host}:{bound_port}",
+                options.token,
+                interval=options.heartbeat,
+            )
         )
+    for link in links:
         link.start()
-    # the one stdout line: parents spawning `--port 0` parse it
-    print(f"repro-worker listening on http://{bound_host}:{bound_port}", flush=True)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        if link is not None:
-            link.stop()
-        server.server_close()
-    return 0
-
+    return serve_main(server, *links)
 
 if __name__ == "__main__":
     sys.exit(main())

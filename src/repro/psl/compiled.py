@@ -38,8 +38,8 @@ hit/miss counts are surfaced through ``OBS.metrics`` as
 :func:`compile_cache_stats` for the worker ``/healthz`` endpoint.
 
 :func:`compile_properties` is the public construction path for *all*
-monitors (both engines); direct ``Monitor`` subclass instantiation is
-deprecated outside this package.
+monitors (both engines); the ``lint.monitor-construction`` repo rule
+flags direct ``Monitor`` subclass instantiation outside this package.
 """
 
 from __future__ import annotations
@@ -85,7 +85,6 @@ from .monitor import (
     SereTracker,
     _as_sere,
     _consequent_is_strong,
-    _sanctioned_construction,
     build_monitor,
     derivatives,
     history_depth,
@@ -1146,8 +1145,7 @@ def _build_plan(
             return plan
 
     def interpreted_plan() -> Monitor:
-        with _sanctioned_construction():
-            return build_monitor(directive)
+        return build_monitor(directive)
 
     return interpreted_plan
 

@@ -29,9 +29,6 @@ Two implementation strategies:
 
 from __future__ import annotations
 
-import threading
-import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass
 from time import perf_counter as _perf_counter
 from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
@@ -322,27 +319,6 @@ class MonitorReport:
         return text
 
 
-#: Thread-local nesting depth of sanctioned monitor construction.
-#: Non-zero inside :func:`build_monitor` / ``compile_properties``;
-#: zero depth at ``Monitor.__init__`` means a direct instantiation,
-#: which is deprecated (mirroring the DesignFlow -> Workbench shim).
-_SANCTION = threading.local()
-
-
-def _sanction_depth() -> int:
-    return getattr(_SANCTION, "depth", 0)
-
-
-@contextmanager
-def _sanctioned_construction():
-    """Mark monitor construction as coming from a blessed factory."""
-    _SANCTION.depth = _sanction_depth() + 1
-    try:
-        yield
-    finally:
-        _SANCTION.depth -= 1
-
-
 class Monitor:
     """Base class: consume letters, maintain a verdict."""
 
@@ -359,13 +335,6 @@ class Monitor:
     is_cover = False
 
     def __init__(self, name: str, report: str = ""):
-        if _sanction_depth() == 0:
-            warnings.warn(
-                "direct Monitor construction is deprecated; build monitors "
-                "through repro.psl.compile_properties()",
-                DeprecationWarning,
-                stacklevel=3,
-            )
         self.name = name
         self.report_message = report
         self.cycle = -1
@@ -888,21 +857,20 @@ def build_monitor(
         formula = source
         name = name or "property"
 
-    with _sanctioned_construction():
-        if kind == DirectiveKind.COVER:
-            target = formula
-            if isinstance(target, FlEventually):
-                target = target.operand
-            if isinstance(target, FlSere):
-                return CoverMonitor(target.sere, name=name, report=report)
-            if isinstance(target, FlBool):
-                return CoverMonitor(SereBool(target.expr), name=name, report=report)
-            return ReplayMonitor(formula, name=name, report=report)
-
-        monitor = _match_incremental(formula, name, report)
-        if monitor is not None:
-            return monitor
+    if kind == DirectiveKind.COVER:
+        target = formula
+        if isinstance(target, FlEventually):
+            target = target.operand
+        if isinstance(target, FlSere):
+            return CoverMonitor(target.sere, name=name, report=report)
+        if isinstance(target, FlBool):
+            return CoverMonitor(SereBool(target.expr), name=name, report=report)
         return ReplayMonitor(formula, name=name, report=report)
+
+    monitor = _match_incremental(formula, name, report)
+    if monitor is not None:
+        return monitor
+    return ReplayMonitor(formula, name=name, report=report)
 
 
 def _match_incremental(

@@ -41,25 +41,6 @@ from .regression import (
     build_specs,
     run_scenario,
 )
-
-
-def __getattr__(name: str):
-    # deprecation shim: the runner moved behind the Workbench session
-    # API; the old import keeps working but warns
-    if name == "RegressionRunner":
-        import warnings
-
-        warnings.warn(
-            "repro.scenarios.RegressionRunner is deprecated; use "
-            "repro.workbench.Workbench.regress() (or import it from "
-            "repro.scenarios.regression directly)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from .regression import RegressionRunner
-
-        return RegressionRunner
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 from .scoreboard import (
     AsmLockstep,
     DivergenceKind,
@@ -103,7 +84,6 @@ __all__ = [
     "ScenarioRng",
     "derive_seed",
     "RegressionReport",
-    "RegressionRunner",
     "ScenarioSpec",
     "ScenarioVerdict",
     "build_specs",

@@ -41,7 +41,6 @@ from .registry import (
 )
 from .session import Workbench
 from .stages import (
-    ModelCheckingReport,
     SessionReport,
     SimulationReport,
     StageResult,
@@ -67,7 +66,6 @@ __all__ = [
     "default_registry",
     "register_model",
     "Workbench",
-    "ModelCheckingReport",
     "SessionReport",
     "SimulationReport",
     "StageResult",

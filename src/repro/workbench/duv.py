@@ -9,8 +9,7 @@ re-plumbing factories into every entry point.
 
 Case studies register their bundles with the
 :class:`~.registry.ModelRegistry` (see ``repro.models.*.duv``); ad-hoc
-designs -- the deprecated :class:`repro.flow.DesignFlow` path, tests,
-notebooks -- build a :class:`DUV` directly.
+designs -- tests, notebooks -- build a :class:`DUV` directly.
 """
 
 from __future__ import annotations
@@ -109,7 +108,7 @@ class CoverageResidue:
 def _as_directives(
     directives: Sequence[Directive | Property],
 ) -> Tuple[Directive, ...]:
-    """Bare properties become ASSERT directives (DesignFlow's rule)."""
+    """Bare properties become ASSERT directives."""
     return tuple(
         d if isinstance(d, Directive) else Directive(DirectiveKind.ASSERT, d)
         for d in directives

@@ -132,7 +132,6 @@ class ShardedEngine:
         hosts: Optional[Any] = None,
         max_attempts: Optional[int] = None,
         workers_per_shard: Optional[int] = None,
-        schedule: str = "stealing",
     ):
         if shards < 1:
             raise ValueError(f"shard count must be >= 1, got {shards}")
@@ -141,7 +140,6 @@ class ShardedEngine:
         self.hosts = hosts
         self.max_attempts = max_attempts
         self.workers_per_shard = workers_per_shard
-        self.schedule = schedule
         self.last_outcome: Optional[Any] = None
 
     def imap(
@@ -168,7 +166,6 @@ class ShardedEngine:
             hosts=self.hosts,
             max_attempts=self.max_attempts,
             workers_per_shard=self.workers_per_shard,
-            schedule=self.schedule,
         )
         outcome = dispatcher.run()
         self.last_outcome = outcome

@@ -502,7 +502,7 @@ class Workbench:
     def _dispatch_facts(self, outcome: Any, stage: str) -> Dict[str, Any]:
         """Run facts for one finished dispatch (metrics-side only).
 
-        Everything here -- schedule, per-host loads, the per-host
+        Everything here -- per-host loads, the per-host
         failure-kind counters, duplicate completions -- describes *how*
         the fan-out ran, never *what* it verified, so it rides in stage
         ``metrics`` and stays outside the session digest.  When the
@@ -513,7 +513,6 @@ class Workbench:
             "shards": len(outcome.runs),
             "hosts": list(outcome.hosts),
             "retries": outcome.retries,
-            "schedule": outcome.schedule,
             "duplicates": outcome.duplicates,
             "host_loads": outcome.host_loads(),
             "failures": outcome.failure_counts(),

@@ -7,9 +7,7 @@ fan-out facts live in ``metrics`` and never enter a digest.  A
 stable session digest -- byte-identical for the same DUV, seeds and
 stage options regardless of worker count or machine speed.
 
-The legacy flow-report dataclasses (:class:`ModelCheckingReport`,
-:class:`SimulationReport`) now live here; ``repro.flow.pipeline``
-re-exports them unchanged.
+:class:`SimulationReport` is the ABV stage's typed payload.
 """
 
 from __future__ import annotations
@@ -19,10 +17,6 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
-
-from ..explorer.engine import ExplorationResult
-from ..explorer.liveness import LivenessResult
-from ..explorer.rules import RuleFinding
 
 
 class StageStatus(enum.Enum):
@@ -147,33 +141,9 @@ class SessionReport:
         return doc
 
 
-# -- legacy flow-report dataclasses (re-exported by repro.flow) -----------------
-
-
-@dataclass
-class ModelCheckingReport:
-    """Outcome of the flow's formal leg."""
-
-    exploration: ExplorationResult
-    rule_findings: List[RuleFinding] = field(default_factory=list)
-    liveness: List[LivenessResult] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return self.exploration.ok and all(l.holds for l in self.liveness)
-
-    def summary(self) -> str:
-        lines = [self.exploration.summary()]
-        lines.extend(l.summary() for l in self.liveness)
-        warnings = [f for f in self.rule_findings if f.level == "warning"]
-        if warnings:
-            lines.append(f"  ({len(warnings)} modelling-rule warnings)")
-        return "\n".join(lines)
-
-
 @dataclass
 class SimulationReport:
-    """Outcome of the flow's ABV leg."""
+    """Outcome of the ABV simulation stage."""
 
     cycles: int
     wall_seconds: float

@@ -19,9 +19,8 @@ from repro.sysc import Clock, ReportHandler, Signal, Simulator, ns
 
 
 def direct(cls, *args, **kwargs):
-    """Instantiate a monitor class directly, expecting the shim warning."""
-    with pytest.warns(DeprecationWarning, match="direct Monitor construction"):
-        return cls(*args, **kwargs)
+    """Instantiate a monitor class directly (bypassing compile_properties)."""
+    return cls(*args, **kwargs)
 
 
 def make_design():

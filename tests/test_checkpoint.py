@@ -28,13 +28,13 @@ from repro.checkpoint import (
     CheckpointStateError,
     CheckpointVersionError,
     UnknownCheckpointError,
+    checkpoint_store,
     ensure_spill_dir,
     global_registry,
     load_checkpoint,
     reset_global_registry,
     restore_scenario,
     restore_system,
-    save_checkpoint,
     snapshot_scenario_run,
     snapshot_system,
 )
@@ -47,6 +47,7 @@ from repro.scenarios.regression import (
     ScenarioSpec,
     run_scenario,
 )
+from repro.store import atomic_write
 from repro.workbench import SerialEngine, Workbench
 
 CYCLES = 120
@@ -267,22 +268,22 @@ class TestAtomicPersistence:
     ):
         old, new = self._checkpoints()
         path = str(tmp_path / "run.ckpt")
-        save_checkpoint(old, path)
+
+        def save(checkpoint):
+            # what `python -m repro checkpoint --out` does
+            atomic_write(path, checkpoint.to_json())
+
+        save(old)
         with monkeypatch.context() as patch:
             def crash(src, dst):
                 raise OSError("disk went away before rename")
 
             patch.setattr(os, "replace", crash)
             with pytest.raises(OSError, match="went away"):
-                save_checkpoint(new, path)
+                save(new)
         # the old file is intact and no tempfile litter remains
         assert load_checkpoint(path).digest == old.digest
-        leftovers = [
-            name
-            for name in os.listdir(tmp_path)
-            if name.startswith(".checkpoint-")
-        ]
-        assert leftovers == []
+        assert os.listdir(tmp_path) == ["run.ckpt"]
 
     def test_half_written_file_is_rejected_not_restored(self, tmp_path):
         old, _ = self._checkpoints()
@@ -293,14 +294,12 @@ class TestAtomicPersistence:
             load_checkpoint(str(path))
 
     def test_registry_spill_round_trips_across_reset(self, tmp_path):
-        from repro.checkpoint import CheckpointRegistry
-
         old, _ = self._checkpoints()
-        first = CheckpointRegistry(spill_dir=str(tmp_path))
+        first = checkpoint_store(str(tmp_path))
         digest = first.put(old)
         # a second registry over the same directory (= a fresh worker
         # process) resolves the digest purely from disk
-        second = CheckpointRegistry(spill_dir=str(tmp_path))
+        second = checkpoint_store(str(tmp_path))
         assert second.get(digest).digest == digest
         with pytest.raises(UnknownCheckpointError):
             second.get("f" * 64)

@@ -9,6 +9,7 @@ result store with its digest re-verified on the way out.
 """
 
 import json
+import os
 import threading
 import time
 import urllib.error
@@ -26,9 +27,10 @@ from repro.coordinator import (
     Coordinator,
     CoordinatorClient,
     CoordinatorError,
-    ResultStore,
+    StoredReport,
     UnknownFingerprintError,
     WorkerRegistry,
+    report_store,
     start_coordinator,
     store_key,
 )
@@ -39,7 +41,6 @@ from repro.dispatch import (
     plan_shards,
     specs_fingerprint,
 )
-from repro.coordinator.store import ShardStore
 from repro.dispatch.worker import start_worker
 from repro.scenarios.regression import RegressionRunner, ScenarioSpec, build_specs
 from repro.workbench import SerialEngine, Workbench
@@ -80,17 +81,18 @@ class TestResultStore:
     """Persistence with the digest re-verified on every read."""
 
     def test_roundtrip(self, tmp_path, serial_report):
-        store = ResultStore(str(tmp_path))
-        seeds = sorted({s.seed for s in SPECS})
-        store.put(FINGERPRINT, seeds, serial_report)
-        assert store.entries() == 1
-        fetched = store.fetch(FINGERPRINT, seeds)
+        store = report_store(str(tmp_path))
+        seeds = tuple(sorted({s.seed for s in SPECS}))
+        key = store.put(StoredReport(FINGERPRINT, seeds, serial_report))
+        assert key == store_key(FINGERPRINT, seeds)
+        assert len(store) == 1
+        fetched = store.fetch(key)
         assert fetched is not None
-        assert fetched.digest() == serial_report.digest()
+        assert fetched.report.digest() == serial_report.digest()
 
     def test_miss_on_unknown_key(self, tmp_path):
-        store = ResultStore(str(tmp_path))
-        assert store.fetch("feedface00000000", [1, 2]) is None
+        store = report_store(str(tmp_path))
+        assert store.fetch(store_key("feedface00000000", [1, 2])) is None
 
     def test_key_covers_fingerprint_and_seed_set(self):
         assert store_key("abc", [3, 1, 2]) == store_key("abc", [1, 2, 3, 3])
@@ -102,28 +104,28 @@ class TestResultStore:
     ):
         """A stored report whose content no longer matches its recorded
         digest must never be served: the entry is removed and counted."""
-        store = ResultStore(str(tmp_path))
-        seeds = sorted({s.seed for s in SPECS})
-        path = store.put(FINGERPRINT, seeds, serial_report)
+        store = report_store(str(tmp_path))
+        seeds = tuple(sorted({s.seed for s in SPECS}))
+        key = store.put(StoredReport(FINGERPRINT, seeds, serial_report))
+        path = os.path.join(str(tmp_path), f"{key}.json")
         with open(path) as handle:
             doc = json.load(handle)
         doc["report"]["verdicts"][0]["stream_digest"] = "0" * 16
         with open(path, "w") as handle:
             json.dump(doc, handle)
-        assert store.fetch(FINGERPRINT, seeds) is None
+        assert store.fetch(key) is None
         assert store.corruptions == 1
-        assert store.entries() == 0
+        assert len(store) == 0
         # and the miss re-runs cleanly: a fresh put serves again
-        store.put(FINGERPRINT, seeds, serial_report)
-        assert store.fetch(FINGERPRINT, seeds).digest() == serial_report.digest()
+        store.put(StoredReport(FINGERPRINT, seeds, serial_report))
+        assert store.fetch(key).report.digest() == serial_report.digest()
 
     def test_unparseable_entry_reads_as_miss(self, tmp_path, serial_report):
-        store = ResultStore(str(tmp_path))
-        seeds = [1]
-        path = store.put(FINGERPRINT, seeds, serial_report)
-        with open(path, "w") as handle:
+        store = report_store(str(tmp_path))
+        key = store.put(StoredReport(FINGERPRINT, (1,), serial_report))
+        with open(os.path.join(str(tmp_path), f"{key}.json"), "w") as handle:
             handle.write("not json at all")
-        assert store.fetch(FINGERPRINT, seeds) is None
+        assert store.fetch(key) is None
         assert store.corruptions == 1
 
 
@@ -133,20 +135,22 @@ class TestShardStore:
     def test_roundtrip_geometry_keying_and_prune(
         self, tmp_path, serial_report
     ):
-        store = ShardStore(str(tmp_path))
-        seeds = sorted({s.seed for s in SPECS})
-        store.put_shard(FINGERPRINT, seeds, 0, 4, serial_report)
-        store.put_shard(FINGERPRINT, seeds, 2, 4, serial_report)
-        assert store.entries() == 2
-        fetched = store.fetch_shard(FINGERPRINT, seeds, 0, 4)
+        store = report_store(str(tmp_path))
+        seeds = tuple(sorted({s.seed for s in SPECS}))
+        for index in (0, 2):
+            store.put(StoredReport(FINGERPRINT, seeds, serial_report, (index, 4)))
+        assert len(store) == 2
+        fetched = store.fetch(store_key(FINGERPRINT, seeds, (0, 4)))
         assert fetched is not None
-        assert fetched.digest() == serial_report.digest()
+        assert fetched.report.digest() == serial_report.digest()
         # the plan geometry is part of the key: the same index under a
         # different split, or a never-completed index, reads as a miss
-        assert store.fetch_shard(FINGERPRINT, seeds, 0, 2) is None
-        assert store.fetch_shard(FINGERPRINT, seeds, 1, 4) is None
-        assert store.prune(FINGERPRINT, seeds) == 2
-        assert store.entries() == 0
+        assert store.fetch(store_key(FINGERPRINT, seeds, (0, 2))) is None
+        assert store.fetch(store_key(FINGERPRINT, seeds, (1, 4))) is None
+        # a finished job discards its plan's shard keys
+        for index in range(4):
+            store.discard(store_key(FINGERPRINT, seeds, (index, 4)))
+        assert len(store) == 0
 
     def test_tampered_shard_reads_as_miss_and_is_dropped(
         self, tmp_path, serial_report
@@ -154,17 +158,18 @@ class TestShardStore:
         """A resume must never trust a rotted checkpoint: the digest is
         re-verified on read, the bad entry removed and counted, and the
         shard simply re-runs as a miss."""
-        store = ShardStore(str(tmp_path))
-        seeds = [1, 2]
-        path = store.put_shard(FINGERPRINT, seeds, 1, 3, serial_report)
+        store = report_store(str(tmp_path))
+        seeds = (1, 2)
+        key = store.put(StoredReport(FINGERPRINT, seeds, serial_report, (1, 3)))
+        path = os.path.join(str(tmp_path), f"{key}.json")
         with open(path) as handle:
             doc = json.load(handle)
         doc["report"]["verdicts"][0]["stream_digest"] = "0" * 16
         with open(path, "w") as handle:
             json.dump(doc, handle)
-        assert store.fetch_shard(FINGERPRINT, seeds, 1, 3) is None
+        assert store.fetch(key) is None
         assert store.corruptions == 1
-        assert store.entries() == 0
+        assert len(store) == 0
 
 
 @pytest.fixture()
@@ -291,6 +296,36 @@ class TestAuth:
         finally:
             handle.stop()
 
+    def test_worker_metrics_need_the_token(self):
+        """``/metrics`` is gated like every route but ``/healthz``, and a
+        token-carrying host still pulls it into the fleet aggregate."""
+        from repro.dispatch import HttpHost
+        from repro.obs import disable, enable_metrics
+        from repro.workbench import default_registry
+
+        handle = start_worker(token="fleet-secret")
+        try:
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(
+                    f"http://{handle.address}/metrics", timeout=5
+                )
+            assert excinfo.value.code == 401
+            enable_metrics()
+            try:
+                bench = Workbench(default_registry().get("pci"), seed=2005)
+                bench.regress(
+                    scenarios=2,
+                    cycles=60,
+                    hosts=[HttpHost(handle.address, token="fleet-secret")],
+                )
+                report = bench.report()
+            finally:
+                disable()
+        finally:
+            handle.stop()
+        fleet = report.observability["fleet_metrics"]
+        assert fleet[0]["aggregate"]["counters"]["worker.scenarios_run"] == 2
+
     def test_coordinator_gates_everything_but_healthz(self, tmp_path):
         handle = start_coordinator(
             store_path=str(tmp_path), token="fleet-secret"
@@ -357,9 +392,7 @@ class TestElasticService:
             stale_after=60.0,
             host_factory=lambda address, token: hosts[address],
         )
-        return Coordinator(
-            store=ResultStore(str(tmp_path)), registry=registry, **kwargs
-        )
+        return Coordinator(str(tmp_path), registry=registry, **kwargs)
 
     def test_churn_mid_job_keeps_the_digest(self, tmp_path, serial_report):
         """Satellite: a worker registers after dispatch starts and
@@ -418,7 +451,7 @@ class TestElasticService:
         runner.join(timeout=60)
         assert not runner.is_alive()
         assert job.status == "failed", (job.status, job.error)
-        resumable = coordinator.shard_store.entries()
+        resumable = len(coordinator.shard_store)
         assert resumable >= 1, "no shard checkpoints written before death"
 
         # a fresh worker joins and the job is resubmitted: checkpointed
@@ -442,7 +475,7 @@ class TestElasticService:
             == resumable
         )
         # the finished job pruned its checkpoints from the shard store
-        assert coordinator.shard_store.entries() == 0
+        assert len(coordinator.shard_store) == 0
 
     def test_repeat_submission_is_served_from_the_store(
         self, tmp_path, serial_report

@@ -8,6 +8,7 @@ through any host kind, and across host failures that get retried.
 import json
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -188,11 +189,30 @@ class _KillFirstSpawn(LocalSubprocessHost):
     def __init__(self, name):
         super().__init__(name)
         self.killed = False
+        self.kill_done = threading.Event()
 
     def _started(self, process):
         if not self.killed:
             self.killed = True
             process.kill()
+            self.kill_done.set()
+
+
+class _AfterKill(LocalSubprocessHost):
+    """Subprocess host that runs nothing until ``flaky`` lost a child.
+
+    Under work stealing this pins the order: whichever shard this host
+    takes first, it blocks, so the flaky host is sure to take (and
+    lose) the other one.
+    """
+
+    def __init__(self, name, flaky):
+        super().__init__(name)
+        self.flaky = flaky
+
+    def run_shard(self, work):
+        self.flaky.kill_done.wait(timeout=60)
+        return super().run_shard(work)
 
 
 class TestSubprocessHosts:
@@ -209,19 +229,18 @@ class TestSubprocessHosts:
     ):
         """The fault-tolerance acceptance: a host dies mid-shard, the
         shard reruns on another host, and the merged digest is exactly
-        the serial one.  Static schedule pins the single shard's first
-        attempt to the flaky host so the kill deterministically fires
-        (the stealing-schedule kill path is covered with HTTP hosts in
-        test_remote_dispatch.py)."""
+        the serial one.  The stable host holds its first shard until
+        the flaky host's child was killed, so the kill deterministically
+        fires on the work-stealing path."""
         flaky = _KillFirstSpawn("flaky")
-        stable = LocalSubprocessHost("stable")
-        outcome = ShardDispatcher(
-            SPECS, shards=1, hosts=[flaky, stable], schedule="static"
-        ).run()
+        stable = _AfterKill("stable", flaky)
+        outcome = ShardDispatcher(SPECS, shards=2, hosts=[flaky, stable]).run()
         assert flaky.killed
         assert outcome.retries == 1
-        assert outcome.runs[0].host == "stable"
-        assert "killed by signal" in outcome.runs[0].failures[0]
+        [retried] = [run for run in outcome.runs if run.retried]
+        # the shard is excluded from the host that failed it
+        assert retried.host == "stable"
+        assert "killed by signal" in retried.failures[0]
         assert outcome.report.digest() == serial_report.digest()
 
     def test_host_failure_reports_unparseable_output(self, tmp_path):
@@ -287,7 +306,6 @@ class TestShardedEngine:
             "shards": 2,
             "hosts": ["a", "b"],
             "retries": 0,
-            "schedule": "stealing",
             "duplicates": 0,
             "failures": {},
         }

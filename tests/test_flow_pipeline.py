@@ -1,10 +1,11 @@
-"""End-to-end tests of the Figure 1 design flow."""
+"""End-to-end tests of the Figure 1 design flow, through the Workbench.
 
-import pytest
+Explore -> liveness -> translate -> ABV simulation on an ad-hoc DUV,
+the same legs ``python -m repro flow`` runs as a plan.
+"""
 
 from repro.asm import AsmModel
 from repro.explorer import ExplorationConfig
-from repro.flow import DesignFlow, LivenessCheck
 from repro.models.master_slave import (
     build_master_slave_model,
     master_slave_domains,
@@ -16,14 +17,15 @@ from repro.models.master_slave import (
 )
 from repro.models.master_slave.properties import served_goal
 from repro.psl import Property, parse_formula
+from repro.workbench import (
+    DUV,
+    LivenessCheck,
+    StageCall,
+    StageStatus,
+    VerificationPlan,
+    Workbench,
+)
 from conftest import BrokenArbiter, ToyArbiter, ToyMaster
-
-
-def design_flow(*args, **kwargs) -> DesignFlow:
-    """Construct the deprecated shim, asserting (not leaking) its
-    warning -- the pytest filterwarnings config errors on a bare one."""
-    with pytest.warns(DeprecationWarning, match="DesignFlow is deprecated"):
-        return DesignFlow(*args, **kwargs)
 
 
 def toy_model_factory(broken: bool = False):
@@ -41,51 +43,68 @@ def toy_model_factory(broken: bool = False):
 MUTEX = Property("mutex", parse_formula("never (m0.m_gnt && m1.m_gnt)"))
 
 
+def toy_duv(broken: bool = False, **kwargs) -> DUV:
+    return DUV(
+        name="toy",
+        model_factory=toy_model_factory(broken),
+        directives=[MUTEX],
+        **kwargs,
+    )
+
+
+#: The Figure 1 legs without the scenario regression (the toy design
+#: has no scenario binding).
+FLOW = VerificationPlan(
+    name="flow",
+    stages=(
+        StageCall.of("explore"),
+        StageCall.of("check_liveness"),
+        StageCall.of("translate"),
+        StageCall.of("simulate_abv", cycles=300),
+    ),
+)
+
+
 class TestModelCheckingLeg:
     def test_pass_on_correct_design(self):
-        flow = design_flow(toy_model_factory(), [MUTEX])
-        report = flow.model_check()
-        assert report.ok
-        assert report.exploration.stats.completed
-        assert "PASS" in report.summary()
+        result = Workbench(toy_duv()).explore()
+        assert result.ok
+        exploration = result.payload["exploration"]
+        assert exploration.stats.completed
+        assert "PASS" in exploration.summary()
 
     def test_fail_with_counterexample_on_broken_design(self):
-        flow = design_flow(toy_model_factory(broken=True), [MUTEX])
-        report = flow.model_check()
-        assert not report.ok
-        assert report.exploration.counterexample is not None
+        result = Workbench(toy_duv(broken=True)).explore()
+        assert result.status is StageStatus.FAILED
+        assert result.payload["exploration"].counterexample is not None
 
     def test_liveness_checks_included(self):
-        model_factory = toy_model_factory()
-
         def m0_req(key):
             return key.value("m0", "m_req") is True
 
         def m0_gnt(key):
             return key.value("m0", "m_gnt") is True
 
-        flow = design_flow(
-            model_factory,
-            [MUTEX],
-            liveness_checks=[LivenessCheck("grant0", m0_req, m0_gnt)],
-        )
-        report = flow.model_check()
-        assert report.liveness and report.liveness[0].holds
+        duv = toy_duv(liveness_checks=(LivenessCheck("grant0", m0_req, m0_gnt),))
+        result = Workbench(duv).check_liveness()
+        assert result.ok
+        assert result.payload["results"][0].holds
 
     def test_rule_findings_reported(self):
-        flow = design_flow(toy_model_factory(), [MUTEX])
-        report = flow.model_check()
+        result = Workbench(toy_duv()).explore()
         # no init action configured -> R2 warning
-        assert any(f.rule == "R2_FSM" for f in report.rule_findings)
+        assert any(f.rule == "R2_FSM" for f in result.payload["rule_findings"])
 
 
 class TestTranslationLeg:
     def test_simulation_report_and_artifacts(self):
-        flow = design_flow(toy_model_factory(), [MUTEX])
-        report, cpp, csharp = flow.translate_and_simulate(cycles=300)
+        workbench = Workbench(toy_duv())
+        report = workbench.simulate_abv(cycles=300).payload["report"]
         assert report.ok
         assert report.cycles >= 299
         assert report.delta_ns_per_cycle > 0
+        translated = workbench.translate().payload
+        cpp, csharp = translated["systemc"], translated["csharp"]
         assert "SC_MODULE(ToyArbiter)" in cpp
         assert "SC_MODULE(ToyMaster)" in cpp
         assert "int sc_main" in cpp
@@ -94,45 +113,44 @@ class TestTranslationLeg:
     def test_monitors_fail_on_broken_design_in_simulation(self):
         from repro.translate import RandomPolicy
 
-        flow = design_flow(toy_model_factory(broken=True), [MUTEX])
-        report, _, _ = flow.translate_and_simulate(
+        result = Workbench(toy_duv(broken=True)).simulate_abv(
             cycles=2000, policy=RandomPolicy(seed=99)
         )
+        report = result.payload["report"]
         assert not report.ok
         assert "mutex" in report.failed_assertions
 
 
 class TestFullFlow:
     def test_run_verified_design(self):
-        flow = design_flow(toy_model_factory(), [MUTEX])
-        report = flow.run(cycles=300)
+        report = Workbench(toy_duv()).run_plan(FLOW)
         assert report.ok
-        assert report.simulation is not None
-        assert report.iterations == 1
+        assert report.stage("simulate_abv").payload["report"].ok
         assert "VERIFIED" in report.summary()
 
     def test_run_stops_before_simulation_on_mc_failure(self):
-        flow = design_flow(toy_model_factory(broken=True), [MUTEX])
-        report = flow.run(cycles=300)
+        report = Workbench(toy_duv(broken=True)).run_plan(FLOW)
         assert not report.ok
-        assert report.simulation is None  # never translated
+        # never translated or simulated
+        assert report.stage("translate").status is StageStatus.SKIPPED
+        assert report.stage("simulate_abv").status is StageStatus.SKIPPED
 
     def test_feedback_loop_iterations(self):
-        """The Figure 1 'Updates Sequence Diagram' edge: on failure the
-        callback repairs the flow and retries."""
+        """The Figure 1 'Updates Sequence Diagram' edge: a failed check
+        hands back its counterexample, the design is repaired, and the
+        flow re-runs on the amended DUV."""
         attempts = []
-
-        flow = design_flow(toy_model_factory(broken=True), [MUTEX])
-
-        def repair(counterexample):
-            attempts.append(counterexample)
-            # repair = swap in the correct design
-            flow.model_factory = toy_model_factory(broken=False)
-            return True
-
-        report = flow.run(cycles=200, max_iterations=3, on_failure=repair)
+        duv = toy_duv(broken=True)
+        for iteration in range(1, 4):
+            report = Workbench(duv).run_plan(FLOW)
+            if report.ok:
+                break
+            attempts.append(
+                report.stage("explore").payload["exploration"].counterexample
+            )
+            duv = toy_duv(broken=False)  # repair = swap in the correct design
         assert report.ok
-        assert report.iterations == 2
+        assert iteration == 2
         assert len(attempts) == 1
         assert attempts[0] is not None  # the counterexample was delivered
 
@@ -140,7 +158,8 @@ class TestFullFlow:
 class TestFlowOnMasterSlave:
     def test_master_slave_flow_end_to_end(self):
         n_masters, n_slaves = 2, 2
-        flow = design_flow(
+        duv = DUV(
+            name="master_slave_adhoc",
             model_factory=lambda: build_master_slave_model(1, 1, n_slaves),
             directives=ms_invariant_properties(n_masters, n_slaves),
             extractor=ms_letter_from_model,
@@ -150,10 +169,12 @@ class TestFlowOnMasterSlave:
                 actions=ms_coarse_actions(n_masters),
                 max_states=5_000,
             ),
-            liveness_checks=[
-                LivenessCheck("served0", want_trigger(0), served_goal(0))
-            ],
+            liveness_checks=(
+                LivenessCheck("served0", want_trigger(0), served_goal(0)),
+            ),
         )
-        checking = flow.model_check()
-        assert checking.ok, checking.summary()
-        assert checking.liveness[0].holds
+        workbench = Workbench(duv)
+        explored = workbench.explore()
+        assert explored.ok, explored.summary
+        liveness = workbench.check_liveness()
+        assert liveness.payload["results"][0].holds

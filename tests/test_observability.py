@@ -356,7 +356,6 @@ class TestCliFlags:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         facts = doc["stages"][0]["metrics"]["dispatch"]
-        assert facts["schedule"] == "stealing"
         assert facts["duplicates"] == 0
         assert sum(facts["host_loads"].values()) == 2
         assert facts["failures"] == {}

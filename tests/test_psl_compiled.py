@@ -32,7 +32,6 @@ from repro.models.pci.properties import (
 )
 from repro.abv import AbvHarness, FailureAction
 from repro.psl import (
-    BooleanInvariantMonitor,
     Verdict,
     compile_properties,
     parse_formula,
@@ -454,9 +453,7 @@ class TestCompileApi:
 
 
 class TestDeprecationShim:
-    def test_direct_construction_warns(self):
-        with pytest.warns(DeprecationWarning, match="direct Monitor construction"):
-            BooleanInvariantMonitor(parse_formula("p").expr, True, "inv")
+    """The construction path emits no warning under either engine."""
 
     def test_compile_properties_does_not_warn(self):
         with warnings.catch_warnings():

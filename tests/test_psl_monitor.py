@@ -29,13 +29,12 @@ def trace(*bits: str) -> list[dict]:
 
 
 def direct(cls, *args, **kwargs):
-    """Instantiate a monitor class directly, expecting the shim warning.
+    """Instantiate a monitor class directly.
 
     These tests exercise the interpreted monitor classes on purpose;
     everything else goes through ``compile_properties``.
     """
-    with pytest.warns(DeprecationWarning, match="direct Monitor construction"):
-        return cls(*args, **kwargs)
+    return cls(*args, **kwargs)
 
 
 class TestDerivatives:

@@ -12,8 +12,10 @@ import socket
 import struct
 import sys
 import threading
+import time
 import urllib.error
 import urllib.request
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import pytest
@@ -37,9 +39,9 @@ from repro.dispatch import (
     shards_for_hosts,
 )
 from repro.dispatch.worker import (
-    CheckpointCache,
     UnknownCheckpointDigestError,
     WorkerError,
+    make_checkpoint_cache,
     run_shard_request,
     start_worker,
     store_checkpoint_request,
@@ -192,7 +194,6 @@ class TestHttpDispatch:
         assert outcome.report.ok
         assert outcome.report.digest() == serial_report.digest()
         assert sum(outcome.host_loads().values()) == shards
-        assert outcome.schedule == "stealing"
 
     def test_workbench_regress_over_http_hosts(self, worker_pair):
         hosts = [HttpHost(w.address) for w in worker_pair]
@@ -200,7 +201,6 @@ class TestHttpDispatch:
         result = workbench.regress(scenarios=4, cycles=120, hosts=hosts)
         assert result.status.name == "PASSED"
         assert result.metrics["engine"] == "sharded"
-        assert result.metrics["dispatch"]["schedule"] == "stealing"
         specs = build_specs(
             models=["master_slave"], count=4, base_seed=2005, cycles=120
         )
@@ -380,7 +380,7 @@ class TestCheckpointTransport:
     def test_store_checkpoint_request_taxonomy(self):
         """The pure request handler: every malformed upload is a typed
         WorkerError (-> 400), a cache miss is the 404-class error."""
-        cache = CheckpointCache()
+        cache = make_checkpoint_cache()
         _, checkpoint, _ = self._resume_setup()
         with pytest.raises(WorkerError, match='"checkpoint" object'):
             store_checkpoint_request({"version": 1}, cache)
@@ -473,10 +473,36 @@ class _SlowHost:
         self._inner = InProcessHost(name)
 
     def run_shard(self, work):
-        import time
-
         time.sleep(self.delay)
         return self._inner.run_shard(work)
+
+
+def _fixed_assignment(specs, shards, hosts):
+    """The baseline work stealing must beat: a fixed-assignment stub.
+
+    Shard ``k`` is pinned to host ``k mod len(hosts)`` up front and
+    each host runs its own shards one after another on one thread (as
+    a dispatcher serving thread does), so a slow host keeps its whole
+    share of the queue.  Returns the merged report and the wall
+    seconds it took.
+    """
+    from repro.dispatch import merge_reports
+
+    live = [shard for shard in plan_shards(specs, shards) if shard.specs]
+
+    def serve(position):
+        host = hosts[position]
+        return [
+            host.run_shard(ShardWork(shard=shard, spec_file=""))
+            for shard in live
+            if shard.index % len(hosts) == position
+        ]
+
+    started = time.perf_counter()
+    with ThreadPoolExecutor(max_workers=len(hosts)) as pool:
+        per_host = list(pool.map(serve, range(len(hosts))))
+    wall = time.perf_counter() - started
+    return merge_reports([r for reports in per_host for r in reports]), wall
 
 
 class TestWorkStealing:
@@ -484,7 +510,7 @@ class TestWorkStealing:
 
     def test_fast_host_steals_the_tail(self, serial_report):
         """With one deliberately slow host, the fast host must complete
-        most of the queue instead of half of it (static round-robin
+        most of the queue instead of half of it (fixed round-robin
         would pin 3 of 6 shards to the slow host)."""
         slow = _SlowHost("slow", delay=0.5)
         fast = InProcessHost("fast")
@@ -493,6 +519,30 @@ class TestWorkStealing:
         loads = outcome.host_loads()
         assert loads["fast"] >= 4, loads
         assert loads["slow"] + loads["fast"] == 6
+
+    def test_stealing_beats_fixed_assignment_under_a_slow_host(self):
+        """The rebalance claim, gated in tier 1: 12 specs in 6 shards
+        over one host slowed by 0.4 s per shard and one fast host.
+        Fixed assignment leaves 3 shards queued on the slow host;
+        stealing must finish sooner, with the fast host completing
+        more than half the shards, and both digests equal serial."""
+        specs = build_specs(count=12, cycles=150)
+        serial = RegressionRunner(specs, engine=SerialEngine()).run().digest()
+        shards = 6
+
+        def hosts():
+            return [_SlowHost("slow", delay=0.4), InProcessHost("fast")]
+
+        fixed, fixed_wall = _fixed_assignment(specs, shards, hosts())
+        stealing = ShardDispatcher(specs, shards=shards, hosts=hosts()).run()
+        assert fixed.digest() == serial
+        assert stealing.report.digest() == serial
+        assert stealing.report.wall_seconds < fixed_wall, (
+            f"stealing {stealing.report.wall_seconds:.2f}s did not beat "
+            f"fixed assignment {fixed_wall:.2f}s"
+        )
+        loads = stealing.host_loads()
+        assert loads["fast"] > shards // 2, loads
 
     def test_single_flaky_host_pool_recovers_via_exclusion_reset(
         self, serial_report
@@ -562,10 +612,6 @@ class TestWorkStealing:
                 shards=2,
                 hosts=[InProcessHost("same"), InProcessHost("same")],
             )
-
-    def test_unknown_schedule_rejected(self):
-        with pytest.raises(ValueError, match="unknown schedule"):
-            ShardDispatcher(SPECS, shards=2, schedule="quantum")
 
     def test_shards_for_hosts_oversubscribes_but_never_exceeds_specs(self):
         assert shards_for_hosts(2, 100) == 4

@@ -1,9 +1,8 @@
-"""The parallel regression runner and its flow-pipeline stage."""
+"""The parallel regression runner and its Figure 1 plan stage."""
 
 import pytest
 
 from repro.asm import AsmModel
-from repro.flow import DesignFlow
 from repro.psl import Property, parse_formula
 from repro.scenarios.regression import (
     MODELS,
@@ -123,10 +122,13 @@ class TestAtScale:
 
 
 class TestFlowStage:
-    """The regression stage rides behind any design's Figure 1 flow;
+    """The regression stage rides behind any design's Figure 1 plan;
     a toy arbiter keeps the formal and ABV legs fast."""
 
     def _flow(self, specs):
+        """Run explore -> ABV simulation (-> regress, given specs)."""
+        from repro.workbench import DUV, StageCall, VerificationPlan, Workbench
+
         def factory() -> AsmModel:
             model = AsmModel("toy")
             ToyMaster(model=model, name="m0")
@@ -136,24 +138,22 @@ class TestFlowStage:
             return model
 
         mutex = Property("mutex", parse_formula("never (m0.m_gnt && m1.m_gnt)"))
-        # the shim's deprecation warning is asserted, never leaked (the
-        # pytest filterwarnings config errors on a bare one)
-        with pytest.warns(DeprecationWarning, match="DesignFlow is deprecated"):
-            return DesignFlow(
-                model_factory=factory,
-                directives=[mutex],
-                scenario_specs=specs,
-                scenario_workers=1,
-            )
+        stages = [StageCall.of("explore"), StageCall.of("simulate_abv", cycles=300)]
+        if specs:
+            stages.append(StageCall.of("regress", specs=tuple(specs), workers=1))
+        duv = DUV(name="toy", model_factory=factory, directives=[mutex])
+        return Workbench(duv).run_plan(
+            VerificationPlan(name="flow", stages=tuple(stages))
+        )
 
     def test_flow_runs_scenario_regression_stage(self):
         specs = build_specs(count=4, cycles=150)
-        report = self._flow(specs).run(cycles=300)
+        report = self._flow(specs)
         assert report.ok
-        assert report.regression is not None
-        assert report.regression.ok
-        assert len(report.regression.verdicts) == 4
-        assert "scenario regression" in report.summary()
+        regression = report.stage("regress").payload["report"]
+        assert regression.ok
+        assert len(regression.verdicts) == 4
+        assert "regress" in report.summary()
 
     def test_flow_fails_when_regression_fails(self):
         specs = [
@@ -162,12 +162,11 @@ class TestFlowStage:
                 fault=FaultPlan("drop", unit=0, nth=1),
             )
         ]
-        report = self._flow(specs).run(cycles=300)
-        assert report.regression is not None
-        assert not report.regression.ok
+        report = self._flow(specs)
+        assert not report.stage("regress").payload["report"].ok
         assert not report.ok
 
     def test_flow_without_specs_skips_stage(self):
-        report = self._flow(()).run(cycles=300)
-        assert report.regression is None
+        report = self._flow(())
+        assert [s.stage for s in report.stages] == ["explore", "simulate_abv"]
         assert report.ok

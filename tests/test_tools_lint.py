@@ -22,6 +22,7 @@ finally:
 
 BUILTIN_RULES = (
     "lint.docstring",
+    "lint.http-plumbing",
     "lint.monitor-construction",
     "lint.wall-clock",
     "lint.wire-parity",
@@ -134,6 +135,26 @@ class TestWireParity:
                "    def from_json(cls, doc):\n"
                "        return cls(doc[\"name\"], doc.get(\"seed\", 0))\n")
         assert run_checks(tmp_path, rules=["lint.wire-parity"]).ok
+
+
+class TestHttpPlumbing:
+    def test_handler_subclass_and_body_read_flagged(self, tmp_path):
+        _plant(tmp_path, "src/repro/daemon.py",
+               "from http.server import BaseHTTPRequestHandler\n\n\n"
+               "class Handler(BaseHTTPRequestHandler):\n"
+               "    def do_POST(self):\n"
+               "        return self.rfile.read(10)\n")
+        report = run_checks(tmp_path, rules=["lint.http-plumbing"])
+        assert sorted(f.line for f in report.unsuppressed()) == [4, 6]
+        assert all("repro/service.py" in f.message for f in report.findings)
+
+    def test_service_module_allowed(self, tmp_path):
+        _plant(tmp_path, "src/repro/service.py",
+               "import http.server\n\n\n"
+               "class Handler(http.server.BaseHTTPRequestHandler):\n"
+               "    def do_POST(self):\n"
+               "        return self.rfile.read(10)\n")
+        assert run_checks(tmp_path, rules=["lint.http-plumbing"]).ok
 
 
 class TestEntryPoints:

@@ -2,8 +2,7 @@
 
 Covers the DUV registry, the typed stages, plan execution with
 failure/error propagation, the coverage-residue export and its
-regression bias, the pluggable engines, and the deprecation shims the
-old entry points now live behind.
+regression bias and the pluggable engines.
 """
 
 import json
@@ -356,28 +355,3 @@ class TestEngines:
         assert result.metrics["engine"] == "serial"
         assert result.metrics["workers"] == 1
 
-
-class TestDeprecationShims:
-    def test_design_flow_warns_but_works(self):
-        from repro.flow import DesignFlow
-
-        with pytest.warns(DeprecationWarning, match="Workbench"):
-            flow = DesignFlow(toy_factory(), [MUTEX])
-        report = flow.model_check()
-        assert report.ok
-
-    def test_scenarios_regression_runner_warns_and_resolves(self):
-        import repro.scenarios
-        from repro.scenarios.regression import RegressionRunner as real
-
-        with pytest.warns(DeprecationWarning, match="RegressionRunner"):
-            shimmed = repro.scenarios.RegressionRunner
-        assert shimmed is real
-
-    def test_flow_report_types_still_importable(self):
-        from repro.flow import (  # noqa: F401
-            FlowReport,
-            LivenessCheck,
-            ModelCheckingReport,
-            SimulationReport,
-        )

@@ -3,8 +3,8 @@
 ``lint.monitor-construction``
     PR 8 made :func:`repro.psl.compile_properties` the single monitor
     construction API; direct ``Monitor`` subclass instantiation
-    outside ``src/repro/psl/`` bypasses the engine selection, the
-    shared-automaton cache and the deprecation shim.
+    outside ``src/repro/psl/`` bypasses the engine selection and the
+    shared-automaton cache.
 ``lint.wall-clock``
     Digest-bearing code must not read the wall clock: ``time.time``,
     ``time.localtime``/``ctime`` and ``datetime.now``/``utcnow``/
@@ -15,6 +15,12 @@
     fields it writes: ``from_json`` consuming a key ``to_json`` never
     emits is a wire-contract break that serial/sharded/remote
     equivalence tests would hit only on the failing path.
+``lint.http-plumbing``
+    Both daemons are route tables over :mod:`repro.service`, which
+    owns the one request handler, body reader, auth check and error
+    mapping.  A ``BaseHTTPRequestHandler`` subclass or an
+    ``rfile.read`` anywhere else under ``src/repro`` is a second copy
+    of that plumbing (and of its hardening).
 
 All checks walk the AST of ``src/repro`` -- tests and benchmarks are
 free to construct monitors or read clocks directly.
@@ -265,4 +271,47 @@ def lint_wire_parity(root: Path) -> List[Finding]:
                             f"that {node.name}.to_json never writes"
                         ),
                     ))
+    return findings
+
+
+@register(
+    "lint.http-plumbing",
+    "HTTP handlers and body reads live only in repro/service.py",
+)
+def lint_http_plumbing(root: Path) -> List[Finding]:
+    """Flag request-handler classes and body reads outside the service base."""
+    service = (root / "src" / "repro" / "service.py").resolve()
+    findings: List[Finding] = []
+    for path in _source_files(root):
+        if path.resolve() == service:
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            flagged: Optional[str] = None
+            if isinstance(node, ast.ClassDef) and any(
+                (base.id if isinstance(base, ast.Name) else
+                 base.attr if isinstance(base, ast.Attribute) else None)
+                == "BaseHTTPRequestHandler"
+                for base in node.bases
+            ):
+                flagged = f"class {node.name}(BaseHTTPRequestHandler)"
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "read"
+                and isinstance(node.func.value, ast.Attribute)
+                and node.func.value.attr == "rfile"
+            ):
+                flagged = "rfile.read(...)"
+            if flagged is not None:
+                findings.append(Finding(
+                    rule="lint.http-plumbing",
+                    severity="error",
+                    path=repo_relative(path, root),
+                    line=node.lineno,
+                    message=(
+                        f"{flagged} outside repro/service.py duplicates the "
+                        f"shared JSON service base; add a route instead"
+                    ),
+                ))
     return findings

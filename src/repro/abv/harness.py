@@ -1,10 +1,26 @@
 """The assertion-based verification harness.
 
 Binds compiled PSL monitors to a running simulation (paper Section
-3.2).  Monitors sample the design on the clock's *negative* edge so
-every posedge-triggered write has committed -- the standard opposite-
-edge sampling discipline.  On a failure, the harness executes the
-monitor's configured actions, which are exactly the paper's three:
+3.2).  Monitors see the design as it stands on the clock's *negative*
+edge, after every posedge-triggered write has committed -- the
+standard opposite-edge sampling discipline.  They read it earlier,
+though: when nothing can run between the edges, the state at the end
+of the rising edge's instant *is* the negedge state, so the clock
+driver arms a kernel settle observer on each rising edge and the
+harness samples there (time and clock level shown as at the negedge).
+No sampler process wakes and the clock keeps folding its low phase,
+so a monitored run costs the kernel exactly what a plain one does.
+
+The harness falls back to a negedge thread, placed where the old
+sampler thread sat, when another process waits on the clock's negedge
+or value change or a binding uses WARN (its write must land at the
+negedge), or the clock starts low.  A timed event due between a
+rising edge and its negedge raises :class:`SettleHazardError` rather
+than sample the wrong state.  A sample whose negedge falls past a
+``run()`` deadline is owed to the next run.
+
+On a failure, the harness executes the monitor's configured actions,
+which are exactly the paper's three:
 
 1. "stop the simulation when the assertion is fired",
 2. "write a report about the assertion status and all its variables",
@@ -23,10 +39,17 @@ from ..psl.letter import freeze_letter
 from ..psl.monitor import Monitor, MonitorReport
 from ..psl.semantics import Verdict
 from ..sysc.clock import Clock
-from ..sysc.errors import SimulationStopped
+from ..sysc.errors import SimulationStopped, SyscError
 from ..sysc.kernel import Simulator
+from ..sysc.process_ import ThreadProcess
 from ..sysc.report import ReportHandler, Severity
 from ..sysc.signal import Signal
+from ..sysc.time_ import format_time
+
+
+class SettleHazardError(SyscError):
+    """A timed event falls between a rising edge and its negedge, so the
+    settled posedge state may not be the state the negedge would see."""
 
 
 class FailureAction(enum.Enum):
@@ -78,9 +101,14 @@ class AbvHarness:
         #: rebuilt when bindings change or a bound set splits
         self._plan: Optional[tuple] = None
         self._plan_generation = -1
-        simulator.register_process(
-            _make_sampler(self)
-        )
+        #: True while sampling at settle; the negedge thread is parked
+        self._settling = False
+        self._thread = _SamplerThread(self)
+        simulator.register_process(self._thread)
+        if simulator._initialized:
+            self._thread.make_static_sensitive()
+            if not self._thread.dont_initialize:
+                simulator._make_runnable(self._thread)
 
     # -- construction ----------------------------------------------------------
 
@@ -97,6 +125,10 @@ class AbvHarness:
         )
         self.bindings.append(binding)
         self._plan = None
+        if self._settling and FailureAction.WARN in binding.actions:
+            # creating the negedge event hands every settle sampler of
+            # this clock back to its thread (Clock._low_phase_observed)
+            self.clock.negedge_event
         return binding
 
     def add_monitors(
@@ -126,7 +158,96 @@ class AbvHarness:
         monitors = compile_properties(sources, bindings=bindings, engine=engine)
         return self.add_monitors(monitors, actions)
 
-    # -- the sampling step (called from the internal process) ---------------------
+    # -- choosing where to sample -------------------------------------------------
+
+    def _choose_sampling(self) -> None:
+        """Elaboration end: settle sampling unless a fallback rule holds."""
+        clock = self.clock
+        if (
+            clock._negedge is None
+            and clock._value_changed is None
+            and clock.posedge_first
+            and not any(FailureAction.WARN in b.actions for b in self.bindings)
+        ):
+            self._settling = True
+            self._thread.dont_initialize = True
+            clock._settle_samplers.append(self)
+
+    def fall_back(self) -> None:
+        """Hand sampling to the negedge thread mid-run (a negedge or
+        value-changed listener appeared, or a WARN binding was added).
+
+        The thread goes where the old always-on sampler thread would
+        be: if the time-0 initialization delta has not reached its
+        registration slot yet, it runs there; otherwise it is already
+        waiting on the negedge, ahead of the listener that triggered
+        this.  The sample this cycle still owes becomes the thread's.
+        """
+        self._settling = False
+        sim = self.simulator
+        sim._settle = [entry for entry in sim._settle if entry[1] is not self]
+        thread = self._thread
+        if sim.time == 0 and sim.delta_count == 0 and not self._slot_passed():
+            order = {id(p): k for k, p in enumerate(sim.processes)}
+            slot = order[id(thread)]
+            queue = sim._runnable
+            for position, process in enumerate(queue):
+                if order[id(process)] > slot:
+                    queue.insert(position, thread)
+                    break
+            else:
+                queue.append(thread)
+            thread.runnable = True
+            return
+        thread._generator = thread.body()
+        event = next(thread._generator)
+        event.dynamic_waiters.append(thread)
+        thread._waiting_on.append(event)
+
+    def _slot_passed(self) -> bool:
+        """During the initialization delta: has the thread's turn gone?"""
+        processes = self.simulator.processes
+        after = processes[processes.index(self._thread) + 1:]
+        for process in after:
+            if not process.dont_initialize:
+                return not process.runnable
+        return False
+
+    # -- the sampling step -----------------------------------------------------------
+
+    def settle(self, due: int) -> None:
+        """Kernel settle observer: sample the rising edge's settled state
+        as the negedge at ``due`` would show it (time, clock level low).
+        A STOP -- or any exception -- leaves the kernel at that negedge
+        time with the clock low, where the negedge thread left it."""
+        sim = self.simulator
+        clock = self.clock
+        timed = sim._timed
+        if len(timed) > 1 or (timed and timed[0][2] is not clock._driver._timer):
+            self._check_quiet(due)
+        now, level = sim.time, clock._current
+        sim.time = due
+        clock._current = False
+        self._observe(self.extractor())
+        sim.time = now
+        clock._current = level
+
+    def _check_quiet(self, due: int) -> None:
+        sim = self.simulator
+        own = self.clock._driver._timer
+        for fire_time, sequence, event in sim._timed:
+            if (
+                fire_time <= due
+                and event is not own
+                and sequence not in sim._cancelled
+                and (event.dynamic_waiters or event.static_waiters)
+            ):
+                raise SettleHazardError(
+                    f"timed event {event.name!r} at {format_time(fire_time)} "
+                    f"falls between {self.clock.name!r}'s rising edge and "
+                    f"its negedge at {format_time(due)}; the harness "
+                    f"cannot sample that cycle at settle"
+                )
 
     def _sample(self) -> None:
         self._observe(self.extractor())
@@ -302,13 +423,26 @@ class AbvHarness:
         )
 
 
-def _make_sampler(harness: AbvHarness):
-    """The negedge-sampling thread process."""
-    from ..sysc.process_ import ThreadProcess
+class _SamplerThread(ThreadProcess):
+    """The harness's negedge-sampling thread.
 
-    def body():
-        while True:
-            yield harness.clock.negedge_event
-            harness._sample()
+    Registered at harness construction, so its slot in the process
+    order is the one the sampler always had.  At elaboration end it
+    asks the harness where to sample; under settle sampling it is
+    parked (never initialized) until :meth:`AbvHarness.fall_back`.
+    """
 
-    return ThreadProcess(f"{harness.clock.name}.abv_sampler", body)
+    __slots__ = ("harness",)
+
+    def __init__(self, harness: AbvHarness):
+        def body():
+            while True:
+                yield harness.clock.negedge_event
+                harness._sample()
+
+        super().__init__(f"{harness.clock.name}.abv_sampler", body)
+        self.harness = harness
+
+    def make_static_sensitive(self) -> None:
+        super().make_static_sensitive()
+        self.harness._choose_sampling()

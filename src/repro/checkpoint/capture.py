@@ -1,7 +1,8 @@
 """Snapshot and restore of live scenario systems.
 
 The capture side walks a quiescent system -- kernel, clock driver,
-signals, stateful modules, monitor letter stream -- into a
+signals, stateful modules, monitor letter stream and the monitor
+sample owed to the next run -- into a
 :class:`~repro.checkpoint.snapshot.Checkpoint`.  The restore side
 rebuilds the system *from its spec* (construction is deterministic), so
 only simulation state travels on the wire: processes are re-created
@@ -109,6 +110,20 @@ def snapshot_system(
     else:
         letters = []
     clock = system.clock
+    clock_doc = {
+        "cycle_count": clock.cycle_count,
+        "high_next": driver._high_next,
+        "started": driver._started,
+        "timer_delay": pending[0][0] - sim.time,
+    }
+    # the deadline posedge's sample: its negedge falls in the next run
+    owed = [due for due, sampler in sim._settle if sampler is harness]
+    if len(owed) != len(sim._settle) or len(owed) > 1:
+        raise CheckpointStateError(
+            "only the harness's one owed monitor sample may be pending"
+        )
+    if owed:
+        clock_doc["owed_sample_in"] = owed[0] - sim.time
     return Checkpoint(
         spec=spec,
         cycles_run=cycles_run,
@@ -119,12 +134,7 @@ def snapshot_system(
                 name: getattr(sim.stats, name) for name in _STAT_FIELDS
             },
         },
-        clock={
-            "cycle_count": clock.cycle_count,
-            "high_next": driver._high_next,
-            "started": driver._started,
-            "timer_delay": pending[0][0] - sim.time,
-        },
+        clock=clock_doc,
         signals={
             signal.name: [
                 encode_signal_value(signal.read()),
@@ -179,6 +189,17 @@ def restore_system(checkpoint: Checkpoint) -> Tuple[Any, Optional[Any]]:
     if driver not in driver._timer.dynamic_waiters:
         raise CheckpointStateError("clock driver lost its timer wait")
     sim._notify_timed_fast(driver._timer, checkpoint.clock["timer_delay"])
+    # the time-0 posedge armed a sample of its own; only the
+    # checkpointed one is owed
+    sim._settle.clear()
+    owed_in = checkpoint.clock.get("owed_sample_in")
+    if owed_in is not None:
+        if harness is None or not harness._settling:
+            raise CheckpointStateError(
+                "checkpoint owes a monitor sample but the restored "
+                "system does not sample at settle"
+            )
+        sim._settle.append((sim.time + owed_in, harness))
 
     # -- signals ---------------------------------------------------------------
     by_name = {signal.name: signal for signal in sim.signals}

@@ -2,11 +2,12 @@
 
 A :class:`Checkpoint` is the *complete* state of a scenario system at a
 quiescent cycle boundary: kernel clocking (time, delta count, the one
-pending clock timer), every registered signal's committed value, every
-stateful module's phase-machine registers (masters, arbiter, slaves,
-targets), the transaction-id allocator, and -- when the run carries
-monitors -- the sampled letter stream that rebuilds the PSL monitors by
-replay, independent of which stepping engine they use.
+pending clock timer, the monitor sample owed to the next run), every
+registered signal's committed value, every stateful module's
+phase-machine registers (masters, arbiter, slaves, targets), the
+transaction-id allocator, and -- when the run carries monitors -- the
+sampled letter stream that rebuilds the PSL monitors by replay,
+independent of which stepping engine they use.
 
 The wire form is canonical JSON (sorted keys, no whitespace) and the
 checkpoint digest is the SHA-256 of exactly that payload text, so two
@@ -29,8 +30,13 @@ from .errors import (
     CheckpointVersionError,
 )
 
-#: bump when the payload schema changes incompatibly
-WIRE_VERSION = 1
+#: bump when the payload schema changes incompatibly.  Version 2 adds
+#: ``clock["owed_sample_in"]``: the delay to the monitor sample owed at
+#: the snapshot's run boundary (absent: nothing owed).  A version-1
+#: checkpoint of a monitored spec is refused -- its sample was owed to a
+#: negedge thread that the harness no longer runs -- while a version-1
+#: plain checkpoint reads as version 2 (plain runs never owe a sample).
+WIRE_VERSION = 2
 
 #: the outer wrapper's magic, so arbitrary JSON is rejected early
 WIRE_KIND = "repro-checkpoint"
@@ -78,7 +84,8 @@ class Checkpoint:
     cycles_run: int
     #: kernel clocking: time, delta_count, stats counters
     kernel: Dict[str, Any]
-    #: clock driver state: cycle_count, fold phase, pending timer delay
+    #: clock driver state: cycle_count, fold phase, pending timer delay,
+    #: and the delay to the monitor sample owed to the next run (if any)
     clock: Dict[str, Any]
     #: signal name -> [typed value, last_change_delta]
     signals: Dict[str, List[Any]]
@@ -176,6 +183,11 @@ class Checkpoint:
             raise CheckpointFormatError(
                 f"malformed checkpoint payload: {exc}"
             ) from exc
+        if version < 2 and checkpoint.spec.with_monitors:
+            raise CheckpointVersionError(
+                f"checkpoint version {version} of a monitored spec predates "
+                f"settle sampling (version 2); re-capture it"
+            )
         claimed = doc.get("digest")
         if claimed != checkpoint.digest:
             raise CheckpointIntegrityError(

@@ -38,7 +38,7 @@ from ...sysc.clock import Clock
 from ...sysc.kernel import Simulator
 from ...sysc.module import Module
 from .asm_model import BLOCKING_BURST, MsSlave, build_master_slave_model
-from .systemc_model import MS_CLOCK_PERIOD_PS, MsArbiterModule, MsSignals, MsSlaveModule
+from .systemc_model import MS_CLOCK_PERIOD_PS, MS_LETTER, MsArbiterModule, MsSignals, MsSlaveModule
 
 
 class FaultyMsSlave(MsSlaveModule):
@@ -363,6 +363,8 @@ class MsSequenceMaster(Module):
 class MsScenarioSystem(ScenarioSystem):
     """Top level for one seeded Master/Slave scenario."""
 
+    letter = MS_LETTER
+
     def __init__(
         self,
         n_blocking: int,
@@ -451,19 +453,6 @@ class MsScenarioSystem(ScenarioSystem):
     @property
     def blocking_flags(self) -> List[bool]:
         return [m.blocking for m in self.masters]
-
-    def letter(self) -> Dict[str, Any]:
-        wires = self.wires
-        letter: Dict[str, Any] = {"bus_free": wires.owner.read() == -1}
-        for i in range(self.n_masters):
-            letter[f"want{i}"] = wires.want[i].read()
-            letter[f"owner{i}"] = wires.owner.read() == i
-            letter[f"transferring{i}"] = wires.transferring[i].read()
-            letter[f"blocking{i}"] = self.masters[i].blocking
-            letter[f"done{i}"] = self.masters[i].done
-        for j in range(self.n_slaves):
-            letter[f"slave{j}_busy"] = wires.slave_busy[j].read()
-        return letter
 
     # -- scoreboard plumbing (generic parts on ScenarioSystem) --------------
 

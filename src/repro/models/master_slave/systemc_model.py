@@ -7,15 +7,17 @@ move ``BLOCKING_BURST`` words back-to-back while holding the bus;
 non-blocking masters move one word per grant and poll their status.
 
 The module set exposes the canonical signal namespace of
-:mod:`.properties` so the very same directives verified at the ASM
-level bind as runtime assertion monitors here.
+:mod:`.properties` (declared once as :data:`MS_LETTER`) so the very
+same directives verified at the ASM level bind as runtime assertion
+monitors here.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, List
+from typing import Dict, List
 
+from ...abv.letters import LetterDeclaration, each
 from ...sysc.bus import BusMode, BusStatistics, BusStatus, Transaction, TxnIdAllocator
 from ...sysc.clock import Clock
 from ...sysc.kernel import Simulator
@@ -131,6 +133,9 @@ class MsSlaveModule(Module):
 class MsMasterModule(Module):
     """A master in blocking or non-blocking mode."""
 
+    #: simulation-level masters never park (the scenario masters do)
+    done = False
+
     def __init__(
         self,
         index: int,
@@ -209,8 +214,26 @@ class MsMasterModule(Module):
             yield self._posedge
 
 
+#: the monitor-facing signal namespace of a Master/Slave top
+#: (``repro.models.master_slave.properties`` writes its PSL over it)
+MS_LETTER = LetterDeclaration(
+    ("bus_free", "wires.owner == -1"),
+    each(
+        "i", "n_masters",
+        ("want{i}", "wires.want[i]"),
+        ("owner{i}", "wires.owner == i"),
+        ("transferring{i}", "wires.transferring[i]"),
+        ("blocking{i}", "masters[i].blocking"),
+        ("done{i}", "masters[i].done"),
+    ),
+    each("j", "n_slaves", ("slave{j}_busy", "wires.slave_busy[j]")),
+)
+
+
 class MsSystemModel:
     """Top level: clock + arbiter + mixed masters + slaves."""
+
+    letter = MS_LETTER
 
     def __init__(
         self,
@@ -261,19 +284,6 @@ class MsSystemModel:
     @property
     def blocking_flags(self) -> List[bool]:
         return [m.blocking for m in self.masters]
-
-    def letter(self) -> Dict[str, Any]:
-        wires = self.wires
-        letter: Dict[str, Any] = {"bus_free": wires.owner.read() == -1}
-        for i in range(self.n_masters):
-            letter[f"want{i}"] = wires.want[i].read()
-            letter[f"owner{i}"] = wires.owner.read() == i
-            letter[f"transferring{i}"] = wires.transferring[i].read()
-            letter[f"blocking{i}"] = self.masters[i].blocking
-            letter[f"done{i}"] = False  # simulation-level masters do not park
-        for j in range(self.n_slaves):
-            letter[f"slave{j}_busy"] = wires.slave_busy[j].read()
-        return letter
 
     def run_cycles(self, cycles: int) -> None:
         self.simulator.run(self.clock.period * cycles)

@@ -38,7 +38,7 @@ from ...sysc.module import Module
 from ...sysc.signal import Signal
 from .asm_model import build_pci_model
 from .protocol import MAX_BURST_LENGTH, PCI_CLOCK_PERIOD_PS, PciCommand
-from .systemc_model import PciArbiterModule, PciSignals, PciTargetModule
+from .systemc_model import PCI_LETTER, PciArbiterModule, PciSignals, PciTargetModule
 
 
 class PciSequenceMaster(Module):
@@ -373,6 +373,8 @@ class PciSequenceMaster(Module):
 class PciScenarioSystem(ScenarioSystem):
     """Top level for one seeded PCI scenario."""
 
+    letter = PCI_LETTER
+
     def __init__(
         self,
         n_masters: int,
@@ -446,33 +448,6 @@ class PciScenarioSystem(ScenarioSystem):
             master.rebind_items(
                 sequence.for_unit(index).items(root.derive(f"master{index}"), ctx)
             )
-
-    def letter(self) -> Dict[str, Any]:
-        wires = self.wires
-        addressed = wires.addr.read()
-        letter: Dict[str, Any] = {
-            "frame": wires.frame.read(),
-            "irdy": wires.irdy.read(),
-            "bus_idle": (not wires.frame.read()) and wires.owner.read() == -1,
-            "devsel": any(s.read() for s in wires.devsel),
-            "trdy": any(s.read() for s in wires.trdy),
-            "stop_any": any(s.read() for s in wires.stop),
-            "stop_addressed": bool(
-                0 <= addressed < self.n_targets
-                and wires.stop[addressed].read()
-            ),
-        }
-        for i in range(self.n_masters):
-            letter[f"req{i}"] = wires.req[i].read()
-            letter[f"gnt{i}"] = wires.gnt[i].read()
-            letter[f"owner{i}"] = wires.owner.read() == i
-            letter[f"master{i}_idle"] = self.masters[i].idle_flag.read()
-            letter[f"master{i}_data"] = self.masters[i].data_flag.read()
-        for j in range(self.n_targets):
-            letter[f"devsel{j}"] = wires.devsel[j].read()
-            letter[f"trdy{j}"] = wires.trdy[j].read()
-            letter[f"stop{j}"] = wires.stop[j].read()
-        return letter
 
     # -- scoreboard plumbing (generic parts on ScenarioSystem) --------------
 

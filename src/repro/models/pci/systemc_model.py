@@ -14,17 +14,20 @@ then simulates it with the compiled assertion monitors).  Modules:
   its configured decode latency), data phases (TRDY#), and seeded
   random retry injection (STOP#),
 * :class:`PciSystemModel`   -- wires everything, exposes the canonical
-  signal namespace of :mod:`.properties` for the assertion monitors.
+  signal namespace of :mod:`.properties` for the assertion monitors
+  (declared once as :data:`PCI_LETTER`).
 
 The model is cycle-based: every module owns one thread clocked on the
-shared 33 MHz clock's posedge; monitors sample on the negedge.
+shared 33 MHz clock's posedge; monitors see the state the negedge
+shows.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, List, Optional
+from typing import List, Optional
 
+from ...abv.letters import LetterDeclaration, each
 from ...sysc.bus import BusStatistics, Transaction, BusMode, BusStatus, TxnIdAllocator
 from ...sysc.clock import Clock
 from ...sysc.kernel import Simulator
@@ -410,8 +413,40 @@ class PciTargetModule(Module):
         self.random.setstate((version, tuple(internal), gauss))
 
 
+#: the monitor-facing signal namespace of a PCI top
+#: (``repro.models.pci.properties`` writes its PSL over it)
+PCI_LETTER = LetterDeclaration(
+    ("frame", "wires.frame"),
+    ("irdy", "wires.irdy"),
+    ("bus_idle", "(not wires.frame) and wires.owner == -1"),
+    ("devsel", "any(wires.devsel)"),
+    ("trdy", "any(wires.trdy)"),
+    ("stop_any", "any(wires.stop)"),
+    (
+        "stop_addressed",
+        "bool(0 <= wires.addr < n_targets and wires.stop[wires.addr])",
+    ),
+    each(
+        "i", "n_masters",
+        ("req{i}", "wires.req[i]"),
+        ("gnt{i}", "wires.gnt[i]"),
+        ("owner{i}", "wires.owner == i"),
+        ("master{i}_idle", "masters[i].idle_flag"),
+        ("master{i}_data", "masters[i].data_flag"),
+    ),
+    each(
+        "j", "n_targets",
+        ("devsel{j}", "wires.devsel[j]"),
+        ("trdy{j}", "wires.trdy[j]"),
+        ("stop{j}", "wires.stop[j]"),
+    ),
+)
+
+
 class PciSystemModel:
     """Top level: clock + wires + arbiter + masters + targets."""
+
+    letter = PCI_LETTER
 
     def __init__(
         self,
@@ -450,35 +485,6 @@ class PciSystemModel:
             for j in range(n_targets)
         ]
         self.statistics = BusStatistics()
-
-    # -- monitor-facing canonical namespace ----------------------------------------
-
-    def letter(self) -> Dict[str, Any]:
-        wires = self.wires
-        addressed = wires.addr.read()
-        letter: Dict[str, Any] = {
-            "frame": wires.frame.read(),
-            "irdy": wires.irdy.read(),
-            "bus_idle": (not wires.frame.read()) and wires.owner.read() == -1,
-            "devsel": any(s.read() for s in wires.devsel),
-            "trdy": any(s.read() for s in wires.trdy),
-            "stop_any": any(s.read() for s in wires.stop),
-            "stop_addressed": bool(
-                0 <= addressed < self.n_targets
-                and wires.stop[addressed].read()
-            ),
-        }
-        for i in range(self.n_masters):
-            letter[f"req{i}"] = wires.req[i].read()
-            letter[f"gnt{i}"] = wires.gnt[i].read()
-            letter[f"owner{i}"] = wires.owner.read() == i
-            letter[f"master{i}_idle"] = self.masters[i].idle_flag.read()
-            letter[f"master{i}_data"] = self.masters[i].data_flag.read()
-        for j in range(self.n_targets):
-            letter[f"devsel{j}"] = wires.devsel[j].read()
-            letter[f"trdy{j}"] = wires.trdy[j].read()
-            letter[f"stop{j}"] = wires.stop[j].read()
-        return letter
 
     def run_cycles(self, cycles: int) -> None:
         self.simulator.run(self.clock.period * cycles)

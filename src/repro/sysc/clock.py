@@ -34,13 +34,20 @@ class _ClockDriver(Process):
     or runnables -- see :meth:`execute`), the driver *folds* it: one
     wake-up per cycle instead of two, halving kernel instants.  The
     rising-edge cadence, ``cycle_count`` and every posedge notification
-    are unchanged; only a process that samples the clock *level*
+    are unchanged.  Monitors do not stop the fold: an ABV harness
+    samples at the end of the rising edge's instant (a *settle*
+    sampler, armed here on every rising edge), not on the falling
+    edge.  A negedge or value-changed listener that appears after the
+    fold decision gets this cycle's falling edge back
+    (:meth:`unfold`); only a process that samples the clock *level*
     between edges via a timed wait it arms after the fold decision
-    could tell the difference, and installing any of the guarded
-    observers disables folding from the next cycle on.
+    could tell the difference.
     """
 
-    __slots__ = ("_clock", "_simulator", "_timer", "_started", "_high_next")
+    __slots__ = (
+        "_clock", "_simulator", "_timer", "_started", "_high_next",
+        "_folded_at",
+    )
 
     def __init__(self, clock: "Clock", simulator: "Simulator"):
         super().__init__(f"{clock.name}.driver", owner=None)
@@ -50,6 +57,8 @@ class _ClockDriver(Process):
         self._timer = Event(f"{clock.name}.driver.timeout", simulator)
         self._started = not clock.start_time
         self._high_next = clock.posedge_first
+        #: time of the last folded rising edge (-1: none yet)
+        self._folded_at = -1
 
     def _arm(self, delay: int) -> None:
         self._timer.dynamic_waiters.append(self)
@@ -64,6 +73,10 @@ class _ClockDriver(Process):
         clock = self._clock
         if self._high_next:
             clock.cycle_count += 1
+            if clock._settle_samplers:
+                due = simulator.time + clock._high_time
+                for sampler in clock._settle_samplers:
+                    simulator._settle.append((due, sampler))
             if (
                 clock._negedge is None
                 and clock._value_changed is None
@@ -84,6 +97,7 @@ class _ClockDriver(Process):
                 clock._current = False
                 clock.write(True)
                 self._arm(clock.period)
+                self._folded_at = simulator.time
                 return  # stay in the "posedge next" phase
             clock.write(True)
             delay = clock._high_time
@@ -92,6 +106,21 @@ class _ClockDriver(Process):
             delay = clock._low_time
         self._high_next = not self._high_next
         self._arm(delay)
+
+    def unfold(self) -> None:
+        """Give a folded cycle its falling edge back.
+
+        Called when a negedge or value-changed listener appears: if the
+        current cycle was folded and its falling edge still lies ahead,
+        arm the timer for it.  The folded wake-up stays queued; the
+        rearm after the falling edge lands on the same time and that
+        second heap entry finds no waiter.
+        """
+        simulator = self._simulator
+        falls_at = self._folded_at + self._clock._high_time
+        if self._high_next and self._folded_at >= 0 and simulator.time < falls_at:
+            self._high_next = False
+            simulator._notify_timed_fast(self._timer, falls_at - simulator.time)
 
 
 class Clock(Signal[bool]):
@@ -119,7 +148,37 @@ class Clock(Signal[bool]):
 
         self._high_time = max(int(period * duty_cycle), 1)
         self._low_time = max(period - self._high_time, 1)
-        simulator.register_process(_ClockDriver(self, simulator))
+        #: samplers fed at the end of every rising edge's instant (see
+        #: :class:`repro.abv.AbvHarness`); each has ``settle(due)`` and
+        #: ``fall_back()``
+        self._settle_samplers: list = []
+        self._driver = _ClockDriver(self, simulator)
+        simulator.register_process(self._driver)
+
+    # -- low-phase listeners ----------------------------------------------------
+
+    @property
+    def value_changed(self) -> Event:
+        if self._value_changed is None:
+            Signal.value_changed.fget(self)
+            self._low_phase_observed()
+        return self._value_changed
+
+    @property
+    def negedge_event(self) -> Event:
+        if self._negedge is None:
+            Signal.negedge_event.fget(self)
+            self._low_phase_observed()
+        return self._negedge
+
+    def _low_phase_observed(self) -> None:
+        """Someone can now see the low phase: keep this cycle's falling
+        edge, and hand every settle sampler back to its negedge thread
+        (its sample could depend on what that listener does)."""
+        self._driver.unfold()
+        samplers, self._settle_samplers = self._settle_samplers, []
+        for sampler in samplers:
+            sampler.fall_back()
 
     def posedge(self):
         """The event to ``yield`` for 'wait until next rising edge'."""

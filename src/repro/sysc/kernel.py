@@ -7,10 +7,11 @@ processes sensitive to the committed changes); when no delta work
 remains, time advances to the earliest timed notification.
 
 The kernel also exposes the hooks the ABV layer needs: per-delta and
-per-timestep callbacks (monitors sample on clock edges), a cycle
-counter, and a ``stop()``/:class:`SimulationStopped` channel so an
-assertion monitor can halt the run (paper Section 3.2: the monitor can
-"stop the simulation when the assertion is fired").
+per-timestep callbacks, end-of-instant *settle* observers (monitors
+sample once a rising edge's instant has settled), a cycle counter,
+and a ``stop()``/:class:`SimulationStopped` channel so an assertion
+monitor can halt the run (paper Section 3.2: the monitor can "stop
+the simulation when the assertion is fired").
 """
 
 from __future__ import annotations
@@ -67,6 +68,12 @@ class Simulator:
         self.witness: Optional[Any] = None
         #: called whenever simulated time advances
         self.on_time_advance: List[Callable[["Simulator"], None]] = []
+        #: end-of-instant observers, ``(due time, observer)``: a clock
+        #: driver arms one per settle sampler on each rising edge, and
+        #: the run loop calls ``observer.settle(due)`` once the instant
+        #: has settled.  An entry due past a run's deadline stays here,
+        #: owed to the next run.
+        self._settle: List[Tuple[int, Any]] = []
 
         self.stats = KernelStats()
         #: span id of the most recent traced ``run()`` (None when
@@ -266,11 +273,32 @@ class Simulator:
                 break
             if self._runnable or self._delta_notified or self._update_requests:
                 continue
+            if self._settle and self._fire_settle(deadline):
+                continue
             if not self._advance_time(deadline):
                 break
         self.stats.wall_seconds += _wall_time.perf_counter() - started_wall
         if deadline is not None and self.time < deadline and not self.stopped:
             self.time = deadline
+
+    def _fire_settle(self, deadline: Optional[int]) -> bool:
+        """Call the settle observers due by ``deadline``.
+
+        Returns True when the loop must go on at this instant: an
+        observer stopped the run or left work behind.
+        """
+        armed, self._settle = self._settle, []
+        for entry in armed:
+            if self.stopped or (deadline is not None and entry[0] > deadline):
+                self._settle.append(entry)
+                continue
+            try:
+                entry[1].settle(entry[0])
+            except SimulationStopped as stop:
+                self.stop(stop.reason)
+        return self.stopped or bool(
+            self._runnable or self._delta_notified or self._update_requests
+        )
 
     def _instant_fast(self) -> bool:
         """Merged-phase scheduler for single-driver instants.

@@ -1,6 +1,6 @@
 """The repo lint framework (``tools/lint``).
 
-The registry carries four built-in checks sharing the analyzer's
+The registry carries the built-in checks sharing the analyzer's
 findings pipeline.  The real repo must gate clean; each rule must also
 actually fire, proven against planted fixture trees, and honour the
 shared ``# repro: allow[rule-id]`` suppression syntax.
@@ -23,6 +23,7 @@ finally:
 BUILTIN_RULES = (
     "lint.docstring",
     "lint.http-plumbing",
+    "lint.letter-declaration",
     "lint.monitor-construction",
     "lint.wall-clock",
     "lint.wire-parity",
@@ -155,6 +156,31 @@ class TestHttpPlumbing:
                "    def do_POST(self):\n"
                "        return self.rfile.read(10)\n")
         assert run_checks(tmp_path, rules=["lint.http-plumbing"]).ok
+
+
+class TestLetterDeclaration:
+    def test_hand_built_letter_flagged(self, tmp_path):
+        _plant(tmp_path, "src/repro/models/toy/top.py",
+               "class Top:\n"
+               "    def letter(self):\n"
+               "        doc = {'bus_free': self.owner.read() == -1}\n"
+               "        return doc\n\n\n"
+               "def letter(system):\n"
+               "    return dict(want=system.want.read())\n")
+        report = run_checks(tmp_path, rules=["lint.letter-declaration"])
+        assert sorted(f.line for f in report.unsuppressed()) == [2, 7]
+        assert all("LetterDeclaration" in f.message for f in report.findings)
+
+    def test_declarations_and_other_packages_allowed(self, tmp_path):
+        _plant(tmp_path, "src/repro/models/toy/top.py",
+               "from repro.abv.letters import LetterDeclaration\n\n"
+               "TOY = LetterDeclaration(('bus_free', 'owner == -1'))\n\n\n"
+               "class Top:\n"
+               "    letter = TOY\n")
+        _plant(tmp_path, "src/repro/translate/module.py",
+               "def letter(self):\n"
+               "    return {'x': 1}\n")
+        assert run_checks(tmp_path, rules=["lint.letter-declaration"]).ok
 
 
 class TestEntryPoints:

@@ -21,6 +21,12 @@
     mapping.  A ``BaseHTTPRequestHandler`` subclass or an
     ``rfile.read`` anywhere else under ``src/repro`` is a second copy
     of that plumbing (and of its hardening).
+``lint.letter-declaration``
+    A model's monitor letter is declared once, as a
+    :class:`repro.abv.letters.LetterDeclaration` table that the harness
+    compiles into a reader.  A ``letter()`` function building a dict
+    under ``src/repro/models`` is a second, hand-maintained copy of
+    that namespace -- the drift the declarations replaced.
 
 All checks walk the AST of ``src/repro`` -- tests and benchmarks are
 free to construct monitors or read clocks directly.
@@ -312,6 +318,43 @@ def lint_http_plumbing(root: Path) -> List[Finding]:
                     message=(
                         f"{flagged} outside repro/service.py duplicates the "
                         f"shared JSON service base; add a route instead"
+                    ),
+                ))
+    return findings
+
+
+@register(
+    "lint.letter-declaration",
+    "model letters are LetterDeclaration tables, not hand-built letter() dicts",
+)
+def lint_letter_declaration(root: Path) -> List[Finding]:
+    """Flag a ``letter()`` that builds a dict under ``src/repro/models``."""
+    findings: List[Finding] = []
+    for path in sorted((root / "src" / "repro" / "models").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not (
+                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and node.name == "letter"
+            ):
+                continue
+            if any(
+                isinstance(inner, (ast.Dict, ast.DictComp))
+                or (
+                    isinstance(inner, ast.Call)
+                    and isinstance(inner.func, ast.Name)
+                    and inner.func.id == "dict"
+                )
+                for inner in ast.walk(node)
+            ):
+                findings.append(Finding(
+                    rule="lint.letter-declaration",
+                    severity="error",
+                    path=repo_relative(path, root),
+                    line=node.lineno,
+                    message=(
+                        "hand-built letter() dict; declare the letter as a "
+                        "repro.abv.letters.LetterDeclaration instead"
                     ),
                 ))
     return findings

@@ -212,6 +212,30 @@ def _classify_index(node: ast.AST) -> object:
     return "dyn"
 
 
+def _self_callees(cls: ast.ClassDef) -> Dict[str, List[str]]:
+    """``self.<attr>(...)`` -> the same-class methods that call runs.
+
+    A method runs itself.  A phase machine's handler register
+    (``self._phase = self._phase_fetch``, dispatched as
+    ``self._phase()``) runs every method the class ever assigns to it,
+    in definition order.
+    """
+    methods = [n.name for n in cls.body if isinstance(n, ast.FunctionDef)]
+    held: Dict[str, Set[str]] = {}
+    for node in ast.walk(cls):
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            attr = _self_attr_target(node.targets[0])
+            if attr is not None and attr not in methods:
+                for value in ast.walk(node.value):
+                    held.setdefault(attr, set()).add(_self_attr_target(value))
+    callees = {name: [name] for name in methods}
+    for attr, names in held.items():
+        handlers = [name for name in methods if name in names]
+        if handlers:
+            callees[attr] = handlers
+    return callees
+
+
 class _ProcessWalker:
     """Walks one process body in source order, emitting ordered events.
 
@@ -219,7 +243,9 @@ class _ProcessWalker:
     ``("call", ObjChain, lineno, method)``, ``("yield",)``.  Same-class
     helper calls (``yield from self._helper(...)`` or plain
     ``self._helper(...)``) are inlined so their traffic lands in the
-    caller's stream at the call point.
+    caller's stream at the call point; a phase dispatch through a
+    handler register (``self._phase()``) inlines every handler the
+    register can hold, in definition order.
     """
 
     def __init__(self, cls: ast.ClassDef, shared_attrs: Dict[str, SignalDecl],
@@ -228,6 +254,7 @@ class _ProcessWalker:
         self.methods = {
             n.name: n for n in cls.body if isinstance(n, ast.FunctionDef)
         }
+        self.callees = _self_callees(cls)
         self.shared_attrs = shared_attrs
         self.local_attrs = local_attrs
         self.aliases: Dict[str, object] = {}
@@ -279,14 +306,13 @@ class _ProcessWalker:
                     events.append(("call", target, node.lineno, func.attr))
                     return
                 # unresolved receiver: maybe a same-class helper call
-                if (
-                    isinstance(func.value, ast.Name)
-                    and func.value.id == "self"
-                    and func.attr in self.methods
-                ):
+                # or a phase dispatch
+                reached = self.callees.get(_self_attr_target(func) or "")
+                if reached:
                     for arg in node.args:
                         self.walk_expr(arg, events)
-                    self._inline(func.attr, events)
+                    for method in reached:
+                        self._inline(method, events)
                     return
             for child in ast.iter_child_nodes(node):
                 self.walk_expr(child, events)
@@ -549,6 +575,7 @@ def build_structure(sources: Dict[str, str], path: str) -> ModelStructure:
 
     for cls in module_classes:
         methods = {n.name: n for n in cls.body if isinstance(n, ast.FunctionDef)}
+        callees = _self_callees(cls)
         for body_name in _process_bodies(cls):
             structure.process_count += 1
             walker = _ProcessWalker(
@@ -581,14 +608,10 @@ def build_structure(sources: Dict[str, str], path: str) -> ModelStructure:
                         structure.wait_free_loops.append(
                             (cls.name, body_name, node.lineno)
                         )
-                    if (
-                        isinstance(node, ast.Call)
-                        and isinstance(node.func, ast.Attribute)
-                        and isinstance(node.func.value, ast.Name)
-                        and node.func.value.id == "self"
-                        and node.func.attr in methods
-                    ):
-                        stack.append(node.func.attr)
+                    if isinstance(node, ast.Call):
+                        stack.extend(callees.get(
+                            _self_attr_target(node.func) or "", ()
+                        ))
     return structure
 
 

@@ -7,7 +7,10 @@ sample owed to the next run -- into a
 rebuilds the system *from its spec* (construction is deterministic), so
 only simulation state travels on the wire: processes are re-created
 fresh, parked by a zero-length run, and then every register the
-checkpoint carries is written back over them.
+checkpoint carries is written back over them.  Module registers are
+captured and written back through each module's declared ``STATE``
+table (:mod:`repro.sysc.state`), so capture and restore cannot drift
+apart.
 
 Restore equivalence is the contract: ``restore(snapshot(run_to(T)))``
 then running ``k`` more cycles is wake-for-wake identical to running
@@ -24,7 +27,8 @@ from ..scenarios.directed import DirectedSequence
 from ..scenarios.regression import ScenarioSpec, _attach_monitors, _build_system
 from ..scenarios.sequences import sequence_for_profile
 from ..sysc.signal import _NOTHING
-from .errors import CheckpointStateError
+from ..sysc.state import SCALAR
+from .errors import CheckpointFormatError, CheckpointStateError
 from .snapshot import Checkpoint, decode_signal_value, encode_signal_value
 
 #: KernelStats counters carried through a checkpoint (wall_seconds is a
@@ -42,15 +46,44 @@ _STAT_FIELDS = (
 
 
 def _stateful_modules(system: Any) -> Dict[str, Any]:
-    """basename -> module, for everything with checkpoint_state()."""
-    modules: Dict[str, Any] = {system.arbiter.basename: system.arbiter}
-    for master in system.masters:
-        modules[master.basename] = master
-    for slave in getattr(system, "slaves", ()):
-        modules[slave.basename] = slave
-    for target in getattr(system, "targets", ()):
-        modules[target.basename] = target
+    """basename -> module, for every module that declares ``STATE``."""
+    modules: Dict[str, Any] = {}
+    for module in system.simulator.modules:
+        if module.STATE:
+            if module.basename in modules:
+                raise CheckpointStateError(
+                    f"two stateful modules share the name {module.basename!r}"
+                )
+            modules[module.basename] = module
     return modules
+
+
+def _capture_module(module: Any) -> Dict[str, Any]:
+    doc: Dict[str, Any] = {}
+    for key, attr, codec in module.STATE:
+        value = getattr(module, attr)
+        doc[key] = value if codec is SCALAR else codec.encode(value)
+    return doc
+
+
+def _restore_module(name: str, module: Any, doc: Dict[str, Any]) -> None:
+    """Write a module document back through the module's declaration;
+    a missing or undeclared field, or a value its codec cannot adopt,
+    is a :class:`CheckpointFormatError` naming module and field."""
+    declared = {key for key, _, _ in module.STATE}
+    if doc.keys() != declared:
+        raise CheckpointFormatError(
+            f"module {name!r} document does not match its declared state "
+            f"(missing fields {sorted(declared - set(doc))!r}, "
+            f"undeclared fields {sorted(set(doc) - declared)!r})"
+        )
+    for key, attr, codec in module.STATE:
+        try:
+            setattr(module, attr, codec.decode(module, attr, doc[key]))
+        except (TypeError, ValueError, LookupError, AttributeError) as exc:
+            raise CheckpointFormatError(
+                f"module {name!r} field {key!r}: {exc}"
+            ) from exc
 
 
 def _clock_driver(system: Any):
@@ -143,7 +176,7 @@ def snapshot_system(
             for signal in sim.signals
         },
         modules={
-            name: module.checkpoint_state()
+            name: _capture_module(module)
             for name, module in _stateful_modules(system).items()
         },
         txn_next=system.txn_ids._next,
@@ -222,7 +255,7 @@ def restore_system(checkpoint: Checkpoint) -> Tuple[Any, Optional[Any]]:
             "module set mismatch; checkpoint does not match this spec"
         )
     for name, doc in checkpoint.modules.items():
-        modules[name].restore_state(doc)
+        _restore_module(name, modules[name], doc)
 
     # -- bookkeeping ---------------------------------------------------------
     system.txn_ids._next = checkpoint.txn_next

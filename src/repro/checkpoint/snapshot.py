@@ -89,7 +89,7 @@ class Checkpoint:
     clock: Dict[str, Any]
     #: signal name -> [typed value, last_change_delta]
     signals: Dict[str, List[Any]]
-    #: module basename -> that module's ``checkpoint_state()`` document
+    #: module basename -> that module's declared ``STATE`` registers
     modules: Dict[str, Dict[str, Any]]
     #: next transaction id the allocator would hand out
     txn_next: int

@@ -22,7 +22,7 @@ Sequence-driven stimulus and scoreboard binding for the Table 2 model:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from ...scenarios.random_ import ScenarioRng
 from ...scenarios.scoreboard import (
@@ -31,12 +31,13 @@ from ...scenarios.scoreboard import (
     Mismatch,
     ReferenceAdapter,
     ScenarioSystem,
+    SequenceMaster,
 )
 from ...scenarios.sequences import Sequence, SequenceItem, StimulusContext
 from ...sysc.bus import BusMode, BusStatus, Transaction, TxnIdAllocator
 from ...sysc.clock import Clock
 from ...sysc.kernel import Simulator
-from ...sysc.module import Module
+from ...sysc.state import LIST, SCALAR
 from .asm_model import BLOCKING_BURST, MsSlave, build_master_slave_model
 from .systemc_model import MS_CLOCK_PERIOD_PS, MS_LETTER, MsArbiterModule, MsSignals, MsSlaveModule
 
@@ -44,6 +45,8 @@ from .systemc_model import MS_CLOCK_PERIOD_PS, MS_LETTER, MsArbiterModule, MsSig
 class FaultyMsSlave(MsSlaveModule):
     """A slave whose data path corrupts reads from the ``nth`` read on
     (bit 0 flipped) -- the classic single-event-upset injection."""
+
+    STATE = MsSlaveModule.STATE + (("reads_served", "reads_served", SCALAR),)
 
     def __init__(self, *args, corrupt_from_nth_read: int = 1, **kwargs):
         super().__init__(*args, **kwargs)
@@ -58,30 +61,18 @@ class FaultyMsSlave(MsSlaveModule):
                 return value ^ 0x1
         return value
 
-    def checkpoint_state(self) -> Dict[str, Any]:
-        doc = super().checkpoint_state()
-        doc["reads_served"] = self.reads_served
-        return doc
 
-    def restore_state(self, doc: Dict[str, Any]) -> None:
-        super().restore_state(doc)
-        self.reads_served = doc["reads_served"]
+class MsSequenceMaster(SequenceMaster):
+    """A Master/Slave initiator executing a sequence of items."""
 
-
-class MsSequenceMaster(Module):
-    """A Master/Slave initiator executing a sequence of items.
-
-    The protocol runs as an explicit phase machine: every wake-up on
-    the clock's posedge dispatches handlers keyed by ``self._phase``
-    until one *consumes* the cycle, so all mid-transaction state lives
-    in attributes instead of a generator frame.  That is what makes
-    the master snapshot/restorable (:meth:`checkpoint_state` /
-    :meth:`restore_state`): a generator's suspended locals cannot be
-    serialized, a phase tag and a handful of counters can.  Handlers
-    return True to consume the wake (one ``yield posedge`` in the old
-    generator), None to fall through to the next phase in the same
-    cycle, and False to park the process for good.
-    """
+    STATE = SequenceMaster.STATE + (
+        ("slave_index", "_slave_index", SCALAR),
+        ("words", "_words", SCALAR),
+        ("word", "_word", SCALAR),
+        ("waits_left", "_waits_left", SCALAR),
+        ("read_back", "_read_back", LIST),
+        ("wait_cycles", "wait_cycles", SCALAR),
+    )
 
     def __init__(
         self,
@@ -95,88 +86,33 @@ class MsSequenceMaster(Module):
         txn_ids: TxnIdAllocator,
         drop_fault: Optional[FaultPlan] = None,
     ):
-        super().__init__(f"master{index}", sim)
-        self.index = index
+        super().__init__(index, sim, clock, wires, items, txn_ids)
         self.blocking = blocking
-        self.clock = clock
-        self._posedge = clock.posedge_event
-        self.wires = wires
         self.slaves = slaves
-        self.items = items
-        self.txn_ids = txn_ids
         self.drop_fault = drop_fault
-        self.records: List[Tuple[Transaction, SequenceItem]] = []
-        self.issued = 0
-        self.completed = 0
-        self.in_flight = False
-        self.done = False
-        self.words_moved = 0
         self.wait_cycles = 0
-        self.items_consumed = 0
-        # phase-machine registers (the whole suspended-protocol state)
-        self._phase = "fetch"
-        self._item: Optional[SequenceItem] = None
-        self._txn: Optional[Transaction] = None
-        self._idle_left = 0
         self._slave_index = 0
-        self._payload: Tuple[int, ...] = ()
         self._words = 0
         self._word = 0
         self._waits_left = 0
         self._read_back: List[int] = []
-        self.thread(self.run)
-
-    def _next_item(self) -> Optional[SequenceItem]:
-        try:
-            item = next(self.items)
-        except StopIteration:
-            return None
-        self.items_consumed += 1
-        return item
-
-    def rebind_items(self, items: Iterator[SequenceItem]) -> None:
-        """Graft a fresh item stream onto a (possibly exhausted) master.
-
-        Checkpoint forks call this after restore: records and counters
-        stay (the scoreboard and FSM replay still see the whole run),
-        only the stimulus source is swapped.  A master parked in the
-        ``done`` phase wakes back into ``fetch`` on its next posedge.
-        """
-        self.items = items
-        self.items_consumed = 0
-        if self._phase == "done":
-            self.done = False
-            self._phase = "fetch"
-
-    def run(self):
-        self._dispatch()
-        posedge = self._posedge
-        while True:
-            yield posedge
-            self._dispatch()
-
-    def _dispatch(self) -> None:
-        """Run phase handlers until one consumes the wake."""
-        handlers = self._PHASES
-        while handlers[self._phase](self) is None:
-            pass
 
     def _phase_fetch(self) -> Optional[bool]:
         item = self._next_item()
         if item is None:
             self.done = True
-            self._phase = "done"
+            self._phase = self._phase_done
             return None
         self._item = item
         self._idle_left = item.idle
-        self._phase = "idle" if item.idle else "post"
+        self._phase = self._phase_idle if item.idle else self._phase_post
         return None
 
     def _phase_idle(self) -> Optional[bool]:
         if self._idle_left > 0:
             self._idle_left -= 1
             return True
-        self._phase = "post"
+        self._phase = self._phase_post
         return None
 
     def _phase_post(self) -> Optional[bool]:
@@ -205,7 +141,7 @@ class MsSequenceMaster(Module):
         # request / grant handshake (same discipline as the
         # free-running MsMasterModule, so the property suite binds)
         self.wires.want[self.index].write(True)
-        self._phase = "grant"
+        self._phase = self._phase_grant
         return True
 
     def _phase_grant(self) -> Optional[bool]:
@@ -213,7 +149,7 @@ class MsSequenceMaster(Module):
             self.wait_cycles += 1
             return True
         self.wires.want[self.index].write(False)
-        self._phase = "busy"
+        self._phase = self._phase_busy
         return None
 
     def _phase_busy(self) -> Optional[bool]:
@@ -226,7 +162,7 @@ class MsSequenceMaster(Module):
         self._read_back = []
         self._word = 0
         self._waits_left = self.slaves[self._slave_index].wait_states
-        self._phase = "transfer"
+        self._phase = self._phase_transfer
         return None
 
     def _phase_transfer(self) -> Optional[bool]:
@@ -249,7 +185,7 @@ class MsSequenceMaster(Module):
         if self._word < self._words:
             self._waits_left = slave.wait_states
         else:
-            self._phase = "finish"
+            self._phase = self._phase_finish
         return True
 
     def _phase_finish(self) -> Optional[bool]:
@@ -273,91 +209,12 @@ class MsSequenceMaster(Module):
         )
         if not dropped:
             self.records.append((txn, item))
-        self._phase = "gap"
+        self._phase = self._phase_gap
         return None
 
     def _phase_gap(self) -> Optional[bool]:
-        self._phase = "fetch"
+        self._phase = self._phase_fetch
         return True
-
-    def _phase_done(self) -> Optional[bool]:
-        # sequence exhausted: the master idles but stays alive, so a
-        # checkpoint fork can graft a fresh item stream and restart it
-        return True
-
-    _PHASES = {
-        "fetch": _phase_fetch,
-        "idle": _phase_idle,
-        "post": _phase_post,
-        "grant": _phase_grant,
-        "busy": _phase_busy,
-        "transfer": _phase_transfer,
-        "finish": _phase_finish,
-        "gap": _phase_gap,
-        "done": _phase_done,
-    }
-
-    # -- checkpoint protocol ------------------------------------------------
-
-    def checkpoint_state(self) -> Dict[str, Any]:
-        """Everything a fresh master needs to resume mid-protocol."""
-        return {
-            "phase": self._phase,
-            "item": self._item.to_json() if self._item is not None else None,
-            "txn": self._txn.to_json() if self._txn is not None else None,
-            "idle_left": self._idle_left,
-            "slave_index": self._slave_index,
-            "payload": list(self._payload),
-            "words": self._words,
-            "word": self._word,
-            "waits_left": self._waits_left,
-            "read_back": list(self._read_back),
-            "items_consumed": self.items_consumed,
-            "issued": self.issued,
-            "completed": self.completed,
-            "in_flight": self.in_flight,
-            "done": self.done,
-            "words_moved": self.words_moved,
-            "wait_cycles": self.wait_cycles,
-            "records": [
-                [txn.to_json(), item.to_json()] for txn, item in self.records
-            ],
-        }
-
-    def restore_state(self, doc: Dict[str, Any]) -> None:
-        """Adopt a :meth:`checkpoint_state` document.
-
-        The item iterator is replayed forward to the recorded
-        consumption count (items are derived deterministically from the
-        spec seed, so replaying the stream is exact and cheap), then
-        the in-flight item/transaction are overwritten from the wire
-        form for good measure.
-        """
-        while self.items_consumed < doc["items_consumed"]:
-            if self._next_item() is None:
-                break
-        self._phase = doc["phase"]
-        self._item = (
-            SequenceItem.from_json(doc["item"]) if doc["item"] else None
-        )
-        self._txn = Transaction.from_json(doc["txn"]) if doc["txn"] else None
-        self._idle_left = doc["idle_left"]
-        self._slave_index = doc["slave_index"]
-        self._payload = tuple(doc["payload"])
-        self._words = doc["words"]
-        self._word = doc["word"]
-        self._waits_left = doc["waits_left"]
-        self._read_back = list(doc["read_back"])
-        self.issued = doc["issued"]
-        self.completed = doc["completed"]
-        self.in_flight = doc["in_flight"]
-        self.done = doc["done"]
-        self.words_moved = doc["words_moved"]
-        self.wait_cycles = doc["wait_cycles"]
-        self.records = [
-            (Transaction.from_json(txn), SequenceItem.from_json(item))
-            for txn, item in doc["records"]
-        ]
 
 
 class MsScenarioSystem(ScenarioSystem):

@@ -23,6 +23,7 @@ from ...sysc.clock import Clock
 from ...sysc.kernel import Simulator
 from ...sysc.module import Module
 from ...sysc.signal import Signal
+from ...sysc.state import INT_KEYED, SCALAR
 from .asm_model import BLOCKING_BURST
 
 #: Default clock period (ps): same 30ns base as the PCI study.
@@ -48,6 +49,10 @@ class MsSignals:
 class MsArbiterModule(Module):
     """Grants the bus to the lowest-index requesting master."""
 
+    #: the grant loop re-derives everything from the wires each
+    #: posedge, so the only state to carry is the grant counter
+    STATE = (("grants", "grants", SCALAR),)
+
     def __init__(self, name: str, sim: Simulator, clock: Clock, wires: MsSignals):
         super().__init__(name, sim)
         self.clock = clock
@@ -71,21 +76,15 @@ class MsArbiterModule(Module):
                     self.grants += 1
                     break
 
-    def checkpoint_state(self) -> dict:
-        """Snapshot of the arbiter's inter-cycle state.
-
-        The grant loop re-derives everything from the wires each
-        posedge, so the only state to carry is the grant counter.
-        """
-        return {"grants": self.grants}
-
-    def restore_state(self, doc: dict) -> None:
-        """Adopt a :meth:`checkpoint_state` document."""
-        self.grants = doc["grants"]
-
 
 class MsSlaveModule(Module):
     """A memory slave with configurable wait states."""
+
+    STATE = (
+        ("memory", "memory", INT_KEYED),
+        ("reads", "reads", SCALAR),
+        ("writes", "writes", SCALAR),
+    )
 
     def __init__(
         self,
@@ -114,20 +113,6 @@ class MsSlaveModule(Module):
         self.writes += 1
         self.memory[address] = data
         return data
-
-    def checkpoint_state(self) -> dict:
-        """Snapshot of the memory array and access counters."""
-        return {
-            "memory": {str(k): v for k, v in self.memory.items()},
-            "reads": self.reads,
-            "writes": self.writes,
-        }
-
-    def restore_state(self, doc: dict) -> None:
-        """Adopt a :meth:`checkpoint_state` document."""
-        self.memory = {int(k): v for k, v in doc["memory"].items()}
-        self.reads = doc["reads"]
-        self.writes = doc["writes"]
 
 
 class MsMasterModule(Module):

@@ -20,7 +20,7 @@ Sequence-driven stimulus and scoreboard binding for the Table 1 model:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ...scenarios.random_ import ScenarioRng
 from ...scenarios.scoreboard import (
@@ -29,29 +29,36 @@ from ...scenarios.scoreboard import (
     Mismatch,
     ReferenceAdapter,
     ScenarioSystem,
+    SequenceMaster,
 )
 from ...scenarios.sequences import Sequence, SequenceItem, StimulusContext
 from ...sysc.bus import BusMode, BusStatus, Transaction, TxnIdAllocator
 from ...sysc.clock import Clock
 from ...sysc.kernel import Simulator
-from ...sysc.module import Module
 from ...sysc.signal import Signal
+from ...sysc.state import SCALAR
 from .asm_model import build_pci_model
 from .protocol import MAX_BURST_LENGTH, PCI_CLOCK_PERIOD_PS, PciCommand
 from .systemc_model import PCI_LETTER, PciArbiterModule, PciSignals, PciTargetModule
 
 
-class PciSequenceMaster(Module):
+class PciSequenceMaster(SequenceMaster):
     """A PCI initiator executing a sequence of items.
 
-    Like :class:`~repro.models.master_slave.scenario.MsSequenceMaster`
-    the protocol is an explicit phase machine rather than a nest of
-    loops inside a generator: each posedge wake dispatches handlers
-    keyed by ``self._phase`` until one consumes the cycle, so the whole
-    suspended protocol (including mid-burst data phases and STOP#
-    back-off) lives in attributes and can be snapshotted/restored via
-    :meth:`checkpoint_state` / :meth:`restore_state`.
+    Like :class:`~repro.models.master_slave.scenario.MsSequenceMaster`,
+    a phase machine: the whole suspended protocol (including mid-burst
+    data phases and STOP# back-off) lives in declared registers.
     """
+
+    STATE = SequenceMaster.STATE + (
+        ("target", "_target", SCALAR),
+        ("burst", "_burst", SCALAR),
+        ("words_left", "_words_left", SCALAR),
+        ("waited", "_waited", SCALAR),
+        ("backoff_left", "_backoff_left", SCALAR),
+        ("reads_completed", "reads_completed", SCALAR),
+        ("retries", "retries", SCALAR),
+    )
 
     def __init__(
         self,
@@ -64,90 +71,35 @@ class PciSequenceMaster(Module):
         txn_ids: TxnIdAllocator,
         fault: Optional[FaultPlan] = None,
     ):
-        super().__init__(f"master{index}", sim)
-        self.index = index
-        self.clock = clock
-        self._posedge = clock.posedge_event
-        self.wires = wires
+        super().__init__(index, sim, clock, wires, items, txn_ids)
         self.n_targets = n_targets
-        self.items = items
-        self.txn_ids = txn_ids
         self.fault = fault
-        self.records: List[Tuple[Transaction, SequenceItem]] = []
-        self.issued = 0
-        self.completed = 0
         self.reads_completed = 0
-        self.in_flight = False
-        self.done = False
         self.retries = 0
-        self.words_moved = 0
-        self.data_flag = Signal(False, f"master{index}_data", sim)
-        self.idle_flag = Signal(True, f"master{index}_idle", sim)
-        # phase-machine registers (the whole suspended-protocol state)
-        self._phase = "fetch"
-        self._item: Optional[SequenceItem] = None
-        self._txn: Optional[Transaction] = None
-        self._idle_left = 0
         self._target = 0
         self._burst = 0
-        self._payload: Tuple[int, ...] = ()
         self._words_left = 0
         self._waited = 0
         self._backoff_left = 0
-        self.items_consumed = 0
-        self.thread(self.run)
-
-    def _next_item(self) -> Optional[SequenceItem]:
-        try:
-            item = next(self.items)
-        except StopIteration:
-            return None
-        self.items_consumed += 1
-        return item
-
-    def rebind_items(self, items: Iterator[SequenceItem]) -> None:
-        """Graft a fresh item stream onto a (possibly exhausted) master.
-
-        Checkpoint forks call this after restore: records and counters
-        stay (the scoreboard and FSM replay still see the whole run),
-        only the stimulus source is swapped.  A master parked in the
-        ``done`` phase wakes back into ``fetch`` on its next posedge.
-        """
-        self.items = items
-        self.items_consumed = 0
-        if self._phase == "done":
-            self.done = False
-            self._phase = "fetch"
-
-    def run(self):
-        self._dispatch()
-        posedge = self._posedge
-        while True:
-            yield posedge
-            self._dispatch()
-
-    def _dispatch(self) -> None:
-        """Run phase handlers until one consumes the wake."""
-        handlers = self._PHASES
-        while handlers[self._phase](self) is None:
-            pass
+        self.data_flag = Signal(False, f"master{index}_data", sim)
+        self.idle_flag = Signal(True, f"master{index}_idle", sim)
 
     def _phase_fetch(self) -> Optional[bool]:
         item = self._next_item()
         if item is None:
             self.done = True
-            self._phase = "done"
+            self._phase = self._phase_done
             return None
         self._item = item
         self._idle_left = item.idle
-        self._phase = "idle" if item.idle else "build"
+        self._phase = self._phase_idle if item.idle else self._phase_build
         return None
 
     def _phase_idle(self) -> Optional[bool]:
         if self._idle_left > 0:
             self._idle_left -= 1
             return True
-        self._phase = "build"
+        self._phase = self._phase_build
         return None
 
     def _phase_build(self) -> Optional[bool]:
@@ -171,7 +123,7 @@ class PciSequenceMaster(Module):
         )
         self.issued += 1
         self.in_flight = True
-        self._phase = "req"
+        self._phase = self._phase_req
         return None
 
     def _phase_req(self) -> Optional[bool]:
@@ -180,13 +132,13 @@ class PciSequenceMaster(Module):
         property suite binds to scenario runs unchanged."""
         self.idle_flag.write(False)
         self.wires.req[self.index].write(True)
-        self._phase = "gnt"
+        self._phase = self._phase_gnt
         return None
 
     def _phase_gnt(self) -> Optional[bool]:
         if not self.wires.gnt[self.index].read():
             return True
-        self._phase = "bus_wait"
+        self._phase = self._phase_bus_wait
         return None
 
     def _phase_bus_wait(self) -> Optional[bool]:
@@ -204,7 +156,7 @@ class PciSequenceMaster(Module):
         wires.command.write(
             PciCommand.MEM_WRITE if self._item.is_write else PciCommand.MEM_READ
         )
-        self._phase = "data_start"
+        self._phase = self._phase_data_start
         return True
 
     def _phase_data_start(self) -> Optional[bool]:
@@ -212,7 +164,7 @@ class PciSequenceMaster(Module):
         self.data_flag.write(True)
         self._words_left = self._burst
         self._waited = 0
-        self._phase = "data"
+        self._phase = self._phase_data
         return True
 
     def _phase_data(self) -> Optional[bool]:
@@ -220,7 +172,7 @@ class PciSequenceMaster(Module):
         if wires.stop[self._target].read():
             self._release_writes()
             self._backoff_left = 2
-            self._phase = "backoff"
+            self._phase = self._phase_backoff
             return True  # STOP#-ed: this wake is the release cycle
         if wires.trdy[self._target].read():
             self._words_left -= 1
@@ -228,13 +180,13 @@ class PciSequenceMaster(Module):
             self._waited = 0
             if self._words_left == 0:
                 wires.frame.write(False)
-                self._phase = "turnaround"
+                self._phase = self._phase_turnaround
             return True
         self._waited += 1
         if self._waited > 16:  # defensive: no livelock
             self._release_writes()
             self._backoff_left = 2
-            self._phase = "backoff"
+            self._phase = self._phase_backoff
         return True
 
     def _phase_backoff(self) -> Optional[bool]:
@@ -243,12 +195,12 @@ class PciSequenceMaster(Module):
         if self._backoff_left > 0:
             self._backoff_left -= 1
             return True
-        self._phase = "req"
+        self._phase = self._phase_req
         return None
 
     def _phase_turnaround(self) -> Optional[bool]:
         self._release_writes()
-        self._phase = "complete"
+        self._phase = self._phase_complete
         return True
 
     def _phase_complete(self) -> Optional[bool]:
@@ -280,13 +232,8 @@ class PciSequenceMaster(Module):
         )
         if not dropped:
             self.records.append((txn, item))
-        self._phase = "fetch"
+        self._phase = self._phase_fetch
         return None
-
-    def _phase_done(self) -> Optional[bool]:
-        # sequence exhausted: the initiator idles but stays alive, so a
-        # checkpoint fork can graft a fresh item stream and restart it
-        return True
 
     def _release_writes(self) -> None:
         wires = self.wires
@@ -296,78 +243,6 @@ class PciSequenceMaster(Module):
         wires.addr.write(-1)
         self.data_flag.write(False)
         self.idle_flag.write(True)
-
-    _PHASES = {
-        "fetch": _phase_fetch,
-        "idle": _phase_idle,
-        "build": _phase_build,
-        "req": _phase_req,
-        "gnt": _phase_gnt,
-        "bus_wait": _phase_bus_wait,
-        "data_start": _phase_data_start,
-        "data": _phase_data,
-        "backoff": _phase_backoff,
-        "turnaround": _phase_turnaround,
-        "complete": _phase_complete,
-        "done": _phase_done,
-    }
-
-    # -- checkpoint protocol ------------------------------------------------
-
-    def checkpoint_state(self) -> Dict[str, Any]:
-        """Everything a fresh initiator needs to resume mid-protocol."""
-        return {
-            "phase": self._phase,
-            "item": self._item.to_json() if self._item is not None else None,
-            "txn": self._txn.to_json() if self._txn is not None else None,
-            "idle_left": self._idle_left,
-            "target": self._target,
-            "burst": self._burst,
-            "payload": list(self._payload),
-            "words_left": self._words_left,
-            "waited": self._waited,
-            "backoff_left": self._backoff_left,
-            "items_consumed": self.items_consumed,
-            "issued": self.issued,
-            "completed": self.completed,
-            "reads_completed": self.reads_completed,
-            "in_flight": self.in_flight,
-            "done": self.done,
-            "retries": self.retries,
-            "words_moved": self.words_moved,
-            "records": [
-                [txn.to_json(), item.to_json()] for txn, item in self.records
-            ],
-        }
-
-    def restore_state(self, doc: Dict[str, Any]) -> None:
-        """Adopt a :meth:`checkpoint_state` document (see the MS twin)."""
-        while self.items_consumed < doc["items_consumed"]:
-            if self._next_item() is None:
-                break
-        self._phase = doc["phase"]
-        self._item = (
-            SequenceItem.from_json(doc["item"]) if doc["item"] else None
-        )
-        self._txn = Transaction.from_json(doc["txn"]) if doc["txn"] else None
-        self._idle_left = doc["idle_left"]
-        self._target = doc["target"]
-        self._burst = doc["burst"]
-        self._payload = tuple(doc["payload"])
-        self._words_left = doc["words_left"]
-        self._waited = doc["waited"]
-        self._backoff_left = doc["backoff_left"]
-        self.issued = doc["issued"]
-        self.completed = doc["completed"]
-        self.reads_completed = doc["reads_completed"]
-        self.in_flight = doc["in_flight"]
-        self.done = doc["done"]
-        self.retries = doc["retries"]
-        self.words_moved = doc["words_moved"]
-        self.records = [
-            (Transaction.from_json(txn), SequenceItem.from_json(item))
-            for txn, item in doc["records"]
-        ]
 
 
 class PciScenarioSystem(ScenarioSystem):

@@ -33,6 +33,7 @@ from ...sysc.clock import Clock
 from ...sysc.kernel import Simulator
 from ...sysc.module import Module
 from ...sysc.signal import Signal
+from ...sysc.state import PHASE, RANDOM, SCALAR
 from .protocol import (
     DEVSEL_TIMEOUT_CYCLES,
     MAX_BURST_LENGTH,
@@ -67,6 +68,11 @@ class PciSignals:
 class PciArbiterModule(Module):
     """Lowest-index-priority arbiter with bus parking and hidden
     arbitration."""
+
+    STATE = (
+        ("grant", "_grant", SCALAR),
+        ("grants_issued", "grants_issued", SCALAR),
+    )
 
     def __init__(self, name: str, sim: Simulator, clock: Clock, wires: PciSignals):
         super().__init__(name, sim)
@@ -105,15 +111,6 @@ class PciArbiterModule(Module):
                     gnt[index].write(True)
                     self.grants_issued += 1
                     break
-
-    def checkpoint_state(self) -> dict:
-        """Snapshot of the arbiter's inter-cycle state."""
-        return {"grant": self._grant, "grants_issued": self.grants_issued}
-
-    def restore_state(self, doc: dict) -> None:
-        """Adopt a :meth:`checkpoint_state` document."""
-        self._grant = doc["grant"]
-        self.grants_issued = doc["grants_issued"]
 
 
 class PciMasterModule(Module):
@@ -246,14 +243,24 @@ class PciTargetModule(Module):
     """A PCI target with configurable decode latency and retry injection.
 
     Runs as an explicit phase machine (idle / decode / respond / serve /
-    stop_wait / stop_tail): every posedge wake dispatches handlers keyed
-    by ``self._phase`` until one consumes the cycle, so the whole
-    response state — including the decode countdown and a draining
-    STOP# — lives in attributes and snapshots via
-    :meth:`checkpoint_state`.  The RNG stream (one draw at decode end,
-    one per served cycle while FRAME# is high) is wake-for-wake
-    identical to the original nested-loop formulation.
+    stop_wait / stop_tail): ``self._phase`` holds the current handler,
+    and every posedge wake calls handlers until one consumes the cycle,
+    so the whole response state — including the decode countdown and a
+    draining STOP# — lives in attributes and snapshots via its
+    :attr:`STATE` table.  The RNG stream (one draw at decode end, one
+    per served cycle while FRAME# is high) is wake-for-wake identical
+    to the original nested-loop formulation, and travels at its exact
+    position.
     """
+
+    STATE = (
+        ("phase", "_phase", PHASE),
+        ("decode_left", "_decode_left", SCALAR),
+        ("from_serve", "_from_serve", SCALAR),
+        ("claims", "claims", SCALAR),
+        ("stops_issued", "stops_issued", SCALAR),
+        ("random", "random", RANDOM),
+    )
 
     def __init__(
         self,
@@ -278,7 +285,7 @@ class PciTargetModule(Module):
         self.claims = 0
         self.stops_issued = 0
         # phase-machine registers
-        self._phase = "idle"
+        self._phase = self._phase_idle
         self._decode_left = 0
         self._from_serve = False
         self.thread(self.run)
@@ -287,21 +294,16 @@ class PciTargetModule(Module):
         posedge = self._posedge
         while True:
             yield posedge
-            self._dispatch()
-
-    def _dispatch(self) -> None:
-        """Run phase handlers until one consumes the wake."""
-        handlers = self._PHASES
-        # repro: allow[race.wait-free-loop] bounded phase dispatch: every handler either consumes the wake or advances the phase, so this terminates within one cycle
-        while handlers[self._phase](self) is None:
-            pass
+            # repro: allow[race.wait-free-loop] bounded phase dispatch: every handler either consumes the wake or advances the phase, so this terminates within one cycle
+            while self._phase() is None:
+                pass
 
     def _phase_idle(self) -> Optional[bool]:
         wires = self.wires
         if not (wires.frame.read() and wires.addr.read() == self.index):
             return True
         self._decode_left = self.decode_latency - 1
-        self._phase = "decode"
+        self._phase = self._phase_decode
         return None
 
     def _phase_decode(self) -> Optional[bool]:
@@ -311,27 +313,27 @@ class PciTargetModule(Module):
         if self.random.random() < self.stop_probability:
             self._stop_writes()
             self._from_serve = False
-            self._phase = "stop_wait"
+            self._phase = self._phase_stop_wait
             return None  # STOP# hold checks FRAME# in this same cycle
         self.wires.devsel[self.index].write(True)
         self.claims += 1
-        self._phase = "respond"
+        self._phase = self._phase_respond
         return True
 
     def _phase_respond(self) -> Optional[bool]:
         self.wires.trdy[self.index].write(True)
-        self._phase = "serve_entry"
+        self._phase = self._phase_serve_entry
         return None
 
     def _phase_serve_entry(self) -> Optional[bool]:
         """First service cycle: no disconnect draw before the first wait."""
         wires = self.wires
         if wires.frame.read() or wires.irdy.read():
-            self._phase = "serve"
+            self._phase = self._phase_serve
             return True
         wires.devsel[self.index].write(False)
         wires.trdy[self.index].write(False)
-        self._phase = "idle"
+        self._phase = self._phase_idle
         return True
 
     def _phase_serve(self) -> Optional[bool]:
@@ -345,20 +347,20 @@ class PciTargetModule(Module):
             # mid-burst disconnect
             self._stop_writes()
             self._from_serve = True
-            self._phase = "stop_wait"
+            self._phase = self._phase_stop_wait
             return None
         if wires.frame.read() or wires.irdy.read():
             return True
         wires.devsel[self.index].write(False)
         wires.trdy[self.index].write(False)
-        self._phase = "idle"
+        self._phase = self._phase_idle
         return True
 
     def _phase_stop_wait(self) -> Optional[bool]:
         # hold STOP# until the initiator backs off
         if self.wires.frame.read():
             return True
-        self._phase = "stop_tail"
+        self._phase = self._phase_stop_tail
         return True
 
     def _phase_stop_tail(self) -> Optional[bool]:
@@ -368,7 +370,7 @@ class PciTargetModule(Module):
             # preserved for update-request parity with the generator)
             self.wires.devsel[self.index].write(False)
             self.wires.trdy[self.index].write(False)
-        self._phase = "idle"
+        self._phase = self._phase_idle
         return True
 
     def _stop_writes(self) -> None:
@@ -377,40 +379,6 @@ class PciTargetModule(Module):
         wires.trdy[self.index].write(False)
         wires.stop[self.index].write(True)
         self.stops_issued += 1
-
-    _PHASES = {
-        "idle": _phase_idle,
-        "decode": _phase_decode,
-        "respond": _phase_respond,
-        "serve_entry": _phase_serve_entry,
-        "serve": _phase_serve,
-        "stop_wait": _phase_stop_wait,
-        "stop_tail": _phase_stop_tail,
-    }
-
-    # -- checkpoint protocol ------------------------------------------------
-
-    def checkpoint_state(self) -> dict:
-        """Snapshot including the exact RNG stream position."""
-        version, internal, gauss = self.random.getstate()
-        return {
-            "phase": self._phase,
-            "decode_left": self._decode_left,
-            "from_serve": self._from_serve,
-            "claims": self.claims,
-            "stops_issued": self.stops_issued,
-            "random": [version, list(internal), gauss],
-        }
-
-    def restore_state(self, doc: dict) -> None:
-        """Adopt a :meth:`checkpoint_state` document."""
-        self._phase = doc["phase"]
-        self._decode_left = doc["decode_left"]
-        self._from_serve = doc["from_serve"]
-        self.claims = doc["claims"]
-        self.stops_issued = doc["stops_issued"]
-        version, internal, gauss = doc["random"]
-        self.random.setstate((version, tuple(internal), gauss))
 
 
 #: the monitor-facing signal namespace of a PCI top

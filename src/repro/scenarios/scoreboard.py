@@ -34,7 +34,9 @@ from typing import (
 
 from ..asm.errors import AsmError, RequirementFailure
 from ..asm.machine import ActionCall, AsmModel
-from ..sysc.bus import Transaction
+from ..sysc.bus import Transaction, TxnIdAllocator
+from ..sysc.module import Module
+from ..sysc.state import PHASE, SCALAR, TUPLE, replay, wire, wire_pairs
 from .sequences import SequenceItem
 
 
@@ -233,7 +235,7 @@ class ScenarioSystem:
     """Shared scoreboard plumbing for model scenario tops.
 
     Subclasses build the simulator/clock/masters in ``__init__`` (each
-    master exposing ``records``/``completed``/``name``) and implement
+    master a :class:`SequenceMaster`) and implement
     :meth:`reference_adapter` and :meth:`coverage_context`.
     """
 
@@ -340,6 +342,105 @@ class ScenarioSystem:
         return Scoreboard(self.reference_adapter(), name).check(
             self.records(), self.completed_counts()
         )
+
+
+class SequenceMaster(Module):
+    """An initiator executing a stream of sequence items, as an
+    explicit phase machine.
+
+    ``self._phase`` holds the current ``_phase_<name>`` handler (a
+    subclass starts in ``_phase_fetch``), and every posedge wake calls
+    handlers until one *consumes* the cycle, so all mid-transaction
+    state lives in attributes instead of a generator frame.  That is
+    what makes a master snapshot/restorable through its :attr:`STATE`
+    table: a generator's suspended locals cannot be serialized, a phase
+    name and a handful of counters can.  Handlers return True to
+    consume the wake (one ``yield posedge`` in a generator) and None to
+    fall through to the next phase in the same cycle.
+    """
+
+    #: the registers every sequence master carries (subclasses extend
+    #: it); the item stream is replayed forward to the recorded
+    #: consumption count, since items derive from the spec seed
+    STATE = (
+        ("phase", "_phase", PHASE),
+        ("item", "_item", wire(SequenceItem)),
+        ("txn", "_txn", wire(Transaction)),
+        ("idle_left", "_idle_left", SCALAR),
+        ("payload", "_payload", TUPLE),
+        ("items_consumed", "items_consumed", replay("_next_item")),
+        ("issued", "issued", SCALAR),
+        ("completed", "completed", SCALAR),
+        ("in_flight", "in_flight", SCALAR),
+        ("done", "done", SCALAR),
+        ("words_moved", "words_moved", SCALAR),
+        ("records", "records", wire_pairs(Transaction, SequenceItem)),
+    )
+
+    def __init__(
+        self,
+        index: int,
+        sim: Any,
+        clock: Any,
+        wires: Any,
+        items: Iterator[SequenceItem],
+        txn_ids: TxnIdAllocator,
+    ):
+        super().__init__(f"master{index}", sim)
+        self.index = index
+        self.clock = clock
+        self._posedge = clock.posedge_event
+        self.wires = wires
+        self.items = items
+        self.txn_ids = txn_ids
+        self.records: List[Tuple[Transaction, SequenceItem]] = []
+        self.issued = 0
+        self.completed = 0
+        self.in_flight = False
+        self.done = False
+        self.words_moved = 0
+        self.items_consumed = 0
+        self._phase = self._phase_fetch
+        self._item: Optional[SequenceItem] = None
+        self._txn: Optional[Transaction] = None
+        self._idle_left = 0
+        self._payload: Tuple[int, ...] = ()
+        self.thread(self.run)
+
+    def _next_item(self) -> Optional[SequenceItem]:
+        try:
+            item = next(self.items)
+        except StopIteration:
+            return None
+        self.items_consumed += 1
+        return item
+
+    def rebind_items(self, items: Iterator[SequenceItem]) -> None:
+        """Graft a fresh item stream onto a (possibly exhausted) master.
+
+        Checkpoint forks call this after restore: records and counters
+        stay (the scoreboard and FSM replay still see the whole run),
+        only the stimulus source is swapped.  A master parked in the
+        ``done`` phase wakes back into ``fetch`` on its next posedge.
+        """
+        # repro: allow[ckpt.undeclared-state] the stimulus source is rebuilt from the spec, never carried; items_consumed replays it
+        self.items = items
+        self.items_consumed = 0
+        if self._phase == self._phase_done:
+            self.done = False
+            self._phase = self._phase_fetch
+
+    def run(self):
+        posedge = self._posedge
+        while True:
+            while self._phase() is None:
+                pass
+            yield posedge
+
+    def _phase_done(self) -> Optional[bool]:
+        # sequence exhausted: the master idles but stays alive, so a
+        # checkpoint fork can graft a fresh item stream and restart it
+        return True
 
 
 @dataclass(frozen=True)

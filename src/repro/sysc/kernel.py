@@ -40,6 +40,8 @@ class Simulator:
 
         self.processes: List[Process] = []
         self.signals: List[Signal] = []
+        #: every Module elaborated on this simulator, in build order
+        self.modules: List[Any] = []
         self._runnable: Deque[Process] = deque()
         self._update_requests: List[Signal] = []
         self._delta_notified: List[Event] = []

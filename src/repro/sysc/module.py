@@ -12,12 +12,13 @@ together").
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generic, List, Optional, TypeVar
+from typing import TYPE_CHECKING, Any, Generic, List, Optional, Tuple, TypeVar
 
 from .errors import BindingError, ElaborationError
 from .event import Event
 from .process_ import MethodProcess, ThreadProcess
 from .signal import Signal
+from .state import StateEntry
 
 if TYPE_CHECKING:
     from .kernel import Simulator
@@ -95,6 +96,11 @@ class Module:
     translated preconditions exactly there).
     """
 
+    #: the registers a checkpoint carries, declared once as
+    #: ``(wire key, attribute, codec)`` entries (see
+    #: :mod:`repro.sysc.state`); empty for stateless modules
+    STATE: Tuple[StateEntry, ...] = ()
+
     def __init__(self, name: str, simulator: "Simulator | None" = None, parent: "Module | None" = None):
         if simulator is None and parent is not None:
             simulator = parent.simulator
@@ -109,6 +115,7 @@ class Module:
         self._signals: List[Signal] = []
         if parent is not None:
             parent.children.append(self)
+        simulator.modules.append(self)
 
     # -- structure helpers ----------------------------------------------------
 

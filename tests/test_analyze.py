@@ -306,6 +306,34 @@ class TestShippedModelsAndDigests:
             assert "witness" in facts
             assert facts["witness"]["deltas"] > 0
 
+    def test_phase_dispatch_stream_carries_target_writes(self):
+        """``PciTargetModule.run`` dispatches through its handler
+        register (``self._phase()``); the walker inlines every handler,
+        so the target's own DEVSEL#/TRDY#/STOP# drives reach the
+        event stream the race checks read."""
+        from pathlib import Path
+
+        import repro.models.pci.systemc_model as pci_model
+
+        path = "models/pci/systemc_model.py"
+        _, structure = analyze_sources(
+            {path: Path(pci_model.__file__).read_text(encoding="utf-8")},
+            path,
+            model="pci",
+        )
+        [events] = [
+            events
+            for (cls, body), events in structure.streams
+            if (cls, body) == ("PciTargetModule", "run")
+        ]
+        writes = {
+            (event[1].attr, event[1].index)
+            for event in events
+            if event[0] == "write"
+        }
+        assert {("devsel", "self"), ("trdy", "self"), ("stop", "self")} <= writes
+        assert any(event[0] == "read" for event in events)
+
     def test_report_findings_are_canonically_sorted(self):
         report = analyze_models()
         keys = [f.sort_key() for f in report.findings]

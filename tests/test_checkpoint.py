@@ -15,7 +15,7 @@ import os
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.checkpoint import (
@@ -47,6 +47,8 @@ from repro.scenarios.regression import (
     ScenarioSpec,
     run_scenario,
 )
+from repro.scenarios.scoreboard import FaultPlan
+from repro.scenarios.sequences import NAMED_PROFILES
 from repro.store import atomic_write
 from repro.workbench import SerialEngine, Workbench
 
@@ -252,6 +254,88 @@ class TestWireTaxonomy:
             assert issubclass(klass, CheckpointError)
 
 
+    def _restore_edited(self, checkpoint, module, edit):
+        """Restore ``checkpoint`` with one module document edited.  The
+        edited checkpoint goes through the wire first, so it carries a
+        valid digest: only the declared-state check can refuse it."""
+        copy = Checkpoint.from_json(json.loads(json.dumps(checkpoint.to_json())))
+        edit(copy.modules[module])
+        restore_system(Checkpoint.from_json(copy.to_json()))
+
+    def test_missing_module_field_rejected(self, checkpoint):
+        with pytest.raises(
+            CheckpointFormatError, match=r"'master0'.*missing fields \['phase'\]"
+        ):
+            self._restore_edited(
+                checkpoint, "master0", lambda doc: doc.pop("phase")
+            )
+
+    def test_undeclared_module_field_rejected(self, checkpoint):
+        with pytest.raises(
+            CheckpointFormatError, match=r"'slave0'.*undeclared fields \['parity'\]"
+        ):
+            self._restore_edited(
+                checkpoint, "slave0", lambda doc: doc.update(parity=1)
+            )
+
+    def test_unknown_phase_name_rejected(self):
+        checkpoint = snapshot_scenario_run(
+            ScenarioSpec("pci", 2011, (1, 1), "default", 40), 40
+        )
+        with pytest.raises(
+            CheckpointFormatError, match=r"'target0' field 'phase'.*'bogus'"
+        ):
+            self._restore_edited(
+                checkpoint, "target0", lambda doc: doc.update(phase="bogus")
+            )
+
+
+#: content digests of 120-cycle snapshots, pinned so the wire form of
+#: every module's declared state stays byte-identical (plain specs,
+#: fsm tracking off; stable under any PYTHONHASHSEED)
+PINNED_DIGESTS = {
+    "ms-bursty-monitored": (
+        ScenarioSpec(
+            "master_slave", 2005, (2, 2, 2), "bursty", CYCLES,
+            with_monitors=True,
+        ),
+        "039b6fd7ce7ba3eedd94d6ed34034d3f3c1a4f02e0a3e6d479f1fd25f783a85b",
+    ),
+    "ms-corrupt-read": (
+        ScenarioSpec(
+            "master_slave", 7, (1, 1, 2), "default", CYCLES,
+            fault=FaultPlan("corrupt-read", unit=0, nth=1),
+        ),
+        "d55ffe9aad967a9ef977c0c3cccd63a145d75e6dd44039a09f941575fed3c0e5",
+    ),
+    "pci-monitored": (
+        ScenarioSpec(
+            "pci", 2011, (2, 2), "default", CYCLES, with_monitors=True,
+        ),
+        "765ed5d9683e0f18ad532dbf3ec2e8ffd74397e1f68d2c31387452073a367126",
+    ),
+    "pci-drop": (
+        ScenarioSpec(
+            "pci", 7, (2, 2), "default", CYCLES,
+            fault=FaultPlan("drop", unit=0, nth=1),
+        ),
+        "8cac1d4d30aaf2f14c2941c337f4c5f75b28ff022b663ce370a69bbd1a051fd8",
+    ),
+}
+
+
+class TestPinnedWire:
+    """Checkpoint documents are byte-identical to the pinned captures."""
+
+    def test_wire_version_is_two(self):
+        assert WIRE_VERSION == 2
+
+    @pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
+    def test_snapshot_digest_is_pinned(self, name):
+        spec, digest = PINNED_DIGESTS[name]
+        assert snapshot_scenario_run(spec, CYCLES).digest == digest
+
+
 class TestAtomicPersistence:
     """Satellite fix: a crash mid-write never leaves a half-checkpoint
     that restore would accept."""
@@ -328,6 +412,60 @@ class TestHypothesisRoundTrip:
             system, again.spec, again.cycles_run, harness=harness
         )
         assert resnap.digest == checkpoint.digest
+
+
+_FAULT_PLANS = st.one_of(
+    st.none(),
+    st.builds(
+        FaultPlan,
+        kind=st.sampled_from(("corrupt-read", "drop")),
+        unit=st.integers(min_value=0, max_value=1),
+        nth=st.integers(min_value=1, max_value=4),
+    ),
+)
+
+
+class TestFaultedRestoreEquivalence:
+    """Generated restore equivalence: snapshot at T, resume to T+k,
+    compare with the uninterrupted run -- over model, seed, profile,
+    fault plan, T and k.  Faulted systems carry extra declared state
+    (a faulty slave's read count), which only this property covers."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        model=st.sampled_from(sorted(MONITORED_SPECS)),
+        seed=st.integers(min_value=0, max_value=2**16),
+        profile=st.sampled_from(sorted(NAMED_PROFILES)),
+        fault=_FAULT_PLANS,
+        snap_at=st.integers(min_value=1, max_value=60),
+        more=st.integers(min_value=1, max_value=40),
+    )
+    @example(
+        model="master_slave", seed=7, profile="default",
+        fault=FaultPlan("corrupt-read", unit=0, nth=2), snap_at=40, more=40,
+    )
+    @example(
+        model="pci", seed=2005, profile="reads",
+        fault=FaultPlan("corrupt-read", unit=1, nth=2), snap_at=30, more=30,
+    )
+    @example(
+        model="pci", seed=11, profile="default",
+        fault=FaultPlan("drop", unit=0, nth=3), snap_at=50, more=30,
+    )
+    def test_faulted_resume_matches_uninterrupted(
+        self, model, seed, profile, fault, snap_at, more
+    ):
+        topology = (1, 1, 2) if model == "master_slave" else (2, 2)
+        spec = ScenarioSpec(
+            model, seed, topology, profile, snap_at + more, fault,
+            track_fsm=True,
+        )
+        checkpoint = snapshot_scenario_run(
+            replace(spec, cycles=snap_at), snap_at
+        )
+        digest = global_registry().put(checkpoint)
+        resumed = run_scenario(replace(spec, resume_from=digest))
+        assert _comparable(resumed) == _comparable(run_scenario(spec))
 
 
 @pytest.fixture(scope="module")

@@ -21,6 +21,7 @@ finally:
     sys.path.pop(0)
 
 BUILTIN_RULES = (
+    "ckpt.undeclared-state",
     "lint.docstring",
     "lint.http-plumbing",
     "lint.letter-declaration",
@@ -181,6 +182,51 @@ class TestLetterDeclaration:
                "def letter(self):\n"
                "    return {'x': 1}\n")
         assert run_checks(tmp_path, rules=["lint.letter-declaration"]).ok
+
+
+class TestUndeclaredState:
+    _PARENT = (
+        "class Slave(Module):\n"
+        "    STATE = (('reads', 'reads', SCALAR),)\n\n"
+        "    def __init__(self):\n"
+        "        self.reads = 0\n"
+        "        self.wait_states = 1\n\n"
+        "    def access(self):\n"
+        "        self.reads += 1\n"
+    )
+
+    def test_undeclared_register_flagged_through_extension(self, tmp_path):
+        _plant(tmp_path, "src/repro/models/toy/slave.py", self._PARENT)
+        _plant(tmp_path, "src/repro/models/toy/faulty.py",
+               "class Faulty(Slave):\n"
+               "    STATE = Slave.STATE + (('served', 'served', SCALAR),)\n\n"
+               "    def access(self):\n"
+               "        self.served += 1\n"
+               "        self.reads_left, self.flipped = 0, True\n\n\n"
+               "class Quiet(Slave):\n"
+               "    def access(self):\n"
+               "        self.hits = 1\n")
+        report = run_checks(tmp_path, rules=["ckpt.undeclared-state"])
+        flagged = sorted(
+            (f.path, f.line, f.message.split(" assigns ")[1].split(",")[0])
+            for f in report.unsuppressed()
+        )
+        assert flagged == [
+            ("src/repro/models/toy/faulty.py", 6, "self.flipped"),
+            ("src/repro/models/toy/faulty.py", 6, "self.reads_left"),
+            ("src/repro/models/toy/faulty.py", 11, "self.hits"),
+        ]
+
+    def test_declared_init_stateless_and_allowed_writes_pass(self, tmp_path):
+        _plant(tmp_path, "src/repro/models/toy/slave.py",
+               self._PARENT
+               + "\n    def rebind(self, items):\n"
+               "        # repro: allow[ckpt.undeclared-state] rebuilt from the spec\n"
+               "        self.items = items\n\n\n"
+               "class Clock(Module):\n"
+               "    def tick(self):\n"
+               "        self.cycles = 1\n")
+        assert run_checks(tmp_path, rules=["ckpt.undeclared-state"]).ok
 
 
 class TestEntryPoints:

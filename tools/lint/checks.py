@@ -27,6 +27,14 @@
     compiles into a reader.  A ``letter()`` function building a dict
     under ``src/repro/models`` is a second, hand-maintained copy of
     that namespace -- the drift the declarations replaced.
+``ckpt.undeclared-state``
+    A stateful module declares the registers a checkpoint carries once,
+    as a class-level ``STATE`` table (:mod:`repro.sysc.state`).  In a
+    class with a non-empty table (its own or inherited), a
+    ``self.x = ...`` / ``self.x op= ...`` outside ``__init__`` whose
+    ``x`` the table does not declare is state a restore would silently
+    drop.  Deliberate exceptions (stimulus plumbing rebuilt from the
+    spec) take a justified allow comment.
 
 All checks walk the AST of ``src/repro`` -- tests and benchmarks are
 free to construct monitors or read clocks directly.
@@ -357,4 +365,149 @@ def lint_letter_declaration(root: Path) -> List[Finding]:
                         "repro.abv.letters.LetterDeclaration instead"
                     ),
                 ))
+    return findings
+
+
+def _state_expr(cls: ast.ClassDef) -> Optional[ast.expr]:
+    """The class-level ``STATE = ...`` value, if the class declares one."""
+    for node in cls.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets = [node.target]
+        else:
+            continue
+        if any(isinstance(t, ast.Name) and t.id == "STATE" for t in targets):
+            return node.value
+    return None
+
+
+class _StateIndex:
+    """Every class under ``src/repro`` by name, resolving each one's
+    declared ``STATE`` attributes through ``Parent.STATE + (...)``
+    extensions and plain inheritance."""
+
+    def __init__(self, trees: Dict[Path, ast.Module]):
+        self.classes: Dict[str, ast.ClassDef] = {}
+        for tree in trees.values():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ClassDef):
+                    self.classes[node.name] = node
+        self._memo: Dict[str, Optional[Set[str]]] = {}
+
+    def declared(self, name: str) -> Optional[Set[str]]:
+        """Attributes class ``name`` declares; None when unresolvable."""
+        if name not in self._memo:
+            self._memo[name] = None  # cycle guard
+            cls = self.classes.get(name)
+            result: Optional[Set[str]] = None
+            if cls is not None:
+                expr = _state_expr(cls)
+                if expr is not None:
+                    result = self._attrs(expr)
+                else:
+                    for base in cls.bases:
+                        base_name = (
+                            base.id if isinstance(base, ast.Name)
+                            else base.attr if isinstance(base, ast.Attribute)
+                            else None
+                        )
+                        if base_name is not None:
+                            result = self.declared(base_name)
+                            if result:
+                                break
+            self._memo[name] = result
+        return self._memo[name]
+
+    def _attrs(self, expr: ast.expr) -> Optional[Set[str]]:
+        if isinstance(expr, (ast.Tuple, ast.List)):
+            attrs: Set[str] = set()
+            for entry in expr.elts:
+                if not (
+                    isinstance(entry, ast.Tuple)
+                    and len(entry.elts) >= 2
+                    and isinstance(entry.elts[1], ast.Constant)
+                    and isinstance(entry.elts[1].value, str)
+                ):
+                    return None
+                attrs.add(entry.elts[1].value)
+            return attrs
+        if isinstance(expr, ast.BinOp) and isinstance(expr.op, ast.Add):
+            left, right = self._attrs(expr.left), self._attrs(expr.right)
+            if left is None or right is None:
+                return None
+            return left | right
+        if (
+            isinstance(expr, ast.Attribute)
+            and expr.attr == "STATE"
+            and isinstance(expr.value, ast.Name)
+        ):
+            return self.declared(expr.value.id)
+        return None
+
+
+def _self_targets(node: ast.AST) -> List[ast.Attribute]:
+    """``self.x`` targets of an assignment statement (tuples unpacked)."""
+    if isinstance(node, ast.Assign):
+        pending = list(node.targets)
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        pending = [node.target]
+    else:
+        return []
+    found: List[ast.Attribute] = []
+    while pending:
+        target = pending.pop()
+        if isinstance(target, (ast.Tuple, ast.List)):
+            pending.extend(target.elts)
+        elif isinstance(target, ast.Starred):
+            pending.append(target.value)
+        elif (
+            isinstance(target, ast.Attribute)
+            and isinstance(target.value, ast.Name)
+            and target.value.id == "self"
+        ):
+            found.append(target)
+    return found
+
+
+@register(
+    "ckpt.undeclared-state",
+    "stateful modules assign outside __init__ only registers their STATE declares",
+)
+def lint_undeclared_state(root: Path) -> List[Finding]:
+    """Flag ``self.x`` writes a stateful module's ``STATE`` omits."""
+    trees = {
+        path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in _source_files(root)
+    }
+    index = _StateIndex(trees)
+    findings: List[Finding] = []
+    for path, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            declared = index.declared(cls.name)
+            if not declared:
+                continue
+            for method in cls.body:
+                if not isinstance(
+                    method, (ast.FunctionDef, ast.AsyncFunctionDef)
+                ) or method.name == "__init__":
+                    continue
+                for node in ast.walk(method):
+                    for target in _self_targets(node):
+                        if target.attr in declared:
+                            continue
+                        findings.append(Finding(
+                            rule="ckpt.undeclared-state",
+                            severity="error",
+                            path=repo_relative(path, root),
+                            line=node.lineno,
+                            message=(
+                                f"{cls.name}.{method.name} assigns "
+                                f"self.{target.attr}, which {cls.name}.STATE "
+                                f"does not declare: a checkpoint restore "
+                                f"would drop it"
+                            ),
+                        ))
     return findings

@@ -29,7 +29,7 @@ from .findings import (
     suppression_for,
 )
 from .proplint import lint_directive, lint_properties
-from .race import ModelStructure, analyze_sources, declaration_line_for
+from .race import ModelStructure, analyze_sources, declaration_for
 from .runner import DEFAULT_WITNESS_CYCLES, analyze_duv, analyze_models
 from .witness import DeltaWitness, WitnessStats, run_witnessed
 
@@ -43,7 +43,7 @@ __all__ = [
     "lint_properties",
     "ModelStructure",
     "analyze_sources",
-    "declaration_line_for",
+    "declaration_for",
     "DEFAULT_WITNESS_CYCLES",
     "analyze_duv",
     "analyze_models",

@@ -40,6 +40,8 @@ flagged access.
 from __future__ import annotations
 
 import ast
+import copy
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
@@ -64,6 +66,8 @@ class SignalDecl:
     #: constant parts of the Signal name argument, for witness mapping
     #: (f"want{i}" -> ("want", ""); "owner" -> ("owner",))
     name_parts: Tuple[str, ...] = ()
+    #: the source file declaring it
+    path: str = ""
 
 
 @dataclass(frozen=True)
@@ -93,6 +97,7 @@ class Access:
     lineno: int
     cls: str
     process: str
+    path: str
 
 
 @dataclass
@@ -102,10 +107,17 @@ class ModelStructure:
     path: str
     decls: Dict[str, SignalDecl] = field(default_factory=dict)
     plural: Dict[str, str] = field(default_factory=dict)  # class -> mult
+    #: module classes each top-level class builds (transitively); two
+    #: module classes share a design only if one of these holds both
+    systems: List[Set[str]] = field(default_factory=list)
     accesses: List[Access] = field(default_factory=list)
-    wait_free_loops: List[Tuple[str, str, int]] = field(default_factory=list)
+    #: (class, process, path, line) of each while loop with no yield
+    wait_free_loops: List[Tuple[str, str, str, int]] = field(
+        default_factory=list
+    )
     mutating_methods: Dict[Tuple[str, str], int] = field(default_factory=dict)
-    #: per-process ordered (read/write/call/yield) event streams
+    #: per-process ordered (read/write/call/yield) event streams; each
+    #: non-yield event ends with the path of the file its line is in
     streams: List[Tuple[Tuple[str, str], List[tuple]]] = field(
         default_factory=list
     )
@@ -172,7 +184,9 @@ def _contains_signal_call(node: ast.AST) -> Optional[ast.Call]:
     return None
 
 
-def _collect_signal_decls(cls: ast.ClassDef) -> Dict[str, SignalDecl]:
+def _collect_signal_decls(
+    cls: ast.ClassDef, path: str = ""
+) -> Dict[str, SignalDecl]:
     """``self.X = Signal(...)`` / ``self.X = [Signal(...) ...]`` in __init__."""
     decls: Dict[str, SignalDecl] = {}
     init = _init_of(cls)
@@ -188,12 +202,14 @@ def _collect_signal_decls(cls: ast.ClassDef) -> Dict[str, SignalDecl]:
             decls[attr] = SignalDecl(
                 cls.name, attr, "scalar", stmt.lineno,
                 _signal_name_parts(stmt.value),  # type: ignore[arg-type]
+                path,
             )
         elif isinstance(stmt.value, (ast.ListComp, ast.List)):
             call = _contains_signal_call(stmt.value)
             if call is not None:
                 decls[attr] = SignalDecl(
-                    cls.name, attr, "array", stmt.lineno, _signal_name_parts(call)
+                    cls.name, attr, "array", stmt.lineno,
+                    _signal_name_parts(call), path,
                 )
     return decls
 
@@ -221,14 +237,14 @@ def _self_callees(cls: ast.ClassDef) -> Dict[str, List[str]]:
     in definition order.
     """
     methods = [n.name for n in cls.body if isinstance(n, ast.FunctionDef)]
+    callees = {name: [name] for name in methods}
     held: Dict[str, Set[str]] = {}
     for node in ast.walk(cls):
         if isinstance(node, ast.Assign) and len(node.targets) == 1:
             attr = _self_attr_target(node.targets[0])
-            if attr is not None and attr not in methods:
+            if attr is not None and attr not in callees:
                 for value in ast.walk(node.value):
                     held.setdefault(attr, set()).add(_self_attr_target(value))
-    callees = {name: [name] for name in methods}
     for attr, names in held.items():
         handlers = [name for name in methods if name in names]
         if handlers:
@@ -239,8 +255,10 @@ def _self_callees(cls: ast.ClassDef) -> Dict[str, List[str]]:
 class _ProcessWalker:
     """Walks one process body in source order, emitting ordered events.
 
-    Events are tuples: ``("read"|"write", SignalRef, lineno)``,
-    ``("call", ObjChain, lineno, method)``, ``("yield",)``.  Same-class
+    Events are tuples: ``("read"|"write", SignalRef, lineno, path)``,
+    ``("call", ObjChain, lineno, method, path)``, ``("yield",)``; the
+    path is the file of the method the line is in (an inherited method
+    lives in its base class's file).  Same-class
     helper calls (``yield from self._helper(...)`` or plain
     ``self._helper(...)``) are inlined so their traffic lands in the
     caller's stream at the call point; a phase dispatch through a
@@ -249,12 +267,16 @@ class _ProcessWalker:
     """
 
     def __init__(self, cls: ast.ClassDef, shared_attrs: Dict[str, SignalDecl],
-                 local_attrs: Dict[str, SignalDecl]):
+                 local_attrs: Dict[str, SignalDecl], paths: Dict[int, str],
+                 callees: Dict[str, List[str]]):
         self.cls = cls
+        #: id(method node) -> its file; the walk's current file
+        self.paths = paths
+        self.path = ""
         self.methods = {
             n.name: n for n in cls.body if isinstance(n, ast.FunctionDef)
         }
-        self.callees = _self_callees(cls)
+        self.callees = callees
         self.shared_attrs = shared_attrs
         self.local_attrs = local_attrs
         self.aliases: Dict[str, object] = {}
@@ -298,12 +320,14 @@ class _ProcessWalker:
                 if isinstance(target, SignalRef) and func.attr in ("read", "write"):
                     for arg in node.args:
                         self.walk_expr(arg, events)
-                    events.append((func.attr, target, node.lineno))
+                    events.append((func.attr, target, node.lineno, self.path))
                     return
                 if isinstance(target, ObjChain):
                     for arg in node.args:
                         self.walk_expr(arg, events)
-                    events.append(("call", target, node.lineno, func.attr))
+                    events.append(
+                        ("call", target, node.lineno, func.attr, self.path)
+                    )
                     return
                 # unresolved receiver: maybe a same-class helper call
                 # or a phase dispatch
@@ -347,7 +371,11 @@ class _ProcessWalker:
         if method in self._visited:
             return
         self._visited.add(method)
-        self.walk_stmts(self.methods[method].body, events)
+        caller_path = self.path
+        node = self.methods[method]
+        self.path = self.paths.get(id(node), caller_path)
+        self.walk_stmts(node.body, events)
+        self.path = caller_path
         self._visited.discard(method)
 
     # -- statement walking ------------------------------------------------
@@ -434,6 +462,7 @@ class _ProcessWalker:
         if method is None:
             return events
         self._visited.add(body_method)
+        self.path = self.paths.get(id(method), "")
         self.walk_stmts(method.body, events)
         return events
 
@@ -465,12 +494,14 @@ def _process_bodies(cls: ast.ClassDef) -> List[str]:
     return bodies
 
 
-def _collect_multiplicity(cls: ast.ClassDef, module_names: Set[str],
-                          plural: Dict[str, str]) -> None:
-    """How many instances of each module class a system builds."""
+def _instantiations(cls: ast.ClassDef, names: Set[str]) -> Dict[str, str]:
+    """The classes of ``names`` that ``cls.__init__`` instantiates, each
+    ``"plural"`` (comprehension, loop, or instantiated twice) or
+    ``"singular"``."""
+    found: Dict[str, str] = {}
     init = _init_of(cls)
     if init is None:
-        return
+        return found
 
     def called_class(node: ast.AST) -> Optional[str]:
         if isinstance(node, ast.Call):
@@ -478,37 +509,81 @@ def _collect_multiplicity(cls: ast.ClassDef, module_names: Set[str],
             name = func.id if isinstance(func, ast.Name) else (
                 func.attr if isinstance(func, ast.Attribute) else None
             )
-            if name in module_names:
+            if name in names:
                 return name
         return None
-
-    def record(name: str, mult: str) -> None:
-        if plural.get(name) == "plural" or mult == "plural":
-            plural[name] = "plural"
-        else:
-            # a second singular instantiation still means two instances
-            plural[name] = "plural" if name in plural else "singular"
 
     comprehension_nodes: Set[int] = set()
     for node in ast.walk(init):
         if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
             name = called_class(node.elt)
             if name is not None:
-                record(name, "plural")
+                _record(found, name, "plural")
                 for sub in ast.walk(node):
                     comprehension_nodes.add(id(sub))
         elif isinstance(node, ast.For):
             for child in ast.walk(node):
                 name = called_class(child)
                 if name is not None:
-                    record(name, "plural")
+                    _record(found, name, "plural")
                     comprehension_nodes.add(id(child))
     for node in ast.walk(init):
         if id(node) in comprehension_nodes:
             continue
         name = called_class(node)
         if name is not None:
-            record(name, "singular")
+            _record(found, name, "singular")
+    return found
+
+
+def _record(found: Dict[str, str], name: str, mult: str) -> None:
+    if found.get(name) == "plural" or mult == "plural":
+        found[name] = "plural"
+    else:
+        # a second singular instantiation still means two instances
+        found[name] = "plural" if name in found else "singular"
+
+
+def _collect_systems(
+    other_classes: List[ast.ClassDef], module_names: Set[str],
+    structure: ModelStructure,
+) -> None:
+    """Module multiplicity and coexistence, per top-level class.
+
+    A top-level class is a non-module class no other source class
+    instantiates (a system); it builds the module classes it
+    instantiates, directly or through the non-module classes it
+    instantiates (a clock building its driver).  A model's scenario
+    system and its free-running system are two tops, so their modules
+    neither share a design nor multiply each other's instances.
+    """
+    other_names = {cls.name for cls in other_classes}
+    direct = {
+        cls.name: _instantiations(cls, module_names | other_names)
+        for cls in other_classes
+    }
+    instantiated = {name for found in direct.values() for name in found}
+
+    def built(name: str, seen: Set[str]) -> Dict[str, str]:
+        modules: Dict[str, str] = {}
+        for child, mult in direct.get(name, {}).items():
+            if child in module_names:
+                _record(modules, child, mult)
+            elif child not in seen:
+                for module, inner in built(child, seen | {child}).items():
+                    _record(modules, module, "plural" if mult == "plural" else inner)
+        return modules
+
+    for name in direct:
+        if name in instantiated:
+            continue
+        modules = built(name, {name})
+        if not modules:
+            continue
+        structure.systems.append(set(modules))
+        for module, mult in modules.items():
+            if structure.plural.get(module) != "plural":
+                structure.plural[module] = mult
 
 
 def _mutates_self_state(method: ast.FunctionDef) -> bool:
@@ -532,42 +607,109 @@ def _mutates_self_state(method: ast.FunctionDef) -> bool:
     return False
 
 
+@functools.lru_cache(maxsize=32)
+def _parse(path: str, text: str) -> ast.Module:
+    """Parse one source, memoized on its text: both models share the
+    clock and scoreboard files, and a workbench re-analyzes unchanged
+    sources.  The pass only reads the trees (:func:`_flatten` copies)."""
+    return ast.parse(text, filename=path)
+
+
+def _flatten(
+    cls: ast.ClassDef, bases: List[ast.ClassDef]
+) -> ast.ClassDef:
+    """``cls`` as its instances see it: the methods of every base in
+    the sources (nearest base last), overridden by its own, and one
+    ``__init__`` running each chain member's body (root first), so
+    process registrations and signal declarations a base makes count
+    for the subclass too."""
+    if not bases:
+        return cls
+    chain = [*reversed(bases), cls]
+    methods: Dict[str, ast.FunctionDef] = {}
+    inits: List[ast.stmt] = []
+    for member in chain:
+        for node in member.body:
+            if isinstance(node, ast.FunctionDef):
+                if node.name == "__init__":
+                    inits.extend(node.body)
+                methods[node.name] = node
+    flat = copy.copy(cls)
+    body: List[ast.stmt] = list(methods.values())
+    init = methods.get("__init__")
+    if init is not None:
+        merged = copy.copy(init)
+        merged.body = inits
+        body = [merged if node is init else node for node in body]
+    flat.body = body
+    return flat
+
+
 def build_structure(sources: Dict[str, str], path: str) -> ModelStructure:
     """Parse the model sources into one :class:`ModelStructure`.
 
     ``sources`` maps report paths to source text; ``path`` names the
-    primary model file (findings are reported against it).  All files
-    contribute signal containers, modules and processes -- pass the
-    ``sysc/`` primitives alongside the model file to cover native
-    kernel processes like the clock driver.
+    primary model file.  All files contribute signal containers,
+    modules and processes -- pass the ``sysc/`` primitives alongside
+    the model file to cover native kernel processes like the clock
+    driver, and the scenario files to cover the sequence masters.  A
+    class deriving from a module class of the sources is a module
+    class too, analyzed with its inherited methods; a base that no
+    source class instantiates (an abstract base) is analyzed only
+    through its subclasses.  Every access, declaration and loop keeps
+    the path of the file its line is in.
     """
     structure = ModelStructure(path=path)
-    trees = {p: ast.parse(text, filename=p) for p, text in sources.items()}
+    trees = {p: _parse(p, text) for p, text in sources.items()}
 
     classes: List[Tuple[str, ast.ClassDef]] = []
     for file_path, tree in trees.items():
         for node in tree.body:
             if isinstance(node, ast.ClassDef):
                 classes.append((file_path, node))
+    by_name = {cls.name: cls for _, cls in classes}
+    paths: Dict[int, str] = {}
+    for file_path, cls in classes:
+        for node in cls.body:
+            if isinstance(node, ast.FunctionDef):
+                paths[id(node)] = file_path
 
-    local_decls: Dict[str, Dict[str, SignalDecl]] = {}
+    def source_bases(cls: ast.ClassDef) -> List[ast.ClassDef]:
+        """Base classes defined in the sources, nearest first."""
+        found: List[ast.ClassDef] = []
+        current = cls
+        while True:
+            parents = [by_name[n] for n in _base_names(current) if n in by_name]
+            if not parents or parents[0] in found or parents[0] is cls:
+                return found
+            current = parents[0]
+            found.append(current)
+
+    roots = _MODULE_BASES | _PROCESS_BASES
     module_classes: List[ast.ClassDef] = []
     other_classes: List[ast.ClassDef] = []
-    for _, cls in classes:
-        decls = _collect_signal_decls(cls)
-        if _base_names(cls) & (_MODULE_BASES | _PROCESS_BASES):
-            module_classes.append(cls)
-            if decls:
-                local_decls[cls.name] = decls
+    extended: Set[str] = set()
+    for file_path, cls in classes:
+        bases = source_bases(cls)
+        if any(_base_names(c) & roots for c in (cls, *bases)):
+            module_classes.append(_flatten(cls, bases))
+            extended.update(base.name for base in bases)
         else:
             other_classes.append(cls)
-            structure.decls.update(decls)
+            structure.decls.update(_collect_signal_decls(cls, file_path))
 
     module_names = {cls.name for cls in module_classes}
-    for cls in other_classes:
-        _collect_multiplicity(cls, module_names, structure.plural)
+    _collect_systems(other_classes, module_names, structure)
+    module_classes = [
+        cls for cls in module_classes
+        if cls.name not in extended or cls.name in structure.plural
+    ]
 
+    local_decls: Dict[str, Dict[str, SignalDecl]] = {}
     for cls in module_classes:
+        decls = _collect_signal_decls(cls)
+        if decls:
+            local_decls[cls.name] = decls
         for node in cls.body:
             if isinstance(node, ast.FunctionDef) and node.name != "__init__":
                 if _mutates_self_state(node):
@@ -579,18 +721,21 @@ def build_structure(sources: Dict[str, str], path: str) -> ModelStructure:
         for body_name in _process_bodies(cls):
             structure.process_count += 1
             walker = _ProcessWalker(
-                cls, structure.decls, local_decls.get(cls.name, {})
+                cls, structure.decls, local_decls.get(cls.name, {}), paths,
+                callees,
             )
             events = walker.run(body_name)
             structure.streams.append(((cls.name, body_name), events))
             for event in events:
                 if event[0] in ("read", "write"):
                     structure.accesses.append(Access(
-                        event[0], event[1], "", event[2], cls.name, body_name
+                        event[0], event[1], "", event[2], cls.name, body_name,
+                        event[3],
                     ))
                 elif event[0] == "call":
                     structure.accesses.append(Access(
-                        "call", event[1], event[3], event[2], cls.name, body_name
+                        "call", event[1], event[3], event[2], cls.name,
+                        body_name, event[4],
                     ))
             # wait-free loops over every method reachable from the body
             seen: Set[str] = set()
@@ -605,9 +750,10 @@ def build_structure(sources: Dict[str, str], path: str) -> ModelStructure:
                         isinstance(sub, (ast.Yield, ast.YieldFrom))
                         for sub in ast.walk(node)
                     ):
-                        structure.wait_free_loops.append(
-                            (cls.name, body_name, node.lineno)
-                        )
+                        structure.wait_free_loops.append((
+                            cls.name, body_name,
+                            paths.get(id(methods[name]), path), node.lineno,
+                        ))
                     if isinstance(node, ast.Call):
                         stack.extend(callees.get(
                             _self_attr_target(node.func) or "", ()
@@ -618,6 +764,22 @@ def build_structure(sources: Dict[str, str], path: str) -> ModelStructure:
 # ---------------------------------------------------------------------------
 # checks
 # ---------------------------------------------------------------------------
+
+
+def _coexisting(structure: ModelStructure, classes: Set[str]) -> List[Set[str]]:
+    """Each set of two or more of ``classes`` that one system builds
+    together (a class no system builds counts as in every one)."""
+    if len(classes) < 2:
+        return []
+    if not structure.systems:
+        return [set(classes)]
+    unplaced = classes - set().union(*structure.systems)
+    groups: List[Set[str]] = []
+    for system in structure.systems:
+        together = (classes & system) | unplaced
+        if len(together) > 1 and together not in groups:
+            groups.append(together)
+    return groups
 
 
 def _writer_summary(writers: Sequence[Access]) -> str:
@@ -638,34 +800,42 @@ def check_multi_driver(structure: ModelStructure, model: str) -> List[Finding]:
     for attr in sorted(by_attr):
         writers = by_attr[attr]
         decl = structure.decls.get(attr)
-        line = decl.lineno if decl else writers[0].lineno
-        writer_classes = sorted({a.cls for a in writers})
-        if len(writer_classes) > 1:
+        where = (decl.path, decl.lineno) if decl else (
+            writers[0].path, writers[0].lineno
+        )
+        file_path, line = where[0] or structure.path, where[1]
+        groups = _coexisting(structure, {a.cls for a in writers})
+        for group in groups:
+            sharing = [a for a in writers if a.cls in group]
             findings.append(Finding(
                 rule="race.multi-driver",
                 severity="error",
-                path=structure.path,
+                path=file_path,
                 line=line,
                 message=(
                     f"signal '{attr}' is written by multiple module classes "
-                    f"({_writer_summary(writers)}); same-delta writes are "
+                    f"({_writer_summary(sharing)}); same-delta writes are "
                     f"last-write-wins in scheduler order"
                 ),
                 model=model,
             ))
+        if groups:
             continue
-        cls = writer_classes[0]
-        if structure.plural.get(cls) != "plural":
-            continue
-        unsafe = [
-            a for a in writers
-            if isinstance(a.target, SignalRef) and a.target.index != "self"
-        ]
-        if unsafe:
+        for cls in sorted({a.cls for a in writers}):
+            if structure.plural.get(cls) != "plural":
+                continue
+            unsafe = [
+                a for a in writers
+                if a.cls == cls
+                and isinstance(a.target, SignalRef)
+                and a.target.index != "self"
+            ]
+            if not unsafe:
+                continue
             findings.append(Finding(
                 rule="race.multi-driver",
                 severity="error",
-                path=structure.path,
+                path=file_path,
                 line=line,
                 message=(
                     f"signal '{attr}' is written by every instance of plural "
@@ -695,7 +865,7 @@ def check_read_after_write(structure: ModelStructure, model: str) -> List[Findin
                     findings.append(Finding(
                         rule="race.read-after-write",
                         severity="warning",
-                        path=structure.path,
+                        path=event[3] or structure.path,
                         line=event[2],
                         message=(
                             f"'{ref.attr}' is read after being written at "
@@ -726,7 +896,7 @@ def check_shared_state(structure: ModelStructure, model: str) -> List[Finding]:
         findings.append(Finding(
             rule="race.shared-state",
             severity="warning",
-            path=structure.path,
+            path=access.path or structure.path,
             line=access.lineno,
             message=(
                 f"plural module {access.cls}.{access.process} calls "
@@ -745,7 +915,7 @@ def check_wait_free_loops(structure: ModelStructure, model: str) -> List[Finding
         Finding(
             rule="race.wait-free-loop",
             severity="warning",
-            path=structure.path,
+            path=file_path or structure.path,
             line=lineno,
             message=(
                 f"while loop in process {cls}.{process} contains no yield: "
@@ -754,7 +924,9 @@ def check_wait_free_loops(structure: ModelStructure, model: str) -> List[Finding
             ),
             model=model,
         )
-        for cls, process, lineno in sorted(set(structure.wait_free_loops))
+        for cls, process, file_path, lineno in sorted(
+            set(structure.wait_free_loops)
+        )
     ]
 
 
@@ -778,14 +950,17 @@ def analyze_sources(
     return findings, structure
 
 
-def declaration_line_for(structure: ModelStructure, signal_name: str) -> int:
-    """Map a *runtime* signal name back to its declaration line.
+def declaration_for(
+    structure: ModelStructure, signal_name: str
+) -> Tuple[str, int]:
+    """Map a *runtime* signal name back to its declaration's
+    ``(path, line)``.
 
     Runtime names come from the Signal name argument: a constant
     (``"owner"``) or an f-string (``f"want{i}"`` -> name_parts
     ``("want", "")``).  Matching is prefix/suffix against the constant
-    fragments; 0 when no declaration matches (witness findings then
-    anchor to the whole file).
+    fragments; ``(structure.path, 0)`` when no declaration matches
+    (witness findings then anchor to the whole model file).
     """
     for decl in structure.decls.values():
         parts = decl.name_parts
@@ -793,11 +968,11 @@ def declaration_line_for(structure: ModelStructure, signal_name: str) -> int:
             continue
         if len(parts) == 1:
             if signal_name == parts[0]:
-                return decl.lineno
+                return decl.path or structure.path, decl.lineno
             continue
         prefix, suffix = parts[0], parts[-1]
         if signal_name.startswith(prefix) and signal_name.endswith(suffix) and (
             len(signal_name) >= len(prefix) + len(suffix)
         ):
-            return decl.lineno
-    return 0
+            return decl.path or structure.path, decl.lineno
+    return structure.path, 0

@@ -1,7 +1,10 @@
 """Drive all analyzer passes over registered models into one report.
 
-``analyze_duv`` resolves a DUV's SystemC sources (the model file plus
-the ``sysc`` clock primitive, so native kernel processes are seen),
+``analyze_duv`` resolves a DUV's SystemC sources (the model file, the
+``sysc`` clock primitive, so native kernel processes are seen, and the
+scenario sources -- the model's ``scenario.py`` and
+``scenarios/scoreboard.py`` -- so the sequence masters every
+regression runs are analyzed too),
 runs the static race detector, lints the DUV's property set against
 the model's letter namespace, optionally cross-checks with a witnessed
 kernel run, applies inline ``# repro: allow`` suppressions, and folds
@@ -29,7 +32,7 @@ from ..workbench.duv import DUV
 from ..workbench.registry import default_registry
 from .findings import AnalysisReport, Finding, apply_suppressions
 from .proplint import lint_properties
-from .race import ModelStructure, analyze_sources, declaration_line_for
+from .race import ModelStructure, analyze_sources, declaration_for
 from .witness import DeltaWitness
 
 #: Default witnessed-run length, in clock cycles of the model.
@@ -52,6 +55,26 @@ def _model_source_path(duv: DUV, seed: int) -> Path:
     if source is None:  # pragma: no cover - source always on disk here
         raise FileNotFoundError(f"no source file for {type(system)!r}")
     return Path(source)
+
+
+def duv_sources(duv: DUV, seed: int = 2005) -> Dict[str, str]:
+    """Repo-relative path -> text of every file the race pass reads
+    for ``duv``: its SystemC model file first, then the ``sysc`` clock
+    (the native driver process), the model's ``scenario.py`` and
+    ``scenarios/scoreboard.py`` (the sequence masters)."""
+    from ..scenarios import scoreboard as _scoreboard_module
+    from ..sysc import clock as _clock_module
+
+    model_file = _model_source_path(duv, seed)
+    sources = {_repo_relative(model_file): model_file.read_text(encoding="utf-8")}
+    for extra in (
+        Path(inspect.getsourcefile(_clock_module) or ""),
+        model_file.with_name("scenario.py"),
+        Path(inspect.getsourcefile(_scoreboard_module) or ""),
+    ):
+        if extra.is_file():
+            sources[_repo_relative(extra)] = extra.read_text(encoding="utf-8")
+    return sources
 
 
 def _unique_directives(duv: DUV) -> List:
@@ -78,7 +101,6 @@ def _letter_namespace(duv: DUV) -> Optional[Set[str]]:
 def _witness_findings(
     duv: DUV,
     structure: ModelStructure,
-    model_path: str,
     cycles: int,
     seed: int,
 ) -> tuple:
@@ -87,21 +109,21 @@ def _witness_findings(
     duration = cycles * duv.clock_period_ps
     with DeltaWitness(system.simulator) as witness:
         system.simulator.run(duration)
-    findings = [
-        Finding(
+    findings = []
+    for name, writers in witness.conflict_summaries():
+        path, line = declaration_for(structure, name)
+        findings.append(Finding(
             rule="race.multi-driver",
             severity="error",
-            path=model_path,
-            line=declaration_line_for(structure, name),
+            path=path,
+            line=line,
             message=(
                 f"witnessed: signal '{name}' written by multiple processes "
                 f"in one delta ({writers}); the committed value is "
                 f"scheduler-order dependent"
             ),
             model=duv.name,
-        )
-        for name, writers in witness.conflict_summaries()
-    ]
+        ))
     return findings, witness.stats
 
 
@@ -115,17 +137,9 @@ def analyze_duv(
     """Run every analyzer pass over one DUV."""
     if witness_cycles is None:
         witness_cycles = DEFAULT_WITNESS_CYCLES
-    model_file = _model_source_path(duv, seed)
-    model_path = _repo_relative(model_file)
-    from ..sysc import clock as _clock_module
-
-    clock_file = Path(inspect.getsourcefile(_clock_module) or "")
-    sources = {model_path: model_file.read_text(encoding="utf-8")}
-    if clock_file.is_file():
-        sources[_repo_relative(clock_file)] = clock_file.read_text(
-            encoding="utf-8"
-        )
-
+    sources = duv_sources(duv, seed)
+    model_path = next(iter(sources))
+    model_file = _REPO_ROOT / model_path
     findings, structure = analyze_sources(sources, model_path, model=duv.name)
 
     properties_file = model_file.with_name("properties.py")
@@ -146,7 +160,7 @@ def analyze_duv(
             (f.rule, f.path, f.line) for f in findings
         }
         witnessed, stats = _witness_findings(
-            duv, structure, model_path, witness_cycles, seed
+            duv, structure, witness_cycles, seed
         )
         findings.extend(
             f for f in witnessed

@@ -14,7 +14,7 @@ observed last-write-wins resolution.
 
 Witness output is split along the digest boundary: conflicts become
 ``race.multi-driver`` findings (anchored back to the declaration line
-via :func:`repro.analyze.race.declaration_line_for`), while set-size
+via :func:`repro.analyze.race.declaration_for`), while set-size
 statistics are *facts* -- they feed ``analyze.witness.*`` metrics and
 never enter the findings digest, so a witnessed run over a clean model
 digests byte-identically to the static-only run.

@@ -124,8 +124,8 @@ class MsSequenceMaster(SequenceMaster):
         self._slave_index = item.target % len(self.slaves)
         offset = min(item.address_offset, 0x100 - words)
         payload = tuple(item.payload[:words])
-        while len(payload) < words and item.is_write:
-            payload += (0,)
+        if item.is_write:
+            payload += (0,) * (words - len(payload))
         self._payload = payload
         self._txn = Transaction(
             master=self.name,

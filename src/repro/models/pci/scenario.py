@@ -109,8 +109,7 @@ class PciSequenceMaster(SequenceMaster):
         burst = max(1, min(item.burst, MAX_BURST_LENGTH))
         self._burst = burst
         payload = tuple(item.payload[:burst])
-        while len(payload) < burst:
-            payload += (0,)
+        payload += (0,) * (burst - len(payload))
         self._payload = payload
         self._txn = Transaction(
             master=self.name,

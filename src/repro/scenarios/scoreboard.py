@@ -433,6 +433,7 @@ class SequenceMaster(Module):
     def run(self):
         posedge = self._posedge
         while True:
+            # repro: allow[race.wait-free-loop] bounded phase dispatch: every handler either consumes the wake or advances the phase, so this terminates within one cycle
             while self._phase() is None:
                 pass
             yield posedge

@@ -29,19 +29,22 @@ class _ClockDriver(Process):
     the driver (nothing else can wait on or cancel it) and is only
     rearmed after its own firing, so reuse is safe.
 
-    When the low phase of a cycle is provably unobservable (no negedge
-    or value-changed listeners, no kernel hooks, no concurrent timers
-    or runnables -- see :meth:`execute`), the driver *folds* it: one
-    wake-up per cycle instead of two, halving kernel instants.  The
-    rising-edge cadence, ``cycle_count`` and every posedge notification
-    are unchanged.  Monitors do not stop the fold: an ABV harness
-    samples at the end of the rising edge's instant (a *settle*
-    sampler, armed here on every rising edge), not on the falling
-    edge.  A negedge or value-changed listener that appears after the
-    fold decision gets this cycle's falling edge back
-    (:meth:`unfold`); only a process that samples the clock *level*
-    between edges via a timed wait it arms after the fold decision
-    could tell the difference.
+    When the low phase of a cycle is provably unobservable (the fold
+    condition, :meth:`folds`: no negedge or value-changed listeners,
+    no kernel hooks, no concurrent timers or runnables), the driver
+    *folds* it: one wake-up per cycle instead of two, halving kernel
+    instants.  The rising-edge cadence, ``cycle_count`` and every
+    posedge notification are unchanged.  The same condition gates the
+    kernel's cycle step (``Simulator._cycle_step``), which runs a whole
+    folded instant inline and leaves what this driver's folded rising
+    edge and the update phase after it would leave.  Monitors do not
+    stop the fold: an ABV harness samples at the end of the rising
+    edge's instant (a *settle* sampler, armed here on every rising
+    edge), not on the falling edge.  A negedge or value-changed
+    listener that appears after the fold decision gets this cycle's
+    falling edge back (:meth:`unfold`); only a process that samples the
+    clock *level* between edges via a timed wait it arms after the fold
+    decision could tell the difference.
     """
 
     __slots__ = (
@@ -64,6 +67,31 @@ class _ClockDriver(Process):
         self._timer.dynamic_waiters.append(self)
         self._simulator._notify_timed_fast(self._timer, delay)
 
+    def folds(self) -> bool:
+        """The fold condition: nothing can observe the coming low phase.
+
+        No negedge or value-changed listener on the clock, no
+        per-delta or per-time hook, and no pending work but this
+        driver's own timer -- no other timer, runnable process, delta
+        notification or signal update that could sample the level
+        between the edges.  :meth:`execute` asks it at each rising
+        edge (its timer already fired); the kernel's cycle step asks it
+        before each cycle it runs inline (the timer still queued).
+        """
+        clock = self._clock
+        simulator = self._simulator
+        timed = simulator._timed
+        return (
+            clock._negedge is None
+            and clock._value_changed is None
+            and not simulator.on_delta
+            and not simulator.on_time_advance
+            and (not timed or (len(timed) == 1 and timed[0][2] is self._timer))
+            and not simulator._runnable
+            and not simulator._delta_notified
+            and not simulator._update_requests
+        )
+
     def execute(self, simulator: "Simulator") -> None:
         if not self._started:
             # First run with a start delay: idle until start_time.
@@ -77,23 +105,10 @@ class _ClockDriver(Process):
                 due = simulator.time + clock._high_time
                 for sampler in clock._settle_samplers:
                     simulator._settle.append((due, sampler))
-            if (
-                clock._negedge is None
-                and clock._value_changed is None
-                and not simulator.on_delta
-                and not simulator.on_time_advance
-                and not simulator._timed
-                and not simulator._runnable
-                and not simulator._delta_notified
-                and not simulator._update_requests
-            ):
-                # Nothing can observe the low phase: no negedge or
-                # value-changed listeners, no per-delta/per-time hooks,
-                # and no other pending timer or runnable process that
-                # could sample the level between edges.  Fold the
-                # falling edge away -- drop to low silently, raise a
-                # real rising edge, and sleep the whole period in one
-                # wake-up instead of two.
+            if self.folds():
+                # Fold the falling edge away -- drop to low silently,
+                # raise a real rising edge, and sleep the whole period
+                # in one wake-up instead of two.
                 clock._current = False
                 clock.write(True)
                 self._arm(clock.period)

@@ -6,6 +6,23 @@ phase (commit signal writes) and a delta-notification phase (wake
 processes sensitive to the committed changes); when no delta work
 remains, time advances to the earliest timed notification.
 
+A design whose every cycle is one folded rising edge (see
+:class:`~repro.sysc.clock._ClockDriver`) takes the *cycle step*
+instead: while the clock driver's timer is the only pending work and
+nothing can observe the low phase, :meth:`Simulator._cycle_step` runs
+each cycle's instant inline -- advance time, raise and commit the
+clock, re-arm its timer in place, resume the posedge waiters, commit
+their writes -- with no clock process dispatch and no event-queue
+round trip.  The guard is the driver's fold condition
+(:meth:`~repro.sysc.clock._ClockDriver.folds`, the one definition the
+driver and the step share) plus a few O(1) checks, evaluated before
+every cycle: nothing is certified up front and there is no mode to
+switch.  The moment a hook, a second timer, a listener or a deadline
+appears, the next instant takes the general path; an instant that
+outgrows two deltas, or meets a second driver, hands its rest to that
+path mid-way.  Kernel counters, signal history and checkpoints come
+out as the general path would leave them.
+
 The kernel also exposes the hooks the ABV layer needs: per-delta and
 per-timestep callbacks, end-of-instant *settle* observers (monitors
 sample once a rising edge's instant has settled), a cycle counter,
@@ -22,6 +39,7 @@ from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from ..obs.runtime import OBS
+from .clock import _ClockDriver
 from .errors import DeltaCycleLimitExceeded, SimulationStopped, SyscError
 from .event import Event
 from .process_ import MethodProcess, Process, ThreadProcess
@@ -228,6 +246,10 @@ class Simulator:
                     full_path_instants=(
                         after["full_path_instants"] - before["full_path_instants"]
                     ),
+                    cycle_step_instants=(
+                        after["cycle_step_instants"]
+                        - before["cycle_step_instants"]
+                    ),
                     livelock_proximity=round(
                         self.stats.max_deltas_per_instant
                         / self.max_delta_cycles,
@@ -248,6 +270,9 @@ class Simulator:
             )
             registry.counter("sysc.kernel.full_path_instants").inc(
                 after["full_path_instants"] - before["full_path_instants"]
+            )
+            registry.counter("sysc.kernel.cycle_step_instants").inc(
+                after["cycle_step_instants"] - before["cycle_step_instants"]
             )
 
     def _run(self, duration: Optional[int]) -> None:
@@ -277,11 +302,185 @@ class Simulator:
                 continue
             if self._settle and self._fire_settle(deadline):
                 continue
+            if self._cycle_step(deadline):
+                continue
             if not self._advance_time(deadline):
                 break
         self.stats.wall_seconds += _wall_time.perf_counter() - started_wall
         if deadline is not None and self.time < deadline and not self.stopped:
             self.time = deadline
+
+    def _cycle_step(self, deadline: Optional[int]) -> bool:
+        """Run whole folded clock cycles inline while nothing else can.
+
+        Tried where :meth:`_advance_time` would run.  A cycle runs here
+        while the clock driver's fold condition holds
+        (:meth:`_ClockDriver.folds`: its timer is the only pending
+        work, no hooks, no low-phase listener), its timer is due by
+        ``deadline`` with no cancelled entries, the driver is due to
+        raise the clock, there is no witness and no static waiter on
+        the posedge.  The cycle's instant is what the general path
+        would run, minus the dispatch:
+
+        * advance time to the timer;
+        * delta 1 -- what the driver's folded rising edge
+          (:meth:`_ClockDriver.execute`) and the update phase after it
+          leave behind: the clock raised and committed, ``cycle_count``
+          bumped, the settle samplers armed and the timer re-armed a
+          period ahead (its heap entry is replaced in place);
+        * delta 2 -- the posedge waiters in waiter order; a thread that
+          waits only on the posedge is resumed directly, any other
+          process through ``execute``; then the update phase;
+        * the settle observers, when armed.
+
+        An instant that goes on past delta 2 (a delta notification
+        wakes a process) or meets a second driver hands its rest to
+        :meth:`_instant_fast` or :meth:`_delta_cycle`, which count it
+        as they would have.  Returns True when the run loop must go on
+        at the current instant (the run stopped, or a settle observer
+        left work), False when the next instant is the general time
+        advance's.
+        """
+        timed = self._timed
+        if len(timed) != 1 or self.max_delta_cycles < 2:
+            return False
+        timer = timed[0][2]
+        waiters = timer.dynamic_waiters
+        if len(waiters) != 1 or waiters[0].__class__ is not _ClockDriver:
+            return False
+        driver = waiters[0]
+        clock = driver._clock
+        period = clock.period
+        cancelled = self._cancelled
+        runnable = self._runnable
+        popleft = runnable.popleft
+        stats = self.stats
+        # counters accumulate here and flush once, when the step returns
+        stepped = process_runs = signal_changes = deltas = fast = deepest = 0
+        try:
+            while True:
+                posedge = clock._posedge
+                if (
+                    not (driver._started and driver._high_next)
+                    or not driver.folds()
+                    or cancelled
+                    or self.witness is not None
+                    or (posedge is not None and posedge.static_waiters)
+                    or (deadline is not None and timed[0][0] > deadline)
+                ):
+                    return False
+                now = self.time = timed[0][0]
+                stepped += 1
+                # delta 1: the driver's folded rising edge, committed
+                clock.cycle_count += 1
+                if clock._settle_samplers:
+                    due = now + clock._high_time
+                    for sampler in clock._settle_samplers:
+                        self._settle.append((due, sampler))
+                self._timed_sequence += 1
+                timed[0] = (now + period, self._timed_sequence, timer)
+                driver._folded_at = now
+                clock._current = True
+                clock._last_change_delta = self.delta_count
+                self.delta_count += 1
+                self._multi_driver_instant = False
+                process_runs += 1
+                signal_changes += 1
+                deltas += 1
+                if not deepest:
+                    deepest = 1
+                # delta 2: the posedge waiters, in waiter order.  All
+                # are marked runnable first, as the general path marks
+                # them, so a process an immediate notification wakes
+                # joins the queue behind them and runs after the list.
+                woken = posedge._collect_waiters() if posedge is not None else ()
+                ready = False
+                for process in woken:
+                    if not process.runnable and not process.terminated:
+                        process.runnable = ready = True
+                if ready:
+                    try:
+                        for process in woken:
+                            if not process.runnable:
+                                continue  # a duplicate entry, or terminated
+                            process.runnable = False
+                            if process.terminated:
+                                continue
+                            process_runs += 1
+                            if process.__class__ is ThreadProcess:
+                                waiting = process._waiting_on
+                                if len(waiting) == 1 and waiting[0] is posedge:
+                                    # waits only on the posedge: resume
+                                    # it in place, as execute would
+                                    try:
+                                        request = next(process._generator)
+                                    except StopIteration:
+                                        waiting.clear()
+                                        process.terminated = True
+                                        continue
+                                    except BaseException:
+                                        waiting.clear()
+                                        raise
+                                    if request is posedge:
+                                        posedge.dynamic_waiters.append(process)
+                                    else:
+                                        waiting.clear()
+                                        process._apply_wait(request, self)
+                                    continue
+                            process.execute(self)
+                        while runnable:
+                            process = popleft()
+                            process.runnable = False
+                            if process.terminated:
+                                continue
+                            process_runs += 1
+                            process.execute(self)
+                    except BaseException as error:
+                        # leave the queue as the general path would: the
+                        # waiters not yet run, then what was queued
+                        queued = {id(process) for process in runnable}
+                        rest = []
+                        for process in woken:
+                            if process.runnable and id(process) not in queued:
+                                queued.add(id(process))
+                                rest.append(process)
+                        runnable.extendleft(reversed(rest))
+                        if not isinstance(error, SimulationStopped):
+                            raise
+                        self.stop(error.reason)
+                        fast += 1
+                        return True
+                    requests = self._update_requests
+                    for signal in requests:
+                        if signal._apply():
+                            signal_changes += 1
+                    requests.clear()
+                    self.delta_count += 1
+                    deltas += 1
+                    deepest = 2
+                if self._multi_driver_instant:
+                    self._delta_cycle(deltas_done=2)
+                    stats.full_path_instants += 1
+                elif self._delta_notified:
+                    if self._instant_fast(deltas_done=2):
+                        fast += 1
+                    else:
+                        stats.full_path_instants += 1
+                else:
+                    fast += 1
+                if self._stop_reason is not None:
+                    return True
+                if self._settle and self._fire_settle(deadline):
+                    return True
+        finally:
+            stats.time_advances += stepped
+            stats.cycle_step_instants += stepped
+            stats.process_runs += process_runs
+            stats.signal_changes += signal_changes
+            stats.delta_cycles += deltas
+            stats.fast_path_instants += fast
+            if deepest > stats.max_deltas_per_instant:
+                stats.max_deltas_per_instant = deepest
 
     def _fire_settle(self, deadline: Optional[int]) -> bool:
         """Call the settle observers due by ``deadline``.
@@ -302,7 +501,7 @@ class Simulator:
             self._runnable or self._delta_notified or self._update_requests
         )
 
-    def _instant_fast(self) -> bool:
+    def _instant_fast(self, deltas_done: int = 0) -> bool:
         """Merged-phase scheduler for single-driver instants.
 
         Runs evaluation, update and delta-notification with phase
@@ -312,11 +511,13 @@ class Simulator:
         remainder of the instant was handed to :meth:`_delta_cycle` --
         the fallback is transparent because signal semantics
         (last-write-wins within a delta) are identical on both paths.
+        ``deltas_done`` counts deltas the caller already ran at this
+        instant (the cycle step hands over after two).
         """
         runnable = self._runnable
         popleft = runnable.popleft
         stats = self.stats
-        deltas_here = 0
+        deltas_here = deltas_done
         process_runs = 0
         signal_changes = 0
         # Scratch lists ping-pong with the live ones so each delta's
@@ -374,7 +575,7 @@ class Simulator:
             self._spare_notified = spare_notified
             self._spare_requests = spare_requests
             stats.process_runs += process_runs
-            stats.delta_cycles += deltas_here
+            stats.delta_cycles += deltas_here - deltas_done
             stats.signal_changes += signal_changes
             if deltas_here > stats.max_deltas_per_instant:
                 stats.max_deltas_per_instant = deltas_here
@@ -499,6 +700,7 @@ class KernelStats:
         "max_deltas_per_instant",
         "fast_path_instants",
         "full_path_instants",
+        "cycle_step_instants",
     )
 
     def __init__(self):
@@ -516,6 +718,10 @@ class KernelStats:
         #: second driver appeared mid-instant).
         self.fast_path_instants = 0
         self.full_path_instants = 0
+        #: instants the cycle step ran (advanced into); each is also
+        #: counted fast or full as the general path would count it.
+        #: A run fact, not simulated state: checkpoints leave it out.
+        self.cycle_step_instants = 0
 
     def snapshot(self) -> Dict[str, int]:
         """The integer counters as a dict (for span before/after deltas)."""
@@ -527,6 +733,7 @@ class KernelStats:
             "max_deltas_per_instant": self.max_deltas_per_instant,
             "fast_path_instants": self.fast_path_instants,
             "full_path_instants": self.full_path_instants,
+            "cycle_step_instants": self.cycle_step_instants,
         }
 
     def summary(self) -> str:

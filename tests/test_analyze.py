@@ -334,6 +334,42 @@ class TestShippedModelsAndDigests:
         assert {("devsel", "self"), ("trdy", "self"), ("stop", "self")} <= writes
         assert any(event[0] == "read" for event in events)
 
+    @pytest.mark.parametrize("model, master, free_running, drives", [
+        ("master_slave", "MsSequenceMaster", "MsMasterModule",
+         {"want", "transferring", "owner"}),
+        ("pci", "PciSequenceMaster", "PciMasterModule",
+         {"req", "frame", "irdy", "addr"}),
+    ])
+    def test_sequence_master_run_streams_are_analyzed(
+        self, model, master, free_running, drives
+    ):
+        """The masters every regression runs inherit ``run`` from
+        ``scenarios.scoreboard.SequenceMaster`` and dispatch into their
+        own phase handlers; the race pass reads the scenario sources,
+        follows the inheritance, and keeps each access's own file."""
+        from repro.analyze.runner import duv_sources
+        from repro.workbench.registry import default_registry
+
+        duv = default_registry().get(model)
+        sources = duv_sources(duv)
+        model_path = next(iter(sources))
+        _, structure = analyze_sources(sources, model_path, model=model)
+        streams = dict(structure.streams)
+        events = streams[(master, "run")]
+        writes = {event[1].attr for event in events if event[0] == "write"}
+        assert drives <= writes
+        scenario_path = f"src/repro/models/{model}/scenario.py"
+        assert {event[-1] for event in events if event[0] == "write"} == {
+            scenario_path
+        }
+        # the abstract base is analyzed only through its subclasses
+        assert ("SequenceMaster", "run") not in streams
+        # its free-running master and its sequence master never share a
+        # system, so neither multiplies nor races the other
+        assert not any(
+            {master, free_running} <= system for system in structure.systems
+        )
+
     def test_report_findings_are_canonically_sorted(self):
         report = analyze_models()
         keys = [f.sort_key() for f in report.findings]

@@ -207,6 +207,24 @@ class TestKernelAndMonitorSpans:
         assert span.attrs["process_runs"] > 0
         assert 0.0 <= span.attrs["livelock_proximity"] <= 1.0
 
+    def test_kernel_span_and_metric_count_cycle_step_instants(self):
+        """The instants the kernel's cycle step ran reach the span and
+        the metrics, but not a checkpoint (a run fact, not state)."""
+        from repro.checkpoint.capture import _STAT_FIELDS
+
+        enable_tracing()
+        enable_metrics()
+        system = self._simulate()
+        stats = system.simulator.stats
+        assert 0 < stats.cycle_step_instants < stats.time_advances
+        [span] = [s for s in OBS.tracer.spans() if s.name == "sysc.kernel.run"]
+        assert span.attrs["cycle_step_instants"] == stats.cycle_step_instants
+        counters = OBS.metrics.to_json()["counters"]
+        assert counters["sysc.kernel.cycle_step_instants"] == (
+            stats.cycle_step_instants
+        )
+        assert "cycle_step_instants" not in _STAT_FIELDS
+
     def test_monitor_spans_attribute_properties_under_kernel(self):
         enable_tracing()
         system = self._simulate()

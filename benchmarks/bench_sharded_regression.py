@@ -1,7 +1,7 @@
 """Shard-count scaling of the sharded regression dispatcher.
 
 The third execution tier's entry in the BENCH trajectory: the same
-seeded spec list dispatched over N ``python -m repro.scenarios
+seeded spec list dispatched over N ``python -m repro regress
 --shard`` subprocess hosts, measuring
 
 * end-to-end dispatch wall time at 1 vs N shards (includes the

@@ -8,7 +8,8 @@ One CLI over the :mod:`repro.workbench` session API::
     python -m repro regress  --model pci --scenarios 40 --workers 4 --json
     python -m repro regress  --model pci --scenarios 40 --shards 3 --json
     python -m repro regress  --model pci --hosts 10.0.0.5:8421,10.0.0.6:8421
-    python -m repro regress  --model pci --shard 2/3 --json  # + --merge later
+    python -m repro regress  --scenarios 40 --shard 2/3 --json  # + --merge later
+    python -m repro regress  --spec-file specs.json --json
     python -m repro close    --model master_slave --json
     python -m repro flow     --model master_slave --json
     python -m repro checkpoint --model pci --cycles 200 --out run.ckpt
@@ -19,6 +20,15 @@ translate -> ABV simulation -> scenario regression) and exits 0 iff
 the session verified.  All subcommands accept ``--json`` for
 machine-readable output; the session digest printed either way is
 byte-identical across worker counts.
+
+``regress`` is the one regression entry point.  With ``--model`` it is
+the workbench stage and prints the session report; without it,
+and with ``--shard`` / ``--merge`` / ``--spec-file``, it runs the
+scenario specs directly (every scenario model by default) and prints
+the :class:`~repro.scenarios.regression.RegressionReport` -- the form
+every ``--shards N`` subprocess child and every ``--merge`` speaks.
+Without ``--model`` that path never imports :mod:`repro.workbench`:
+only the commands that resolve a model or build a session load it.
 """
 
 from __future__ import annotations
@@ -26,24 +36,24 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from .cliutil import (
     add_coordinator_arguments,
     add_hosts_argument,
     add_observability_arguments,
+    emit_regression_report,
+    load_shard_reports,
     observability_scope,
     positive_int,
     reject_hosts_conflict,
     route_warnings_to_stderr,
     shard_coordinate,
 )
-from .workbench import (
-    SessionReport,
-    VerificationPlan,
-    Workbench,
-    default_registry,
-)
+from .scenarios.sequences import NAMED_PROFILES
+
+if TYPE_CHECKING:  # the workbench loads only in the commands that build a session
+    from .workbench import DUV, SessionReport, Workbench
 
 _positive_int = positive_int
 
@@ -61,7 +71,9 @@ def _topology(text: str) -> List[int]:
 
 
 def _add_model_options(
-    parser: argparse.ArgumentParser, required: bool = True
+    parser: argparse.ArgumentParser,
+    required: bool = True,
+    topology: bool = True,
 ) -> None:
     parser.add_argument(
         "--model",
@@ -69,14 +81,15 @@ def _add_model_options(
         default=None,
         help="registered model name (see `python -m repro list`)",
     )
-    parser.add_argument(
-        "--topology",
-        type=_topology,
-        default=None,
-        metavar="N,N[,N]",
-        help="model topology, e.g. 2,2 (pci: masters,targets; "
-        "master_slave: blocking,non_blocking,slaves)",
-    )
+    if topology:
+        parser.add_argument(
+            "--topology",
+            type=_topology,
+            default=None,
+            metavar="N,N[,N]",
+            help="model topology, e.g. 2,2 (pci: masters,targets; "
+            "master_slave: blocking,non_blocking,slaves)",
+        )
     parser.add_argument("--seed", type=int, default=2005)
     parser.add_argument(
         "--json", action="store_true", help="emit machine-readable output"
@@ -84,11 +97,17 @@ def _add_model_options(
     add_observability_arguments(parser)
 
 
+def _duv(options: argparse.Namespace) -> DUV:
+    from .workbench import default_registry
+
+    topology = getattr(options, "topology", None)
+    return default_registry().get(options.model, *(topology or ()))
+
+
 def _workbench(options: argparse.Namespace) -> Workbench:
-    registry = default_registry()
-    args = tuple(options.topology) if options.topology else ()
-    duv = registry.get(options.model, *args)
-    return Workbench(duv, seed=options.seed)
+    from .workbench import Workbench
+
+    return Workbench(_duv(options), seed=options.seed)
 
 
 def _emit(report: SessionReport, as_json: bool) -> int:
@@ -100,6 +119,8 @@ def _emit(report: SessionReport, as_json: bool) -> int:
 
 
 def _cmd_list(options: argparse.Namespace) -> int:
+    from .workbench import default_registry
+
     registry = default_registry()
     names = registry.names()
     if options.json:
@@ -133,45 +154,13 @@ def _cmd_simulate(options: argparse.Namespace) -> int:
 
 def _cmd_regress(options: argparse.Namespace) -> int:
     if options.merge is not None:
-        from .cliutil import emit_regression_report, load_shard_reports
         from .dispatch import merge_reports
 
         return emit_regression_report(
             merge_reports(load_shard_reports(options.merge)), options.json
         )
-
-    if options.model is None:
-        raise SystemExit("error: --model is required (unless using --merge)")
-
-    if options.shard is not None:
-        # manual cross-host dispatch: run exactly shard K of N of the
-        # specs this model's full regression would build, and emit the
-        # raw shard report for a later --merge
-        from .cliutil import emit_regression_report
-        from .dispatch.planner import plan_shards
-        from .scenarios.regression import RegressionRunner, build_specs
-
-        workbench = _workbench(options)
-        if workbench.duv.scenario_model is None:
-            raise SystemExit(
-                f"error: model {options.model!r} has no scenario binding"
-            )
-        index, of = options.shard
-        specs = build_specs(
-            models=[workbench.duv.scenario_model],
-            count=options.scenarios,
-            base_seed=options.seed,
-            cycles=options.cycles,
-            with_monitors=options.with_monitors,
-        )
-        shard = plan_shards(specs, of)[index]
-        runner = RegressionRunner(
-            list(shard.specs),
-            workers=options.workers,
-            fail_fast=options.fail_fast,
-        )
-        return emit_regression_report(runner.run(), options.json)
-
+    if options.model is None or options.shard is not None:
+        return _regress_specs(options)
     workbench = _workbench(options)
     workbench.regress(
         scenarios=options.scenarios,
@@ -183,8 +172,70 @@ def _cmd_regress(options: argparse.Namespace) -> int:
         token=options.token,
         fail_fast=options.fail_fast,
         with_monitors=options.with_monitors,
+        profiles=options.profiles,
     )
     return _emit(workbench.report(), options.json)
+
+
+def _regress_specs(options: argparse.Namespace) -> int:
+    """Run a spec list directly and print its RegressionReport.
+
+    The specs come from ``--spec-file`` or from :func:`build_specs`
+    over every scenario model (``--model`` narrows that to the model's
+    scenario binding); ``--shard K/N`` keeps only the planner's slice
+    K.  This is the command every ``--shards N`` child runs.
+    """
+    from .dispatch import plan_shards, select_engine
+    from .scenarios.regression import (
+        MODELS,
+        RegressionRunner,
+        SpecFileError,
+        build_specs,
+        load_specs,
+    )
+
+    if options.spec_file is not None:
+        try:
+            specs = load_specs(options.spec_file)
+        except SpecFileError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    else:
+        models = MODELS
+        if options.model is not None:
+            scenario_model = _duv(options).scenario_model
+            if scenario_model is None:
+                raise SystemExit(
+                    f"error: model {options.model!r} has no scenario binding"
+                )
+            models = (scenario_model,)
+        specs = build_specs(
+            models=models,
+            count=options.scenarios,
+            base_seed=options.seed,
+            cycles=options.cycles,
+            with_monitors=options.with_monitors,
+            profiles=options.profiles,
+        )
+    if options.shard is not None:
+        index, of = options.shard
+        specs = list(plan_shards(specs, of)[index].specs)
+    engine = select_engine(
+        options.workers,
+        options.shards,
+        options.hosts,
+        len(specs),
+        coordinator=options.coordinator,
+        token=options.token,
+    )
+    report = RegressionRunner(
+        specs, fail_fast=options.fail_fast, engine=engine
+    ).run()
+    outcome = getattr(engine, "last_outcome", None)
+    if outcome is not None:
+        for line in outcome.log_lines():
+            print(line, file=sys.stderr)
+    return emit_regression_report(report, options.json)
 
 
 def _cmd_close(options: argparse.Namespace) -> int:
@@ -208,11 +259,8 @@ def _cmd_analyze(options: argparse.Namespace) -> int:
     from .analyze import analyze_duv, analyze_models
 
     if options.model is not None:
-        registry = default_registry()
-        args = tuple(options.topology) if options.topology else ()
-        duv = registry.get(options.model, *args)
         report = analyze_duv(
-            duv,
+            _duv(options),
             witness=options.witness,
             witness_cycles=options.witness_cycles,
             seed=options.seed,
@@ -313,6 +361,8 @@ def _cmd_resume(options: argparse.Namespace) -> int:
 
 
 def _cmd_flow(options: argparse.Namespace) -> int:
+    from .workbench import VerificationPlan
+
     workbench = _workbench(options)
     plan = VerificationPlan.figure1(
         cycles=options.cycles,
@@ -359,13 +409,31 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.set_defaults(func=_cmd_simulate)
 
     regress = sub.add_parser(
-        "regress", help="constrained-random scoreboarded scenario regression"
+        "regress",
+        help="constrained-random scoreboarded scenario regression: the "
+        "workbench stage with --model, else the scenario specs of every "
+        "model as a raw regression report",
     )
-    # --model stays optional at parse time: --merge needs no model
-    _add_model_options(regress, required=False)
+    # --model stays optional: without it the specs span every scenario
+    # model; build_specs cycles its own topologies, so no --topology
+    _add_model_options(regress, required=False, topology=False)
     regress.add_argument("--scenarios", type=_positive_int, default=24)
     regress.add_argument("--cycles", type=_positive_int, default=300)
     regress.add_argument("--workers", type=int, default=None)
+    regress.add_argument(
+        "--profiles",
+        nargs="+",
+        default=None,
+        choices=sorted(NAMED_PROFILES),
+        help="restrict the traffic-profile pool",
+    )
+    regress.add_argument(
+        "--spec-file",
+        default=None,
+        metavar="FILE",
+        help="run the serialized spec list instead of building one "
+        "(see repro.scenarios.regression.save_specs)",
+    )
     sharding = regress.add_mutually_exclusive_group()
     sharding.add_argument(
         "--shards",
@@ -530,6 +598,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     options = parser.parse_args(argv)
     reject_hosts_conflict(parser, options)
+    if getattr(options, "spec_file", None) is not None:
+        # a spec file fixes the models, profiles and monitors itself;
+        # silently ignoring a flag that shapes them would misreport
+        # what ran
+        conflicting = [
+            flag
+            for flag, given in (
+                ("--model", options.model is not None),
+                ("--profiles", options.profiles is not None),
+                ("--with-monitors", options.with_monitors),
+                ("--merge", options.merge is not None),
+            )
+            if given
+        ]
+        if conflicting:
+            parser.error(
+                f"--spec-file cannot be combined with {', '.join(conflicting)}"
+            )
     # stdout carries exactly one report; diagnostics go to stderr so
     # --json output stays parseable
     route_warnings_to_stderr()

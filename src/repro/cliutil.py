@@ -1,12 +1,15 @@
-"""Shared command-line plumbing for the ``repro`` CLIs.
+"""Shared command-line plumbing for ``python -m repro`` and the daemons.
 
-Both entry points (``python -m repro`` and ``python -m repro.scenarios``)
-speak the same dispatch vocabulary -- ``--shards N`` fans a regression
-over local subprocess hosts, ``--hosts host:port,...`` over remote
-``python -m repro.dispatch.worker`` daemons, ``--shard K/N`` runs one
+The regression dispatch vocabulary of ``python -m repro regress`` and
+``close`` -- ``--shards N`` fans a regression over local subprocess
+hosts, ``--hosts host:port,...`` over remote ``python -m
+repro.dispatch.worker`` daemons, ``--shard K/N`` runs one
 deterministic shard for manual cross-host dispatch, ``--merge`` folds
-per-shard JSON reports back together -- so the argument parsing and
-the stdout/stderr hygiene live here once.
+per-shard JSON reports back together -- and the observability flags
+are parsed here, and the stdout/stderr hygiene that the CLI and both
+daemons share lives here once.  This module sits in the lowest layer:
+it imports the dispatch and scenario layers only inside the functions
+that need them.
 
 The JSON-mode contract: **stdout is the report and nothing else**.
 Dispatchers and CI pipe ``--json`` output straight into a parser, so
@@ -55,7 +58,7 @@ def shard_coordinate(text: str) -> Tuple[int, int]:
 def host_list(text: str) -> List:
     """argparse type for ``--hosts``: ``host:port,host:port`` to a pool
     of :class:`~repro.dispatch.HttpHost` worker clients."""
-    # imported lazily: the dispatch layer builds on the scenario layer
+    # imported here: the dispatch layer sits above this one
     from .dispatch import parse_hosts
 
     try:
@@ -65,7 +68,7 @@ def host_list(text: str) -> List:
 
 
 def add_hosts_argument(parser: argparse.ArgumentParser) -> None:
-    """The shared ``--hosts`` flag, worded identically on both CLIs."""
+    """The shared ``--hosts`` flag, worded identically on every subcommand."""
     parser.add_argument(
         "--hosts",
         type=host_list,
@@ -107,8 +110,8 @@ def reject_hosts_conflict(
     (``--shard``) or merge-only (``--merge``) invocation has no host
     pool to drive; ``--coordinator`` likewise owns the whole dispatch
     and additionally excludes ``--hosts``/``--shards`` (the
-    coordinator's own pool and planner take over).  Both CLIs get the
-    same ``parser.error`` behaviour (exit 2 plus usage).  As a side
+    coordinator's own pool and planner take over).  Every subcommand
+    gets the same ``parser.error`` behaviour (exit 2 plus usage).  As a side
     effect a ``--token`` is applied to every parsed ``--hosts`` entry,
     since the argparse type callback cannot see sibling flags.
     """
@@ -135,7 +138,7 @@ def reject_hosts_conflict(
 
 def load_shard_reports(paths: Sequence[str]) -> List:
     """Read per-shard ``--json`` report files for a ``--merge``."""
-    # imported lazily: scenarios.regression imports this module
+    # imported here: the scenario layer sits above this one
     from .scenarios.regression import RegressionReport
 
     reports = []
@@ -155,7 +158,7 @@ def emit_regression_report(report, as_json: bool) -> int:
 
 
 def add_observability_arguments(parser: argparse.ArgumentParser) -> None:
-    """The shared ``--trace`` / ``--metrics`` flags (both CLIs).
+    """The shared ``--trace`` / ``--metrics`` flags (every subcommand).
 
     Neither flag may change any report digest; traces land in the named
     file and the metrics summary on stderr, so ``--json`` stdout stays

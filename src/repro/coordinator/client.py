@@ -7,8 +7,8 @@ digest verification of the returned report (recomputed from the
 verdict lines, compared against the wire value; a coordinator cannot
 hand back a report whose digest does not match its content).
 
-:class:`CoordinatorEngine` mounts that protocol behind the workbench's
-:class:`~repro.workbench.engines.Engine` seam, so
+:class:`CoordinatorEngine` mounts that protocol behind the
+:class:`~repro.scenarios.engines.Engine` seam, so
 ``Workbench(...).regress(coordinator="http://host:8400")`` and
 ``python -m repro regress --coordinator URL`` run their regressions on
 the elastic fleet without the session code knowing the difference.
@@ -22,7 +22,7 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tupl
 
 from ..dispatch.planner import specs_fingerprint
 from ..obs.runtime import OBS
-from ..scenarios.regression import RegressionReport, ScenarioSpec
+from ..scenarios.regression import RegressionReport, ScenarioSpec, run_scenario
 from ..service import WIRE_VERSION, encode, http_request
 
 
@@ -218,11 +218,12 @@ class CoordinatorClient:
 class CoordinatorEngine:
     """Runs scenario regressions on a coordinator's elastic fleet.
 
-    The fourth registered :class:`~repro.workbench.engines.Engine`:
+    The fleet :class:`~repro.scenarios.engines.Engine`
+    (:func:`repro.dispatch.select_engine` picks it for a coordinator URL):
     ``imap`` ships the whole spec list to the coordinator as one job
     (fingerprint-first, so a warm coordinator sees sixteen hex chars
     instead of the list) and yields the merged, digest-verified
-    verdicts.  Like :class:`~repro.workbench.engines.ShardedEngine` it
+    verdicts.  Like :class:`~repro.dispatch.ShardedEngine` it
     only accepts the one fan-out with a wire form -- ``run_scenario``
     over :class:`~repro.scenarios.regression.ScenarioSpec` items.
 
@@ -247,8 +248,6 @@ class CoordinatorEngine:
         self, fn: Callable[[Any], Any], items: Iterable[Any]
     ) -> Iterator[Any]:
         """Submit the specs as one coordinator job; yield merged verdicts."""
-        from ..scenarios.regression import run_scenario
-
         specs = list(items)
         if fn is not run_scenario or not all(
             isinstance(item, ScenarioSpec) for item in specs

@@ -1,22 +1,26 @@
 """Sharded regression dispatch: partition, fan over hosts, merge.
 
-The scaling tier above :mod:`repro.scenarios.regression`'s local
-``multiprocessing`` fan-out.  A regression's spec list is partitioned
-into deterministic shards (:mod:`.planner`), each shard runs on a
-:class:`Host` -- a ``python -m repro.scenarios --shard K/N`` subprocess
-on this machine (:mod:`.hosts`) or a ``python -m repro.dispatch.worker``
-HTTP daemon on another one (:mod:`.http_host` / :mod:`.worker`) -- and
-the per-shard reports fold back together in canonical spec order
-(:mod:`.dispatcher`), so the merged
-:class:`~repro.scenarios.regression.RegressionReport` digest is
+The scaling tier above the local engines of
+:mod:`repro.scenarios.engines`.  A regression's spec list is
+partitioned into deterministic shards (:mod:`.planner`), each shard
+runs on a :class:`Host` -- a ``python -m repro regress --spec-file F
+--shard K/N`` subprocess on this machine (:mod:`.hosts`) or a
+``python -m repro.dispatch.worker`` HTTP daemon on another one
+(:mod:`.http_host` / :mod:`.worker`) -- and the per-shard reports fold
+back together in canonical spec order (:mod:`.dispatcher`), so the
+merged :class:`~repro.scenarios.regression.RegressionReport` digest is
 byte-identical to a serial run at any shard count, including after
 host failures, retries and work-stealing races.
+
+:func:`select_engine` (:mod:`.engine`) is the one place that picks an
+engine from ``workers``, ``shards``, ``hosts`` and ``coordinator``;
+:class:`ShardedEngine` mounts the dispatcher behind the engine seam.
 
 Three ways in:
 
 * engine seam -- ``Workbench(...).regress(shards=3)`` or
   ``regress(hosts=parse_hosts("h1:8421,h2:8421"))``,
-* CLI -- ``python -m repro.scenarios --shards 3`` (local subprocess
+* CLI -- ``python -m repro regress --shards 3`` (local subprocess
   hosts), ``--hosts h1:8421,h2:8421`` (remote HTTP workers) or
   ``--shard K/N`` + ``--merge`` (manual cross-host dispatch),
 * direct -- ``ShardDispatcher(specs, shards=3).run()``.
@@ -32,6 +36,7 @@ from .dispatcher import (
     ShardRun,
     merge_reports,
 )
+from .engine import ShardedEngine, select_engine
 from .hosts import (
     FAILURE_KINDS,
     Host,
@@ -57,6 +62,8 @@ __all__ = [
     "ShardQueue",
     "ShardRun",
     "merge_reports",
+    "ShardedEngine",
+    "select_engine",
     "CachingHttpHost",
     "FAILURE_KINDS",
     "Host",

@@ -2,7 +2,7 @@
 
 A :class:`Host` is the dispatch layer's unit of failure.  Three
 implementations exist behind the protocol: :class:`LocalSubprocessHost`
-runs every shard in its own ``python -m repro.scenarios --shard K/N``
+runs every shard in its own ``python -m repro regress --shard K/N``
 process on this machine, :class:`~.http_host.HttpHost` POSTs the shard
 to a ``python -m repro.dispatch.worker`` daemon on another machine,
 and :class:`InProcessHost` runs the shard inline for tests and
@@ -28,8 +28,8 @@ import sys
 from dataclasses import dataclass
 from typing import List, Optional, Protocol, runtime_checkable
 
+from ..scenarios.engines import SerialEngine
 from ..scenarios.regression import RegressionReport, RegressionRunner
-from ..workbench.engines import SerialEngine
 from .planner import Shard
 
 
@@ -129,7 +129,7 @@ def _child_env() -> dict:
 
 
 class LocalSubprocessHost:
-    """One shard per ``python -m repro.scenarios --shard`` subprocess.
+    """One shard per ``python -m repro regress --shard`` subprocess.
 
     Stands in for a remote machine: the spec file and the ``--shard
     K/N`` coordinate go in, a JSON report comes out on stdout, and the
@@ -159,7 +159,8 @@ class LocalSubprocessHost:
         return [
             self.python,
             "-m",
-            "repro.scenarios",
+            "repro",
+            "regress",
             "--spec-file",
             work.spec_file,
             "--shard",

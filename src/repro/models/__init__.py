@@ -6,5 +6,8 @@
 
 Each case study ships an ASM model (for FSM generation / model
 checking), a PSL property suite, and a SystemC simulation model (for
-assertion-based verification).
+assertion-based verification).  Its ``duv`` module bundles them for
+the workbench; it sits at the workbench layer, so the package
+``__init__`` never imports it -- :mod:`repro.workbench.registry`
+resolves ``"pci"`` / ``"master_slave"`` straight to ``duv.build_duv``.
 """

@@ -35,14 +35,7 @@ from .systemc_model import (
     MsSystemModel,
 )
 
-from .duv import build_duv
-from ...workbench.registry import register_model
-
-#: the Workbench knows this case study as "master_slave"
-register_model("master_slave", build_duv)
-
 __all__ = [
-    "build_duv",
     "BLOCKING_BURST",
     "MsArbiter",
     "MsBusSystem",

@@ -68,11 +68,3 @@ __all__ += [
     "PciScenarioSystem",
     "PciSequenceMaster",
 ]
-
-from .duv import build_duv
-from ...workbench.registry import register_model
-
-#: the Workbench knows this case study as "pci"
-register_model("pci", build_duv)
-
-__all__ += ["build_duv"]

@@ -11,8 +11,10 @@ simulated designs), ``repro.asm`` (the golden reference) and
   completed SystemC-level transaction on the verified ASM model,
 * :mod:`.coverage_driven` -- the coverage feedback loop that biases
   the next sequences toward unhit stimulus bins,
-* :mod:`.regression` -- the parallel regression runner
-  (``python -m repro.scenarios.regression``).
+* :mod:`.engines` -- the engine seam and the local serial /
+  multiprocessing engines the runner fans out through,
+* :mod:`.regression` -- the parallel regression runner and its wire
+  forms (``python -m repro regress`` is its command line).
 
 Model bindings (drivers + reference adapters) live with their models:
 :mod:`repro.models.master_slave.scenario` and

@@ -21,13 +21,15 @@ The loop never touches the random seed path: a biased profile is new
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..abv.coverage import CoverageCollector
-from ..explorer.sim_coverage import SimCoverage
 from ..sysc.bus import Transaction
 from .random_ import BURST_PROFILES
 from .sequences import StimulusContext, TrafficProfile
+
+if TYPE_CHECKING:  # annotations only: a plain regression loads neither layer
+    from ..abv.coverage import CoverageCollector
+    from ..explorer.sim_coverage import SimCoverage
 
 #: Burst-length buckets: boundary singles, the common middle, the top.
 BURST_BUCKETS: Tuple[Tuple[str, int, Optional[int]], ...] = (

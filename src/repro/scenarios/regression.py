@@ -1,9 +1,9 @@
 """Parallel regression running for scenario verification.
 
-Fans N seeded scenarios across ``multiprocessing`` workers, checks
-every one against its ASM reference scoreboard (plus, optionally, the
-PSL assertion monitors), and aggregates verdicts, stimulus coverage
-and throughput into one report.
+Fans N seeded scenarios across an execution engine, checks every one
+against its ASM reference scoreboard (plus, optionally, the PSL
+assertion monitors), and aggregates verdicts, stimulus coverage and
+throughput into one report.
 
 Determinism contract: a :class:`ScenarioSpec` fully determines its
 scenario -- same spec, same transaction stream, same verdict digest --
@@ -11,54 +11,36 @@ so the report's :meth:`RegressionReport.digest` is stable across runs,
 worker counts and schedulers (results are re-sorted by spec before
 aggregation).  Wall-clock numbers live outside the digest.
 
-Also runnable as a CLI (``--json`` emits the machine-readable report
-for CI and dispatchers)::
+The command line is ``python -m repro regress``: without ``--model``
+it runs :func:`build_specs` over every scenario model (or a
+``--spec-file`` written by :func:`save_specs`) and prints this
+module's :meth:`RegressionReport.to_json` with ``--json``; ``--shard
+K/N`` and ``--merge`` slice and fold that report for cross-host
+dispatch, and the merged digest is byte-identical to a serial run::
 
-    python -m repro.scenarios.regression --models master_slave pci \
-        --scenarios 200 --workers 4 --fail-fast --json
+    python -m repro regress --scenarios 60 --shard 1/3 --json > s1.json
+    python -m repro regress --scenarios 60 --shard 2/3 --json > s2.json
+    python -m repro regress --scenarios 60 --shard 3/3 --json > s3.json
+    python -m repro regress --merge s1.json s2.json s3.json --json
 
-Sharded dispatch (the :mod:`repro.dispatch` layer) rides on the same
-determinism contract.  ``--shards N`` fans the spec list over N local
-subprocess hosts and prints the merged report; ``--hosts
-host:port,...`` fans it over remote ``python -m repro.dispatch.worker``
-daemons under the work-stealing schedule; ``--shard K/N`` runs exactly
-shard K for manual cross-host dispatch and ``--merge`` folds the
-per-shard JSON reports back together -- in every case the merged
-digest is byte-identical to a serial run::
-
-    python -m repro.scenarios --scenarios 60 --shard 1/3 --json > s1.json
-    python -m repro.scenarios --scenarios 60 --shard 2/3 --json > s2.json
-    python -m repro.scenarios --scenarios 60 --shard 3/3 --json > s3.json
-    python -m repro.scenarios --merge s1.json s2.json s3.json --json
-
-Fan-out runs through the pluggable engine layer
-(:mod:`repro.workbench.engines`); the session-level entry point is
-:meth:`repro.workbench.Workbench.regress`.
+Fan-out runs through the pluggable engine seam
+(:mod:`repro.scenarios.engines`; the cross-host engines and the one
+engine selection live in :mod:`repro.dispatch`); the session-level
+entry point is :meth:`repro.workbench.Workbench.regress`.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
-import sys
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..cliutil import (
-    add_hosts_argument,
-    add_observability_arguments,
-    observability_scope,
-    positive_int,
-    reject_hosts_conflict,
-    route_warnings_to_stderr,
-    shard_coordinate,
-)
 from ..obs.runtime import OBS
-from ..workbench.engines import Engine, resolve_engine
 from .coverage_driven import BinCoverage
 from .directed import DirectedSequence, TransactionGoal
+from .engines import Engine, resolve_engine
 from .random_ import ScenarioRng
 from .scoreboard import FaultPlan
 from .sequences import NAMED_PROFILES, sequence_for_profile
@@ -447,20 +429,60 @@ def build_specs(
     return specs
 
 
+#: The spec-file format :func:`save_specs` writes and :func:`load_specs` reads.
+SPEC_FILE_VERSION = 1
+
+
+class SpecFileError(ValueError):
+    """A spec file is unreadable, not a spec document, or malformed."""
+
+
 def save_specs(specs: Sequence[ScenarioSpec], path: str) -> None:
     """Write a spec list as the versioned JSON wire format."""
-    doc = {"version": 1, "specs": [s.to_json() for s in specs]}
+    doc = {"version": SPEC_FILE_VERSION, "specs": [s.to_json() for s in specs]}
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(doc, handle, indent=2, sort_keys=True)
 
 
 def load_specs(path: str) -> List[ScenarioSpec]:
-    """Read a spec list written by :func:`save_specs`."""
-    with open(path, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
-    if not isinstance(doc, dict) or "specs" not in doc:
-        raise ValueError(f"{path}: not a scenario spec file")
-    return [ScenarioSpec.from_json(entry) for entry in doc["specs"]]
+    """Read a spec list written by :func:`save_specs`.
+
+    Every way the file can be wrong -- unreadable, not JSON, not a
+    spec document, another format version, an entry that does not
+    rebuild a spec of a known model -- raises :class:`SpecFileError`
+    naming the path (and the entry), never a bare parse error.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            doc = json.load(handle)
+    except OSError as exc:
+        raise SpecFileError(f"{path}: cannot read spec file: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise SpecFileError(f"{path}: not JSON: {exc}") from exc
+    if not isinstance(doc, dict) or not isinstance(doc.get("specs"), list):
+        raise SpecFileError(f"{path}: not a scenario spec file")
+    version = doc.get("version")
+    if version != SPEC_FILE_VERSION:
+        raise SpecFileError(
+            f"{path}: unsupported spec file version {version!r} "
+            f"(expected {SPEC_FILE_VERSION})"
+        )
+    specs = []
+    for index, entry in enumerate(doc["specs"]):
+        try:
+            spec = ScenarioSpec.from_json(entry)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise SpecFileError(
+                f"{path}: malformed spec entry {index}: "
+                f"{type(exc).__name__}: {exc}"
+            ) from exc
+        if spec.model not in MODELS:
+            raise SpecFileError(
+                f"{path}: spec entry {index} names unknown model "
+                f"{spec.model!r} (choose from {', '.join(MODELS)})"
+            )
+        specs.append(spec)
+    return specs
 
 
 @dataclass
@@ -579,10 +601,11 @@ class RegressionRunner:
     """Fans specs across an execution engine and folds the verdicts
     back together.
 
-    The engine seam (:mod:`repro.workbench.engines`) is pluggable:
-    serial and local-multiprocessing engines exist today, and a
-    cross-host dispatcher slots in without changing this runner --
-    verdict order never matters because the report re-sorts by spec.
+    The engine seam (:mod:`repro.scenarios.engines`) is pluggable:
+    serial and local-multiprocessing engines live beside this runner,
+    and the cross-host ones (:mod:`repro.dispatch`,
+    :mod:`repro.coordinator`) slot in without changing it -- verdict
+    order never matters because the report re-sorts by spec.
     """
 
     def __init__(
@@ -661,209 +684,3 @@ class RegressionRunner:
                 registry.counter(
                     "scenarios.scoreboard_divergence", kind=kind
                 ).inc()
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro.scenarios.regression",
-        description="Run a seeded scenario regression across worker processes "
-        "or subprocess shard hosts.",
-    )
-    parser.add_argument("--models", nargs="+", default=list(MODELS), choices=MODELS)
-    parser.add_argument("--scenarios", type=positive_int, default=40)
-    parser.add_argument("--workers", type=int, default=None)
-    parser.add_argument(
-        "--cycles",
-        type=positive_int,
-        default=None,
-        help="simulated cycles per scenario (default 400; 160 in "
-        "--directed mode, matching `python -m repro close`)",
-    )
-    parser.add_argument("--seed", type=int, default=2005)
-    parser.add_argument("--fail-fast", action="store_true")
-    parser.add_argument(
-        "--with-monitors",
-        action="store_true",
-        help="also bind the PSL assertion suite to every scenario",
-    )
-    parser.add_argument(
-        "--profiles",
-        nargs="+",
-        default=None,
-        choices=sorted(NAMED_PROFILES),
-        help="restrict the traffic-profile pool",
-    )
-    parser.add_argument(
-        "--spec-file",
-        default=None,
-        metavar="FILE",
-        help="run the serialized spec list instead of building one "
-        "(see repro.scenarios.regression.save_specs)",
-    )
-    parser.add_argument(
-        "--directed",
-        action="store_true",
-        help="directed coverage closure instead of a constrained-random "
-        "regression: explore each model's FSM, plan sequence goals for "
-        "the formal-only residue and drive them until it stops shrinking",
-    )
-    parser.add_argument(
-        "--rounds",
-        type=positive_int,
-        default=3,
-        metavar="N",
-        help="closure re-plan rounds (--directed only)",
-    )
-    sharding = parser.add_mutually_exclusive_group()
-    sharding.add_argument(
-        "--shards",
-        type=positive_int,
-        default=None,
-        metavar="N",
-        help="dispatch the regression across N local subprocess shard "
-        "hosts and print the merged report",
-    )
-    sharding.add_argument(
-        "--shard",
-        type=shard_coordinate,
-        default=None,
-        metavar="K/N",
-        help="run only shard K of N (for manual cross-host dispatch; "
-        "fold the outputs back with --merge)",
-    )
-    sharding.add_argument(
-        "--merge",
-        nargs="+",
-        default=None,
-        metavar="REPORT.json",
-        help="merge per-shard --json reports into one canonical report",
-    )
-    add_hosts_argument(parser)
-    add_observability_arguments(parser)
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the machine-readable report instead of text",
-    )
-    options = parser.parse_args(argv)
-    reject_hosts_conflict(parser, options)
-    if options.directed:
-        # directed closure is a whole-session mode: flags that slice,
-        # replay or shape a plain regression have no meaning in it and
-        # silently ignoring them would misreport what ran
-        conflicting = [
-            flag
-            for flag, given in (
-                ("--shard", options.shard is not None),
-                ("--merge", options.merge is not None),
-                ("--spec-file", options.spec_file is not None),
-                ("--fail-fast", options.fail_fast),
-                ("--with-monitors", options.with_monitors),
-                ("--profiles", options.profiles is not None),
-            )
-            if given
-        ]
-        if conflicting:
-            parser.error(
-                f"--directed cannot be combined with {', '.join(conflicting)}"
-            )
-    # both closure entry points must agree by default: --directed
-    # mirrors `python -m repro close --cycles 160`
-    cycles = (
-        options.cycles
-        if options.cycles is not None
-        else (160 if options.directed else 400)
-    )
-    # stdout carries exactly one report; shim warnings etc. go to stderr
-    route_warnings_to_stderr()
-    # observability wraps every path below; digests are unaffected
-    with observability_scope(options):
-        return _cli_dispatch(options, cycles)
-
-
-def _cli_dispatch(options: argparse.Namespace, cycles: int) -> int:
-    # imported here, not at module top: these build on this module
-    from ..cliutil import emit_regression_report, load_shard_reports
-    from ..dispatch import merge_reports
-    from ..dispatch.planner import plan_shards
-    from ..workbench.engines import ShardedEngine
-
-    if options.merge is not None:
-        return emit_regression_report(
-            merge_reports(load_shard_reports(options.merge)), options.json
-        )
-
-    if options.directed:
-        # directed closure is a Workbench session per model: explore to
-        # get the residue, then plan/run/fold until dry
-        from ..workbench import Workbench
-
-        docs: Dict[str, Any] = {}
-        ok = True
-        for model in options.models:
-            workbench = Workbench(model, seed=options.seed)
-            result = workbench.close_coverage(
-                rounds=options.rounds,
-                cycles=cycles,
-                workers=options.workers,
-                shards=options.shards,
-                hosts=options.hosts,
-            )
-            docs[model] = result.to_json()
-            ok = ok and result.ok
-        if options.json:
-            print(json.dumps(docs, indent=2, sort_keys=True))
-        else:
-            for model, doc in docs.items():
-                print(f"=== directed closure: {model} ===")
-                print(doc["summary"])
-        return 0 if ok else 1
-
-    if options.spec_file is not None:
-        specs = load_specs(options.spec_file)
-    else:
-        specs = build_specs(
-            models=options.models,
-            count=options.scenarios,
-            base_seed=options.seed,
-            cycles=cycles,
-            with_monitors=options.with_monitors,
-            profiles=options.profiles,
-        )
-
-    if options.shard is not None:
-        index, of = options.shard
-        specs = list(plan_shards(specs, of)[index].specs)
-        engine = None
-    elif options.hosts:
-        # remote HTTP workers; --shards sizes the steal queue, defaulting
-        # to the planner's oversubscription so rebalance has a tail
-        from ..dispatch import shards_for_hosts
-
-        engine = ShardedEngine(
-            options.shards or shards_for_hosts(len(options.hosts), len(specs)),
-            hosts=options.hosts,
-            workers_per_shard=options.workers,
-        )
-    elif options.shards is not None:
-        # through the same engine seam the Workbench uses, so
-        # --fail-fast and --workers mean the same thing at every tier
-        engine = ShardedEngine(
-            options.shards, workers_per_shard=options.workers
-        )
-    else:
-        engine = None
-
-    runner = RegressionRunner(
-        specs, workers=options.workers, fail_fast=options.fail_fast, engine=engine
-    )
-    report = runner.run()
-    outcome = getattr(engine, "last_outcome", None)
-    if outcome is not None:
-        for line in outcome.log_lines():
-            print(line, file=sys.stderr)
-    return emit_regression_report(report, options.json)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -6,8 +6,10 @@ SystemC factory, scenario binding), then compose typed stages --
 ``explore()``, ``check_liveness()``, ``translate()``,
 ``simulate_abv()``, ``regress()`` -- on a :class:`Workbench` session,
 or run a declarative :class:`VerificationPlan` end to end.  Stages fan
-out through a pluggable :class:`Engine`; every session folds into one
-:class:`SessionReport` with a worker-count-invariant digest.
+out through a pluggable :class:`Engine` (the engine classes live below
+this layer, in :mod:`repro.scenarios.engines` and
+:mod:`repro.dispatch`, and are re-exported here); every session folds
+into one :class:`SessionReport` with a worker-count-invariant digest.
 
 Quickstart::
 
@@ -23,22 +25,15 @@ CLI over this API.
 """
 
 from .duv import DUV, CoverageResidue, LivenessCheck
-from .engines import (
-    ENGINES,
+from ..dispatch import ShardedEngine
+from ..scenarios.engines import (
     Engine,
     MultiprocessingEngine,
     SerialEngine,
-    ShardedEngine,
-    engine_from_name,
     resolve_engine,
 )
 from .plan import STAGE_NAMES, StageCall, VerificationPlan
-from .registry import (
-    ModelRegistry,
-    UnknownModelError,
-    default_registry,
-    register_model,
-)
+from .registry import ModelRegistry, UnknownModelError, default_registry
 from .session import Workbench
 from .stages import (
     SessionReport,
@@ -51,12 +46,10 @@ __all__ = [
     "DUV",
     "CoverageResidue",
     "LivenessCheck",
-    "ENGINES",
     "Engine",
     "MultiprocessingEngine",
     "SerialEngine",
     "ShardedEngine",
-    "engine_from_name",
     "resolve_engine",
     "STAGE_NAMES",
     "StageCall",
@@ -64,7 +57,6 @@ __all__ = [
     "ModelRegistry",
     "UnknownModelError",
     "default_registry",
-    "register_model",
     "Workbench",
     "SessionReport",
     "SimulationReport",

@@ -1,11 +1,13 @@
 """Named discovery of registered designs-under-verification.
 
-Case studies register a *builder* (``**params -> DUV``) under a stable
-name; the CLI and the workbench resolve designs by that name.  The two
-paper case studies are known lazily -- asking for ``"pci"`` imports
-``repro.models.pci``, whose ``__init__`` registers its builder -- so
-``import repro.workbench`` stays cheap and worker processes that only
-ever touch one model never import the other.
+A registry maps a stable name to a *builder* (``**params -> DUV``);
+the CLI and the workbench resolve designs by that name.  The two paper
+case studies are built in by reference -- ``"pci"`` names
+``repro.models.pci.duv.build_duv``, imported the first time someone
+asks for it -- so ``import repro.workbench`` stays cheap, worker
+processes that only ever touch one model never import the other, and
+no model package has to import the workbench to register itself.
+Further designs join with :meth:`ModelRegistry.register`.
 """
 
 from __future__ import annotations
@@ -17,10 +19,10 @@ from .duv import DUV
 
 DuvBuilder = Callable[..., DUV]
 
-#: name -> module whose import registers the builder
-_BUILTIN_MODULES: Dict[str, str] = {
-    "master_slave": "repro.models.master_slave",
-    "pci": "repro.models.pci",
+#: name -> ``module:attribute`` of the built-in builder, imported on first use
+_BUILTIN_BUILDERS: Dict[str, str] = {
+    "master_slave": "repro.models.master_slave.duv:build_duv",
+    "pci": "repro.models.pci.duv:build_duv",
 }
 
 
@@ -33,7 +35,7 @@ class ModelRegistry:
 
     def __init__(self, builtins: Optional[Dict[str, str]] = None):
         self._builders: Dict[str, DuvBuilder] = {}
-        self._lazy = dict(_BUILTIN_MODULES if builtins is None else builtins)
+        self._lazy = dict(_BUILTIN_BUILDERS if builtins is None else builtins)
 
     def register(
         self, name: str, builder: DuvBuilder, replace: bool = False
@@ -43,20 +45,11 @@ class ModelRegistry:
         self._builders[name] = builder
 
     def _load(self, name: str) -> None:
-        module = self._lazy.get(name)
-        if module is None or name in self._builders:
+        target = self._lazy.get(name)
+        if target is None or name in self._builders:
             return
-        importlib.import_module(module)  # registers itself on import
-        if name not in self._builders:
-            # built-in modules register into the *default* registry;
-            # mirror the builder into this instance so non-default
-            # registries resolve the built-ins too
-            shared = default_registry()._builders.get(name)
-            if shared is None:
-                raise UnknownModelError(
-                    f"module {module!r} did not register model {name!r}"
-                )
-            self._builders[name] = shared
+        module, _, attribute = target.partition(":")
+        self._builders[name] = getattr(importlib.import_module(module), attribute)
 
     def names(self) -> List[str]:
         """Every registered (or registerable) model name, sorted."""
@@ -70,7 +63,7 @@ class ModelRegistry:
     def __contains__(self, name: str) -> bool:
         try:
             self._load(name)
-        except (ImportError, UnknownModelError):
+        except ImportError:
             return False
         return name in self._builders
 
@@ -96,13 +89,9 @@ _DEFAULT: Optional[ModelRegistry] = None
 
 
 def default_registry() -> ModelRegistry:
-    """The process-wide registry the CLI and models register into."""
+    """The process-wide registry the CLI and the workbench resolve names in."""
     global _DEFAULT
     if _DEFAULT is None:
         _DEFAULT = ModelRegistry()
     return _DEFAULT
 
-
-def register_model(name: str, builder: DuvBuilder, replace: bool = True) -> None:
-    """Register a builder on the default registry (idempotent on re-import)."""
-    default_registry().register(name, builder, replace=replace)

@@ -20,7 +20,9 @@ or runs a declarative plan end to end::
 Every stage returns a typed :class:`~.stages.StageResult`; the
 session's :class:`~.stages.SessionReport` digest is byte-identical for
 the same DUV, seeds and options at any worker count.  Stage fan-out
-executes through a pluggable :class:`~.engines.Engine`.
+executes through a pluggable :class:`~repro.scenarios.engines.Engine`
+chosen by :func:`repro.dispatch.select_engine` unless the session was
+built with one.
 """
 
 from __future__ import annotations
@@ -31,21 +33,27 @@ import traceback
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..abv.harness import AbvHarness, FailureAction
+from ..checkpoint import ensure_spill_dir, global_registry
+from ..dispatch import select_engine
 from ..obs.runtime import OBS
 from ..explorer.engine import ExplorationResult, explore as run_exploration
 from ..explorer.fsm import Fsm
+from ..explorer.goal_planner import GoalPlanner, walk_fsm_events
 from ..explorer.liveness import check_eventually
 from ..explorer.rules import check_rules
 from ..explorer.sim_coverage import CoverageTracker
 from ..psl.asm_embedding import AssertionProperty, state_extractor
 from ..psl.compiled import compile_properties
 from ..psl.monitor import Monitor
+from ..scenarios.directed import DirectedClosureLoop, lower_path_for_model
+from ..scenarios.engines import Engine
+from ..scenarios.random_ import derive_seed
+from ..scenarios.regression import RegressionRunner, ScenarioSpec, build_specs
 from ..translate.class_rules import translate_class
 from ..translate.csharp_gen import render_monitor_suite
 from ..translate.runtime import build_runtime
 from ..translate.systemc_gen import render_translation_unit
 from .duv import DUV, CoverageResidue
-from .engines import Engine, ShardedEngine, engine_from_name, resolve_engine
 from .plan import STAGE_NAMES, VerificationPlan
 from .registry import ModelRegistry, default_registry
 from .stages import (
@@ -462,43 +470,6 @@ class Workbench:
             payload={"report": report, "harness": harness},
         )
 
-    def _dispatch_engine(
-        self,
-        workers: Optional[int],
-        shards: Optional[int],
-        hosts: Optional[Sequence[Any]],
-        n_specs: int,
-        coordinator: Optional[str] = None,
-        token: Optional[str] = None,
-    ) -> Engine:
-        """Engine for a scenario fan-out sized by the stage arguments.
-
-        ``coordinator`` (a daemon URL) wins over everything local: the
-        whole fan-out ships to the elastic fleet as one job, with
-        ``token`` as the fleet's shared bearer secret.  ``hosts`` (a
-        pool of :class:`~repro.dispatch.Host`\\ s, e.g. from
-        :func:`repro.dispatch.parse_hosts`) selects cross-host
-        dispatch with ``shards`` defaulting to the planner's
-        oversubscription so work stealing has a tail to rebalance;
-        plain ``shards=N`` fans over N local subprocess hosts; neither
-        falls back to the local serial/multiprocessing heuristic.
-        """
-        if coordinator:
-            return engine_from_name("coordinator", url=coordinator, token=token)
-        if hosts:
-            from ..dispatch import shards_for_hosts
-
-            hosts = list(hosts)
-            return ShardedEngine(
-                shards or shards_for_hosts(len(hosts), n_specs),
-                hosts=hosts,
-                workers_per_shard=workers,
-            )
-        if shards is not None:
-            # ``workers`` keeps its meaning inside each shard host
-            return ShardedEngine(shards, workers_per_shard=workers)
-        return resolve_engine(workers, n_specs)
-
     def _dispatch_facts(self, outcome: Any, stage: str) -> Dict[str, Any]:
         """Run facts for one finished dispatch (metrics-side only).
 
@@ -621,10 +592,6 @@ class Workbench:
         with_monitors: bool,
         profiles: Optional[Sequence[str]],
     ) -> StageResult:
-        # imported lazily: scenarios.regression itself imports the
-        # engine layer, and eager cross-imports would cycle
-        from ..scenarios.regression import RegressionRunner, build_specs
-
         residue = self._residue if bias is True else bias or None
         bias_applied = False
         if specs is None:
@@ -658,7 +625,7 @@ class Workbench:
         # only size the default engine
         engine = self.engine
         if engine is None:
-            engine = self._dispatch_engine(
+            engine = select_engine(
                 workers, shards, hosts, len(specs),
                 coordinator=coordinator, token=token,
             )
@@ -784,13 +751,6 @@ class Workbench:
         seed: Optional[int],
         frontier: bool,
     ) -> StageResult:
-        # imported lazily for the same reason as regress: the scenario
-        # layer imports the engine layer
-        from ..explorer.goal_planner import GoalPlanner, walk_fsm_events
-        from ..scenarios.directed import DirectedClosureLoop, lower_path_for_model
-        from ..scenarios.random_ import derive_seed
-        from ..scenarios.regression import RegressionRunner, ScenarioSpec
-
         if self._exploration is None:
             self.explore()
         assert self._exploration is not None and self._residue is not None
@@ -820,11 +780,8 @@ class Workbench:
         use_frontier = bool(frontier)
         checkpoint_registry = None
         if use_frontier:
-            # imported lazily like the rest of the scenario layer; the
-            # spill dir makes subprocess-captured checkpoints resolvable
-            # here when a later round forks them
-            from ..checkpoint import ensure_spill_dir, global_registry
-
+            # the spill dir makes subprocess-captured checkpoints
+            # resolvable here when a later round forks them
             ensure_spill_dir()
             checkpoint_registry = global_registry()
         #: covered FSM state -> (checkpoint digest, cycles run, seed) of
@@ -928,7 +885,7 @@ class Workbench:
             specs = [spec for _, spec in planned]
             engine = self.engine
             if engine is None:
-                engine = self._dispatch_engine(
+                engine = select_engine(
                     workers, shards, hosts, len(specs),
                     coordinator=coordinator, token=token,
                 )

@@ -16,7 +16,7 @@ import hashlib
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.abv import AbvHarness, FailureAction
@@ -639,7 +639,24 @@ def generated_design(spec):
     return design
 
 
+#: one thread waits on the shared event alone while a posedge waiter
+#: notifies it immediately inside a stepped instant: the step must run
+#: the notified thread in the same delta, after the posedge waiters
+#: (random designs rarely draw this shape, so it is always tried)
+IMMEDIATE_NOTIFY_FROM_A_POSEDGE_WAITER = {
+    "threads": [
+        ([("event_only",)], 0, True),
+        ([("notify_now",), ("posedge",)], 1, True),
+    ],
+    "method_on": None,
+    "static_posedge": False,
+    "monitor": False,
+    "runs": [45, 30],
+}
+
+
 @settings(max_examples=150, deadline=None)
 @given(design_spec)
+@example(IMMEDIATE_NOTIFY_FROM_A_POSEDGE_WAITER)
 def test_generated_designs_match_wake_for_wake(spec):
     compare(generated_design(spec), runs=[ns(r) for r in spec["runs"]])

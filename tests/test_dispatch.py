@@ -22,6 +22,7 @@ from repro.dispatch import (
     merge_reports,
     plan_digest,
     plan_shards,
+    select_engine,
 )
 from repro.scenarios.regression import (
     RegressionReport,
@@ -33,7 +34,7 @@ from repro.scenarios.regression import (
     save_specs,
 )
 from repro.scenarios.scoreboard import FaultPlan
-from repro.workbench import SerialEngine, ShardedEngine, Workbench, engine_from_name
+from repro.workbench import SerialEngine, ShardedEngine, Workbench
 
 SPECS = build_specs(count=6, cycles=120)
 
@@ -284,11 +285,18 @@ class TestShardedEngine:
             list(engine.imap(len, ["a", "b"]))
 
     def test_engine_registry_knows_sharded(self):
-        engine = engine_from_name("sharded", shards=3)
+        # the one engine selection picks the sharded engine for shards=N
+        engine = select_engine(workers=2, shards=3, hosts=None, n_specs=6)
+        assert isinstance(engine, ShardedEngine)
         assert engine.name == "sharded"
         assert engine.workers == 3
-        with pytest.raises(ValueError, match="unknown engine"):
-            engine_from_name("quantum")
+        assert engine.workers_per_shard == 2
+        assert isinstance(
+            select_engine(workers=1, shards=None, hosts=None, n_specs=6),
+            SerialEngine,
+        )
+        with pytest.raises(ValueError, match="shard count"):
+            select_engine(workers=None, shards=0, hosts=None, n_specs=6)
 
     def test_workbench_regress_through_injected_sharded_engine(self):
         engine = ShardedEngine(2, hosts=[InProcessHost("a"), InProcessHost("b")])
@@ -333,26 +341,26 @@ class TestShardedEngine:
 
 
 class TestCli:
-    """--shards / --shard K/N / --merge on both command lines."""
+    """--shards / --shard K/N / --merge / --spec-file on ``repro regress``."""
 
-    def _scenarios_main(self, argv, capsys):
-        from repro.scenarios.regression import main
+    def _regress(self, argv, capsys):
+        from repro.cli import main
 
-        code = main(argv)
+        code = main(["regress", *argv])
         return code, capsys.readouterr()
 
     def test_manual_shard_merge_round_trip(self, tmp_path, capsys, serial_report):
         base = ["--scenarios", "6", "--cycles", "120", "--json"]
         paths = []
         for k in (1, 2):
-            code, captured = self._scenarios_main(
+            code, captured = self._regress(
                 base + ["--shard", f"{k}/2"], capsys
             )
             assert code == 0
             path = tmp_path / f"s{k}.json"
             path.write_text(captured.out)
             paths.append(str(path))
-        code, captured = self._scenarios_main(
+        code, captured = self._regress(
             ["--merge", *paths, "--json"], capsys
         )
         assert code == 0
@@ -363,24 +371,32 @@ class TestCli:
     def test_spec_file_run(self, tmp_path, capsys, serial_report):
         path = str(tmp_path / "specs.json")
         save_specs(SPECS, path)
-        code, captured = self._scenarios_main(
+        code, captured = self._regress(
             ["--spec-file", path, "--workers", "1", "--json"], capsys
         )
         assert code == 0
         assert json.loads(captured.out)["digest"] == serial_report.digest()
 
-    def test_shard_flags_are_mutually_exclusive(self, capsys):
-        from repro.scenarios.regression import main
+    def test_spec_file_rejects_flags_it_overrides(self, tmp_path, capsys):
+        path = str(tmp_path / "specs.json")
+        save_specs(SPECS, path)
+        with pytest.raises(SystemExit) as excinfo:
+            self._regress(
+                ["--spec-file", path, "--model", "pci", "--with-monitors"],
+                capsys,
+            )
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--model" in err and "--with-monitors" in err
 
+    def test_shard_flags_are_mutually_exclusive(self, capsys):
         with pytest.raises(SystemExit):
-            main(["--shards", "2", "--shard", "1/2"])
+            self._regress(["--shards", "2", "--shard", "1/2"], capsys)
 
     def test_bad_shard_coordinate_rejected(self, capsys):
-        from repro.scenarios.regression import main
-
         for bad in ("3/2", "0/2", "x/y"):
             with pytest.raises(SystemExit):
-                main(["--shard", bad])
+                self._regress(["--shard", bad], capsys)
 
     def test_repro_cli_shard_and_merge(self, tmp_path, capsys):
         from repro.cli import main
@@ -405,11 +421,46 @@ class TestCli:
         serial = RegressionRunner(specs, engine=SerialEngine()).run()
         assert merged["digest"] == serial.digest()
 
-    def test_repro_cli_regress_requires_model_without_merge(self):
-        from repro.cli import main
+    def test_regress_without_model_runs_every_scenario_model(self, capsys):
+        code, captured = self._regress(
+            ["--scenarios", "4", "--cycles", "120", "--json"], capsys
+        )
+        assert code == 0
+        doc = json.loads(captured.out)
+        specs = build_specs(count=4, base_seed=2005, cycles=120)
+        serial = RegressionRunner(specs, engine=SerialEngine()).run()
+        assert doc["digest"] == serial.digest()
+        assert {v["model"] for v in doc["verdicts"]} == {"master_slave", "pci"}
 
-        with pytest.raises(SystemExit, match="--model is required"):
-            main(["regress", "--scenarios", "4"])
+    def test_shard_child_runs_without_the_workbench(self, tmp_path):
+        # exactly the command LocalSubprocessHost spawns; -X importtime
+        # lists every module the child imported over its whole run
+        path = str(tmp_path / "specs.json")
+        save_specs(SPECS, path)
+        result = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "repro", "regress",
+             "--spec-file", path, "--shard", "1/2", "--workers", "1",
+             "--json"],
+            capture_output=True,
+            text=True,
+            env=_repro_env(),
+        )
+        assert result.returncode == 0, result.stderr
+        shard = plan_shards(SPECS, 2)[0]
+        serial = RegressionRunner(list(shard.specs), engine=SerialEngine()).run()
+        assert json.loads(result.stdout)["digest"] == serial.digest()
+        imported = {
+            line.rsplit("|", 1)[1].strip()
+            for line in result.stderr.splitlines()
+            if line.startswith("import time:") and "|" in line
+        }
+        assert "repro.scenarios.regression" in imported
+        for package in ("workbench", "explorer", "translate", "coordinator"):
+            assert not any(
+                name == f"repro.{package}"
+                or name.startswith(f"repro.{package}.")
+                for name in imported
+            ), package
 
 
 class TestWarningHygiene:
@@ -441,7 +492,8 @@ class TestWarningHygiene:
                 "-W",
                 "default",
                 "-m",
-                "repro.scenarios",
+                "repro",
+                "regress",
                 "--scenarios",
                 "2",
                 "--cycles",

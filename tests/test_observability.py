@@ -352,11 +352,11 @@ class TestCliFlags:
         assert OBS.enabled is False
 
     def test_scenarios_cli_accepts_flags(self, tmp_path, capsys):
-        from repro.scenarios.regression import main as regression_main
+        from repro.cli import main as repro_main
 
         trace_path = tmp_path / "scen.jsonl"
-        code = regression_main(
-            ["--scenarios", "3", "--cycles", "100", "--workers", "1",
+        code = repro_main(
+            ["regress", "--scenarios", "3", "--cycles", "100", "--workers", "1",
              "--json", "--trace", str(trace_path)]
         )
         assert code == 0

@@ -662,14 +662,15 @@ class TestSubprocessReaping:
 
 
 class TestCliHosts:
-    """--hosts flag plumbing on both CLIs."""
+    """--hosts flag plumbing on ``repro regress``, raw and as a session."""
 
     def test_scenarios_cli_hosts_matches_serial(self, worker_pair, capsys):
-        from repro.scenarios.regression import main
+        from repro.cli import main
 
         addresses = ",".join(w.address for w in worker_pair)
         code = main(
-            ["--scenarios", "6", "--cycles", "120", "--hosts", addresses, "--json"]
+            ["regress", "--scenarios", "6", "--cycles", "120",
+             "--hosts", addresses, "--json"]
         )
         captured = capsys.readouterr()
         assert code == 0
@@ -710,10 +711,9 @@ class TestCliHosts:
 
     def test_hosts_conflicts_with_shard_and_merge(self):
         from repro.cli import main as repro_main
-        from repro.scenarios.regression import main as scenarios_main
 
         with pytest.raises(SystemExit) as excinfo:
-            scenarios_main(["--hosts", "127.0.0.1:8421", "--shard", "1/2"])
+            repro_main(["regress", "--hosts", "127.0.0.1:8421", "--shard", "1/2"])
         assert excinfo.value.code == 2       # parser.error: usage + exit 2
         with pytest.raises(SystemExit) as excinfo:
             repro_main(
@@ -727,13 +727,13 @@ class TestCliHosts:
                     "1/2",
                 ]
             )
-        assert excinfo.value.code == 2       # same behaviour on both CLIs
+        assert excinfo.value.code == 2       # same with a session model
 
     def test_bad_hosts_string_rejected(self):
-        from repro.scenarios.regression import main
+        from repro.cli import main
 
         with pytest.raises(SystemExit):
-            main(["--hosts", "nonsense", "--scenarios", "2"])
+            main(["regress", "--hosts", "nonsense", "--scenarios", "2"])
 
 
 def _dead_address() -> str:

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from repro.cli import main as repro_main
-from repro.scenarios.regression import main as regression_main
+from repro.scenarios.regression import build_specs, save_specs
 
 
 def run_cli(capsys, *argv):
@@ -72,6 +72,14 @@ class TestRegress:
         assert stage["data"]["regression_digest"]
         assert stage["data"]["scenarios"] == 3
 
+    def test_topology_is_a_usage_error(self, capsys):
+        # build_specs cycles its own topology pool, so a --topology on
+        # regress would be silently ignored; the parser refuses it
+        with pytest.raises(SystemExit) as excinfo:
+            repro_main(["regress", "--model", "pci", "--topology", "1,1"])
+        assert excinfo.value.code == 2
+        assert "--topology" in capsys.readouterr().err
+
 
 class TestClose:
     def test_close_json_reports_achieved_transitions(self, capsys):
@@ -94,30 +102,6 @@ class TestClose:
         assert close["ok"]
         assert close["data"]["achieved"] > 0
         assert close["data"]["residue"]["transition_coverage"] > 0
-
-    def test_scenarios_directed_mode(self, capsys):
-        code = regression_main(
-            [
-                "--models",
-                "master_slave",
-                "--directed",
-                "--rounds",
-                "1",
-                "--cycles",
-                "140",
-                "--json",
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["master_slave"]["data"]["achieved"] > 0
-
-    def test_directed_rejects_regression_only_flags(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            regression_main(["--directed", "--shard", "1/2"])
-        assert excinfo.value.code == 2
-        assert "--shard" in capsys.readouterr().err
 
 
 class TestFlow:
@@ -153,15 +137,14 @@ class TestFlow:
 
 
 class TestScenariosJson:
+    """``repro regress`` without ``--model``: the raw regression report."""
+
     def test_regression_cli_emits_json(self, capsys):
-        code = regression_main(
-            [
-                "--models", "master_slave",
-                "--scenarios", "3", "--cycles", "150", "--workers", "1",
-                "--json",
-            ]
+        code, out = run_cli(
+            capsys,
+            "regress", "--scenarios", "3", "--cycles", "150", "--workers", "1",
+            "--json",
         )
-        out = capsys.readouterr().out
         assert code == 0
         doc = json.loads(out)
         assert doc["ok"] is True
@@ -171,17 +154,61 @@ class TestScenariosJson:
         assert doc["verdicts"][0]["scoreboard_digest"]
 
     def test_regression_cli_profile_restriction(self, capsys):
-        code = regression_main(
-            [
-                "--models", "master_slave",
-                "--scenarios", "4", "--cycles", "150", "--workers", "1",
-                "--profiles", "bursty", "--json",
-            ]
+        code, out = run_cli(
+            capsys,
+            "regress", "--scenarios", "4", "--cycles", "150", "--workers", "1",
+            "--profiles", "bursty", "--json",
         )
-        out = capsys.readouterr().out
         assert code == 0
         doc = json.loads(out)
         assert {v["profile"] for v in doc["verdicts"]} == {"bursty"}
+
+
+class TestSpecFileErrors:
+    """A bad ``--spec-file`` is a usage error: exit 2, one ``error:`` line."""
+
+    def _rejected(self, capsys, path, *needles):
+        code = repro_main(["regress", "--spec-file", str(path), "--json"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        for needle in (str(path),) + needles:
+            assert needle in lines[0]
+
+    def test_missing_file(self, capsys, tmp_path):
+        self._rejected(capsys, tmp_path / "absent.json", "cannot read")
+
+    def test_not_a_spec_document(self, capsys, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({"ok": True, "verdicts": []}))
+        self._rejected(capsys, path, "not a scenario spec file")
+
+    @pytest.mark.parametrize(
+        "field, value, needle",
+        [("topology", None, "malformed spec entry 1"),
+         ("model", "warp_core", "spec entry 1 names unknown model")],
+        ids=["missing-field", "unknown-model"],
+    )
+    def test_malformed_entry(self, capsys, tmp_path, field, value, needle):
+        path = tmp_path / "specs.json"
+        save_specs(build_specs(count=2, cycles=100), str(path))
+        doc = json.loads(path.read_text())
+        if value is None:
+            del doc["specs"][1][field]
+        else:
+            doc["specs"][1][field] = value
+        path.write_text(json.dumps(doc))
+        self._rejected(capsys, path, needle, field if value is None else value)
+
+    def test_unsupported_version(self, capsys, tmp_path):
+        path = tmp_path / "specs.json"
+        save_specs(build_specs(count=2, cycles=100), str(path))
+        doc = json.loads(path.read_text())
+        doc["version"] = 2
+        path.write_text(json.dumps(doc))
+        self._rejected(capsys, path, "version 2")
 
 
 class TestModuleEntryPoint:

@@ -24,6 +24,7 @@ BUILTIN_RULES = (
     "ckpt.undeclared-state",
     "lint.docstring",
     "lint.http-plumbing",
+    "lint.layering",
     "lint.letter-declaration",
     "lint.monitor-construction",
     "lint.wall-clock",
@@ -227,6 +228,51 @@ class TestUndeclaredState:
                "    def tick(self):\n"
                "        self.cycles = 1\n")
         assert run_checks(tmp_path, rules=["ckpt.undeclared-state"]).ok
+
+
+class TestLayering:
+    def test_module_level_workbench_import_in_scenarios_flagged(self, tmp_path):
+        _plant(tmp_path, "src/repro/scenarios/runner.py",
+               "from ..workbench import Workbench\n"
+               "from ..sysc.kernel import Simulator\n"
+               "import repro.dispatch.planner\n")
+        report = run_checks(tmp_path, rules=["lint.layering"])
+        flagged = sorted((f.line, f.message) for f in report.unsuppressed())
+        assert [line for line, _ in flagged] == [1, 3]
+        assert "repro.workbench" in flagged[0][1]
+        assert "repro.dispatch.planner" in flagged[1][1]
+
+    def test_function_level_type_checking_and_same_layer_allowed(self, tmp_path):
+        _plant(tmp_path, "src/repro/scenarios/runner.py",
+               "from typing import TYPE_CHECKING\n"
+               "from .sequences import Sequence\n"
+               "if TYPE_CHECKING:\n"
+               "    from ..workbench import Workbench\n\n"
+               "def session():\n"
+               "    from ..workbench import Workbench\n"
+               "    return Workbench\n")
+        _plant(tmp_path, "src/repro/models/toy/duv.py",
+               "from ...workbench.duv import DUV\n")
+        _plant(tmp_path, "src/repro/service.py", "from .obs import OBS\n")
+        assert run_checks(tmp_path, rules=["lint.layering"]).ok
+
+    def test_load_time_imports_in_blocks_and_classes_flagged(self, tmp_path):
+        _plant(tmp_path, "src/repro/models/toy/__init__.py",
+               "try:\n"
+               "    from .duv import build_duv\n"
+               "except ImportError:\n"
+               "    pass\n\n"
+               "class Registered:\n"
+               "    from ...workbench.registry import ModelRegistry\n")
+        report = run_checks(tmp_path, rules=["lint.layering"])
+        assert sorted(f.line for f in report.unsuppressed()) == [2, 7]
+
+    def test_package_outside_the_order_flagged(self, tmp_path):
+        _plant(tmp_path, "src/repro/gadgets/thing.py", "X = 1\n")
+        report = run_checks(tmp_path, rules=["lint.layering"])
+        assert [f.path for f in report.unsuppressed()] == [
+            "src/repro/gadgets/thing.py"
+        ]
 
 
 class TestEntryPoints:

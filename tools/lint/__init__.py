@@ -8,9 +8,11 @@ pipeline::
     python -m tools.lint --list     # show the registered rules
     python -m tools.lint --json     # machine-readable report
 
-Registered rules: ``lint.docstring``, ``lint.monitor-construction``,
-``lint.wall-clock``, ``lint.wire-parity`` (see :mod:`.docstrings` and
-:mod:`.checks`).
+Registered rules: ``lint.docstring`` (:mod:`.docstrings`), and
+``lint.monitor-construction``, ``lint.wall-clock``,
+``lint.wire-parity``, ``lint.http-plumbing``,
+``lint.letter-declaration``, ``lint.layering`` and
+``ckpt.undeclared-state`` (:mod:`.checks`).
 """
 
 from .registry import REPO_ROOT, register, registered_checks, run_checks

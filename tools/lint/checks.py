@@ -27,6 +27,16 @@
     compiles into a reader.  A ``letter()`` function building a dict
     under ``src/repro/models`` is a second, hand-maintained copy of
     that namespace -- the drift the declarations replaced.
+``lint.layering``
+    The packages under ``src/repro`` form one import order
+    (:data:`LAYERS`, lowest first; ``docs/architecture.md`` gives the
+    table).  A module-level import may reach its own layer or a lower
+    one only.  An upward import inside a function body stays allowed
+    -- it runs when that function is called, not when the module
+    loads, so it adds no load-time cycle and no cold-start cost to the
+    lower layer -- and ``if TYPE_CHECKING:`` imports never run.  A
+    module whose package is missing from the table is flagged too, so
+    the order stays complete.
 ``ckpt.undeclared-state``
     A stateful module declares the registers a checkpoint carries once,
     as a class-level ``STATE`` table (:mod:`repro.sysc.state`).  In a
@@ -510,4 +520,151 @@ def lint_undeclared_state(root: Path) -> List[Finding]:
                                 f"would drop it"
                             ),
                         ))
+    return findings
+
+
+#: The import order of ``src/repro``'s packages, lowest first.  Names in
+#: one tuple share a layer; ``models.*.duv`` (a model's workbench
+#: bundle, loaded only through the registry) sits with ``workbench``.
+LAYERS = (
+    ("obs", "store", "service", "cliutil"),
+    ("asm",),
+    ("sysc",),
+    ("psl",),
+    ("abv",),
+    ("explorer",),
+    ("translate",),
+    ("uml",),
+    ("scenarios",),
+    ("models",),
+    ("checkpoint",),
+    ("dispatch",),
+    ("coordinator",),
+    ("workbench", "models.*.duv"),
+    ("analyze",),
+    ("cli",),
+)
+
+#: modules of the root package that no layer holds: ``repro/__init__``
+#: (resolved lazily) and ``python -m repro``'s ``__main__``
+_UNLAYERED = ("", "__main__")
+
+
+def _layer_of(parts: List[str]) -> Optional[int]:
+    """Layer index of a module given as its parts below ``repro``."""
+    if len(parts) >= 3 and parts[0] == "models" and parts[2] == "duv":
+        key = "models.*.duv"
+    elif parts:
+        key = parts[0]
+    else:
+        return None
+    for index, names in enumerate(LAYERS):
+        if key in names:
+            return index
+    return None
+
+
+def _is_type_checking(test: ast.expr) -> bool:
+    return (isinstance(test, ast.Name) and test.id == "TYPE_CHECKING") or (
+        isinstance(test, ast.Attribute) and test.attr == "TYPE_CHECKING"
+    )
+
+
+def _load_time_imports(body: List[ast.stmt]) -> List[ast.stmt]:
+    """Import statements that run when the module loads.
+
+    Descends into every compound statement except function bodies and
+    ``if TYPE_CHECKING:`` branches (class bodies run at load time).
+    """
+    found: List[ast.stmt] = []
+    pending = list(body)
+    while pending:
+        node = pending.pop(0)
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.append(node)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        elif isinstance(node, ast.If) and _is_type_checking(node.test):
+            pending.extend(node.orelse)
+        else:
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.stmt):
+                    pending.append(child)
+                elif isinstance(child, ast.excepthandler):
+                    pending.extend(child.body)
+    return found
+
+
+def _import_targets(node: ast.stmt, package: List[str]) -> List[List[str]]:
+    """Modules an import statement loads, as parts below ``repro``."""
+    if isinstance(node, ast.Import):
+        return [
+            alias.name.split(".")[1:]
+            for alias in node.names
+            if alias.name.split(".")[0] == "repro"
+        ]
+    assert isinstance(node, ast.ImportFrom)
+    if node.level:
+        if node.level - 1 > len(package):
+            return []
+        base = package[: len(package) - (node.level - 1)]
+        module = base + (node.module.split(".") if node.module else [])
+    elif node.module and node.module.split(".")[0] == "repro":
+        module = node.module.split(".")[1:]
+    else:
+        return []
+    if not module:
+        # ``from repro import x``: each name may be a subpackage
+        return [[alias.name] for alias in node.names]
+    return [module]
+
+
+@register(
+    "lint.layering",
+    "module-level imports never go up the package layer order",
+)
+def lint_layering(root: Path) -> List[Finding]:
+    """Flag load-time imports of a higher layer, and unlayered packages."""
+    src = root / "src" / "repro"
+    findings: List[Finding] = []
+    for path in _source_files(root):
+        parts = list(path.relative_to(src).with_suffix("").parts)
+        if parts[-1] == "__init__":
+            parts.pop()
+            package = parts
+        else:
+            package = parts[:-1]
+        name = ".".join(["repro"] + parts)
+        if ".".join(parts) in _UNLAYERED:
+            continue
+        layer = _layer_of(parts)
+        if layer is None:
+            findings.append(Finding(
+                rule="lint.layering",
+                severity="error",
+                path=repo_relative(path, root),
+                line=1,
+                message=(
+                    f"{name} belongs to no layer; add its package to "
+                    f"tools/lint/checks.py LAYERS"
+                ),
+            ))
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in _load_time_imports(tree.body):
+            for target in _import_targets(node, package):
+                target_layer = _layer_of(target)
+                if target_layer is None or target_layer <= layer:
+                    continue
+                findings.append(Finding(
+                    rule="lint.layering",
+                    severity="error",
+                    path=repo_relative(path, root),
+                    line=node.lineno,
+                    message=(
+                        f"{name} imports repro.{'.'.join(target)} at module "
+                        f"level, which is above it in the layer order; "
+                        f"import it inside the function that needs it"
+                    ),
+                ))
     return findings

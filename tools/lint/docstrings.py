@@ -29,7 +29,7 @@ AUDITED = (
     "coordinator",
     "obs",
     "workbench/session.py",
-    "workbench/engines.py",
+    "scenarios/engines.py",
     "scenarios/directed.py",
     "psl/compiled.py",
     "cliutil.py",

@@ -11,7 +11,7 @@ Run:  python examples/counterexample_to_simulation.py
 
 from repro.asm import AsmMachine, AsmModel, StateVar, action, choose_min, require
 from repro.explorer import ExplorationConfig, counterexample_to_dot, explore
-from repro.psl import AssertionProperty, Verdict, build_monitor, parse_formula
+from repro.psl import AssertionProperty, Verdict, compile_property, parse_formula
 from repro.translate import build_runtime
 
 
@@ -78,7 +78,7 @@ def main() -> None:
     for signal in module.state_signals.values():
         tracer.trace(signal)
 
-    monitor = build_monitor(mutex, name="mutex")
+    monitor = compile_property(mutex, name="mutex")
     monitor.reset()
 
     calls = result.counterexample.calls()

@@ -14,7 +14,7 @@ import sys
 
 from repro.abv import AbvHarness
 from repro.explorer import ExplorationConfig, check_eventually, explore
-from repro.psl import AssertionProperty, build_monitor
+from repro.psl import AssertionProperty, compile_properties
 from repro.models.master_slave import (
     MsSystemModel,
     build_master_slave_model,
@@ -71,13 +71,10 @@ def main(n_blocking: int = 1, n_non_blocking: int = 1, n_slaves: int = 2) -> Non
     print("\n== SystemC simulation ==")
     system = MsSystemModel(n_blocking, n_non_blocking, n_slaves, seed=2005)
     harness = AbvHarness(system.simulator, system.clock, system.letter)
-    monitors = [
-        build_monitor(d)
-        for d in ms_invariant_properties(
-            n_masters, n_slaves, include_handshake=False
-        )
+    monitors = compile_properties(
+        ms_invariant_properties(n_masters, n_slaves, include_handshake=False)
         + ms_timed_properties(n_masters, n_slaves, system.blocking_flags)
-    ]
+    )
     harness.add_monitors(monitors)
     cycles = 30_000
     system.run_cycles(cycles)

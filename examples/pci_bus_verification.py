@@ -15,7 +15,7 @@ import sys
 
 from repro.abv import AbvHarness
 from repro.explorer import ExplorationConfig, check_eventually, explore
-from repro.psl import AssertionProperty, build_monitor
+from repro.psl import AssertionProperty, compile_properties
 from repro.models.pci import (
     PciSystemModel,
     build_pci_model,
@@ -71,11 +71,10 @@ def main(n_masters: int = 2, n_targets: int = 2) -> None:
     print("\n== SystemC simulation with assertion monitors ==")
     system = PciSystemModel(n_masters, n_targets, seed=2005)
     harness = AbvHarness(system.simulator, system.clock, system.letter)
-    monitors = [
-        build_monitor(d)
-        for d in pci_safety_properties(n_masters, n_targets)
+    monitors = compile_properties(
+        pci_safety_properties(n_masters, n_targets)
         + pci_cover_properties(n_masters, n_targets)
-    ]
+    )
     harness.add_monitors(monitors)
     cycles = 50_000
     system.run_cycles(cycles)

@@ -12,7 +12,7 @@ with a compiled online monitor.
 Run:  python examples/sequence_diagram_property.py
 """
 
-from repro.psl import Verdict, build_monitor, run_monitor, verdict
+from repro.psl import Verdict, compile_property, run_monitor, verdict
 from repro.uml import figure2_diagram, instantiate, sequence_to_property
 
 
@@ -53,7 +53,7 @@ def main() -> None:
     print(f"violating trace  : {verdict(prop.formula, bad_trace).value}")
 
     print("\n== compiled online monitor ==")
-    monitor = build_monitor(prop)
+    monitor = compile_property(prop)
     result = run_monitor(monitor, bad_trace)
     print(f"monitor verdict  : {result.value} (cycle {monitor.failure_cycle})")
     print(f"monitor report   : {monitor.report()}")

@@ -57,6 +57,9 @@ if TYPE_CHECKING:  # the workbench loads only in the commands that build a sessi
 
 _positive_int = positive_int
 
+#: ``repro regress`` values for the flags a ``--spec-file`` refuses
+REGRESS_DEFAULTS = {"scenarios": 24, "cycles": 300, "seed": 2005}
+
 
 def _topology(text: str) -> List[int]:
     try:
@@ -417,8 +420,11 @@ def build_parser() -> argparse.ArgumentParser:
     # --model stays optional: without it the specs span every scenario
     # model; build_specs cycles its own topologies, so no --topology
     _add_model_options(regress, required=False, topology=False)
-    regress.add_argument("--scenarios", type=_positive_int, default=24)
-    regress.add_argument("--cycles", type=_positive_int, default=300)
+    # None until main() has checked them against --spec-file; then the
+    # REGRESS_DEFAULTS fill in
+    regress.set_defaults(seed=None)
+    regress.add_argument("--scenarios", type=_positive_int, default=None)
+    regress.add_argument("--cycles", type=_positive_int, default=None)
     regress.add_argument("--workers", type=int, default=None)
     regress.add_argument(
         "--profiles",
@@ -609,6 +615,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 ("--profiles", options.profiles is not None),
                 ("--with-monitors", options.with_monitors),
                 ("--merge", options.merge is not None),
+                ("--scenarios", options.scenarios is not None),
+                ("--cycles", options.cycles is not None),
+                ("--seed", options.seed is not None),
             )
             if given
         ]
@@ -616,6 +625,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             parser.error(
                 f"--spec-file cannot be combined with {', '.join(conflicting)}"
             )
+    if options.command == "regress":
+        for name, value in REGRESS_DEFAULTS.items():
+            if getattr(options, name) is None:
+                setattr(options, name, value)
     # stdout carries exactly one report; diagnostics go to stderr so
     # --json output stays parseable
     route_warnings_to_stderr()

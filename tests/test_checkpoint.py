@@ -575,3 +575,37 @@ class TestFrontierPlanning:
         assert data["forked_goals"] >= 1
         assert data["cycles_saved"] > 0
         assert data["achieved"] >= 1
+
+    def test_frontier_closure_reaches_the_coverage_target(self):
+        """The close-frontier regime (6 rounds x 160 cycles, 6 goals a
+        round) closes at least 23 of the 29 formal-only Master/Slave
+        edges, and reaches 17 closed in fewer simulated cycles than
+        the same budget replayed from reset."""
+
+        def close(frontier):
+            workbench = Workbench("master_slave")
+            workbench.explore()
+            result = workbench.close_coverage(
+                rounds=6, cycles=160, max_goals=6, frontier=frontier
+            )
+            assert result.ok, result.summary
+            return result.data
+
+        def cycles_until(data, closed):
+            per_round = {r["round"]: r["edges_closed"] for r in data["rounds"]}
+            cycles = done = 0
+            for entry in data["run"]:
+                cycles += entry["cycles_simulated"]
+                done += per_round.get(entry["round"], 0)
+                if done >= closed:
+                    return cycles
+            return None
+
+        from_reset, forked = close(False), close(True)
+        assert forked["achieved"] >= max(23, from_reset["achieved"])
+        assert forked["forked_goals"] >= 1
+        assert forked["cycles_saved"] > 0
+        to_mid = cycles_until(forked, 17)
+        to_mid_from_reset = cycles_until(from_reset, 17)
+        assert to_mid is not None and to_mid_from_reset is not None
+        assert to_mid < to_mid_from_reset

@@ -560,6 +560,8 @@ class TestCoordinatorHttp:
         assert report.digest() == serial_report.digest()
         assert job["from_cache"] is False
         assert job["dispatch"]["shards"] >= 2
+        # the shards ran by reference, not by value
+        assert job["dispatch"]["spec_cache_bytes_saved"] > 0
         # the identical submission never reaches a worker again
         report_again, job_again = client.run(list(SPECS))
         assert job_again["from_cache"] is True

@@ -223,6 +223,8 @@ class TestSubprocessHosts:
         outcome = ShardDispatcher(SPECS, shards=2).run()
         assert outcome.report.ok
         assert outcome.report.digest() == serial_report.digest()
+        assert len(outcome.report.verdicts) == len(SPECS)
+        assert outcome.retries == 0
         assert outcome.hosts == ("local0", "local1")
 
     def test_killed_subprocess_host_is_retried_with_digest_unchanged(

@@ -34,7 +34,8 @@ from repro.obs import (
     render_metrics,
 )
 from repro.obs import runtime
-from repro.psl import build_monitor
+from repro.psl import build_monitor, compile_property
+from repro.psl.compiled import ENGINES
 from repro.models.pci import PciSystemModel
 from repro.models.pci.properties import pci_safety_properties
 from repro.scenarios import build_specs
@@ -261,6 +262,18 @@ class TestKernelAndMonitorSpans:
     def test_monitor_step_counts_disabled_path_untouched(self):
         system = self._simulate()
         assert system.simulator.last_run_span_id is None
+
+    @pytest.mark.parametrize("observability", ["off", "on"])
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_monitor_steps_every_letter_either_way(self, engine, observability):
+        if observability == "on":
+            enable_tracing()
+            enable_metrics()
+        monitor = compile_property("always {req0} |=> {gnt0}", engine=engine)
+        letters = [{"req0": i % 3 == 0, "gnt0": True} for i in range(500)]
+        for letter in letters:
+            monitor.step(letter)
+        assert monitor.cycle == len(letters) - 1
 
 
 class TestDigestInvariance:

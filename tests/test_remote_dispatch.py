@@ -193,6 +193,7 @@ class TestHttpDispatch:
         outcome = ShardDispatcher(SPECS, shards=shards, hosts=hosts).run()
         assert outcome.report.ok
         assert outcome.report.digest() == serial_report.digest()
+        assert outcome.retries == 0
         assert sum(outcome.host_loads().values()) == shards
 
     def test_workbench_regress_over_http_hosts(self, worker_pair):

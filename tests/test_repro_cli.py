@@ -202,6 +202,16 @@ class TestSpecFileErrors:
         path.write_text(json.dumps(doc))
         self._rejected(capsys, path, needle, field if value is None else value)
 
+    @pytest.mark.parametrize("flag", ["--scenarios", "--cycles", "--seed"])
+    def test_flags_the_file_fixes_are_refused(self, capsys, tmp_path, flag):
+        path = tmp_path / "specs.json"
+        save_specs(build_specs(count=2, cycles=60), str(path))
+        with pytest.raises(SystemExit) as excinfo:
+            repro_main(["regress", "--spec-file", str(path), flag, "5"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"--spec-file cannot be combined with {flag}" in err
+
     def test_unsupported_version(self, capsys, tmp_path):
         path = tmp_path / "specs.json"
         save_specs(build_specs(count=2, cycles=100), str(path))

@@ -46,8 +46,8 @@
     drop.  Deliberate exceptions (stimulus plumbing rebuilt from the
     spec) take a justified allow comment.
 
-All checks walk the AST of ``src/repro`` -- tests and benchmarks are
-free to construct monitors or read clocks directly.
+All checks walk the AST of ``src/repro`` -- tests and ``perfbench/``
+are free to construct monitors or read clocks directly.
 """
 
 from __future__ import annotations

@@ -4,13 +4,13 @@ The race detector in :mod:`.race` is static -- it over- and
 under-approximates.  The witness cross-checks it against a real run:
 with a :class:`DeltaWitness` installed, every :meth:`Signal.read` /
 :meth:`Signal.write` on the target simulator is recorded into the
-current delta's read/write set, attributed to the running process via
-the ``Simulator.witness`` seam in the kernel's evaluation loop.  At
-each delta boundary (an ``on_delta`` hook, which also forces the
-kernel off its merged fast path and through the general scheduler) the
-sets are folded: a signal written by two *distinct* processes inside
-one delta is a witnessed multi-driver race -- not a heuristic, an
-observed last-write-wins resolution.
+current delta's read/write set, attributed to the running process by
+a wrapper around the process classes' ``execute``.  At each delta
+boundary (an ``on_delta`` hook, which also keeps the kernel's cycle
+step off, so every process runs through ``execute``) the sets are
+folded: a signal written by two *distinct* processes inside one delta
+is a witnessed multi-driver race -- not a heuristic, an observed
+last-write-wins resolution.
 
 Witness output is split along the digest boundary: conflicts become
 ``race.multi-driver`` findings (anchored back to the declaration line
@@ -23,18 +23,32 @@ digests byte-identically to the static-only run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..sysc.kernel import Simulator
+from ..sysc.process_ import Process
 from ..sysc.signal import Signal
 
 #: Attribution label for accesses outside any process (testbench code,
 #: monitor sampling hooks, elaboration-time initial writes).
 ENV = "<env>"
 
-#: Module-level reentrancy guard: Signal.read/write are patched at
-#: class level, so only one witness may be installed per interpreter.
+#: Module-level reentrancy guard: Signal.read/write and the processes'
+#: execute are patched at class level, so only one witness may be
+#: installed per interpreter.
 _ACTIVE: Optional["DeltaWitness"] = None
+
+
+def _process_classes() -> List[type]:
+    """Every loaded process class that defines its own ``execute``."""
+    pending: List[type] = [Process]
+    found: List[type] = []
+    while pending:
+        cls = pending.pop()
+        pending.extend(cls.__subclasses__())
+        if "execute" in cls.__dict__:
+            found.append(cls)
+    return found
 
 
 @dataclass
@@ -72,10 +86,10 @@ class DeltaWitness:
             system.simulator.run(cycles * period)
         witness.conflicts  # signal name -> witnessed writer sets
 
-    Installation patches :class:`Signal` read/write class-wide
-    (filtered to the target simulator), registers an ``on_delta``
-    boundary hook, and sets ``simulator.witness`` so the kernel
-    attributes each access to the process it runs.
+    Installation patches :class:`Signal` read/write and every process
+    class's ``execute`` class-wide (each filtered to the target
+    simulator) and registers an ``on_delta`` boundary hook; the
+    ``execute`` wrapper attributes each access to the process it runs.
     """
 
     def __init__(self, simulator: Simulator):
@@ -86,13 +100,8 @@ class DeltaWitness:
         self._reads: Dict[str, Set[str]] = {}
         self._writes: Dict[str, Set[str]] = {}
         self._current: str = ENV
-        self._saved: Optional[tuple] = None
-
-    # -- kernel seam (called from Simulator._delta_cycle) -----------------
-
-    def process_run(self, process) -> None:
-        """Attribute subsequent accesses to ``process``."""
-        self._current = getattr(process, "name", None) or repr(process)
+        #: (class, attribute, original) for each patched method
+        self._saved: List[Tuple[type, str, Callable]] = []
 
     # -- install / remove -------------------------------------------------
 
@@ -103,7 +112,6 @@ class DeltaWitness:
         _ACTIVE = self
         original_read = Signal.read
         original_write = Signal.write
-        self._saved = (original_read, original_write)
         witness = self
         target = self.simulator
 
@@ -117,24 +125,37 @@ class DeltaWitness:
                 witness._record_write(sig)
             return original_write(sig, value)
 
-        Signal.read = read  # type: ignore[method-assign]
-        Signal.write = write  # type: ignore[method-assign]
-        # The boundary hook doubles as the fast-path disabler: a
-        # non-empty on_delta list routes every instant through
-        # _delta_cycle, where the witness seam attributes processes.
+        def attributing(original_execute):
+            def execute(process, simulator):
+                if simulator is target:
+                    witness._current = (
+                        getattr(process, "name", None) or repr(process)
+                    )
+                return original_execute(process, simulator)
+
+            return execute
+
+        patches = [(Signal, "read", read), (Signal, "write", write)]
+        for cls in _process_classes():
+            patches.append(
+                (cls, "execute", attributing(cls.__dict__["execute"]))
+            )
+        for cls, attribute, wrapper in patches:
+            self._saved.append((cls, attribute, cls.__dict__[attribute]))
+            setattr(cls, attribute, wrapper)
+        # The boundary hook also keeps the cycle step, which resumes
+        # posedge threads without execute, off for the witnessed run.
         target.on_delta.append(self._boundary)
-        target.witness = self
         return self
 
     def __exit__(self, *exc_info) -> None:
         global _ACTIVE
         target = self.simulator
-        if self._saved is not None:
-            Signal.read, Signal.write = self._saved  # type: ignore[method-assign]
-            self._saved = None
+        for cls, attribute, original in self._saved:
+            setattr(cls, attribute, original)
+        self._saved = []
         if self._boundary in target.on_delta:
             target.on_delta.remove(self._boundary)
-        target.witness = None
         _ACTIVE = None
         # flush a trailing partial delta so nothing witnessed is lost
         if self._reads or self._writes:

@@ -596,14 +596,17 @@ def build_parser() -> argparse.ArgumentParser:
     flow.add_argument("--fail-fast", action="store_true")
     flow.set_defaults(func=_cmd_flow)
 
+    # cross-flag conflicts are checked after parsing; each subcommand
+    # carries its own parser so their usage line names the subcommand
+    for subparser in sub.choices.values():
+        subparser.set_defaults(parser=subparser)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Parse, validate cross-flag conflicts, route to the subcommand."""
-    parser = build_parser()
-    options = parser.parse_args(argv)
-    reject_hosts_conflict(parser, options)
+    options = build_parser().parse_args(argv)
+    reject_hosts_conflict(options.parser, options)
     if getattr(options, "spec_file", None) is not None:
         # a spec file fixes the models, profiles and monitors itself;
         # silently ignoring a flag that shapes them would misreport
@@ -622,7 +625,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if given
         ]
         if conflicting:
-            parser.error(
+            options.parser.error(
                 f"--spec-file cannot be combined with {', '.join(conflicting)}"
             )
     if options.command == "regress":

@@ -65,6 +65,7 @@ from ..dispatch.planner import (
     plan_shards,
     specs_fingerprint,
 )
+from ..dispatch.worker import UnknownFingerprintError
 from ..obs.metrics import MetricsRegistry
 from ..obs.runtime import OBS
 from ..scenarios.regression import RegressionReport, ScenarioSpec
@@ -76,15 +77,6 @@ from ..store import ContentStore
 #: otherwise healthy worker" (non-200, garbage-json, digest-mismatch,
 #: bad-report), which only re-queues the shard.
 FATAL_WORKER_KINDS = frozenset({"refused", "reset", "timeout", "transport"})
-
-
-class UnknownFingerprintError(NotFound):
-    """A by-fingerprint submission referenced specs never uploaded here.
-
-    The daemon answers 404 with ``"unknown spec fingerprint"`` in the
-    error; the client reacts by resubmitting with the spec list
-    included.
-    """
 
 
 #: Store entry wire-format version, bumped if the entry layout changes.

@@ -71,7 +71,7 @@ class _ClockDriver(Process):
         """The fold condition: nothing can observe the coming low phase.
 
         No negedge or value-changed listener on the clock, no
-        per-delta or per-time hook, and no pending work but this
+        per-delta hook, and no pending work but this
         driver's own timer -- no other timer, runnable process, delta
         notification or signal update that could sample the level
         between the edges.  :meth:`execute` asks it at each rising
@@ -85,7 +85,6 @@ class _ClockDriver(Process):
             clock._negedge is None
             and clock._value_changed is None
             and not simulator.on_delta
-            and not simulator.on_time_advance
             and (not timed or (len(timed) == 1 and timed[0][2] is self._timer))
             and not simulator._runnable
             and not simulator._delta_notified

@@ -4,7 +4,11 @@ Implements the SystemC 2.0 scheduler: repeated *delta cycles* of an
 evaluation phase (run all runnable processes) followed by an update
 phase (commit signal writes) and a delta-notification phase (wake
 processes sensitive to the committed changes); when no delta work
-remains, time advances to the earliest timed notification.
+remains, time advances to the earliest timed notification.  One loop,
+:meth:`Simulator._instant`, runs every instant.  An instant that starts
+with ``on_delta`` hooks installed calls them after each update phase
+and fires the delta notifications after them; one that starts without
+calls none.
 
 A design whose every cycle is one folded rising edge (see
 :class:`~repro.sysc.clock._ClockDriver`) takes the *cycle step*
@@ -19,16 +23,16 @@ driver and the step share) plus a few O(1) checks, evaluated before
 every cycle: nothing is certified up front and there is no mode to
 switch.  The moment a hook, a second timer, a listener or a deadline
 appears, the next instant takes the general path; an instant that
-outgrows two deltas, or meets a second driver, hands its rest to that
-path mid-way.  Kernel counters, signal history and checkpoints come
-out as the general path would leave them.
+outgrows two deltas hands its rest to :meth:`Simulator._instant`
+mid-way.  Kernel counters, signal history and checkpoints come out as
+the general path would leave them.
 
-The kernel also exposes the hooks the ABV layer needs: per-delta and
-per-timestep callbacks, end-of-instant *settle* observers (monitors
-sample once a rising edge's instant has settled), a cycle counter,
-and a ``stop()``/:class:`SimulationStopped` channel so an assertion
-monitor can halt the run (paper Section 3.2: the monitor can "stop
-the simulation when the assertion is fired").
+The kernel also exposes the hooks the ABV layer needs: per-delta
+callbacks, end-of-instant *settle* observers (monitors sample once a
+rising edge's instant has settled), a cycle counter, and a
+``stop()``/:class:`SimulationStopped` channel so an assertion monitor
+can halt the run (paper Section 3.2: the monitor can "stop the
+simulation when the assertion is fired").
 """
 
 from __future__ import annotations
@@ -64,7 +68,7 @@ class Simulator:
         self._update_requests: List[Signal] = []
         self._delta_notified: List[Event] = []
         #: cleared scratch lists swapped with the two above per delta
-        #: by _instant_fast, so the hot loop never allocates
+        #: by _instant, so the hot loop never allocates
         self._spare_requests: List[Signal] = []
         self._spare_notified: List[Event] = []
         self._timed: List[Tuple[int, int, Event]] = []
@@ -74,20 +78,9 @@ class Simulator:
 
         self._initialized = False
         self._stop_reason: Optional[str] = None
-        #: set by Signal.write when a queued signal is written again in
-        #: the same delta -- a second driver; the instant falls back
-        #: from the fast path to the general scheduler
-        self._multi_driver_instant = False
-        #: called after every update phase (delta boundary)
+        #: called after every update phase (delta boundary) of an
+        #: instant that started with the list non-empty
         self.on_delta: List[Callable[["Simulator"], None]] = []
-        #: opt-in analyze witness (repro.analyze.witness.DeltaWitness);
-        #: when set, the general scheduler attributes each process run
-        #: so the witness can build per-delta access sets.  The witness
-        #: also installs an on_delta hook, which keeps the kernel off
-        #: the merged fast path for the whole witnessed run.
-        self.witness: Optional[Any] = None
-        #: called whenever simulated time advances
-        self.on_time_advance: List[Callable[["Simulator"], None]] = []
         #: end-of-instant observers, ``(due time, observer)``: a clock
         #: driver arms one per settle sampler on each rising edge, and
         #: the run loop calls ``observer.settle(due)`` once the instant
@@ -282,20 +275,12 @@ class Simulator:
 
         stats = self.stats
         while not self.stopped:
-            # Fast path: the common instant has one driver per signal
-            # and no per-delta hooks, so the merged-phase loop skips
-            # the general scheduler's bookkeeping.  Signal.write flags
-            # a second driver mid-instant; _instant_fast then hands
-            # the rest of the instant to _delta_cycle transparently.
             if self.on_delta:
-                self._delta_cycle()
+                self._instant(hooked=True)
                 stats.full_path_instants += 1
             else:
-                self._multi_driver_instant = False
-                if self._instant_fast():
-                    stats.fast_path_instants += 1
-                else:
-                    stats.full_path_instants += 1
+                self._instant()
+                stats.fast_path_instants += 1
             if self.stopped:
                 break
             if self._runnable or self._delta_notified or self._update_requests:
@@ -318,9 +303,9 @@ class Simulator:
         (:meth:`_ClockDriver.folds`: its timer is the only pending
         work, no hooks, no low-phase listener), its timer is due by
         ``deadline`` with no cancelled entries, the driver is due to
-        raise the clock, there is no witness and no static waiter on
-        the posedge.  The cycle's instant is what the general path
-        would run, minus the dispatch:
+        raise the clock and there is no static waiter on the posedge.
+        The cycle's instant is what the general path would run, minus
+        the dispatch:
 
         * advance time to the timer;
         * delta 1 -- what the driver's folded rising edge
@@ -334,12 +319,11 @@ class Simulator:
         * the settle observers, when armed.
 
         An instant that goes on past delta 2 (a delta notification
-        wakes a process) or meets a second driver hands its rest to
-        :meth:`_instant_fast` or :meth:`_delta_cycle`, which count it
-        as they would have.  Returns True when the run loop must go on
-        at the current instant (the run stopped, or a settle observer
-        left work), False when the next instant is the general time
-        advance's.
+        wakes a process) hands its rest to :meth:`_instant`, unhooked
+        as the instant started.  Returns True when the run loop must
+        go on at the current instant (the run stopped, or a settle
+        observer left work), False when the next instant is the
+        general time advance's.
         """
         timed = self._timed
         if len(timed) != 1 or self.max_delta_cycles < 2:
@@ -364,7 +348,6 @@ class Simulator:
                     not (driver._started and driver._high_next)
                     or not driver.folds()
                     or cancelled
-                    or self.witness is not None
                     or (posedge is not None and posedge.static_waiters)
                     or (deadline is not None and timed[0][0] > deadline)
                 ):
@@ -383,7 +366,6 @@ class Simulator:
                 clock._current = True
                 clock._last_change_delta = self.delta_count
                 self.delta_count += 1
-                self._multi_driver_instant = False
                 process_runs += 1
                 signal_changes += 1
                 deltas += 1
@@ -458,16 +440,9 @@ class Simulator:
                     self.delta_count += 1
                     deltas += 1
                     deepest = 2
-                if self._multi_driver_instant:
-                    self._delta_cycle(deltas_done=2)
-                    stats.full_path_instants += 1
-                elif self._delta_notified:
-                    if self._instant_fast(deltas_done=2):
-                        fast += 1
-                    else:
-                        stats.full_path_instants += 1
-                else:
-                    fast += 1
+                if self._delta_notified:
+                    self._instant(deltas_done=2)
+                fast += 1
                 if self._stop_reason is not None:
                     return True
                 if self._settle and self._fire_settle(deadline):
@@ -501,16 +476,14 @@ class Simulator:
             self._runnable or self._delta_notified or self._update_requests
         )
 
-    def _instant_fast(self, deltas_done: int = 0) -> bool:
-        """Merged-phase scheduler for single-driver instants.
+    def _instant(self, hooked: bool = False, deltas_done: int = 0) -> None:
+        """Run delta cycles until nothing is pending at this instant.
 
-        Runs evaluation, update and delta-notification with phase
-        transitions inlined and no hook dispatch.  Returns True when
-        the whole instant ran here; False when a second driver for a
-        queued signal appeared (``_multi_driver_instant``) and the
-        remainder of the instant was handed to :meth:`_delta_cycle` --
-        the fallback is transparent because signal semantics
-        (last-write-wins within a delta) are identical on both paths.
+        Each delta: wake the processes the last delta notified, run the
+        runnable ones (evaluation), commit the requested signal writes
+        (update).  A ``hooked`` instant then calls every ``on_delta``
+        hook, over the live list, and fires the delta notifications
+        after them, so a process a hook wakes runs ahead of those.
         ``deltas_done`` counts deltas the caller already ran at this
         instant (the cycle step hands over after two).
         """
@@ -525,23 +498,25 @@ class Simulator:
         spare_notified = self._spare_notified
         spare_requests = self._spare_requests
         # Counters accumulate in locals and flush once per instant (the
-        # finally keeps them correct on SimulationStopped, fallback and
-        # model exceptions alike).
+        # finally keeps them correct on SimulationStopped and model
+        # exceptions alike).
+        hooks_ran = False
         try:
             while True:
-                if not runnable:
-                    notified = self._delta_notified
-                    if notified:
-                        self._delta_notified = spare_notified
-                        for event in notified:
-                            for process in event._collect_waiters():
-                                if not process.runnable and not process.terminated:
-                                    process.runnable = True
-                                    runnable.append(process)
-                        notified.clear()
-                        spare_notified = notified
-                    if not runnable and not self._update_requests:
-                        break
+                # a delta's notifications wake their processes once the
+                # queue has drained, or straight after the hooks ran
+                notified = self._delta_notified
+                if notified and (hooks_ran or not runnable):
+                    self._delta_notified = spare_notified
+                    for event in notified:
+                        for process in event._collect_waiters():
+                            if not process.runnable and not process.terminated:
+                                process.runnable = True
+                                runnable.append(process)
+                    notified.clear()
+                    spare_notified = notified
+                if not runnable and not self._update_requests:
+                    break
                 while runnable:
                     process = popleft()
                     process.runnable = False
@@ -552,7 +527,7 @@ class Simulator:
                         process.execute(self)
                     except SimulationStopped as stop:
                         self.stop(stop.reason)
-                        return True
+                        return
                 requests = self._update_requests
                 if requests:
                     self._update_requests = spare_requests
@@ -567,10 +542,10 @@ class Simulator:
                     raise DeltaCycleLimitExceeded(
                         f"{deltas_here} delta cycles at time {format_time(self.time)}"
                     )
-                if self._multi_driver_instant:
-                    self._delta_cycle(deltas_done=deltas_here)
-                    return False
-            return True
+                if hooked:
+                    for hook in self.on_delta:
+                        hook(self)
+                    hooks_ran = True
         finally:
             self._spare_notified = spare_notified
             self._spare_requests = spare_requests
@@ -579,55 +554,6 @@ class Simulator:
             stats.signal_changes += signal_changes
             if deltas_here > stats.max_deltas_per_instant:
                 stats.max_deltas_per_instant = deltas_here
-
-    def _delta_cycle(self, deltas_done: int = 0) -> None:
-        deltas_here = deltas_done
-        while self._runnable or self._delta_notified or self._update_requests:
-            # delta-notification phase (wake first so new runnables join in)
-            if not self._runnable and self._delta_notified:
-                self._fire_delta_notifications()
-            if not self._runnable and not self._update_requests:
-                break
-            # evaluation phase
-            while self._runnable:
-                process = self._runnable.popleft()
-                process.runnable = False
-                if process.terminated:
-                    continue
-                self.stats.process_runs += 1
-                if self.witness is not None:
-                    self.witness.process_run(process)
-                try:
-                    process.execute(self)
-                except SimulationStopped as stop:
-                    self.stop(stop.reason)
-                    return
-            # update phase
-            if self._update_requests:
-                requests, self._update_requests = self._update_requests, []
-                for signal in requests:
-                    if signal._apply():
-                        self.stats.signal_changes += 1
-            self.delta_count += 1
-            self.stats.delta_cycles += 1
-            deltas_here += 1
-            if deltas_here > self.stats.max_deltas_per_instant:
-                self.stats.max_deltas_per_instant = deltas_here
-            if deltas_here > self.max_delta_cycles:
-                raise DeltaCycleLimitExceeded(
-                    f"{deltas_here} delta cycles at time {format_time(self.time)}"
-                )
-            for hook in self.on_delta:
-                hook(self)
-            # loop: delta notifications fired during update wake processes
-            if self._delta_notified:
-                self._fire_delta_notifications()
-
-    def _fire_delta_notifications(self) -> None:
-        notified, self._delta_notified = self._delta_notified, []
-        for event in notified:
-            for process in event._collect_waiters():
-                self._make_runnable(process)
 
     def _advance_time(self, deadline: Optional[int]) -> bool:
         """Advance to the next timed notification; False = starvation/deadline."""
@@ -659,8 +585,6 @@ class Simulator:
                 if timed_ids:
                     timed_ids.pop(id(event2), None)
                 self._wake_timed(event2)
-            for hook in self.on_time_advance:
-                hook(self)
             return True
         return False
 
@@ -672,14 +596,6 @@ class Simulator:
                 runnable.append(process)
 
     # -- conveniences -------------------------------------------------------------
-
-    def pending_activity(self) -> bool:
-        return bool(
-            self._runnable
-            or self._delta_notified
-            or self._update_requests
-            or self._timed
-        )
 
     def __repr__(self) -> str:
         return (
@@ -713,9 +629,8 @@ class KernelStats:
         #: by ``max_delta_cycles`` this is the livelock proximity the
         #: kernel span reports.
         self.max_deltas_per_instant = 0
-        #: instants completed by the merged-phase single-driver fast
-        #: path vs. the general delta scheduler (hooks installed, or a
-        #: second driver appeared mid-instant).
+        #: instants that started without vs. with ``on_delta`` hooks
+        #: installed (unhooked instants call no hook).
         self.fast_path_instants = 0
         self.full_path_instants = 0
         #: instants the cycle step ran (advanced into); each is also

@@ -96,14 +96,10 @@ class Signal(Generic[T]):
             self._apply()
             return
         if self._next is _NOTHING:
-            self._next = value
             simulator._update_requests.append(self)
-        else:
-            # Already queued this delta: a second driver.  Last write
-            # wins (exactly as before, when the queue held duplicates)
-            # and the kernel's fast path falls back for this instant.
-            self._next = value
-            simulator._multi_driver_instant = True
+        # a second write in the same delta replaces the first: last
+        # write wins, with one queue entry per signal
+        self._next = value
 
     def event(self) -> bool:
         """True if the signal changed in the immediately preceding delta."""

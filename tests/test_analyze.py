@@ -27,7 +27,9 @@ from repro.analyze import (
 )
 from repro.cli import main as repro_main
 from repro.obs import OBS, enable_metrics, metric_name, runtime
+from repro.sysc.clock import _ClockDriver
 from repro.sysc.kernel import Simulator
+from repro.sysc.process_ import MethodProcess, ThreadProcess
 from repro.sysc.signal import Signal
 from repro.workbench import (
     StageCall,
@@ -262,14 +264,38 @@ class TestDeltaWitness:
 
     def test_witness_restores_kernel_and_signal_seams(self):
         sim = self._racy_simulator()
+        process_classes = (MethodProcess, ThreadProcess, _ClockDriver)
+        original_execute = [cls.execute for cls in process_classes]
         original_read, original_write = Signal.read, Signal.write
         with DeltaWitness(sim):
-            assert sim.witness is not None
+            for cls, execute in zip(process_classes, original_execute):
+                assert cls.execute is not execute
             assert Signal.read is not original_read
+            assert Signal.write is not original_write
+            assert sim.on_delta
+        assert [cls.execute for cls in process_classes] == original_execute
         assert Signal.read is original_read
         assert Signal.write is original_write
-        assert sim.witness is None
         assert not sim.on_delta
+
+    def test_witness_facts_of_the_shipped_models_are_pinned(self, capsys):
+        argv = ["analyze", "--json", "--witness", "--witness-cycles", "100"]
+        assert repro_main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["digest"] == (
+            "f5d7b16053e26d5e9c287d788745e3f00e6eb619dad61d97cbe6cb37571c649b"
+        )
+        keys = ("deltas", "reads", "writes", "max_read_set", "max_write_set")
+        facts = {
+            model: {key: entry["witness"][key] for key in keys}
+            for model, entry in doc["facts"]["models"].items()
+        }
+        assert facts == {
+            "master_slave": {"deltas": 302, "reads": 244, "writes": 379,
+                             "max_read_set": 3, "max_write_set": 4},
+            "pci": {"deltas": 302, "reads": 762, "writes": 572,
+                    "max_read_set": 7, "max_write_set": 7},
+        }
 
     def test_witness_is_exclusive(self):
         sim = self._racy_simulator()

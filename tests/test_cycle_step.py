@@ -5,8 +5,8 @@ while the clock driver's timer is the only pending work.  The
 contract: every observable -- KernelStats, ``delta_count``, time,
 every signal's value and last-change delta, process and timer state,
 wake order, checkpoints, scoreboard and monitor verdicts -- equals
-what the general path (``_advance_time`` then ``_instant_fast`` /
-``_delta_cycle``) produces.  The reference is
+what the general path (``_advance_time`` then ``_instant``)
+produces.  The reference is
 :class:`GeneralPathSimulator`, a test-only subclass whose step always
 declines.  Each named fallback case also checks that the step really
 ran (or, where it must, really declined), so no case passes vacuously.
@@ -34,6 +34,7 @@ from repro.sysc import (
     SyscError,
     ns,
 )
+from repro.sysc.clock import _ClockDriver
 from repro.sysc.process_ import ThreadProcess
 
 PERIOD = ns(10)
@@ -157,37 +158,44 @@ def test_regress_pass_steps_all_but_forty_time_advances():
 # -- named fallbacks ---------------------------------------------------------------
 
 
+def run_design(design, runs, simulator_class=Simulator, elaborate=None):
+    """Build ``design(sim, clock, log)``, then ``elaborate(sim, clock)``
+    if given, run each duration in turn; the outcome and the run's
+    cycle-step count."""
+    sim = simulator_class()
+    clock = Clock("clk", PERIOD, sim)
+    log = []
+    extra = design(sim, clock, log)
+    if elaborate is not None:
+        elaborate(sim, clock)
+    error = None
+    states = []
+    try:
+        for duration in runs:
+            sim.run(duration)
+            states.append(kernel_state(sim))
+    except (ValueError, SyscError) as exc:
+        # a model fault, or a timed wait the harness cannot settle
+        error = (type(exc).__name__, str(exc))
+    outcome = {
+        "kernel": kernel_state(sim),
+        "states": states,
+        "cycles": clock.cycle_count,
+        "log": log,
+        "error": error,
+        "extra": extra() if callable(extra) else None,
+    }
+    return outcome, sim.stats.cycle_step_instants
+
+
 def compare(design, runs=(PERIOD * 20,)):
     """Build ``design(sim, clock, log)`` on both simulators, run each
     duration in turn, and require identical outcomes.
 
     Returns the stepped side's outcome and its cycle-step count.
     """
-    outcomes = []
-    for simulator_class in (Simulator, GeneralPathSimulator):
-        sim = simulator_class()
-        clock = Clock("clk", PERIOD, sim)
-        log = []
-        extra = design(sim, clock, log)
-        error = None
-        states = []
-        try:
-            for duration in runs:
-                sim.run(duration)
-                states.append(kernel_state(sim))
-        except (ValueError, SyscError) as exc:
-            # a model fault, or a timed wait the harness cannot settle
-            error = (type(exc).__name__, str(exc))
-        outcome = {
-            "kernel": kernel_state(sim),
-            "states": states,
-            "cycles": clock.cycle_count,
-            "log": log,
-            "error": error,
-            "extra": extra() if callable(extra) else None,
-        }
-        outcomes.append((outcome, sim.stats.cycle_step_instants))
-    (stepped, steps), (reference, reference_steps) = outcomes
+    stepped, steps = run_design(design, runs, Simulator)
+    reference, reference_steps = run_design(design, runs, GeneralPathSimulator)
     assert reference_steps == 0
     assert stepped == reference
     return stepped, steps
@@ -246,7 +254,9 @@ def test_two_drivers_of_one_signal_at_a_posedge():
 
     outcome, steps = compare(design)
     assert steps > 0
-    assert outcome["kernel"]["stats"]["full_path_instants"] > 0
+    # last write wins in the one instant loop: a second driver is no
+    # reason to leave it
+    assert outcome["kernel"]["stats"]["full_path_instants"] == 0
 
 
 def test_simulation_stopped_from_a_posedge_waiter():
@@ -655,8 +665,53 @@ IMMEDIATE_NOTIFY_FROM_A_POSEDGE_WAITER = {
 }
 
 
+class UnfoldedClockDriver(_ClockDriver):
+    """A clock driver whose low phase never folds, as under a hook."""
+
+    __slots__ = ()
+
+    def folds(self):
+        return False
+
+
+def install_noop_hook(sim, clock):
+    sim.on_delta.append(lambda sim: None)
+
+
+def unfold_clock(sim, clock):
+    clock._driver.__class__ = UnfoldedClockDriver
+
+
+def hook_blind(outcome):
+    """``outcome`` without what an ``on_delta`` hook may change: the
+    fast/full split, and the design's own logging hook, which an
+    instant that started hooked calls from the delta it is installed
+    in on, an unhooked one only from the next instant."""
+    def kernel(state):
+        stats = dict(state["stats"])
+        del stats["fast_path_instants"], stats["full_path_instants"]
+        return {**state, "stats": stats}
+
+    return {
+        **outcome,
+        "kernel": kernel(outcome["kernel"]),
+        "states": [kernel(state) for state in outcome["states"]],
+        "log": [entry for entry in outcome["log"] if entry[0] != "hook"],
+    }
+
+
 @settings(max_examples=150, deadline=None)
 @given(design_spec)
 @example(IMMEDIATE_NOTIFY_FROM_A_POSEDGE_WAITER)
 def test_generated_designs_match_wake_for_wake(spec):
-    compare(generated_design(spec), runs=[ns(r) for r in spec["runs"]])
+    design = generated_design(spec)
+    runs = [ns(r) for r in spec["runs"]]
+    compare(design, runs=runs)
+    # A no-op hook installed at elaboration makes every instant a
+    # hooked one, and keeps the clock from folding its low phase; the
+    # unhooked reference has the fold turned off too.
+    hooked, hooked_steps = run_design(design, runs, elaborate=install_noop_hook)
+    unhooked, unhooked_steps = run_design(design, runs, elaborate=unfold_clock)
+    assert hooked_steps == unhooked_steps == 0
+    assert hooked["kernel"]["stats"]["fast_path_instants"] == 0
+    assert hook_blind(hooked) == hook_blind(unhooked)

@@ -164,6 +164,24 @@ class TestScenariosJson:
         assert {v["profile"] for v in doc["verdicts"]} == {"bursty"}
 
 
+class TestCrossFlagUsage:
+    """A cross-flag conflict prints the subcommand's usage, not the
+    top-level one."""
+
+    @pytest.mark.parametrize("argv, usage", [
+        (["regress", "--spec-file", "F", "--scenarios", "5"],
+         "usage: repro regress"),
+        (["close", "--model", "pci", "--coordinator", "http://x",
+          "--shards", "2"],
+         "usage: repro close"),
+    ], ids=["spec-file", "coordinator"])
+    def test_conflict_prints_the_subcommand_usage(self, capsys, argv, usage):
+        with pytest.raises(SystemExit) as excinfo:
+            repro_main(argv)
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.startswith(usage)
+
+
 class TestSpecFileErrors:
     """A bad ``--spec-file`` is a usage error: exit 2, one ``error:`` line."""
 

@@ -13,9 +13,10 @@ pure function of the spec list and the merge re-sorts canonically.
 
 Around that core, the service adds what a shared daemon needs:
 
-* **spec caching** -- a regression's spec list crosses the wire once,
-  keyed by :func:`~repro.dispatch.planner.specs_fingerprint`; jobs and
-  worker shard requests then reference the 16-hex key,
+* **spec caching** -- a regression's spec list crosses each edge once
+  (``POST /specs``, again after an eviction), keyed by
+  :func:`~repro.dispatch.planner.specs_fingerprint`; jobs and worker
+  shard requests then reference the 16-hex key,
 * **a persistent result store** (a :class:`~repro.store.ContentStore`
   of :class:`~.service.StoredReport` entries) -- repeat submissions of
   the same ``(fingerprint, seed set)`` are answered from disk with the
@@ -31,12 +32,12 @@ or ``python -m repro regress --coordinator URL``).
 """
 
 from .client import CoordinatorClient, CoordinatorEngine, CoordinatorError
+from ..dispatch.worker import UnknownFingerprintError
 from .daemon import CoordinatorHandle, start_coordinator
 from .service import (
     Coordinator,
     Job,
     StoredReport,
-    UnknownFingerprintError,
     WorkerRegistry,
     report_store,
     store_key,

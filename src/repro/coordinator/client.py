@@ -93,48 +93,46 @@ class CoordinatorClient:
 
         registry = global_registry()
         for digest in digests:
-            checkpoint = registry.get(digest)
-            status, body = self._request(
-                "/checkpoints",
-                {
-                    "version": WIRE_VERSION,
-                    "checkpoint": checkpoint.to_json(),
-                },
+            self._upload(
+                "/checkpoints", {"checkpoint": registry.get(digest).to_json()}
             )
-            if status != 200:
-                raise CoordinatorError(
-                    f"checkpoint upload failed ({status}): "
-                    f"{body.get('error', body)}"
-                )
         return len(digests)
+
+    def _upload(self, path: str, doc: Dict[str, Any]) -> None:
+        """POST one upload (``/specs``, ``/checkpoints``); raise unless 200."""
+        status, body = self._request(path, {"version": WIRE_VERSION, **doc})
+        if status != 200:
+            raise CoordinatorError(
+                f"upload to {path} failed ({status}): "
+                f"{body.get('error', body)}"
+            )
 
     def submit(self, specs: List[ScenarioSpec]) -> Dict[str, Any]:
         """Submit a regression; returns the job document.
 
         Fingerprint-first: the first attempt sends only the 16-hex
         content key.  A 404 naming an unknown spec fingerprint means
-        this coordinator has never seen the list (or restarted), so the
-        client resubmits with the specs included -- the one upload this
-        fingerprint will ever need against a live coordinator.  Specs
-        resuming from checkpoints get those shipped first (see
+        this coordinator does not hold the list (never uploaded,
+        evicted, or the daemon restarted), so the client uploads it
+        through ``POST /specs`` and submits once more.  Specs resuming
+        from checkpoints get those shipped first (see
         :meth:`upload_checkpoints`).
         """
         self.upload_checkpoints(specs)
         fingerprint = specs_fingerprint(specs)
-        status, body = self._request(
-            "/jobs", {"version": WIRE_VERSION, "fingerprint": fingerprint}
-        )
+        job = {"version": WIRE_VERSION, "fingerprint": fingerprint}
+        status, body = self._request("/jobs", job)
         if status == 404 and "unknown spec fingerprint" in str(
             body.get("error", "")
         ):
-            status, body = self._request(
-                "/jobs",
+            self._upload(
+                "/specs",
                 {
-                    "version": WIRE_VERSION,
                     "fingerprint": fingerprint,
                     "specs": [spec.to_json() for spec in specs],
                 },
             )
+            status, body = self._request("/jobs", job)
         if status != 200:
             raise CoordinatorError(
                 f"job submission failed ({status}): "

@@ -21,13 +21,17 @@ response body is JSON):
     by re-registering.
 ``POST /workers/deregister``
     Clean worker shutdown.
+``POST /specs``
+    ``{"version": 1, "fingerprint": F, "specs": [...]}`` -- the
+    worker's upload (:func:`~repro.dispatch.worker.store_specs_request`)
+    into the coordinator's own bounded spec cache.
 ``POST /jobs``
     ``{"version": 1, "fingerprint": F}`` submits by reference to an
-    earlier upload; ``404`` with ``"unknown spec fingerprint"`` in the
-    error asks the client to resubmit with ``"specs": [...]`` included
-    (which both caches the list under its fingerprint and queues the
-    job).  The response is the job document; a result-store hit comes
-    back already ``done`` with ``from_cache`` set.
+    uploaded list (``"specs"`` in the body: ``400``); ``404`` with
+    ``"unknown spec fingerprint"`` (never uploaded, or evicted) asks
+    the client to ``POST /specs`` and submit again.  The response is
+    the job document; a result-store hit comes back already ``done``
+    with ``from_cache`` set.
 ``GET /jobs/<id>``
     The job document: status, and once ``done`` the merged report
     (digest included) plus dispatch facts.
@@ -64,7 +68,6 @@ import threading
 from typing import Any, Callable, Dict, Optional, Sequence
 
 from ..cliutil import route_warnings_to_stderr
-from ..scenarios.regression import ScenarioSpec
 from ..service import BadRequest, JsonService, NotFound, ServiceHandle, serve_main
 from .service import Coordinator, WorkerRegistry
 
@@ -96,17 +99,14 @@ class _JobRunner(threading.Thread):
 
 
 def _submit(coordinator: Coordinator, body: Dict[str, Any]) -> Dict[str, Any]:
-    """``POST /jobs``: by reference, or by value with the specs inline."""
-    specs = None
-    if "specs" in body:
-        if not isinstance(body["specs"], list):
-            raise BadRequest('"specs" must be a list')
-        try:
-            specs = [ScenarioSpec.from_json(doc) for doc in body["specs"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise BadRequest(f"unparseable spec in submission: {exc}") from exc
-    job = coordinator.submit(fingerprint=body.get("fingerprint"), specs=specs)
-    return job.to_json()
+    """``POST /jobs``: by the fingerprint of a ``POST /specs`` upload."""
+    fingerprint = body.get("fingerprint")
+    if "specs" in body or not isinstance(fingerprint, str) or not fingerprint:
+        raise BadRequest(
+            'a job is a string "fingerprint" alone: upload its spec list '
+            "with POST /specs first"
+        )
+    return coordinator.submit(fingerprint=fingerprint).to_json()
 
 
 def _worker_call(
@@ -130,7 +130,7 @@ def coordinator_service(
 ) -> JsonService:
     """Bind the coordinator's route table (not yet serving)."""
     from ..checkpoint.store import global_registry
-    from ..dispatch.worker import store_checkpoint_request
+    from ..dispatch.worker import store_checkpoint_request, store_specs_request
 
     registry = coordinator.registry
 
@@ -147,6 +147,9 @@ def coordinator_service(
         },
         ("GET", "/jobs/*"): lambda body, job_id: coordinator.job(job_id).to_json(),
         ("POST", "/jobs"): lambda body: _submit(coordinator, body),
+        ("POST", "/specs"): lambda body: store_specs_request(
+            body, coordinator.spec_cache
+        ),
         ("POST", "/workers/register"): _worker_call(
             lambda address, body: bool(
                 registry.register(

@@ -10,13 +10,17 @@ The pieces:
 * :class:`WorkerRegistry` -- the live worker pool.  Workers register
   an address, heartbeat to stay live, and are pruned after
   ``stale_after`` seconds of silence; the registry builds one
-  :class:`~repro.dispatch.http_host.CachingHttpHost` per worker (via
-  an injectable factory) so spec uploads are cached per worker across
-  jobs.
+  :class:`~repro.dispatch.http_host.HttpHost` per worker (via an
+  injectable factory), primed with a job's spec list while the job
+  runs and made to forget it when the job ends.
 * :class:`Job` -- one submitted regression: a spec-list fingerprint,
   its seed set, a lifecycle status, and eventually the merged report
   (or the abort reason).
-* :class:`Coordinator` -- ties them together.  ``submit`` answers from
+* :class:`Coordinator` -- ties them together.  Spec lists arrive
+  through ``POST /specs`` in the worker's bounded LRU spec cache
+  (:func:`~repro.dispatch.worker.make_spec_cache`); ``submit`` names
+  one by fingerprint, and a queued job keeps its own list, so an
+  eviction cannot break a job already accepted.  ``submit`` answers from
   the persistent result store (a :class:`~repro.store.ContentStore` of
   :class:`StoredReport` entries) when the exact
   ``(fingerprint, seed set)`` ran before (digest re-verified on read),
@@ -57,20 +61,21 @@ from typing import (
 
 from collections import deque
 
-from ..dispatch.dispatcher import DispatchError, ShardQueue, merge_reports
-from ..dispatch.hosts import Host, HostFailure, ShardWork
-from ..dispatch.http_host import CachingHttpHost
-from ..dispatch.planner import (
-    OVERSUBSCRIPTION,
-    plan_shards,
-    specs_fingerprint,
+from ..dispatch.dispatcher import (
+    DispatchError,
+    ShardQueue,
+    merge_reports,
+    primed_hosts,
 )
-from ..dispatch.worker import UnknownFingerprintError
+from ..dispatch.hosts import Host, HostFailure, ShardWork
+from ..dispatch.http_host import HttpHost
+from ..dispatch.planner import OVERSUBSCRIPTION, plan_shards
+from ..dispatch.worker import make_spec_cache
 from ..obs.metrics import MetricsRegistry
 from ..obs.runtime import OBS
 from ..scenarios.regression import RegressionReport, ScenarioSpec
 from ..service import BadRequest, NotFound
-from ..store import ContentStore
+from ..store import ContentStore, KeyMismatchError
 
 #: Failure kinds that mean "the worker itself is gone", retiring it
 #: from the pool, as opposed to "this shard's run went wrong on an
@@ -165,11 +170,9 @@ class WorkerRecord:
     shards_completed: int = 0
 
 
-def _default_host_factory(
-    address: str, token: Optional[str]
-) -> CachingHttpHost:
+def _default_host_factory(address: str, token: Optional[str]) -> HttpHost:
     """Build the production transport for one worker address."""
-    return CachingHttpHost(address, token=token)
+    return HttpHost(address, token=token)
 
 
 class WorkerRegistry:
@@ -178,7 +181,7 @@ class WorkerRegistry:
     ``host_factory(address, token)`` is injectable so the elastic
     tests can register in-process fakes with controlled latency and
     failure behaviour; production uses
-    :class:`~repro.dispatch.http_host.CachingHttpHost`.
+    :class:`~repro.dispatch.http_host.HttpHost`.
     """
 
     def __init__(
@@ -296,10 +299,11 @@ class Job:
 class Coordinator:
     """Job queue + spec cache + result store over an elastic worker pool.
 
-    One coordinator serves many clients: a spec list is uploaded once
-    (keyed by :func:`~repro.dispatch.planner.specs_fingerprint`),
-    submissions reference the fingerprint, repeat submissions are
-    served straight from the result store rooted at ``store_path``
+    One coordinator serves many clients: a spec list is uploaded into
+    :attr:`spec_cache` (keyed by
+    :func:`~repro.dispatch.planner.specs_fingerprint`, bounded like a
+    worker's; again after an eviction), submissions reference the
+    fingerprint, repeat submissions are served straight from the result store rooted at ``store_path``
     (shard resume checkpoints live in its ``shards`` subdirectory).
     Jobs run one at a time in submission order (the worker pool is the
     parallelism, not the job queue).
@@ -324,30 +328,12 @@ class Coordinator:
         # the daemon's own registry, never the process-global OBS one
         self.metrics = metrics or MetricsRegistry(enabled=True)
         self.started_monotonic = time.monotonic()
-        self._specs: Dict[str, List[ScenarioSpec]] = {}
+        self.spec_cache = make_spec_cache()
         self._jobs: Dict[str, Job] = {}
-        self._queue: Deque[Job] = deque()
+        # a queued job carries its own spec list: the LRU may evict it
+        self._queue: Deque[Tuple[Job, List[ScenarioSpec]]] = deque()
         self._counter = 0
         self._lock = threading.Lock()
-
-    # -- spec cache ---------------------------------------------------------------
-
-    def put_specs(self, specs: Sequence[ScenarioSpec]) -> str:
-        """Cache one spec list under its content fingerprint."""
-        fingerprint = specs_fingerprint(specs)
-        with self._lock:
-            self._specs[fingerprint] = list(specs)
-        return fingerprint
-
-    def specs_for(self, fingerprint: str) -> List[ScenarioSpec]:
-        """The cached list for a fingerprint, or the 404-class miss."""
-        with self._lock:
-            if fingerprint not in self._specs:
-                raise UnknownFingerprintError(
-                    f"unknown spec fingerprint {fingerprint} -- resubmit "
-                    "the job with its specs included"
-                )
-            return self._specs[fingerprint]
 
     # -- submission ---------------------------------------------------------------
 
@@ -358,25 +344,25 @@ class Coordinator:
     ) -> Job:
         """Queue a regression (or answer it straight from the store).
 
-        By-value submission (``specs`` given) populates the spec cache;
-        by-reference submission (``fingerprint`` alone) requires an
-        earlier upload and raises :class:`UnknownFingerprintError`
-        otherwise.  A store hit returns an already-``done`` job with
-        ``from_cache`` set -- no worker is touched and the stored
-        report's digest was re-verified by the store read.
+        ``fingerprint`` alone names a list uploaded to
+        :attr:`spec_cache` (``POST /specs``) and raises
+        :class:`~repro.dispatch.worker.UnknownFingerprintError` when it
+        was never uploaded or has been evicted.  ``specs`` (in-process
+        callers) puts the list into the cache first.  A store hit
+        returns an already-``done`` job with ``from_cache`` set -- no
+        worker is touched and the stored report's digest was
+        re-verified by the store read.
         """
         if specs is not None:
-            actual = self.put_specs(specs)
-            if fingerprint is not None and fingerprint != actual:
-                raise BadRequest(
-                    f"submitted fingerprint {fingerprint} does not match "
-                    f"spec content {actual}"
-                )
-            fingerprint = actual
+            specs = list(specs)
+            try:
+                fingerprint = self.spec_cache.put(specs, key=fingerprint)
+            except KeyMismatchError as exc:
+                raise BadRequest(f"fingerprint mismatch: {exc}") from exc
         elif fingerprint is None:
             raise BadRequest("submit needs a fingerprint or a spec list")
         else:
-            specs = self.specs_for(fingerprint)
+            specs = self.spec_cache.get(fingerprint)
         seeds = tuple(sorted({spec.seed for spec in specs}))
         with self._lock:
             self._counter += 1
@@ -396,7 +382,7 @@ class Coordinator:
             self.metrics.counter("coordinator.jobs_from_store").inc()
             return job
         with self._lock:
-            self._queue.append(job)
+            self._queue.append((job, specs))
         return job
 
     def job(self, job_id: str) -> Job:
@@ -418,8 +404,8 @@ class Coordinator:
         with self._lock:
             if not self._queue:
                 return None
-            job = self._queue.popleft()
-        self._run_job(job)
+            job, specs = self._queue.popleft()
+        self._run_job(job, specs)
         return job
 
     def run_pending(self) -> int:
@@ -436,10 +422,10 @@ class Coordinator:
             for record in self.registry.live()
         )
 
-    def _run_job(self, job: Job) -> None:
+    def _run_job(self, job: Job, specs: List[ScenarioSpec]) -> None:
         """Execute one job over the elastic pool (the tentpole loop).
 
-        Shards are planned once from the cached spec list; serving
+        Shards are planned once from the job's spec list; serving
         threads are spawned for workers as they appear (including ones
         that register while the job is already running) and retire
         their worker on connection-class failures.  The monitor loop
@@ -453,15 +439,14 @@ class Coordinator:
                 "coordinator.job", "coordinator", job=job.job_id,
                 fingerprint=job.fingerprint, specs=job.n_specs,
             ) as span:
-                self._run_job_inner(job)
+                self._run_job_inner(job, specs)
                 span.set(status=job.status, from_cache=job.from_cache)
             return
-        self._run_job_inner(job)
+        self._run_job_inner(job, specs)
 
-    def _run_job_inner(self, job: Job) -> None:
+    def _run_job_inner(self, job: Job, specs: List[ScenarioSpec]) -> None:
         job.status = "running"
         started = time.perf_counter()
-        specs = self.specs_for(job.fingerprint)
         live = self.registry.live()
         shard_count = max(
             1, min(len(specs), max(4, OVERSUBSCRIPTION * max(1, len(live))))
@@ -499,18 +484,17 @@ class Coordinator:
 
         def serve(record: WorkerRecord) -> None:
             host = record.host
-            prime = getattr(host, "prime", None)
             while True:
                 pending = queue.take(host.name)
                 if pending is None:
                     return
                 work = ShardWork(
-                    shard=pending.shard, spec_file="", workers=None
+                    shard=pending.shard,
+                    spec_file="",
+                    fingerprint=job.fingerprint,
                 )
                 attempt_started = time.perf_counter()
                 try:
-                    if prime is not None:
-                        prime(job.fingerprint, specs)
                     report = host.run_shard(work)
                 except HostFailure as exc:
                     queue.fail(pending, host.name, exc.reason, kind=exc.kind)
@@ -549,6 +533,11 @@ class Coordinator:
                             )
                         )
 
+        def serve_primed(record: WorkerRecord) -> None:
+            # one prime per worker per job, forgotten when its serving ends
+            with primed_hosts([record.host], job.fingerprint, specs):
+                serve(record)
+
         idle_since: Optional[float] = None
         while not queue.finished:
             live_names = set()
@@ -560,7 +549,7 @@ class Coordinator:
                 if name not in threads:
                     queue.add_host(name)
                     thread = threading.Thread(
-                        target=serve,
+                        target=serve_primed,
                         args=(record,),
                         name=f"coordinator-{name}",
                         daemon=True,
@@ -632,7 +621,6 @@ class Coordinator:
         with self._lock:
             queued = len(self._queue)
             jobs = len(self._jobs)
-            spec_lists = len(self._specs)
         return {
             "ok": True,
             "uptime_seconds": round(
@@ -643,7 +631,7 @@ class Coordinator:
             "worker_leaves": self.registry.leaves,
             "jobs": jobs,
             "jobs_queued": queued,
-            "spec_lists_cached": spec_lists,
+            "spec_lists_cached": len(self.spec_cache),
             "store_entries": len(self.store),
             "store_corruptions": self.store.corruptions,
             "shard_checkpoints": len(self.shard_store),

@@ -26,6 +26,9 @@ Three ways in:
 * direct -- ``ShardDispatcher(specs, shards=3).run()``.
 
 ``docs/dispatch.md`` specifies the wire contract and the scheduler.
+
+The HTTP transport (:mod:`.http_host`) loads on first use of one of
+its names, so a serial or subprocess-sharded session never imports it.
 """
 
 from .dispatcher import (
@@ -45,7 +48,6 @@ from .hosts import (
     LocalSubprocessHost,
     ShardWork,
 )
-from .http_host import CachingHttpHost, HttpHost, parse_hosts
 from .planner import (
     OVERSUBSCRIPTION,
     Shard,
@@ -80,3 +82,12 @@ __all__ = [
     "shards_for_hosts",
     "specs_fingerprint",
 ]
+
+
+def __getattr__(name: str):
+    """Load the HTTP transport on first use of one of its names."""
+    if name in ("CachingHttpHost", "HttpHost", "parse_hosts"):
+        from . import http_host
+
+        return getattr(http_host, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

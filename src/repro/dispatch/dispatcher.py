@@ -35,8 +35,10 @@ import tempfile
 import threading
 import time
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
+from functools import partial
+from typing import Callable, Deque, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..obs.runtime import OBS
 from ..scenarios.regression import (
@@ -45,7 +47,7 @@ from ..scenarios.regression import (
     save_specs,
 )
 from .hosts import Host, HostFailure, LocalSubprocessHost, ShardWork
-from .planner import Shard, plan_digest, plan_shards
+from .planner import Shard, plan_digest, plan_shards, specs_fingerprint
 
 class DispatchError(RuntimeError):
     """A shard exhausted every attempt; the regression has no verdicts
@@ -163,6 +165,23 @@ def merge_reports(reports: Sequence[RegressionReport]) -> RegressionReport:
         merged.verdicts.extend(report.verdicts)
     merged.verdicts.sort(key=lambda v: (v.spec.model, v.spec.seed, v.spec.label))
     return merged
+
+
+@contextmanager
+def primed_hosts(
+    hosts: Sequence[Host], fingerprint: str, specs: Sequence[ScenarioSpec]
+) -> Iterator[None]:
+    """Prime every host that has ``prime`` (:class:`~.http_host.HttpHost`)
+    with the list for the block, and make it ``forget`` the list after,
+    however the block ends, so no finished regression's list stays."""
+    caching = [host for host in hosts if hasattr(host, "prime")]
+    for host in caching:
+        host.prime(fingerprint, specs)
+    try:
+        yield
+    finally:
+        for host in caching:
+            host.forget(fingerprint)
 
 
 class _PendingShard:
@@ -366,7 +385,9 @@ class ShardDispatcher:
     """Fans a spec list over shard hosts and merges the results.
 
     ``hosts`` defaults to one :class:`LocalSubprocessHost` per shard;
-    pass a pool of :class:`~.http_host.HttpHost` for remote dispatch.
+    pass a pool of :class:`~.http_host.HttpHost` for remote dispatch
+    (each is primed with the list for the dispatch, see
+    :func:`primed_hosts`, and runs its shards by fingerprint).
     ``max_attempts`` bounds how
     many tries a shard gets before the dispatch aborts (default: one
     try per host, minimum 2 so even a single flaky host gets one
@@ -403,17 +424,15 @@ class ShardDispatcher:
         )
         self.workers_per_shard = workers_per_shard
 
-    def _serve(self, host: Host, queue: ShardQueue, spec_file: str) -> None:
+    def _serve(
+        self, host: Host, queue: ShardQueue, work_for: Callable[..., ShardWork]
+    ) -> None:
         """One host's serving loop: pull, run, report, repeat."""
         while True:
             pending = queue.take(host.name)
             if pending is None:
                 return
-            work = ShardWork(
-                shard=pending.shard,
-                spec_file=spec_file,
-                workers=self.workers_per_shard,
-            )
+            work = work_for(shard=pending.shard)
             attempt_started = time.perf_counter()
             try:
                 report = host.run_shard(work)
@@ -436,7 +455,7 @@ class ShardDispatcher:
                 )
 
     def _dispatch(
-        self, live: Sequence[Shard], spec_file: str
+        self, live: Sequence[Shard], work_for: Callable[..., ShardWork]
     ) -> List[Tuple[ShardRun, RegressionReport]]:
         queue = ShardQueue(
             live, [host.name for host in self.hosts], self.max_attempts
@@ -444,7 +463,7 @@ class ShardDispatcher:
         threads = [
             threading.Thread(
                 target=self._serve,
-                args=(host, queue, spec_file),
+                args=(host, queue, work_for),
                 name=f"dispatch-{host.name}",
                 daemon=True,
             )
@@ -484,16 +503,24 @@ class ShardDispatcher:
         plan = plan_shards(self.specs, self.shards)
         live = [shard for shard in plan if shard.specs]
         self._last_duplicates = 0
-        with tempfile.TemporaryDirectory(prefix="repro-dispatch-") as tmp:
+        fingerprint = specs_fingerprint(self.specs)
+        with primed_hosts(self.hosts, fingerprint, self.specs), (
+            tempfile.TemporaryDirectory(prefix="repro-dispatch-")
+        ) as tmp:
             # the spec file only exists for transports that re-derive
-            # their slice host-side (subprocess --shard K/N); network
-            # hosts serialize the slice into the request instead, so
-            # an all-HTTP pool skips the disk round trip entirely
+            # their slice host-side from it (subprocess --shard K/N);
+            # HTTP hosts were primed with the list instead
             spec_file = ""
             if any(getattr(host, "uses_spec_file", False) for host in self.hosts):
                 spec_file = os.path.join(tmp, "specs.json")
                 save_specs(self.specs, spec_file)
-            results = self._dispatch(live, spec_file) if live else []
+            work_for = partial(
+                ShardWork,
+                spec_file=spec_file,
+                workers=self.workers_per_shard,
+                fingerprint=fingerprint,
+            )
+            results = self._dispatch(live, work_for) if live else []
         runs = [run for run, _ in results]
         merged = merge_reports([report for _, report in results])
         merged.wall_seconds = time.perf_counter() - started

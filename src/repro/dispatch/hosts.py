@@ -37,19 +37,21 @@ from .planner import Shard
 class ShardWork:
     """One shard assignment handed to a host.
 
-    ``shard`` carries the planned slice itself (``shard.specs``) --
-    network transports serialize exactly that.  ``spec_file`` holds the
-    *full* serialized spec list for transports that re-derive the slice
-    host-side from ``(spec_file, index, of)`` via the shared planner,
-    which is what :class:`LocalSubprocessHost`'s ``--shard K/N`` child
-    does.  Both routes produce the same specs by construction (the
-    planner is deterministic), so which one a transport uses is
-    invisible in the merged digest.
+    ``shard`` carries the planned slice itself (``shard.specs``), which
+    is what in-process hosts run.  The other transports re-derive the
+    slice host-side from the *full* spec list with the shared planner:
+    :class:`LocalSubprocessHost`'s ``--shard K/N`` child reads it from
+    ``spec_file``, and :class:`~.http_host.HttpHost` names it by
+    ``fingerprint`` (its :func:`~.planner.specs_fingerprint`), the key
+    the list was uploaded under.  Every route produces the same specs
+    by construction (the planner is deterministic), so which one a
+    transport uses is invisible in the merged digest.
     """
 
     shard: Shard
     spec_file: str
     workers: Optional[int] = None     # per-host worker processes
+    fingerprint: str = ""             # the full list's specs_fingerprint
 
 
 #: The failure-kind taxonomy (``HostFailure.kind``).  The dispatcher

@@ -2,26 +2,27 @@
 
 An :class:`HttpHost` is a shard executor living at ``host:port`` --
 a ``python -m repro.dispatch.worker`` daemon, usually on another
-machine.  ``run_shard`` POSTs the shard's spec slice as JSON to the
-worker's ``/run`` endpoint and rebuilds the
-:class:`~repro.scenarios.regression.RegressionReport` from the
-response, re-verifying its digest after the round trip exactly like
-:class:`~.hosts.LocalSubprocessHost` does.
-
-:class:`CachingHttpHost` adds the spec-cache protocol on top: the
-regression's *full* spec list is uploaded to the worker once (``POST
-/specs``, keyed by :func:`~.planner.specs_fingerprint`) and every
-shard thereafter travels as a ``(fingerprint, index, of)`` reference
--- the worker re-derives the slice with the shared deterministic
-planner, so the dominant wire cost (re-shipping specs per shard) is
-paid once per (worker, regression) pair instead of once per shard.
+machine.  A spec list moves one way only: :meth:`HttpHost.prime`
+hands the host a regression's full list under its
+:func:`~.planner.specs_fingerprint`, the first ``run_shard`` that
+needs it on this worker uploads it (``POST /specs``), and every shard
+travels as a ``(fingerprint, index, of)`` reference to ``/run`` --
+the worker re-derives the slice with the shared deterministic planner,
+so the list crosses the wire once per (worker, regression) pair
+instead of once per shard.  The response is rebuilt into a
+:class:`~repro.scenarios.regression.RegressionReport` whose digest is
+re-verified after the round trip, exactly like
+:class:`~.hosts.LocalSubprocessHost` does.  Running a fingerprint the
+host was never primed with is a caller bug (:class:`ValueError`).
 
 Checkpoints ride the same pattern: a shard whose specs carry
-``resume_from`` digests gets those checkpoints shipped to the worker
-first (``POST /checkpoints``, once per (worker, digest) pair, resolved
-from this process's :func:`repro.checkpoint.global_registry`), and a
-worker that answers ``404 "unknown checkpoint"`` -- restart, eviction
--- gets one re-upload and a retry, exactly like the spec cache.
+``resume_from`` digests gets those checkpoints shipped first (``POST
+/checkpoints``, once per (worker, digest) pair, resolved from this
+process's :func:`repro.checkpoint.global_registry`).  One recovery
+rule covers both uploads: a worker that answers the typed 404 for an
+item (``unknown spec fingerprint`` or ``unknown checkpoint`` -- it
+restarted, or evicted the entry) gets that item re-shipped once and
+the run retried.
 
 Failure taxonomy is unchanged from the subprocess transport: a
 connection that refuses, resets or times out, a non-200 status, an
@@ -30,10 +31,10 @@ unparseable body and a digest mismatch all raise
 regression failed" -- and the dispatcher retries the shard elsewhere.
 
 :func:`parse_hosts` turns the CLI's ``--hosts host:port,host:port``
-string into a host pool.  Both host classes accept a shared-secret
-``token`` and send it as an ``Authorization: Bearer`` header on every
-request, probes included (workers started with ``--token`` refuse
-everything but ``/healthz`` without it).
+string into a host pool.  A host accepts a shared-secret ``token``
+and sends it as an ``Authorization: Bearer`` header on every request,
+probes included (workers started with ``--token`` refuse everything
+but ``/healthz`` without it).
 """
 
 from __future__ import annotations
@@ -41,10 +42,10 @@ from __future__ import annotations
 import json
 import socket
 import threading
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..scenarios.regression import RegressionReport, ScenarioSpec
-from ..service import encode, error_text, http_request
+from ..service import WIRE_VERSION, encode, error_text, http_request
 from .hosts import HostFailure, ShardWork
 from .planner import Shard
 
@@ -56,12 +57,18 @@ DEFAULT_TIMEOUT = 600.0
 class HttpHost:
     """One remote worker daemon, addressed as ``host:port``.
 
-    The wire contract (``docs/dispatch.md``): the request body carries
-    the shard's own spec slice plus its ``(index, of)`` coordinate, the
-    response is the shard report's ``to_json()`` form.  Nothing but
-    JSON crosses the boundary, so the worker end needs no shared
-    filesystem and no pickle compatibility.  ``token`` is the fleet's
-    shared secret; when set, every request carries it as a bearer header.
+    The wire contract (``docs/dispatch.md``): ``/run`` carries the
+    shard's ``(index, of)`` coordinate and the fingerprint of a list
+    uploaded through ``POST /specs``; the response is the shard
+    report's ``to_json()`` form.  Nothing but JSON crosses the
+    boundary, so the worker end needs no shared filesystem and no
+    pickle compatibility.  ``token`` is the fleet's shared secret; when
+    set, every request carries it as a bearer header.
+
+    ``bytes_shipped`` / ``bytes_saved`` account for the wire cost:
+    shipped is what ``POST /specs`` actually cost, saved is the size
+    each shard's body would have had with its specs inline.  The
+    coordinator folds both into its ``/metrics``.
     """
 
     def __init__(
@@ -75,8 +82,28 @@ class HttpHost:
         self.name = name or self.address
         self.timeout = timeout
         self.token = token
-        self._shipped_checkpoints: Set[str] = set()
-        self._checkpoint_lock = threading.Lock()
+        self.bytes_saved = 0
+        self.bytes_shipped = 0
+        self._specs: Dict[str, List[ScenarioSpec]] = {}
+        #: (endpoint, key) pairs this worker is known to hold
+        self._uploaded: Set[Tuple[str, str]] = set()
+        self._lock = threading.Lock()
+
+    def prime(self, fingerprint: str, specs: Sequence[ScenarioSpec]) -> None:
+        """Associate a fingerprint with its full spec list (no I/O yet).
+
+        The upload happens lazily on the first ``run_shard`` that
+        references the fingerprint, so priming every host in a pool
+        costs nothing for hosts the scheduler never picks.
+        """
+        with self._lock:
+            self._specs[fingerprint] = list(specs)
+
+    def forget(self, fingerprint: str) -> None:
+        """Drop a finished regression's specs (and its upload record)."""
+        with self._lock:
+            self._specs.pop(fingerprint, None)
+            self._uploaded.discard(("/specs", fingerprint))
 
     def _post(self, path: str, payload: bytes, label: str) -> bytes:
         """One POST round trip; every transport mishap is a HostFailure."""
@@ -104,22 +131,9 @@ class HttpHost:
             )
         return raw
 
-    def _run_body(self, work: ShardWork) -> Dict:
-        """The by-value ``POST /run`` body: the slice travels inline."""
-        shard = work.shard
-        return {
-            "version": 1,
-            "shard": {
-                "index": shard.index,
-                "of": shard.of,
-                "specs": [spec.to_json() for spec in shard.specs],
-            },
-            "workers": work.workers or 1,
-        }
-
-    def _execute_run(self, body: Dict, shard: Shard) -> RegressionReport:
+    def _execute_run(self, body: bytes, shard: Shard) -> RegressionReport:
         """POST one ``/run`` body and verify the report that comes back."""
-        raw = self._post("/run", encode(body), shard.label)
+        raw = self._post("/run", body, shard.label)
         try:
             doc = json.loads(raw)
             report = RegressionReport.from_json(doc)
@@ -147,56 +161,109 @@ class HttpHost:
             )
         return report
 
-    def _ensure_checkpoints(self, shard: Shard, force: bool = False) -> None:
-        """Ship every checkpoint the shard's specs resume from.
+    def _upload(
+        self,
+        path: str,
+        key: str,
+        label: str,
+        force: bool,
+        document: Callable[[], Dict[str, Any]],
+    ) -> int:
+        """POST ``document()`` unless the worker holds ``key`` and not
+        ``force``; returns the bytes sent."""
+        with self._lock:
+            if not force and (path, key) in self._uploaded:
+                return 0
+        payload = encode({"version": WIRE_VERSION, **document()})
+        self._post(path, payload, label)
+        with self._lock:
+            self._uploaded.add((path, key))
+        return len(payload)
 
-        Digests are resolved from this process's checkpoint registry
-        (:func:`repro.checkpoint.global_registry` -- whoever created the
-        resume specs registered them there) and uploaded via ``POST
-        /checkpoints`` once per (worker, digest) pair.  ``force``
-        re-ships digests already recorded as uploaded -- the retry path
-        for a worker that restarted or evicted them.
+    def _ship(
+        self,
+        work: ShardWork,
+        specs: Sequence[ScenarioSpec],
+        force: Optional[str] = None,
+    ) -> None:
+        """Upload the checkpoints and spec list the shard needs.
+
+        Each item goes once per worker; ``force`` names the endpoint
+        whose items are re-shipped regardless -- the answer to the
+        worker's typed 404 for them.  Checkpoint digests resolve in
+        this process's registry (whoever created the resume specs
+        registered them there), so a digest nobody registered fails
+        here, before the spec list is sent.
         """
+        label = work.shard.label
         digests = sorted(
-            {spec.resume_from for spec in shard.specs if spec.resume_from}
+            {spec.resume_from for spec in work.shard.specs if spec.resume_from}
         )
-        if not digests:
-            return
-        from ..checkpoint.store import global_registry
+        if digests:
+            from ..checkpoint.store import global_registry
 
-        registry = global_registry()
-        for digest in digests:
-            with self._checkpoint_lock:
-                if not force and digest in self._shipped_checkpoints:
-                    continue
-            checkpoint = registry.get(digest)
-            payload = encode({"version": 1, "checkpoint": checkpoint.to_json()})
-            self._post("/checkpoints", payload, shard.label)
-            with self._checkpoint_lock:
-                self._shipped_checkpoints.add(digest)
-
-    def _execute_run_with_checkpoints(
-        self, body: Dict, shard: Shard
-    ) -> RegressionReport:
-        """:meth:`_execute_run` plus the checkpoint-upload protocol.
-
-        Mirrors the spec-cache 404 dance: ship referenced checkpoints
-        up front, and when the worker still answers "unknown
-        checkpoint" (restart, eviction), re-ship once and retry before
-        the failure surfaces.
-        """
-        self._ensure_checkpoints(shard)
-        try:
-            return self._execute_run(body, shard)
-        except HostFailure as exc:
-            if exc.kind != "non-200" or "unknown checkpoint" not in exc.reason:
-                raise
-            self._ensure_checkpoints(shard, force=True)
-            return self._execute_run(body, shard)
+            registry = global_registry()
+            for digest in digests:
+                self._upload(
+                    "/checkpoints",
+                    digest,
+                    label,
+                    force == "/checkpoints",
+                    lambda digest=digest: {
+                        "checkpoint": registry.get(digest).to_json()
+                    },
+                )
+        shipped = self._upload(
+            "/specs",
+            work.fingerprint,
+            label,
+            force == "/specs",
+            lambda: {
+                "fingerprint": work.fingerprint,
+                "specs": [spec.to_json() for spec in specs],
+            },
+        )
+        with self._lock:
+            self.bytes_shipped += shipped
 
     def run_shard(self, work: ShardWork) -> RegressionReport:
-        """POST the shard to the worker and verify the returned report."""
-        return self._execute_run_with_checkpoints(self._run_body(work), work.shard)
+        """Run the shard by fingerprint and verify the returned report."""
+        with self._lock:
+            specs = self._specs.get(work.fingerprint)
+        if specs is None:
+            raise ValueError(
+                f"{self.name} was never primed with spec fingerprint "
+                f"{work.fingerprint!r} (prime the host before run_shard)"
+            )
+        shard = work.shard
+        envelope = {"version": WIRE_VERSION, "workers": work.workers or 1}
+        coordinate = {"index": shard.index, "of": shard.of}
+        body = encode(
+            {**envelope, "shard": {**coordinate, "fingerprint": work.fingerprint}}
+        )
+        self._ship(work, specs)
+        reshipped: Set[str] = set()
+        while True:
+            try:
+                report = self._execute_run(body, shard)
+                break
+            except HostFailure as exc:
+                path = _reupload_for(exc)
+                if path is None or path in reshipped:
+                    raise
+                reshipped.add(path)
+                self._ship(work, specs, force=path)
+        # what the shard would have cost with its specs inline
+        inline = {
+            **envelope,
+            "shard": {
+                **coordinate,
+                "specs": [spec.to_json() for spec in shard.specs],
+            },
+        }
+        with self._lock:
+            self.bytes_saved += len(encode(inline))
+        return report
 
     def _get_json(self, path: str) -> Optional[dict]:
         """Best-effort GET returning the parsed body; None on any problem."""
@@ -233,121 +300,17 @@ class HttpHost:
         return f"HttpHost({self.address!r})"
 
 
-class CachingHttpHost(HttpHost):
-    """An :class:`HttpHost` that ships each regression's specs once.
+#: Kept importable under this name: the benchmark harness uses it.
+CachingHttpHost = HttpHost
 
-    :meth:`prime` hands the host the regression's full spec list and
-    its :func:`~.planner.specs_fingerprint`; ``run_shard`` then sends
-    shards as ``(fingerprint, index, of)`` references, uploading the
-    list via ``POST /specs`` the first time this worker sees the
-    fingerprint.  A worker that answers "unknown spec fingerprint" --
-    it restarted, or evicted the entry -- gets one re-upload and a
-    retry before the failure surfaces; a host never primed behaves
-    exactly like a plain :class:`HttpHost`.
 
-    ``bytes_saved`` / ``bytes_shipped`` account for the wire cost:
-    saved is the by-value body size avoided on every by-reference run,
-    shipped is what ``POST /specs`` actually cost.  The coordinator
-    folds both into its ``/metrics``.
-    """
-
-    def __init__(
-        self,
-        address: str,
-        name: Optional[str] = None,
-        timeout: float = DEFAULT_TIMEOUT,
-        token: Optional[str] = None,
-    ):
-        super().__init__(address, name=name, timeout=timeout, token=token)
-        self._specs: Dict[str, Sequence[ScenarioSpec]] = {}
-        self._uploaded: Set[str] = set()
-        self._lock = threading.Lock()
-        self.bytes_saved = 0
-        self.bytes_shipped = 0
-
-    def prime(self, fingerprint: str, specs: Sequence[ScenarioSpec]) -> None:
-        """Associate a fingerprint with its full spec list (no I/O yet).
-
-        The upload happens lazily on the first ``run_shard`` that
-        references the fingerprint, so priming every host in a pool
-        costs nothing for hosts the scheduler never picks.
-        """
-        with self._lock:
-            self._specs[fingerprint] = list(specs)
-
-    def forget(self, fingerprint: str) -> None:
-        """Drop a finished regression's specs (and its upload record)."""
-        with self._lock:
-            self._specs.pop(fingerprint, None)
-            self._uploaded.discard(fingerprint)
-
-    def _upload(self, fingerprint: str, label: str) -> None:
-        """``POST /specs``: ship the full list once, keyed by fingerprint."""
-        with self._lock:
-            specs = self._specs.get(fingerprint)
-        if specs is None:
-            raise HostFailure(
-                self.name,
-                label,
-                f"spec cache was never primed for fingerprint {fingerprint}",
-                kind="bad-report",
-            )
-        payload = encode(
-            {
-                "version": 1,
-                "fingerprint": fingerprint,
-                "specs": [spec.to_json() for spec in specs],
-            }
-        )
-        self._post("/specs", payload, label)
-        with self._lock:
-            self._uploaded.add(fingerprint)
-            self.bytes_shipped += len(payload)
-
-    def _fingerprint_for(self, work: ShardWork) -> Optional[str]:
-        """The primed fingerprint whose plan produced this shard, if any."""
-        with self._lock:
-            for fingerprint, specs in self._specs.items():
-                if work.shard.specs == tuple(specs[work.shard.index :: work.shard.of]):
-                    return fingerprint
+def _reupload_for(exc: HostFailure) -> Optional[str]:
+    """The upload endpoint a worker's typed 404 asks for again, if any."""
+    if exc.kind != "non-200" or "HTTP 404" not in exc.reason:
         return None
-
-    def run_shard(self, work: ShardWork) -> RegressionReport:
-        """Run the shard by reference when primed, by value otherwise."""
-        fingerprint = self._fingerprint_for(work)
-        if fingerprint is None:
-            return super().run_shard(work)
-        shard = work.shard
-        body = {
-            "version": 1,
-            "shard": {
-                "index": shard.index,
-                "of": shard.of,
-                "fingerprint": fingerprint,
-            },
-            "workers": work.workers or 1,
-        }
-        by_value_cost = len(encode(self._run_body(work)))
-        with self._lock:
-            needs_upload = fingerprint not in self._uploaded
-        if needs_upload:
-            self._upload(fingerprint, shard.label)
-        try:
-            report = self._execute_run_with_checkpoints(body, shard)
-        except HostFailure as exc:
-            if exc.kind != "non-200" or "unknown spec fingerprint" not in exc.reason:
-                raise
-            # the worker lost the entry (restart, eviction): re-ship once
-            with self._lock:
-                self._uploaded.discard(fingerprint)
-            self._upload(fingerprint, shard.label)
-            report = self._execute_run_with_checkpoints(body, shard)
-        with self._lock:
-            self.bytes_saved += by_value_cost
-        return report
-
-    def __repr__(self) -> str:
-        return f"CachingHttpHost({self.address!r})"
+    if "unknown spec fingerprint" in exc.reason:
+        return "/specs"
+    return "/checkpoints" if "unknown checkpoint" in exc.reason else None
 
 
 def _transport_kind(exc: Exception) -> str:

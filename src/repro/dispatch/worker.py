@@ -13,16 +13,14 @@ Endpoints (full wire contract in ``docs/dispatch.md``):
 
 ``POST /run``
     Body: ``{"version": 1, "shard": {"index": K, "of": N,
-    "specs": [...]}, "workers": M}``.  The worker rebuilds the specs,
-    runs them through a :class:`~repro.scenarios.regression.RegressionRunner`
-    (``M`` local worker processes, default 1 -- the shard is the unit
-    of parallelism) and responds ``200`` with the report's
-    ``to_json()`` form, digest included.  Alternatively the shard may
-    reference a cached spec list instead of carrying one:
-    ``"shard": {"index": K, "of": N, "fingerprint": F}`` re-derives
-    the slice from the ``POST /specs`` upload keyed by ``F`` with the
-    shared deterministic planner (``404`` with ``"unknown spec
-    fingerprint"`` when the worker does not hold ``F``).
+    "fingerprint": F}, "workers": M}``.  The worker re-derives the
+    shard's slice from the ``POST /specs`` upload keyed by ``F`` with
+    the shared deterministic planner, runs it through a
+    :class:`~repro.scenarios.regression.RegressionRunner` (``M`` local
+    worker processes, default 1 -- the shard is the unit of
+    parallelism) and responds ``200`` with the report's ``to_json()``
+    form, digest included.  ``404`` with ``"unknown spec fingerprint"``
+    when the worker does not hold ``F``; inline ``"specs"`` get ``400``.
 
 ``POST /specs``
     Body: ``{"version": 1, "fingerprint": F, "specs": [...]}`` -- the
@@ -32,6 +30,7 @@ Endpoints (full wire contract in ``docs/dispatch.md``):
     list that does not hash to ``F`` is refused (``400``).  The cache
     is a bounded LRU (:data:`SPEC_CACHE_LIMIT`); a ``/run`` that
     references an evicted entry gets the 404 and the client re-uploads.
+    The coordinator's ``/specs`` is the same function.
 
 ``POST /checkpoints``
     Body: ``{"version": 1, "checkpoint": <wire doc>}`` -- the
@@ -103,10 +102,11 @@ WorkerError = BadRequest
 
 
 class UnknownFingerprintError(NotFound):
-    """A /run referenced a fingerprint this worker does not hold (-> 404).
+    """A spec fingerprint this daemon does not hold (-> 404).
 
-    The 404 tells the client to re-upload rather than treat the worker
-    as broken.
+    Raised by a worker's ``/run`` and a coordinator's ``/jobs``; the
+    404 tells the client to re-upload rather than treat the daemon as
+    broken.
     """
 
 
@@ -120,7 +120,7 @@ class UnknownCheckpointDigestError(UnknownFingerprintError):
 
 
 def make_spec_cache(limit: int = SPEC_CACHE_LIMIT) -> ContentStore:
-    """The worker's LRU of uploaded spec lists, keyed by fingerprint.
+    """A daemon's LRU of uploaded spec lists, keyed by fingerprint.
 
     A put whose list does not hash to its claimed fingerprint is
     refused, so a corrupt upload cannot poison later by-reference runs.
@@ -155,8 +155,10 @@ def store_specs_request(
     cache: ContentStore,
     metrics: Optional[MetricsRegistry] = None,
 ) -> Dict[str, Any]:
-    """Execute one ``POST /specs`` body against the worker's spec cache.
+    """Execute one ``POST /specs`` body against a spec cache.
 
+    The one spec upload path of both daemons: the worker and the
+    coordinator each store into their own :func:`make_spec_cache`.
     Pure request -> response like :func:`run_shard_request`; raises
     :class:`WorkerError` for malformed bodies and fingerprint
     mismatches.
@@ -260,56 +262,45 @@ def _resolve_resume_checkpoints(
 
 def run_shard_request(
     body: Dict[str, Any],
+    spec_cache: ContentStore,
     metrics: Optional[MetricsRegistry] = None,
-    spec_cache: Optional[ContentStore] = None,
     checkpoint_cache: Optional[ContentStore] = None,
 ) -> Dict[str, Any]:
     """Execute one ``POST /run`` body and return the report wire form.
 
     Pure request -> response: no HTTP in sight, which is what the
     in-process tests exercise.  Raises :class:`WorkerError` for a
-    malformed body and :class:`UnknownFingerprintError` for a
-    by-reference shard whose fingerprint is not cached; anything else
-    propagating out is a genuine worker crash and maps to a 500.
-    ``metrics`` (the serving daemon's own registry, never the
-    process-global one) receives the worker-side counters the
-    ``GET /metrics`` endpoint reports.
+    malformed body (inline specs included) and
+    :class:`UnknownFingerprintError` for a fingerprint ``spec_cache``
+    does not hold; anything else propagating out is a genuine worker
+    crash and maps to a 500.  ``metrics`` (the serving daemon's own
+    registry, never the process-global one) receives the worker-side
+    counters the ``GET /metrics`` endpoint reports.
     """
     # imported lazily so `--help` and handler import stay instant
-    from ..scenarios.regression import RegressionRunner, ScenarioSpec
+    from ..scenarios.regression import RegressionRunner
+    from .planner import plan_shards
 
     body = checked_envelope(body)
     shard = body.get("shard")
-    if not isinstance(shard, dict) or not ("specs" in shard or "fingerprint" in shard):
+    if not isinstance(shard, dict) or "specs" in shard:
         raise WorkerError(
-            'request needs a "shard" object with "specs" or "fingerprint"'
+            'request needs a "shard" object of "index", "of" and '
+            '"fingerprint" (specs go up once, through POST /specs)'
         )
-    if "specs" in shard:
-        try:
-            specs = [ScenarioSpec.from_json(doc) for doc in shard["specs"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise WorkerError(f"unparseable spec in shard: {exc}") from exc
-    else:
-        # by-reference shard: re-derive the slice from the cached list
-        # with the shared planner, exactly like a --shard K/N child
-        from .planner import plan_shards
-
-        if spec_cache is None:
-            raise UnknownFingerprintError(
-                "this worker has no spec cache; ship specs by value"
-            )
-        cached = spec_cache.get(str(shard["fingerprint"]))
-        index, of = shard.get("index"), shard.get("of")
-        if not isinstance(index, int) or not isinstance(of, int) or not (
-            0 <= index < of
-        ):
-            raise WorkerError(
-                f"by-reference shard needs integer index/of with "
-                f"0 <= index < of, got index={index!r} of={of!r}"
-            )
-        specs = list(plan_shards(cached, of)[index].specs)
-        if metrics is not None:
-            metrics.counter("worker.spec_cache_hits").inc()
+    fingerprint, index, of = (shard.get(k) for k in ("fingerprint", "index", "of"))
+    if not isinstance(fingerprint, str) or not isinstance(index, int) or not (
+        isinstance(of, int) and 0 <= index < of
+    ):
+        raise WorkerError(
+            "shard needs a string fingerprint and integer index/of with "
+            f"0 <= index < of, got {fingerprint!r}, {index!r}, {of!r}"
+        )
+    # re-derive the slice from the cached list with the shared
+    # planner, exactly like a --shard K/N child does
+    specs = list(plan_shards(spec_cache.get(fingerprint), of)[index].specs)
+    if metrics is not None:
+        metrics.counter("worker.spec_cache_hits").inc()
     workers = body.get("workers") or 1
     _resolve_resume_checkpoints(specs, checkpoint_cache, workers, metrics)
     # spawn, not fork: this runs on a handler thread of a threading
@@ -328,7 +319,7 @@ def run_shard_request(
             time.perf_counter() - started
         )
     doc = report.to_json()
-    doc["shard"] = {"index": shard.get("index"), "of": shard.get("of")}
+    doc["shard"] = {"index": index, "of": of}
     return doc
 
 
@@ -366,8 +357,8 @@ class _WorkerState:
         """``POST /run``: one shard, counted once it answered."""
         doc = run_shard_request(
             body,
+            self.spec_cache,
             metrics=self.metrics,
-            spec_cache=self.spec_cache,
             checkpoint_cache=self.checkpoint_cache,
         )
         self.shards_served += 1

@@ -37,12 +37,16 @@ from repro.coordinator import (
 from repro.dispatch import (
     CachingHttpHost,
     HostFailure,
+    HttpHost,
     InProcessHost,
+    ShardWork,
+    merge_reports,
     plan_shards,
     specs_fingerprint,
 )
-from repro.dispatch.worker import start_worker
+from repro.dispatch.worker import SPEC_CACHE_LIMIT, start_worker
 from repro.scenarios.regression import RegressionRunner, ScenarioSpec, build_specs
+from repro.store import ContentStore
 from repro.workbench import SerialEngine, Workbench
 
 SPECS = build_specs(count=6, cycles=120)
@@ -172,6 +176,21 @@ class TestShardStore:
         assert len(store) == 0
 
 
+def _post(url, path, doc, token="fleet-secret"):
+    """POST ``doc`` to a daemon; (status, decoded body) on any status."""
+    request = urllib.request.Request(
+        f"{url}{path}",
+        data=json.dumps(doc).encode("utf-8"),
+        headers={"Authorization": f"Bearer {token}"},
+        method="POST",
+    )
+    try:
+        with urllib.request.urlopen(request, timeout=30) as response:
+            return response.status, json.loads(response.read())
+    except urllib.error.HTTPError as exc:
+        return exc.code, json.loads(exc.read())
+
+
 @pytest.fixture()
 def worker():
     handle = start_worker()
@@ -188,14 +207,17 @@ class TestWorkerSpecCache:
         ) as response:
             return json.loads(response.read())
 
-    def test_by_reference_run_matches_by_value(self, worker, serial_report):
-        host = CachingHttpHost(worker.address)
+    def test_one_upload_serves_every_shard_and_matches_serial(
+        self, worker, serial_report
+    ):
+        host = HttpHost(worker.address)
         host.prime(FINGERPRINT, SPECS)
         shards = plan_shards(SPECS, 2)
-        from repro.dispatch import ShardWork, merge_reports
-
         reports = [
-            host.run_shard(ShardWork(shard=s, spec_file="")) for s in shards
+            host.run_shard(
+                ShardWork(shard=s, spec_file="", fingerprint=FINGERPRINT)
+            )
+            for s in shards
         ]
         assert merge_reports(reports).digest() == serial_report.digest()
         # the list crossed the wire once; both shards ran by reference
@@ -241,21 +263,24 @@ class TestWorkerSpecCache:
         self, worker, serial_report
     ):
         """A worker that restarted (or evicted the entry) answers the
-        by-reference run with the 404; the caching host re-ships the
-        list once and retries instead of failing the shard."""
-        host = CachingHttpHost(worker.address)
+        by-reference run with the 404; the host re-ships the list once
+        and retries instead of failing the shard."""
+        host = HttpHost(worker.address)
         host.prime(FINGERPRINT, SPECS)
         # claim the upload already happened without performing it: the
         # worker-side state a restart would have wiped
-        host._uploaded.add(FINGERPRINT)
-        from repro.dispatch import ShardWork
-
+        host._uploaded.add(("/specs", FINGERPRINT))
         shard = plan_shards(SPECS, 6)[0]
-        report = host.run_shard(ShardWork(shard=shard, spec_file=""))
+        report = host.run_shard(
+            ShardWork(shard=shard, spec_file="", fingerprint=FINGERPRINT)
+        )
         assert [v.spec.label for v in report.verdicts] == [
             s.label for s in shard.specs
         ]
         assert host.bytes_shipped > 0     # the recovery upload happened
+
+    def test_caching_name_is_the_one_host_class(self):
+        assert CachingHttpHost is HttpHost
 
 
 class TestAuth:
@@ -267,11 +292,7 @@ class TestAuth:
             body = json.dumps(
                 {
                     "version": 1,
-                    "shard": {
-                        "index": 0,
-                        "of": 1,
-                        "specs": [s.to_json() for s in SPECS[:1]],
-                    },
+                    "shard": {"index": 0, "of": 1, "fingerprint": FINGERPRINT},
                 }
             ).encode("utf-8")
             request = urllib.request.Request(
@@ -286,11 +307,15 @@ class TestAuth:
             ) as response:
                 assert json.loads(response.read())["ok"] is True
             # the right token serves normally
-            from repro.dispatch import HttpHost, ShardWork
-
             host = HttpHost(handle.address, token="fleet-secret")
+            fingerprint = specs_fingerprint(SPECS[:1])
+            host.prime(fingerprint, SPECS[:1])
             report = host.run_shard(
-                ShardWork(shard=plan_shards(SPECS[:1], 1)[0], spec_file="")
+                ShardWork(
+                    shard=plan_shards(SPECS[:1], 1)[0],
+                    spec_file="",
+                    fingerprint=fingerprint,
+                )
             )
             assert len(report.verdicts) == 1
         finally:
@@ -299,7 +324,6 @@ class TestAuth:
     def test_worker_metrics_need_the_token(self):
         """``/metrics`` is gated like every route but ``/healthz``, and a
         token-carrying host still pulls it into the fleet aggregate."""
-        from repro.dispatch import HttpHost
         from repro.obs import disable, enable_metrics
         from repro.workbench import default_registry
 
@@ -352,7 +376,7 @@ class TestAuth:
 
 
 class _ScriptedWorkerHost:
-    """In-process stand-in for a CachingHttpHost with controlled fate.
+    """In-process stand-in for an HttpHost with controlled fate.
 
     ``delay`` stretches every shard so the test can interleave joins
     and deaths mid-job; flipping ``dead`` makes the next run raise the
@@ -364,11 +388,16 @@ class _ScriptedWorkerHost:
         self.delay = delay
         self.dead = False
         self.primed = {}
+        self.primes = 0
         self.served = 0
         self.bytes_saved = 0
 
     def prime(self, fingerprint, specs):
+        self.primes += 1
         self.primed[fingerprint] = list(specs)
+
+    def forget(self, fingerprint):
+        self.primed.pop(fingerprint, None)
 
     def run_shard(self, work):
         time.sleep(self.delay)
@@ -506,6 +535,24 @@ class TestElasticService:
         again = coordinator.submit(fingerprint=FINGERPRINT)
         assert again.fingerprint == FINGERPRINT
 
+    def test_queued_job_keeps_its_list_through_an_eviction(
+        self, tmp_path, serial_report
+    ):
+        """An accepted job owns its spec list: losing the cache entry
+        (LRU eviction) before it runs changes nothing, each worker is
+        primed once for the whole job and forgets the list after it."""
+        host = _ScriptedWorkerHost("only", delay=0.0)
+        coordinator = self._coordinator(tmp_path, {"only:1": host})
+        coordinator.registry.register("only:1")
+        job = coordinator.submit(specs=SPECS)
+        coordinator.spec_cache.discard(FINGERPRINT)
+        coordinator.run_pending()
+        assert job.status == "done", job.error
+        assert job.report_doc["digest"] == serial_report.digest()
+        assert job.dispatch["shards"] > 1
+        assert host.primes == 1
+        assert host.primed == {}
+
     def test_job_with_no_workers_fails_after_idle_timeout(self, tmp_path):
         coordinator = self._coordinator(
             tmp_path, {}, idle_timeout=0.3, poll_interval=0.02
@@ -570,6 +617,69 @@ class TestCoordinatorHttp:
         assert status["worker_joins"] >= 2
         assert status["store_entries"] == 1
         assert status["spec_lists_cached"] == 1
+
+    def test_jobs_take_a_fingerprint_and_specs_go_through_the_upload(
+        self, fleet
+    ):
+        """``/jobs`` refuses an inline list and points at ``/specs``,
+        which is the worker's upload function (same 400 on a list that
+        does not hash to its claimed fingerprint)."""
+        coordinator, _workers, _client = fleet
+        listed = [spec.to_json() for spec in SPECS]
+        status, doc = _post(
+            coordinator.url,
+            "/jobs",
+            {"version": 1, "fingerprint": FINGERPRINT, "specs": listed},
+        )
+        assert status == 400
+        assert "/specs" in doc["error"]
+        status, doc = _post(
+            coordinator.url,
+            "/specs",
+            {"version": 1, "fingerprint": "00" * 8, "specs": listed},
+        )
+        assert status == 400
+        assert "mismatch" in doc["error"]
+        assert coordinator.coordinator.jobs() == []
+        assert len(coordinator.coordinator.spec_cache) == 0
+
+    def test_an_evicted_list_is_uploaded_again(self, fleet, serial_report):
+        coordinator, _workers, client = fleet
+        client.run(list(SPECS))
+        coordinator.coordinator.spec_cache.discard(FINGERPRINT)
+        report, job = client.run(list(SPECS))
+        assert job["from_cache"] is True
+        assert report.digest() == serial_report.digest()
+        assert client.status()["spec_lists_cached"] == 1
+
+    def test_finished_jobs_leave_no_spec_list_behind(self, tmp_path):
+        """Three distinct jobs through a live coordinator and worker:
+        afterwards no worker host still holds a primed list, and the
+        coordinator's own copies sit in the bounded spec cache."""
+        handle = start_coordinator(store_path=str(tmp_path))
+        worker = start_worker(coordinator=handle.url, heartbeat=0.2)
+        try:
+            client = CoordinatorClient(handle.url, timeout=120)
+            deadline = time.monotonic() + 10
+            while not client.status()["workers"]:
+                assert time.monotonic() < deadline, "worker never registered"
+                time.sleep(0.05)
+            for seed in (1, 2, 3):
+                specs = build_specs(count=2, cycles=60, base_seed=seed)
+                report, job = client.run(specs)
+                assert job["from_cache"] is False
+                serial = RegressionRunner(specs, engine=SerialEngine()).run()
+                assert report.digest() == serial.digest()
+            coordinator = handle.coordinator
+            hosts = [record.host for record in coordinator.registry.live()]
+            assert len(hosts) == 1
+            assert hosts[0]._specs == {}
+            assert isinstance(coordinator.spec_cache, ContentStore)
+            assert coordinator.spec_cache.limit == SPEC_CACHE_LIMIT
+            assert len(coordinator.spec_cache) == 3
+        finally:
+            worker.stop()
+            handle.stop()
 
     def test_workbench_regress_over_coordinator(self, fleet):
         coordinator, _workers, _client = fleet

@@ -465,6 +465,27 @@ class TestCli:
             ), package
 
 
+    def test_workbench_import_leaves_the_http_transport_unloaded(self):
+        # repro.dispatch serves HttpHost, CachingHttpHost and parse_hosts
+        # lazily: a serial session never loads the HTTP stack
+        probe = (
+            "import sys\n"
+            "import repro.workbench\n"
+            "print([m for m in ('http.server', 'repro.service') "
+            "if m in sys.modules])\n"
+            "from repro.dispatch import CachingHttpHost, HttpHost\n"
+            "print(CachingHttpHost is HttpHost, 'repro.service' in sys.modules)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            env=_repro_env(),
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == ["[]", "True True"]
+
+
 class TestWarningHygiene:
     """JSON stdout must stay parseable even when shims warn (satellite)."""
 

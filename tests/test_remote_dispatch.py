@@ -37,11 +37,13 @@ from repro.dispatch import (
     parse_hosts,
     plan_shards,
     shards_for_hosts,
+    specs_fingerprint,
 )
 from repro.dispatch.worker import (
     UnknownCheckpointDigestError,
     WorkerError,
     make_checkpoint_cache,
+    make_spec_cache,
     run_shard_request,
     start_worker,
     store_checkpoint_request,
@@ -77,39 +79,104 @@ def worker_pair():
 
 
 def _shard_body(specs, index=0, of=1, workers=1):
-    shard = plan_shards(specs, of)[index]
-    return {
+    """A by-fingerprint ``/run`` body and a spec cache holding its list."""
+    cache = make_spec_cache()
+    fingerprint = cache.put(list(specs))
+    body = {
         "version": 1,
-        "shard": {
-            "index": shard.index,
-            "of": shard.of,
-            "specs": [spec.to_json() for spec in shard.specs],
-        },
+        "shard": {"index": index, "of": of, "fingerprint": fingerprint},
         "workers": workers,
     }
+    return body, cache
+
+
+def _primed_work(host, specs, index=0, of=1):
+    """Prime ``host`` with ``specs``; the ShardWork for one slice of them."""
+    fingerprint = specs_fingerprint(specs)
+    host.prime(fingerprint, specs)
+    return ShardWork(
+        shard=plan_shards(specs, of)[index],
+        spec_file="",
+        fingerprint=fingerprint,
+    )
+
+
+def _post_json(worker, path, doc):
+    """POST ``doc`` to a worker; (status, decoded body) on any status."""
+    request = urllib.request.Request(
+        f"http://{worker.address}{path}",
+        data=json.dumps(doc).encode("utf-8"),
+        method="POST",
+    )
+    try:
+        with urllib.request.urlopen(request, timeout=30) as response:
+            return response.status, json.loads(response.read())
+    except urllib.error.HTTPError as exc:
+        return exc.code, json.loads(exc.read())
+
+
+def _counter(doc, name):
+    return doc["counters"].get(name, 0)
 
 
 class TestWorkerProtocol:
     """The /run + /healthz wire contract, with and without HTTP."""
 
     def test_run_shard_request_matches_serial(self, serial_report):
-        doc = run_shard_request(_shard_body(SPECS))
+        body, cache = _shard_body(SPECS)
+        doc = run_shard_request(body, cache)
         assert doc["digest"] == serial_report.digest()
         assert doc["scenarios"] == len(SPECS)
         assert doc["shard"] == {"index": 0, "of": 1}
 
     def test_run_shard_request_rejects_malformed_bodies(self):
+        body, cache = _shard_body(SPECS)
         with pytest.raises(WorkerError, match="JSON object"):
-            run_shard_request([1, 2, 3])
+            run_shard_request([1, 2, 3], cache)
         with pytest.raises(WorkerError, match='"shard"'):
-            run_shard_request({"version": 1})
-        with pytest.raises(WorkerError, match="unparseable spec"):
-            run_shard_request({"shard": {"specs": [{"model": "pci"}]}})
+            run_shard_request({"version": 1}, cache)
+        with pytest.raises(WorkerError, match="POST /specs"):
+            run_shard_request({"shard": {"specs": [{"model": "pci"}]}}, cache)
+        with pytest.raises(WorkerError, match="0 <= index < of"):
+            run_shard_request(
+                body | {"shard": body["shard"] | {"index": 1}}, cache
+            )
         with pytest.raises(WorkerError, match="wire version"):
-            run_shard_request(_shard_body(SPECS) | {"version": 99})
+            run_shard_request(body | {"version": 99}, cache)
         # a non-integer version is a 400-class refusal, not a 500 crash
         with pytest.raises(WorkerError, match="must be an integer"):
-            run_shard_request(_shard_body(SPECS) | {"version": "2"})
+            run_shard_request(body | {"version": "2"}, cache)
+
+    def test_inline_specs_are_refused_with_a_pointer_to_specs(self, worker):
+        """``/run`` has one form: a shard carrying its specs inline is a
+        400 that names the upload endpoint, and nothing runs."""
+        status, doc = _post_json(
+            worker,
+            "/run",
+            {
+                "version": 1,
+                "shard": {
+                    "index": 0,
+                    "of": 1,
+                    "specs": [spec.to_json() for spec in SPECS[:1]],
+                },
+                "workers": 1,
+            },
+        )
+        assert status == 400
+        assert doc["kind"] == "bad-request"
+        assert "/specs" in doc["error"]
+        assert HttpHost(worker.address).fetch_metrics()["counters"] == {}
+
+    def test_unprimed_fingerprint_is_a_caller_bug(self, worker):
+        """Running a list the host was never primed with is a ValueError
+        (no request is sent), not a HostFailure the dispatcher retries."""
+        host = HttpHost(worker.address)
+        work = _primed_work(host, SPECS)
+        host.forget(work.fingerprint)
+        with pytest.raises(ValueError, match="never primed"):
+            host.run_shard(work)
+        assert HttpHost(worker.address).fetch_metrics()["counters"] == {}
 
     def test_healthz_counts_served_shards(self, worker):
         def probe():
@@ -143,9 +210,8 @@ class TestWorkerProtocol:
         assert {"plan_hits", "plan_misses", "automaton_hits", "automaton_misses"} <= set(
             doc["compile_cache"]
         )
-        HttpHost(worker.address).run_shard(
-            ShardWork(shard=plan_shards(SPECS[:2], 1)[0], spec_file="")
-        )
+        host = HttpHost(worker.address)
+        host.run_shard(_primed_work(host, SPECS[:2]))
         after = probe()
         assert after["shards_served"] == 1
         assert after["uptime_seconds"] >= doc["uptime_seconds"]
@@ -195,6 +261,20 @@ class TestHttpDispatch:
         assert outcome.report.digest() == serial_report.digest()
         assert outcome.retries == 0
         assert sum(outcome.host_loads().values()) == shards
+
+    def test_every_shard_runs_by_fingerprint_after_one_upload(
+        self, worker_pair, serial_report
+    ):
+        """The dispatcher primes each host, each worker receives the
+        list at most once, and all four shards run from its cache."""
+        hosts = [HttpHost(w.address) for w in worker_pair]
+        outcome = ShardDispatcher(SPECS, shards=4, hosts=hosts).run()
+        assert outcome.report.digest() == serial_report.digest()
+        metrics = [host.fetch_metrics() for host in hosts]
+        assert all(_counter(doc, "worker.spec_uploads") <= 1 for doc in metrics)
+        assert sum(_counter(doc, "worker.spec_cache_hits") for doc in metrics) == 4
+        # the dispatch is over: no host still holds the list
+        assert all(host._specs == {} for host in hosts)
 
     def test_workbench_regress_over_http_hosts(self, worker_pair):
         hosts = [HttpHost(w.address) for w in worker_pair]
@@ -318,29 +398,29 @@ class _MisbehavingServer:
 class TestTransportFailureTaxonomy:
     """Every transport mishap is a HostFailure, and retry heals it."""
 
-    @pytest.fixture()
-    def shard_work(self):
-        return ShardWork(shard=plan_shards(SPECS[:1], 1)[0], spec_file="")
+    @staticmethod
+    def _run_one(host):
+        return host.run_shard(_primed_work(host, SPECS[:1]))
 
-    def test_connection_reset_mid_shard_is_a_host_failure(self, shard_work):
+    def test_connection_reset_mid_shard_is_a_host_failure(self):
         server = _MisbehavingServer("reset")
         try:
             with pytest.raises(HostFailure, match="transport failed"):
-                HttpHost(server.address).run_shard(shard_work)
+                self._run_one(HttpHost(server.address))
         finally:
             server.stop()
 
-    def test_malformed_json_response_is_a_host_failure(self, shard_work):
+    def test_malformed_json_response_is_a_host_failure(self):
         server = _MisbehavingServer("garbage")
         try:
             with pytest.raises(HostFailure, match="unparseable shard report"):
-                HttpHost(server.address).run_shard(shard_work)
+                self._run_one(HttpHost(server.address))
         finally:
             server.stop()
 
-    def test_connection_refused_is_a_host_failure(self, shard_work):
+    def test_connection_refused_is_a_host_failure(self):
         with pytest.raises(HostFailure, match="transport failed"):
-            HttpHost(_dead_address(), timeout=5).run_shard(shard_work)
+            self._run_one(HttpHost(_dead_address(), timeout=5))
 
     def test_misbehaving_host_in_pool_never_drifts_the_digest(
         self, worker, serial_report
@@ -413,30 +493,69 @@ class TestCheckpointTransport:
         and the report digest equals the uninterrupted serial run."""
         spec, _, resume_spec = self._resume_setup()
         base = RegressionRunner([spec], engine=SerialEngine()).run()
-        report = HttpHost(worker.address).run_shard(
-            ShardWork(shard=plan_shards([resume_spec], 1)[0], spec_file="")
-        )
+        host = HttpHost(worker.address)
+        report = host.run_shard(_primed_work(host, [resume_spec]))
         assert report.digest() == base.digest()
+
+    @pytest.mark.parametrize(
+        "missing,reshipped",
+        [
+            (["unknown spec fingerprint"], ["/specs"]),
+            (["unknown checkpoint"], ["/checkpoints"]),
+            # a restarted worker lost both: each item goes again once
+            (
+                ["unknown spec fingerprint", "unknown checkpoint"],
+                ["/specs", "/checkpoints"],
+            ),
+        ],
+        ids=["specs", "checkpoint", "both"],
+    )
+    def test_typed_404_reships_that_item_once_and_retries(
+        self, worker, missing, reshipped
+    ):
+        """One recovery rule for both uploads: the worker's typed 404
+        for an item makes the host ship that item again and retry."""
+        spec, _, resume_spec = self._resume_setup()
+        base = RegressionRunner([spec], engine=SerialEngine()).run()
+        host = _ForgetfulHost(worker.address, missing)
+        report = host.run_shard(_primed_work(host, [resume_spec]))
+        assert report.digest() == base.digest()
+        retries = [post for item in reshipped for post in (item, "/run")]
+        assert host.posts == ["/checkpoints", "/specs", "/run"] + retries
+
+    def test_a_second_404_for_the_same_item_surfaces(self, worker):
+        host = _ForgetfulHost(
+            worker.address, ["unknown spec fingerprint"] * 2
+        )
+        with pytest.raises(HostFailure, match="unknown spec fingerprint"):
+            host.run_shard(_primed_work(host, SPECS[:1]))
+        assert host.posts == ["/specs", "/run", "/specs", "/run"]
 
     def test_worker_that_never_saw_the_digest_answers_404(self, worker):
         spec, _, _ = self._resume_setup()
         ghost = replace(spec, resume_from="0" * 64)
-        body = {
-            "version": 1,
-            "shard": {"index": 0, "of": 1, "specs": [ghost.to_json()]},
-            "workers": 1,
-        }
-        request = urllib.request.Request(
-            f"http://{worker.address}/run",
-            data=json.dumps(body).encode("utf-8"),
-            method="POST",
+        fingerprint = specs_fingerprint([ghost])
+        status, _ = _post_json(
+            worker,
+            "/specs",
+            {
+                "version": 1,
+                "fingerprint": fingerprint,
+                "specs": [ghost.to_json()],
+            },
         )
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request, timeout=30)
-        assert excinfo.value.code == 404
-        assert "unknown checkpoint" in json.loads(excinfo.value.read())[
-            "error"
-        ]
+        assert status == 200
+        status, doc = _post_json(
+            worker,
+            "/run",
+            {
+                "version": 1,
+                "shard": {"index": 0, "of": 1, "fingerprint": fingerprint},
+                "workers": 1,
+            },
+        )
+        assert status == 404
+        assert "unknown checkpoint" in doc["error"]
 
     def test_corrupt_upload_is_a_400_not_a_crash(self, worker):
         _, checkpoint, _ = self._resume_setup()
@@ -459,10 +578,32 @@ class TestCheckpointTransport:
         registry lookup before anything crosses the wire."""
         spec, _, _ = self._resume_setup()
         ghost = replace(spec, resume_from="f" * 64)
+        host = HttpHost(worker.address)
         with pytest.raises(UnknownCheckpointError, match="unknown"):
-            HttpHost(worker.address).run_shard(
-                ShardWork(shard=plan_shards([ghost], 1)[0], spec_file="")
+            host.run_shard(_primed_work(host, [ghost]))
+        assert host.fetch_metrics()["counters"] == {}
+
+
+class _ForgetfulHost(HttpHost):
+    """An HttpHost whose worker answers its first ``/run`` requests with
+    the typed 404 for each item in ``missing`` (what a restart or an
+    eviction looks like), recording every POST path it sends."""
+
+    def __init__(self, address, missing):
+        super().__init__(address)
+        self.missing = list(missing)
+        self.posts = []
+
+    def _post(self, path, payload, label):
+        self.posts.append(path)
+        if path == "/run" and self.missing:
+            raise HostFailure(
+                self.name,
+                label,
+                f"worker returned HTTP 404: {self.missing.pop(0)} ...",
+                kind="non-200",
             )
+        return super()._post(path, payload, label)
 
 
 class _SlowHost:

@@ -14,6 +14,12 @@ checkpoint digest is the SHA-256 of exactly that payload text, so two
 checkpoints are byte-identical iff they restore identical states, and a
 digest is a safe by-reference handle across processes and hosts
 (:mod:`repro.checkpoint.store`, the worker ``/checkpoints`` endpoint).
+
+A checkpoint is a value: frozen, with its digest computed once, on
+first use, from one canonical encode, and shared by every later
+``to_json``, store key and integrity check.  Its field documents are
+never edited in place; derive an edited checkpoint with
+``dataclasses.replace``.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Dict, List, Tuple
 
 from ..scenarios.regression import ScenarioSpec
@@ -74,9 +81,14 @@ def decode_signal_value(doc: Any) -> Any:
     raise CheckpointFormatError(f"unknown signal value kind {kind!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Checkpoint:
-    """Snapshot of one scenario system at a quiescent cycle boundary."""
+    """Snapshot of one scenario system at a quiescent cycle boundary.
+
+    Immutable: the digest is computed once and cached, so the field
+    documents must not be edited in place (``dataclasses.replace`` with
+    a copied field makes an edited checkpoint with its own digest).
+    """
 
     #: the spec that built (and deterministically re-builds) the system
     spec: ScenarioSpec
@@ -119,9 +131,9 @@ class Checkpoint:
             self.payload(), sort_keys=True, separators=(",", ":")
         )
 
-    @property
+    @cached_property
     def digest(self) -> str:
-        """SHA-256 over the canonical payload text."""
+        """SHA-256 over the canonical payload text (computed once)."""
         return hashlib.sha256(
             self.canonical_payload().encode("utf-8")
         ).hexdigest()

@@ -19,8 +19,10 @@
 
 from __future__ import annotations
 
+import atexit
 import json
 import os
+import shutil
 import tempfile
 import threading
 from typing import Callable, Optional
@@ -92,22 +94,35 @@ def reset_global_registry() -> None:
         _GLOBAL = None
 
 
+def _remove_spill_dir(spill: str, creator: int) -> None:
+    """Exit hook: delete a spill directory this process created.
+
+    Forked children inherit the hook; only the creating process runs
+    it, so a child never deletes the directory under its parent.
+    """
+    if os.getpid() == creator:
+        shutil.rmtree(spill, ignore_errors=True)
+
+
 def ensure_spill_dir() -> str:
     """Make the global registry's checkpoints reachable by child processes.
 
-    Gives the process-global registry a disk spill if it has none
-    (creating a temp directory), exports it as ``REPRO_CHECKPOINT_DIR``
-    so spawned workers and ``--shard K/N`` subprocesses inherit it, and
-    flushes already-registered checkpoints to it.  Idempotent; returns
-    the spill directory.
+    Gives the process-global registry a disk spill if it has none,
+    exports it as ``REPRO_CHECKPOINT_DIR`` so spawned workers and
+    ``--shard K/N`` subprocesses inherit it, and flushes
+    already-registered checkpoints to it.  Without the variable the
+    spill is a temp directory this process creates and removes at
+    exit; a directory named by the variable is never removed.
+    Idempotent; returns the spill directory.
     """
     registry = global_registry()
     if registry.directory:
         os.environ.setdefault(SPILL_DIR_ENV, registry.directory)
         return registry.directory
-    spill = os.environ.get(SPILL_DIR_ENV) or tempfile.mkdtemp(
-        prefix="repro-checkpoints-"
-    )
+    spill = os.environ.get(SPILL_DIR_ENV)
+    if not spill:
+        spill = tempfile.mkdtemp(prefix="repro-checkpoints-")
+        atexit.register(_remove_spill_dir, spill, os.getpid())
     os.environ[SPILL_DIR_ENV] = spill
     registry.attach(spill)
     return spill

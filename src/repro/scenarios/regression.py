@@ -440,8 +440,9 @@ class SpecFileError(ValueError):
 def save_specs(specs: Sequence[ScenarioSpec], path: str) -> None:
     """Write a spec list as the versioned JSON wire format."""
     doc = {"version": SPEC_FILE_VERSION, "specs": [s.to_json() for s in specs]}
+    text = json.dumps(doc, indent=2, sort_keys=True)
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True)
+        handle.write(text)
 
 
 def load_specs(path: str) -> List[ScenarioSpec]:

@@ -15,9 +15,12 @@ A store is told how to derive the key a value belongs under
 rejected, and a directory entry is decoded and re-keyed on every read
 -- an entry that fails to decode or derives another key is deleted and
 counted in :attr:`ContentStore.corruptions`, and reads as a miss.  The
-store therefore serves verified values or nothing.  Directory writes
-go through :func:`atomic_write`, the one fsync-and-rename in the
-package: an entry is never observable half-written.
+store therefore serves verified values or nothing.  A value that
+caches its key (a checkpoint's digest) derives it once: the put's key,
+its wire document and a read's re-key check all reuse it.  Directory
+writes go through :func:`atomic_write`, the one fsync-and-rename in the
+package: one ``json.dumps`` and one ``write`` per entry, never
+observable half-written.
 """
 
 from __future__ import annotations
@@ -35,23 +38,31 @@ class KeyMismatchError(ValueError):
 
 
 def atomic_write(path: str, doc: Dict[str, Any]) -> str:
-    """Stream the JSON document ``doc`` to ``path``: tempfile, fsync, rename.
+    """Write the JSON document ``doc`` to ``path``: tempfile, fsync, rename.
 
-    The destination is never observable half-written, even through a
-    crash or a killed daemon: it holds the old content or the new.
+    The document is encoded in one ``json.dumps`` (sorted keys) and
+    written as bytes in one ``write``: the file holds exactly
+    ``json.dumps(doc, sort_keys=True)``.  The destination is never
+    observable half-written, even through a crash or a killed daemon:
+    it holds the old content or the new, and a failed write leaves no
+    temp file behind.
     """
+    data = json.dumps(doc, sort_keys=True).encode("utf-8")
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     handle, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
-        with os.fdopen(handle, "w", encoding="utf-8") as stream:
-            json.dump(doc, stream, sort_keys=True)
+        with os.fdopen(handle, "wb") as stream:
+            stream.write(data)
             stream.flush()
             os.fsync(stream.fileno())
         os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
+    except BaseException:
+        try:
             os.unlink(tmp)
+        except FileNotFoundError:
+            pass
+        raise
     return path
 
 

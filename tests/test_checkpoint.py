@@ -10,9 +10,14 @@ taxonomy (Hypothesis round trips included), crash-safe persistence,
 and the frontier planner the directed-closure loop forks from.
 """
 
+import hashlib
 import json
 import os
+import subprocess
+import sys
+from copy import deepcopy
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -38,6 +43,7 @@ from repro.checkpoint import (
     snapshot_scenario_run,
     snapshot_system,
 )
+from repro.checkpoint import snapshot
 from repro.checkpoint.snapshot import WIRE_KIND
 from repro.dispatch import ShardDispatcher
 from repro.explorer.goal_planner import GoalPlanner, walk_fsm_events
@@ -45,6 +51,8 @@ from repro.psl.compiled import ENGINES
 from repro.scenarios.regression import (
     RegressionRunner,
     ScenarioSpec,
+    _attach_monitors,
+    _build_system,
     run_scenario,
 )
 from repro.scenarios.scoreboard import FaultPlan
@@ -256,11 +264,13 @@ class TestWireTaxonomy:
 
     def _restore_edited(self, checkpoint, module, edit):
         """Restore ``checkpoint`` with one module document edited.  The
-        edited checkpoint goes through the wire first, so it carries a
-        valid digest: only the declared-state check can refuse it."""
-        copy = Checkpoint.from_json(json.loads(json.dumps(checkpoint.to_json())))
-        edit(copy.modules[module])
-        restore_system(Checkpoint.from_json(copy.to_json()))
+        edit is a new checkpoint value over a deep-copied field, so it
+        carries its own valid digest through the wire: only the
+        declared-state check can refuse it."""
+        modules = deepcopy(checkpoint.modules)
+        edit(modules[module])
+        edited = replace(checkpoint, modules=modules)
+        restore_system(Checkpoint.from_json(edited.to_json()))
 
     def test_missing_module_field_rejected(self, checkpoint):
         with pytest.raises(
@@ -335,6 +345,82 @@ class TestPinnedWire:
         spec, digest = PINNED_DIGESTS[name]
         assert snapshot_scenario_run(spec, CYCLES).digest == digest
 
+    def test_spilled_file_bytes_are_pinned(self, tmp_path):
+        """The store entry a spilling registry writes for a pinned
+        capture: the file's SHA-256, not just the payload digest."""
+        spec, digest = PINNED_DIGESTS["pci-monitored"]
+        checkpoint_store(str(tmp_path)).put(snapshot_scenario_run(spec, CYCLES))
+        data = (tmp_path / f"{digest}.json").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == (
+            "cd5f5a40dcd7b095d46bc4e63a8eb09bbb753d026f65ad9e7b29b7f43e0c7e66"
+        )
+
+
+def _fresh_digest(checkpoint):
+    """The digest re-derived from the checkpoint's fields right now."""
+    text = json.dumps(
+        checkpoint.payload(), sort_keys=True, separators=(",", ":")
+    )
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+class TestCachedDigest:
+    """A checkpoint encodes its payload once: the cached digest serves
+    every later read, store key and wire document, and nothing a live
+    system shares with the checkpoint can make it stale."""
+
+    @pytest.mark.parametrize(
+        "with_monitors", [False, True], ids=["plain", "monitored"]
+    )
+    @pytest.mark.parametrize("model", sorted(MONITORED_SPECS))
+    def test_running_on_cannot_stale_the_digest(self, model, with_monitors):
+        spec = replace(MONITORED_SPECS[model], with_monitors=with_monitors)
+        at, more = 40, 30
+        system = _build_system(spec)
+        harness = None
+        if with_monitors:
+            harness = _attach_monitors(spec, system)
+            harness.record_letters = True
+        system.run_cycles(at)
+        checkpoint = snapshot_system(system, spec, at, harness)
+        digest = checkpoint.digest
+        # the source system runs on past the capture ...
+        system.run_cycles(more)
+        assert _fresh_digest(checkpoint) == checkpoint.digest == digest
+        # ... and so does a system restored from it
+        restored, _ = restore_system(checkpoint)
+        restored.run_cycles(more)
+        assert _fresh_digest(checkpoint) == checkpoint.digest == digest
+
+    def test_a_put_and_a_fetch_encode_once_each(self, tmp_path, monkeypatch):
+        checkpoint = snapshot_scenario_run(
+            ScenarioSpec("master_slave", 2005, (1, 1, 2), "default", 40), 40
+        )
+        calls = []
+
+        def dumps(doc, **options):
+            calls.append(options)
+            return json.dumps(doc, **options)
+
+        # the canonical encodes are the json.dumps calls in snapshot.py
+        monkeypatch.setattr(snapshot, "json", SimpleNamespace(dumps=dumps))
+        digest = checkpoint_store(str(tmp_path)).put(checkpoint)
+        assert len(calls) == 1
+        calls.clear()
+        fetched = checkpoint_store(str(tmp_path)).fetch(digest)
+        assert len(calls) == 1
+        assert fetched.digest == digest == _fresh_digest(fetched)
+
+    def test_an_edit_is_a_new_value_with_its_own_digest(self):
+        checkpoint = snapshot_scenario_run(
+            ScenarioSpec("pci", 2011, (1, 1), "default", 40), 40
+        )
+        with pytest.raises(AttributeError):
+            checkpoint.txn_next = 0
+        edited = replace(checkpoint, txn_next=checkpoint.txn_next + 1)
+        assert edited.digest == _fresh_digest(edited) != checkpoint.digest
+        assert checkpoint.digest == _fresh_digest(checkpoint)
+
 
 class TestAtomicPersistence:
     """Satellite fix: a crash mid-write never leaves a half-checkpoint
@@ -388,6 +474,54 @@ class TestAtomicPersistence:
         with pytest.raises(UnknownCheckpointError):
             second.get("f" * 64)
 
+
+
+class TestSpillDirectory:
+    """``ensure_spill_dir`` removes a spill directory it created at
+    exit, and never one named by ``REPRO_CHECKPOINT_DIR``."""
+
+    def _close_in_a_subprocess(self, tmp_path, spill=None):
+        env = {
+            k: v for k, v in os.environ.items() if k != SPILL_DIR_ENV
+        }
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [os.path.abspath(src), env.get("PYTHONPATH")])
+        )
+        env["TMPDIR"] = str(tmp_path)
+        if spill is not None:
+            env[SPILL_DIR_ENV] = spill
+        result = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import os\n"
+                "from repro.checkpoint import SPILL_DIR_ENV\n"
+                "from repro.workbench import Workbench\n"
+                "Workbench('master_slave').close_coverage(rounds=1, cycles=60)\n"
+                "spill = os.environ[SPILL_DIR_ENV]\n"
+                "print(spill, len(os.listdir(spill)))\n",
+            ],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        used, entries = result.stdout.split()
+        assert int(entries) > 0
+        return used
+
+    def test_a_created_spill_directory_is_removed_at_exit(self, tmp_path):
+        used = self._close_in_a_subprocess(tmp_path)
+        assert os.path.dirname(used) == str(tmp_path)
+        assert not os.path.exists(used)
+        assert os.listdir(tmp_path) == []
+
+    def test_a_named_spill_directory_survives(self, tmp_path):
+        spill = str(tmp_path / "spill")
+        assert self._close_in_a_subprocess(tmp_path, spill) == spill
+        assert os.listdir(spill)
 
 class TestHypothesisRoundTrip:
     """Random prefixes: wire round trip and re-snapshot identity."""

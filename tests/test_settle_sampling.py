@@ -10,6 +10,7 @@ before settle sampling) and once under :class:`AbvHarness`, under both
 PSL engines.
 """
 
+from copy import deepcopy
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -395,8 +396,9 @@ class TestOwedSampleCheckpoint:
         restored run is a letter short -- nothing stands in for it."""
         spec = SPECS["master_slave"]
         checkpoint = snapshot_scenario_run(replace(spec, cycles=10), 10)
-        checkpoint.clock.pop("owed_sample_in")
-        doc = checkpoint.to_json()
+        clock = deepcopy(checkpoint.clock)
+        clock.pop("owed_sample_in")
+        doc = replace(checkpoint, clock=clock).to_json()
         system, harness = restore_system(Checkpoint.from_json(doc))
         assert system.simulator._settle == []
         system.run_cycles(5)

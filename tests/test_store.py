@@ -34,7 +34,7 @@ from repro.dispatch.worker import (
     make_spec_cache,
 )
 from repro.scenarios.regression import RegressionRunner, ScenarioSpec, build_specs
-from repro.store import KeyMismatchError
+from repro.store import KeyMismatchError, atomic_write
 from repro.workbench import SerialEngine
 
 SPEC = ScenarioSpec("master_slave", 2005, (1, 1, 2), "default", 40)
@@ -225,3 +225,19 @@ def test_checkpoint_spill_is_readable_from_a_subprocess(values, tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert int(result.stdout) == checkpoint.cycles_run
+
+
+def test_atomic_write_is_one_sorted_dumps(tmp_path):
+    """The entry's bytes are exactly ``json.dumps(doc, sort_keys=True)``."""
+    doc = {"b": [1, 2.5, None, "\u00e9"], "a": {"z": {}, "y": True}}
+    path = tmp_path / "entry.json"
+    assert atomic_write(str(path), doc) == str(path)
+    assert path.read_bytes() == json.dumps(doc, sort_keys=True).encode()
+    assert os.listdir(tmp_path) == ["entry.json"]
+
+
+def test_atomic_write_of_an_unencodable_document_leaves_nothing(tmp_path):
+    path = tmp_path / "entry.json"
+    with pytest.raises(TypeError):
+        atomic_write(str(path), {"value": object()})
+    assert os.listdir(tmp_path) == []

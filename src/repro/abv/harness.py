@@ -9,7 +9,18 @@ of the rising edge's instant *is* the negedge state, so the clock
 driver arms a kernel settle observer on each rising edge and the
 harness samples there (time and clock level shown as at the negedge).
 No sampler process wakes and the clock keeps folding its low phase,
-so a monitored run costs the kernel exactly what a plain one does.
+so a monitored run costs the kernel exactly what a plain one does;
+the kernel's cycle step calls the observer in place at the end of
+the cycle.
+
+What the observer reads depends on what is bound.  With a generated
+letter reader (:mod:`repro.abv.letters`), only whole fused property
+sets bound and no letters recorded, each set's generated
+sample-and-step reads the design's signals straight into its property
+step (:meth:`repro.psl.compiled.FusedPropertySet.sample`).  Otherwise
+the extractor builds a letter and :meth:`AbvHarness._observe` steps
+it -- the reference path, which checkpoint replay uses too.  Both
+reach the same verdicts on the same cycles.
 
 The harness falls back to a negedge thread, placed where the old
 sampler thread sat, when another process waits on the clock's negedge
@@ -101,8 +112,13 @@ class AbvHarness:
         #: rebuilt when bindings change or a bound set splits
         self._plan: Optional[tuple] = None
         self._plan_generation = -1
+        #: (set, bound sampler, letter names) per fused set when the
+        #: settle observer reads the design itself; False when it must
+        #: build letters; None until bound (at the next settle)
+        self._samplers: Any = None
         #: True while sampling at settle; the negedge thread is parked
         self._settling = False
+        self._timer = clock._driver._timer
         self._thread = _SamplerThread(self)
         simulator.register_process(self._thread)
         if simulator._initialized:
@@ -125,6 +141,7 @@ class AbvHarness:
         )
         self.bindings.append(binding)
         self._plan = None
+        self._samplers = None
         if self._settling and FailureAction.WARN in binding.actions:
             # creating the negedge event hands every settle sampler of
             # this clock back to its thread (Clock._low_phase_observed)
@@ -219,22 +236,75 @@ class AbvHarness:
         """Kernel settle observer: sample the rising edge's settled state
         as the negedge at ``due`` would show it (time, clock level low).
         A STOP -- or any exception -- leaves the kernel at that negedge
-        time with the clock low, where the negedge thread left it."""
+        time with the clock low, where the negedge thread left it.
+
+        With a generated letter reader, only whole fused sets bound and
+        no letters recorded, each set's sample-and-step reads the
+        design straight into its property step; otherwise the reader
+        builds a letter and :meth:`_observe` steps it.  Both see the
+        same values and reach the same verdicts.
+        """
         sim = self.simulator
-        clock = self.clock
         timed = sim._timed
-        if len(timed) > 1 or (timed and timed[0][2] is not clock._driver._timer):
+        if len(timed) > 1 or (timed and timed[0][2] is not self._timer):
             self._check_quiet(due)
+        clock = self.clock
         now, level = sim.time, clock._current
         sim.time = due
         clock._current = False
-        self._observe(self.extractor())
+        samplers = self._samplers
+        if (
+            samplers is None
+            or self.record_letters
+            or self._plan_generation != FusedPropertySet.generation
+        ):
+            samplers = self._bind_samplers()
+        if samplers is False:
+            self._observe(self.extractor())
+        else:
+            self.cycles_observed += 1
+            check = self._plan[2]
+            letter = None
+            for fused, sample, names in samplers:
+                changed = fused.sample(sample, names)
+                if changed is None:
+                    # the set's window holds other letters: step it on
+                    # the reader's letter of the same state instead
+                    if letter is None:
+                        letter = freeze_letter(self.extractor())
+                    changed = fused.step(letter)
+                if changed:
+                    check = True
+            if check:
+                self._fire()
         sim.time = now
         clock._current = level
 
+    def _bind_samplers(self) -> Any:
+        """Bind each whole bound set's sample-and-step to the reader's
+        objects (see :attr:`_samplers`); False while recording."""
+        if self.record_letters:
+            return False
+        if self._plan is None or self._plan_generation != FusedPropertySet.generation:
+            self._regroup()
+        fused_sets, solo, _ = self._plan
+        bound = getattr(self.extractor, "bound_letter", None)
+        samplers: Any = False
+        if bound is not None and not solo:
+            shape, args = bound
+            samplers = []
+            for fused in fused_sets:
+                factory = fused.sampler(shape.source)
+                if factory is None:
+                    samplers = False
+                    break
+                samplers.append((fused, factory(*args), shape.source.names))
+        self._samplers = samplers
+        return samplers
+
     def _check_quiet(self, due: int) -> None:
         sim = self.simulator
-        own = self.clock._driver._timer
+        own = self._timer
         for fire_time, sequence, event in sim._timed:
             if (
                 fire_time <= due
@@ -280,8 +350,12 @@ class AbvHarness:
         for binding in solo:
             if binding.monitor.step(letter) is Verdict.FAILS and not binding.fired:
                 check = True
-        if not check:
-            return
+        if check:
+            self._fire()
+
+    def _fire(self) -> None:
+        """Run the failure actions of every binding that just failed."""
+        fused_sets, solo, _ = self._plan
         self._plan = (fused_sets, solo, False)
         stop_requested: Optional[str] = None
         for binding in self.bindings:
@@ -301,18 +375,23 @@ class AbvHarness:
             bound[key] = bound.get(key, 0) + 1
         fused_sets: List[FusedPropertySet] = []
         solo: List[AssertionBinding] = []
+        #: id(set) -> is every member of it bound exactly once
+        whole: Dict[int, bool] = {}
         for binding in self.bindings:
             monitor = binding.monitor
             fused = (
                 monitor.property_set
                 if isinstance(monitor, CompiledProperty) else None
             )
-            if fused is not None and all(
-                bound.get(id(m)) == 1 for m in fused.members
-            ):
-                if fused not in fused_sets:
+            if fused is None:
+                solo.append(binding)
+                continue
+            key = id(fused)
+            if key not in whole:
+                whole[key] = all(bound.get(id(m)) == 1 for m in fused.members)
+                if whole[key]:
                     fused_sets.append(fused)
-            else:
+            if not whole[key]:
                 solo.append(binding)
         # the first observe after regrouping scans every verdict once,
         # so a monitor bound after it failed still fires
@@ -344,9 +423,15 @@ class AbvHarness:
     # -- results ---------------------------------------------------------------------
 
     def finish(self) -> List[MonitorReport]:
-        """End-of-simulation wrap-up: uncovered covers and pending strong
-        obligations become warnings; returns every monitor's report."""
-        results: List[MonitorReport] = []
+        """End-of-simulation wrap-up (:meth:`wrap_up`); returns every
+        monitor's report."""
+        self.wrap_up()
+        return [binding.monitor.report() for binding in self.bindings]
+
+    def wrap_up(self) -> None:
+        """End-of-simulation wrap-up without the reports: uncovered
+        covers and pending strong obligations become warnings, and with
+        observability on each monitor's step time becomes a span."""
         for binding in self.bindings:
             monitor = binding.monitor
             verdict = monitor.verdict()
@@ -362,10 +447,8 @@ class AbvHarness:
                     message="strong obligation still pending at end of simulation",
                     time=self.simulator.time,
                 )
-            results.append(monitor.report())
         if OBS.enabled:
             self._emit_observability()
-        return results
 
     def _emit_observability(self) -> None:
         """Attribute accumulated per-monitor step time as synthetic spans.

@@ -24,20 +24,28 @@ variables of :func:`each` are constants.  Two helpers are understood:
 ``any(path)`` over a list of signals and ``bool(x)``; a list of signals
 may also be indexed by a run-time value (``wires.stop[wires.addr]``).
 
-``system.letter`` is then a generated reader: straight-line code that
-reads ``Signal._current`` slots into one dict literal, in declaration
-order, and wraps it in a :class:`~repro.psl.letter.FrozenLetter` that
-adopts the dict without copying it.  The code is compiled once per
-system *shape* (repetition counts and what each path resolves to) and
-bound to each system's objects, so building a system costs a few
-attribute walks.
+Each system *shape* (repetition counts and what each path resolves
+to) is lowered once to straight-line source: the bound objects, the
+hoisted signal reads and one expression per entry
+(:class:`~repro.psl.compiled.LetterSource`).  ``system.letter`` is a
+reader generated from it, which reads ``Signal._current`` slots into
+one dict literal, in declaration order, and wraps it in a
+:class:`~repro.psl.letter.FrozenLetter` that adopts the dict without
+copying it.  The same source is the prologue of a fused property
+set's sample-and-step, which reads the slots straight into its
+property step without building a letter; an ABV harness finds the
+shape and the bound objects on the reader (``bound_letter``).  Each
+is compiled once per shape on first use and bound to each system's
+objects, so building a system costs a few attribute walks and a run
+that only samples never compiles the reader.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from ..psl.compiled import LetterSource
 from ..psl.letter import FrozenLetter
 from ..sysc.signal import Signal
 
@@ -77,8 +85,8 @@ class LetterDeclaration:
         self._attr = "letter"
         #: counts -> (names, (expression, loop binding) pairs, paths)
         self._plans: Dict[tuple, tuple] = {}
-        #: (counts, kinds) -> compiled reader factory
-        self._factories: Dict[tuple, Callable] = {}
+        #: (counts, kinds) -> the lowered letter of that system shape
+        self._factories: Dict[tuple, _Shape] = {}
 
     def __set_name__(self, owner: type, name: str) -> None:
         self._attr = name
@@ -93,7 +101,33 @@ class LetterDeclaration:
     # -- building a reader -----------------------------------------------------
 
     def reader(self, system: Any) -> Callable[[], FrozenLetter]:
-        """A fresh reader bound to ``system``'s signals and modules."""
+        """A fresh reader bound to ``system``'s signals and modules.
+
+        The reader carries ``(shape, args)`` as ``bound_letter``: an
+        ABV harness that finds it reads the same slots straight into
+        its generated sample-and-step instead of calling the reader.
+        A shape's reader code compiles on the first call of a reader,
+        so a run that only ever samples never compiles it.
+        """
+        shape, args = self.bind(system)
+        factory = shape.factory
+        if factory is not None:
+            read = factory(object.__new__, FrozenLetter, *args)
+        else:
+            bound = None
+
+            def read() -> FrozenLetter:
+                nonlocal bound
+                if bound is None:
+                    factory = shape.factory or shape.compile()
+                    bound = factory(object.__new__, FrozenLetter, *args)
+                return bound()
+
+        read.bound_letter = (shape, args)
+        return read
+
+    def bind(self, system: Any) -> Tuple["_Shape", List[Any]]:
+        """``system``'s letter shape and the objects its code reads."""
         counts = tuple(
             getattr(system, entry.count)
             for entry in self.entries if isinstance(entry, _Each)
@@ -120,12 +154,12 @@ class LetterDeclaration:
                 kinds.append("value")
                 args.append(parent)
         key = (counts, tuple(kinds))
-        factory = self._factories.get(key)
-        if factory is None:
-            factory = self._factories[key] = _compile(
-                names, expressions, paths, kinds
+        shape = self._factories.get(key)
+        if shape is None:
+            shape = self._factories[key] = _Shape(
+                (self, key), names, expressions, paths, kinds
             )
-        return factory(object.__new__, FrozenLetter, *args)
+        return shape, args
 
     def _plan(self, counts: tuple) -> tuple:
         """Expand the groups for ``counts``: names, expressions, and the
@@ -207,51 +241,79 @@ def _resolve(system: Any, path: Path) -> Tuple[Any, Any]:
     return parent, value
 
 
-def _compile(
-    names: List[str],
-    expressions: List[Tuple[str, Dict[str, int]]],
-    paths: List[Path],
-    kinds: List[Any],
-) -> Callable:
-    """Generate and compile the reader factory for one system shape."""
-    params: List[str] = []
-    for k, kind in enumerate(kinds):
-        if kind == "signal":
-            params.append(f"s{k}")
-        elif kind == "value":
-            params.append(f"o{k}")
-        else:
-            params.append(f"l{k}")
-            params.extend(f"e{k}_{j}" for j in range(kind))
-    index = {path: k for k, path in enumerate(paths)}
-    trees = [_parse(source, env) for source, env in expressions]
-    # a signal read more than once is read into a local first
-    uses = [0] * len(paths)
-    for tree in trees:
-        for node in ast.walk(tree):
-            if hasattr(node, "path"):
-                uses[index[node.path]] += 1
-    hoisted = [k for k, kind in enumerate(kinds) if kind == "signal" and uses[k] > 1]
-    lower = _Lower(index, kinds, set(hoisted))
-    items = ", ".join(
-        f"{name!r}: {ast.unparse(lower.visit(tree))}"
-        for name, tree in zip(names, trees)
-    )
-    lines = [f"def bind(_new, _FL, {', '.join(params)}):", "    def read():"]
-    lines += [f"        v{k} = s{k}._current" for k in hoisted]
-    lines += [
-        "        letter = _new(_FL)",
-        f"        letter._data = {{{items}}}",
-        "        letter._hash = None",
-        "        return letter",
-        "    return read",
-    ]
-    source = "\n".join(lines) + "\n"
-    scope: Dict[str, Any] = {}
-    exec(compile(source, "<letter reader>", "exec"), scope)
-    factory = scope["bind"]
-    factory.source = source
-    return factory
+class _Shape:
+    """One system shape's letter, lowered to Python source once.
+
+    ``source`` is the straight-line code -- bound-object parameters,
+    hoisted signal reads and one expression per letter entry -- that
+    both the reader (compiled on first use by :meth:`compile`) and a
+    fused property set's sample-and-step
+    (:meth:`~repro.psl.compiled.FusedPropertySet.sampler`) are built
+    from.  Its locals are ``s``/``o``/``l``/``e``/``r`` plus an index,
+    names the step generator leaves alone.
+    """
+
+    def __init__(
+        self,
+        key: tuple,
+        names: List[str],
+        expressions: List[Tuple[str, Dict[str, int]]],
+        paths: List[Path],
+        kinds: List[Any],
+    ):
+        params: List[str] = []
+        for k, kind in enumerate(kinds):
+            if kind == "signal":
+                params.append(f"s{k}")
+            elif kind == "value":
+                params.append(f"o{k}")
+            else:
+                params.append(f"l{k}")
+                params.extend(f"e{k}_{j}" for j in range(kind))
+        index = {path: k for k, path in enumerate(paths)}
+        trees = [_parse(source, env) for source, env in expressions]
+        # a signal read more than once is read into a local first
+        uses = [0] * len(paths)
+        for tree in trees:
+            for node in ast.walk(tree):
+                if hasattr(node, "path"):
+                    uses[index[node.path]] += 1
+        hoisted = [
+            k for k, kind in enumerate(kinds) if kind == "signal" and uses[k] > 1
+        ]
+        lower = _Lower(index, kinds, set(hoisted))
+        self.source = LetterSource(
+            key=key,
+            names=tuple(names),
+            params=tuple(params),
+            lines=tuple(f"r{k} = s{k}._current" for k in hoisted),
+            values=tuple(ast.unparse(lower.visit(tree)) for tree in trees),
+        )
+        #: the compiled reader factory, once a reader was called
+        self.factory: Optional[Callable] = None
+
+    def compile(self) -> Callable:
+        """Generate and compile the reader factory for this shape."""
+        letter = self.source
+        items = ", ".join(
+            f"{name!r}: {value}" for name, value in zip(letter.names, letter.values)
+        )
+        lines = [f"def bind(_new, _FL, {', '.join(letter.params)}):", "    def read():"]
+        lines += [f"        {line}" for line in letter.lines]
+        lines += [
+            "        letter = _new(_FL)",
+            f"        letter._data = {{{items}}}",
+            "        letter._hash = None",
+            "        return letter",
+            "    return read",
+        ]
+        source = "\n".join(lines) + "\n"
+        scope: Dict[str, Any] = {}
+        exec(compile(source, "<letter reader>", "exec"), scope)
+        factory = scope["bind"]
+        factory.source = source
+        self.factory = factory
+        return factory
 
 
 def _as_bool(test: ast.expr) -> ast.expr:
@@ -278,7 +340,7 @@ class _Lower(ast.NodeTransformer):
         kind = self.kinds[k]
         if kind == "signal":
             if k in self.hoisted:
-                return ast.Name(f"v{k}", ast.Load())
+                return ast.Name(f"r{k}", ast.Load())
             return ast.Attribute(ast.Name(f"s{k}", ast.Load()), "_current", ast.Load())
         if kind == "value":
             step, key = node.path[-1]  # type: ignore[attr-defined]

@@ -14,8 +14,10 @@ The pieces:
   injectable factory), primed with a job's spec list while the job
   runs and made to forget it when the job ends.
 * :class:`Job` -- one submitted regression: a spec-list fingerprint,
-  its seed set, a lifecycle status, and eventually the merged report
-  (or the abort reason).
+  its seed set, a lifecycle status, and eventually the merged
+  report's result-store key (or the abort reason).  The job table
+  keeps every queued and running job and the newest
+  :data:`FINISHED_JOBS_KEPT` finished ones.
 * :class:`Coordinator` -- ties them together.  Spec lists arrive
   through ``POST /specs`` in the worker's bounded LRU spec cache
   (:func:`~repro.dispatch.worker.make_spec_cache`); ``submit`` names
@@ -265,10 +267,20 @@ class WorkerRegistry:
 #: Job lifecycle states, in order.
 JOB_STATUSES = ("queued", "running", "done", "failed")
 
+#: Finished (done or failed) jobs the coordinator keeps answering for;
+#: past this many the oldest is forgotten and its id answers 404.
+#: Queued and running jobs are always kept.
+FINISHED_JOBS_KEPT = 256
+
 
 @dataclass
 class Job:
-    """One submitted regression job and everything known about it."""
+    """One submitted regression job and everything known about it.
+
+    A done job holds its merged report's result-store key, not the
+    report: :attr:`report_doc` reads (and re-verifies) it from
+    ``store`` on each access.
+    """
 
     job_id: str
     fingerprint: str
@@ -276,10 +288,20 @@ class Job:
     n_specs: int
     status: str = "queued"
     from_cache: bool = False
-    report_doc: Optional[Dict[str, Any]] = None
+    report_key: Optional[str] = None
     error: Optional[str] = None
     dispatch: Dict[str, Any] = field(default_factory=dict)
     submitted_at: float = field(default_factory=time.time)
+    store: Optional[ContentStore] = field(default=None, repr=False, compare=False)
+
+    @property
+    def report_doc(self) -> Optional[Dict[str, Any]]:
+        """The merged report's wire form, read from the result store
+        (None until the job is done, or if the entry is gone)."""
+        if self.report_key is None or self.store is None:
+            return None
+        stored = self.store.fetch(self.report_key)
+        return None if stored is None else stored.report.to_json()
 
     def to_json(self) -> Dict[str, Any]:
         """The ``GET /jobs/<id>`` wire form."""
@@ -330,6 +352,8 @@ class Coordinator:
         self.started_monotonic = time.monotonic()
         self.spec_cache = make_spec_cache()
         self._jobs: Dict[str, Job] = {}
+        #: finished job ids, oldest first (bounded by FINISHED_JOBS_KEPT)
+        self._finished: Deque[str] = deque()
         # a queued job carries its own spec list: the LRU may evict it
         self._queue: Deque[Tuple[Job, List[ScenarioSpec]]] = deque()
         self._counter = 0
@@ -371,14 +395,16 @@ class Coordinator:
                 fingerprint=fingerprint,
                 seeds=seeds,
                 n_specs=len(specs),
+                store=self.store,
             )
             self._jobs[job.job_id] = job
         self.metrics.counter("coordinator.jobs_submitted").inc()
-        cached = self.store.fetch(store_key(fingerprint, seeds))
-        if cached is not None:
+        key = store_key(fingerprint, seeds)
+        if self.store.fetch(key) is not None:
             job.status = "done"
             job.from_cache = True
-            job.report_doc = cached.report.to_json()
+            job.report_key = key
+            self._finish(job)
             self.metrics.counter("coordinator.jobs_from_store").inc()
             return job
         with self._lock:
@@ -386,11 +412,20 @@ class Coordinator:
         return job
 
     def job(self, job_id: str) -> Job:
-        """Look a job up by id (:class:`NotFound` -> daemon 404)."""
+        """Look a job up by id (:class:`NotFound` -> daemon 404, also
+        for a finished job the table has since forgotten)."""
         with self._lock:
             if job_id not in self._jobs:
-                raise NotFound(f"unknown job {job_id!r}")
+                raise NotFound(f"unknown or expired job {job_id!r}")
             return self._jobs[job_id]
+
+    def _finish(self, job: Job) -> None:
+        """Record ``job`` as finished; forget the oldest finished jobs
+        beyond :data:`FINISHED_JOBS_KEPT`."""
+        with self._lock:
+            self._finished.append(job.job_id)
+            while len(self._finished) > FINISHED_JOBS_KEPT:
+                self._jobs.pop(self._finished.popleft(), None)
 
     def jobs(self) -> List[Job]:
         """Every job this coordinator has seen, oldest first."""
@@ -578,6 +613,7 @@ class Coordinator:
         if error is not None:
             job.status = "failed"
             job.error = str(error)
+            self._finish(job)
             self.metrics.counter("coordinator.jobs_failed").inc()
             return
         results = queue.results(remaining)
@@ -587,7 +623,7 @@ class Coordinator:
         )
         merged.wall_seconds = time.perf_counter() - started
         merged.workers = len(shards) or 1
-        self.store.put(StoredReport(job.fingerprint, job.seeds, merged))
+        report_key = self.store.put(StoredReport(job.fingerprint, job.seeds, merged))
         for shard in shards:
             self.shard_store.discard(
                 store_key(job.fingerprint, job.seeds, (shard.index, shard.of))
@@ -603,8 +639,9 @@ class Coordinator:
             "worker_leaves": self.registry.leaves,
             "spec_cache_bytes_saved": saved_delta,
         }
-        job.report_doc = merged.to_json()
+        job.report_key = report_key
         job.status = "done"
+        self._finish(job)
         self.metrics.counter("coordinator.jobs_completed").inc()
         self.metrics.counter("coordinator.shards_dispatched").inc(len(shards))
         self.metrics.counter("coordinator.spec_cache_bytes_saved").inc(

@@ -9,7 +9,7 @@ Two consumers share the one lowering (:class:`Lowering`):
 
 * :func:`bool_function` -- a per-expression function ``(history) ->
   bool`` over a letter window (current letter last).  The interpreted
-  engine's letter view, :class:`~repro.psl.compiled.SereAutomaton`
+  engine's letter view, :class:`~repro.psl.automaton.SereAutomaton`
   valuations and the fused property sets' exact slow path all call it;
 * the fused property sets of :mod:`repro.psl.compiled`, which lower
   the union of a set's atoms into one generated step function with
@@ -24,6 +24,10 @@ whole by :meth:`Expr.eval` -- correctness never depends on the
 generator.  A Boolean function maps a missing signal, a too-short
 history and :class:`PslEvaluationError` to ``False`` (the monitor
 convention); every other exception propagates.
+
+The module also keeps the hit/miss counters of the PSL compile caches
+(:data:`COMPILE_STATS`, counted through :func:`count_lookup`), which
+:mod:`repro.psl.compiled` and :mod:`repro.psl.automaton` both update.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from __future__ import annotations
 import functools
 from typing import Any, Callable, Dict, Mapping, Sequence
 
+from ..obs.runtime import OBS
 from .ast_nodes import (
     And,
     Arith,
@@ -104,17 +109,22 @@ class Lowering:
         """``as_bool(source)`` with the common bool case inlined."""
         self._temps += 1
         temp = f"_c{self._temps}"
-        return (
-            f"(({temp} := {source}) is True or "
-            f"({temp} is not False and as_bool({temp})))"
-        )
+        return f"({temp} if ({temp} := {source}).__class__ is bool else as_bool({temp}))"
 
     def boolean(self, expression: Expr, offset: int = 0) -> str:
         """Source of ``as_bool(expression)`` at ``offset`` cycles back."""
         if isinstance(expression, Const) and isinstance(expression.value, bool):
             return repr(expression.value)
-        if isinstance(expression, Var) and self.read_bool is not None:
-            return self.read_bool(expression.name, offset)
+        if self.read_bool is not None:
+            if isinstance(expression, Var):
+                return self.read_bool(expression.name, offset)
+            if (
+                isinstance(expression, Func)
+                and expression.name == "prev"
+                and isinstance(expression.args[0], Var)
+            ):
+                depth = _prev_depth(expression)
+                return self.read_bool(expression.args[0].name, offset + depth)
         source = self.value(expression, offset)
         if isinstance(expression, _BOOLEAN_NODES) or (
             isinstance(expression, Func) and expression.name in _BOOLEAN_FUNCS
@@ -168,12 +178,7 @@ class Lowering:
         name = expression.name
         argument = expression.args[0]
         if name == "prev":
-            depth = 1
-            if len(expression.args) == 2:
-                if not isinstance(expression.args[1], Const):
-                    raise Unsupported("prev with a computed depth")
-                depth = int(expression.args[1].value)
-            return self.value(argument, offset + depth)
+            return self.value(argument, offset + _prev_depth(expression))
         if name in ("rose", "fell", "stable"):
             guard = f"len(H) >= {offset + 2} and " if self.guarded else ""
             if name == "stable":
@@ -191,6 +196,34 @@ class Lowering:
             limit = "== 1" if name == "onehot" else "<= 1"
             return f"(countones({self.value(argument, offset)}) {limit})"
         raise Unsupported(f"built-in {name}()")
+
+
+#: Hit/miss counts of the PSL compile caches (plans and automata),
+#: reported by :func:`repro.psl.compiled.compile_cache_stats`.
+COMPILE_STATS: Dict[str, int] = {
+    "plan_hits": 0,
+    "plan_misses": 0,
+    "automaton_hits": 0,
+    "automaton_misses": 0,
+}
+
+
+def count_lookup(stat: str, metric: str, result: str, n: int = 1) -> None:
+    """Count ``n`` compile-cache lookups in :data:`COMPILE_STATS` and,
+    with metrics on, in the ``metric`` counter labelled ``result``."""
+    COMPILE_STATS[stat] += n
+    metrics = OBS.metrics
+    if metrics.enabled:
+        metrics.counter(metric, result=result).inc(n)
+
+
+def _prev_depth(expression: Func) -> int:
+    """How many cycles back ``prev(x)`` / ``prev(x, n)`` reads."""
+    if len(expression.args) == 2:
+        if not isinstance(expression.args[1], Const):
+            raise Unsupported("prev with a computed depth")
+        return int(expression.args[1].value)
+    return 1
 
 
 def _history_read(name: str, offset: int) -> str:

@@ -17,11 +17,12 @@ call into one :class:`FusedPropertySet`.  Each cycle the set
 * advances every property in the same generated function: invariants,
   ``eventually!`` and ``until`` are inline compares; SERE, cover and
   suffix-implication members look their next state up in shared
-  :class:`SereAutomaton` tables (lazily filled by running the
-  interpreted :func:`~repro.psl.monitor.derivatives` over a symbolic
-  letter, so both engines agree by construction), with the common
-  "only the start state is live" cycle inlined.  One-letter SERE
-  operands (``{b}``) skip the table and compare inline too.
+  :class:`~repro.psl.automaton.SereAutomaton` tables (lazily filled
+  by running the interpreted :func:`~repro.psl.monitor.derivatives`
+  over a symbolic letter, so both engines agree by construction),
+  with the common "only the start state is live" cycle inlined.
+  One-letter SERE operands (``{b}``) skip the table and compare
+  inline too.
 
 Set state is one flat list; the members returned to the caller are
 :class:`CompiledProperty` views over their slice of it, keeping the
@@ -68,33 +69,72 @@ from .ast_nodes import (
     Formula,
     Property,
     Sere,
-    SereAnd,
     SereBool,
-    SereConcat,
-    SereFusion,
-    SereOr,
-    SereRepeat,
-    TRUE,
     Var,
 )
-from .codegen import Lowering, Unsupported, bool_function, define
+from .automaton import _AUTOMATON_CACHE, SereAutomaton, shared_automaton
+from .codegen import (
+    COMPILE_STATS,
+    Lowering,
+    Unsupported,
+    bool_function,
+    count_lookup,
+    define,
+)
 from .errors import PslParseError, PslUnsupportedError
-from .letter import freeze_letter
+from .letter import FrozenLetter, freeze_letter
 from .monitor import (
     Monitor,
-    SereTracker,
     _as_sere,
     _consequent_is_strong,
     build_monitor,
-    derivatives,
     history_depth,
-    nullable,
-    sere_history_depth,
 )
 from .semantics import Verdict
 from .sere import desugar
 
 Letter = Mapping[str, Any]
+
+
+class LetterSource:
+    """One letter shape as straight-line source, for a sample-and-step.
+
+    ``params`` name the objects a bound sampler closes over (signals,
+    signal lists, attribute owners); ``lines`` are statements run first
+    (hoisted reads); ``values`` holds one Python expression per letter
+    entry, in ``names`` order.  ``key`` identifies the shape in the
+    step cache.  Locals and parameters must keep clear of the step's
+    own names (``v``/``b``/``t``/``n`` plus an index, ``W``, ``S``,
+    ``c``...); :mod:`repro.abv.letters` produces these.
+    """
+
+    __slots__ = ("key", "names", "params", "lines", "values")
+
+    def __init__(
+        self,
+        key: Any,
+        names: Tuple[str, ...],
+        params: Tuple[str, ...],
+        lines: Tuple[str, ...],
+        values: Tuple[str, ...],
+    ):
+        self.key = key
+        self.names = names
+        self.params = params
+        self.lines = lines
+        self.values = values
+
+
+def letters_of(names: Tuple[str, ...], window: Sequence[tuple]) -> List[Letter]:
+    """Dict letters of a sampled window's value tuples."""
+    letters = []
+    for values in window:
+        letter = object.__new__(FrozenLetter)
+        letter._data = dict(zip(names, values))
+        letter._hash = None
+        letters.append(letter)
+    return letters
+
 
 #: Engine names accepted by :func:`compile_properties`.
 ENGINES = ("compiled", "interpreted")
@@ -132,220 +172,6 @@ def _validate_engine(engine: str) -> str:
             f"unknown PSL engine {engine!r}; expected one of {ENGINES}"
         )
     return engine
-
-
-# ---------------------------------------------------------------------------
-# Symbolic letters: drive the interpreted derivative engine over a
-# truth assignment instead of a concrete letter
-# ---------------------------------------------------------------------------
-
-
-class _SymbolicView:
-    """Letter view answering ``holds`` from a fixed truth assignment.
-
-    Used while filling transition-table cells: the cell's symbol fixes
-    the truth of every atom, so :func:`~repro.psl.monitor.derivatives`
-    runs unchanged over this view.  Meeting an expression outside the
-    collected atom set means atom collection missed a reachable
-    ``SereBool`` -- surfaced as unsupported rather than mis-evaluated.
-    """
-
-    __slots__ = ("_truth",)
-
-    def __init__(self, truth: Dict[Expr, bool]):
-        self._truth = truth
-
-    def holds(self, expression: Expr) -> bool:
-        value = self._truth.get(expression)
-        if value is None:
-            raise PslUnsupportedError(
-                f"expression {expression} escaped atom collection; "
-                f"cannot compile this SERE to an automaton"
-            )
-        return value
-
-
-def _collect_atoms(item: Sere, out: Dict[Expr, None]) -> None:
-    """Ordered-set walk of every Boolean atom reachable via desugaring.
-
-    Desugaring happens *here* too (goto/non-consecutive repetition
-    introduce negated atoms the surface SERE never mentions), so the
-    collected set covers everything ``derivatives`` can ask about.
-    """
-    item = desugar(item)
-    if isinstance(item, SereBool):
-        out.setdefault(item.expr)
-    elif isinstance(item, SereConcat):
-        for part in item.parts:
-            _collect_atoms(part, out)
-    elif isinstance(item, (SereFusion, SereOr, SereAnd)):
-        _collect_atoms(item.left, out)
-        _collect_atoms(item.right, out)
-    elif isinstance(item, SereRepeat):
-        _collect_atoms(item.body, out)
-    else:  # pragma: no cover - desugar() returns only the above
-        raise TypeError(f"unknown SERE node {type(item).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# The automaton
-# ---------------------------------------------------------------------------
-
-
-class SereAutomaton:
-    """Lazily-enumerated DFA over derivative residual sets.
-
-    States are integer indices into ``_states`` (index ``i`` is the
-    residual ``frozenset`` the interpreted engine would carry);
-    ``start`` is the state for a match anchored *now*.  ``advance``
-    consumes one symbol and returns ``(next_state, matched)`` where
-    ``next_state`` is :data:`DEAD` when the residual set died and
-    ``matched`` mirrors ``SereTracker.advance``'s completed-match flag.
-
-    Transition cells are filled on first use by running the symbolic
-    derivative engine, then hit as plain dict lookups forever after.
-    Instances are shared (via :func:`shared_automaton`) across every
-    monitor compiled from an equal SERE in the process.
-    """
-
-    #: Sentinel state index: the residual set became empty.
-    DEAD = -1
-
-    def __init__(self, item: Sere):
-        self.sere = desugar(item)
-        self.depth = sere_history_depth(self.sere)
-        atoms: Dict[Expr, None] = {}
-        _collect_atoms(self.sere, atoms)
-        # The non-length-matching && rewrite pads with true[*]; make
-        # sure TRUE is always a known atom.
-        atoms.setdefault(TRUE)
-        self.atoms: Tuple[Expr, ...] = tuple(atoms)
-        self._atom_fns = tuple(bool_function(a) for a in self.atoms)
-        start_set = frozenset({self.sere})
-        self._states: List[frozenset] = [start_set]
-        self._index: Dict[frozenset, int] = {start_set: 0}
-        self._table: List[Dict[int, Tuple[int, bool]]] = [{}]
-        self.start = 0
-        self.table_fills = 0  # cells computed (diagnostic / bench)
-
-    # -- hot path ---------------------------------------------------------
-
-    def valuation(self, history: Sequence[Letter]) -> int:
-        """Pack the atoms' truth over ``history`` into one symbol."""
-        symbol = 0
-        bit = 1
-        for fn in self._atom_fns:
-            if fn(history):
-                symbol |= bit
-            bit <<= 1
-        return symbol
-
-    def advance(self, state: int, symbol: int) -> Tuple[int, bool]:
-        """One transition; fills the table cell on first visit."""
-        entry = self._table[state].get(symbol)
-        if entry is None:
-            entry = self._fill(state, symbol)
-        return entry
-
-    def advance_all(self, states: int, symbol: int) -> Tuple[int, int]:
-        """Advance a bitset of live states: ``(survivors, matches)``."""
-        table = self._table
-        survivors = 0
-        matches = 0
-        while states:
-            low = states & -states
-            state = low.bit_length() - 1
-            states ^= low
-            entry = table[state].get(symbol) or self._fill(state, symbol)
-            if entry[1]:
-                matches += 1
-            if entry[0] >= 0:
-                survivors |= 1 << entry[0]
-        return survivors, matches
-
-    def discharge(self, obligations: int, symbol: int) -> Tuple[int, bool]:
-        """Advance consequent obligations: ``(still_live, any_failed)``.
-
-        A matching obligation is discharged; one whose residual set
-        died without matching fails the property.
-        """
-        table = self._table
-        live = 0
-        failed = False
-        while obligations:
-            low = obligations & -obligations
-            state = low.bit_length() - 1
-            obligations ^= low
-            entry = table[state].get(symbol) or self._fill(state, symbol)
-            if entry[1]:
-                continue
-            if entry[0] < 0:
-                failed = True
-            else:
-                live |= 1 << entry[0]
-        return live, failed
-
-    # -- cold path --------------------------------------------------------
-
-    def _fill(self, state: int, symbol: int) -> Tuple[int, bool]:
-        truth: Dict[Expr, bool] = {}
-        bit = 1
-        for atom in self.atoms:
-            truth[atom] = bool(symbol & bit)
-            bit <<= 1
-        view = _SymbolicView(truth)
-        result: set = set()
-        for residual in self._states[state]:
-            result |= derivatives(residual, view)
-        if len(result) > SereTracker.MAX_RESIDUALS:
-            raise PslUnsupportedError(
-                f"SERE residual set exceeded {SereTracker.MAX_RESIDUALS} "
-                f"terms; use the ReplayMonitor for this property"
-            )
-        matched = any(nullable(r) for r in result)
-        if not result:
-            entry = (self.DEAD, matched)
-        else:
-            new_set = frozenset(result)
-            index = self._index.get(new_set)
-            if index is None:
-                index = len(self._states)
-                self._states.append(new_set)
-                self._index[new_set] = index
-                self._table.append({})
-            entry = (index, matched)
-        self._table[state][symbol] = entry
-        self.table_fills += 1
-        return entry
-
-    # -- introspection ----------------------------------------------------
-
-    @property
-    def state_count(self) -> int:
-        """States discovered so far (grows as the table fills)."""
-        return len(self._states)
-
-    def variables(self) -> frozenset:
-        """Signal names this monitor samples each cycle."""
-        return self.sere.variables()
-
-
-#: Process-wide automaton cache: equal (desugared) SEREs share one
-#: automaton and therefore one transition table.
-_AUTOMATON_CACHE: Dict[Sere, SereAutomaton] = {}
-
-
-def shared_automaton(item: Sere) -> SereAutomaton:
-    """Automaton for ``item``, shared process-wide by SERE equality."""
-    key = desugar(item)
-    automaton = _AUTOMATON_CACHE.get(key)
-    if automaton is None:
-        _bump("automaton_misses", "psl.compile.automaton", "miss")
-        automaton = SereAutomaton(key)
-        _AUTOMATON_CACHE[key] = automaton
-    else:
-        _bump("automaton_hits", "psl.compile.automaton", "hit")
-    return automaton
 
 
 # ---------------------------------------------------------------------------
@@ -395,14 +221,12 @@ class _Plan:
     strong: bool = False
     inclusive: bool = False  # until
     overlapping: bool = False  # implication: |-> vs |=>
-    key: Tuple = ()
+    #: signal names the property samples (worked out once, at build)
+    names: frozenset = frozenset()
 
     def variables(self) -> frozenset:
         """Signal names the property samples."""
-        names = self.left.variables()
-        if self.right is not None:
-            names = names | self.right.variables()
-        return names
+        return self.names
 
     def initial_verdict(self) -> Verdict:
         """Verdict before the first letter (mirrors the interpreter)."""
@@ -411,11 +235,7 @@ class _Plan:
         return Verdict.HOLDS
 
     def __call__(self) -> "CompiledProperty":
-        cls = {
-            "cover": CompiledCover,
-            "implication": CompiledSuffixImplication,
-        }.get(self.kind, CompiledProperty)
-        return cls(self)
+        return _MEMBER_CLASSES.get(self.kind, CompiledProperty)(self)
 
 
 # ---------------------------------------------------------------------------
@@ -424,21 +244,30 @@ class _Plan:
 
 
 class _StepSource:
-    """Builds one set's generated step function.
+    """Builds one set's generated step function, with one of two prologues.
 
     ``step(letter, H, S, c) -> changed``: push ``letter`` into the
     window ``H``, evaluate the atom union, advance every member's slots
     in ``S`` at cycle ``c``; ``changed`` is true when some member's
     verdict became definite (failed, or held strongly) this cycle.
+
+    Given a :class:`LetterSource`, the same members get the *sampled*
+    prologue instead: ``bind(*objects)`` returns ``sample(W, S, c)``,
+    which evaluates the letter's entries straight into the atom inputs
+    and pushes one value tuple (the letter's values, in name order)
+    into the window ``W``.  Reads further back index those tuples.
     """
 
     def __init__(self, plans: Sequence[_Plan]):
         self.plans = plans
         self.reads: Dict[Tuple[str, int], int] = {}
+        self.raw_reads: Dict[Tuple[str, int], None] = {}
         self.bool_reads: Dict[Tuple[str, int], None] = {}
         self.atoms: Dict[Expr, str] = {}
         self.atom_lines: List[str] = []
         self.slow_lines: List[str] = []
+        #: an atom the lowering cannot take reads the letter window
+        self.reads_window = False
         self.namespace: Dict[str, Any] = {
             "FAILS": Verdict.FAILS,
             "HOLDS": Verdict.HOLDS,
@@ -452,12 +281,19 @@ class _StepSource:
 
     def _read(self, name: str, offset: int) -> str:
         index = self.reads.setdefault((name, offset), len(self.reads))
+        self.raw_reads.setdefault((name, offset))
         return f"v{index}"
 
     def _read_bool(self, name: str, offset: int) -> str:
-        self._read(name, offset)
+        index = self.reads.setdefault((name, offset), len(self.reads))
         self.bool_reads.setdefault((name, offset))
-        return f"b{self.reads[(name, offset)]}"
+        return f"b{index}"
+
+    def _local(self, read: Tuple[str, int]) -> str:
+        """The local a read lands in: its raw ``v`` when an atom uses
+        the raw value, else straight into its PSL Boolean ``b``."""
+        prefix = "v" if read in self.raw_reads else "b"
+        return f"{prefix}{self.reads[read]}"
 
     def atom(self, expression: Expr) -> str:
         """Local holding ``expression``'s truth this cycle."""
@@ -471,6 +307,7 @@ class _StepSource:
             source = self.lowering.boolean(expression)
         except Unsupported:
             source = f"{function}(H)"
+            self.reads_window = True
         if source in ("True", "False") or source.isidentifier():
             local = source
         else:
@@ -554,7 +391,7 @@ class _StepSource:
                 f"    {stat} += {matched}",
                 f"{v} = HOLDS_STRONGLY if {stat} else PENDING",
             ]
-        return [f"if {v} is not FAILS:", *_indent(self._implication(plan, base, fail))]
+        return self._implication(plan, base, fail)
 
     def _attempts(self, operand: Operand, slot: str) -> Tuple[List[str], str]:
         """Advance attempts anchored every cycle; returns the statements
@@ -575,25 +412,25 @@ class _StepSource:
         ], "m"
 
     def _implication(self, plan: _Plan, base: int, fail: List[str]) -> List[str]:
-        """``always {r} |->/|=> {s}``; slots: antecedent attempts,
-        obligations, obligations spawned last cycle (``|=>``)."""
+        """``always {r} |->/|=> {s}``, stepped while not failed; slots:
+        antecedent attempts, obligations, obligations spawned last
+        cycle (``|=>``)."""
         stat = f"S[{base + _STAT}]"
         verdict = f"S[{base + _VERDICT}]"
         attempts, obligations, fresh = (
             f"S[{base + slot}]" for slot in (_K0, _K1, _K2)
         )
+        guard = f"if {verdict} is not FAILS:"
         lines, matched = self._attempts(plan.left, attempts)
         consequent = plan.right
         if not isinstance(consequent, SereAutomaton):
             truth = self.atom(consequent)
             if plan.overlapping:
-                return [
-                    *lines,
-                    f"if {matched}:",
-                    f"    {stat} += 1",
-                    f"    if not {truth}:",
-                    *_indent(fail, 2),
-                ]
+                check = [f"    {stat} += 1", f"    if not {truth}:", *_indent(fail, 2)]
+                if not lines:
+                    # a Boolean antecedent rarely holds: test it first
+                    return [f"if {matched} and {verdict} is not FAILS:", *check]
+                return [guard, *_indent([*lines, f"if {matched}:", *check])]
             lines += [
                 f"f = {fresh} and not {truth}",
                 f"if {matched}:",
@@ -609,7 +446,7 @@ class _StepSource:
                     "else:",
                     f"    {verdict} = PENDING if {fresh} else HOLDS",
                 ]
-            return lines
+            return [guard, *_indent(lines)]
         n = self.automaton(consequent)
         symbol = self.symbol(consequent)
         lines += [
@@ -639,58 +476,91 @@ class _StepSource:
                 "else:",
                 f"    {verdict} = PENDING if live or {fresh} else HOLDS",
             ]
-        return lines
+        return [guard, *_indent(lines)]
 
     # -- the function --------------------------------------------------------
 
-    def build(self) -> Callable:
+    def _coerce(self, read: Tuple[str, int]) -> str:
+        """Statement making ``b`` the read's PSL Boolean (``as_bool``,
+        skipped for a bool: that is the common case)."""
+        index = self.reads[read]
+        if read not in self.raw_reads:  # read straight into b: coerce in place
+            return f"if b{index}.__class__ is not bool: b{index} = as_bool(b{index})"
+        return f"b{index} = v{index} if v{index}.__class__ is bool else as_bool(v{index})"
+
+    def build(self, letter: Optional[LetterSource] = None) -> Optional[Callable]:
+        """The step function, or with ``letter`` the sampler factory
+        (None when the properties read a name the letter lacks)."""
         members: List[str] = []
         for index, plan in enumerate(self.plans):
             members += [f"# {plan.kind} {plan.name}"]
             members += self.member(plan, index * _WIDTH)
         window = max((plan.depth for plan in self.plans), default=0) + 1
         offsets = sorted({offset for _, offset in self.reads})
-        prologue = [
-            f"L{offset} = letter._data" if offset == 0
-            else f"L{offset} = H[-{offset + 1}]._data"
-            for offset in offsets
-        ]
-        for (name, offset), index in self.reads.items():
-            prologue.append(f"v{index} = L{offset}[{name!r}]")
-            if (name, offset) in self.bool_reads:
-                prologue.append(
-                    f"b{index} = v{index} is True or "
-                    f"(v{index} is not False and as_bool(v{index}))"
-                )
+        slow = self.slow_lines or ["pass"]
+        namespace = {**self.lowering.namespace, **self.namespace}
+        if letter is None:
+            head = [
+                "H.append(letter)",
+                f"if len(H) > {window}:",
+                "    del H[0]",
+            ]
+            prologue = [
+                f"L{offset} = letter._data" if offset == 0
+                else f"L{offset} = H[-{offset + 1}]._data"
+                for offset in offsets
+            ]
+            for read in self.reads:
+                name, offset = read
+                prologue.append(f"{self._local(read)} = L{offset}[{name!r}]")
+                if read in self.bool_reads:
+                    prologue.append(self._coerce(read))
+            signature, binds = "letter, H, S, c", ()
+        else:
+            position = {name: k for k, name in enumerate(letter.names)}
+            if any(name not in position for name, _ in self.reads):
+                return None
+            current = {read[0]: self._local(read) for read in self.reads if not read[1]}
+            locals_ = [
+                current.get(name, f"n{k}") for k, name in enumerate(letter.names)
+            ]
+            head = [
+                *letter.lines,
+                *(f"{local} = {value}" for local, value in zip(locals_, letter.values)),
+                f"W.append(({', '.join(locals_)},))",
+                f"if len(W) > {window}:",
+                "    del W[0]",
+            ]
+            prologue = ["H = LETTERS(NAMES, W)"] if self.reads_window else []
+            prologue += [
+                f"L{offset} = W[-{offset + 1}]" for offset in offsets if offset
+            ]
+            for read in self.reads:
+                name, offset = read
+                if offset:
+                    prologue.append(f"{self._local(read)} = L{offset}[{position[name]}]")
+                if read in self.bool_reads:
+                    prologue.append(self._coerce(read))
+            slow = ["H = LETTERS(NAMES, W)", *slow]
+            namespace.update(LETTERS=letters_of, NAMES=letter.names)
+            signature, binds = "W, S, c", letter.params
         prologue += self.atom_lines
-        body = [
-            "H.append(letter)",
-            f"if len(H) > {window}:",
-            "    del H[0]",
-        ]
+        body = list(head)
         if prologue:
             # any surprise (missing signal, short window, odd value)
             # re-evaluates every atom exactly, one function each
-            body += [
-                "try:",
-                *_indent(prologue),
-                "except Exception:",
-                *_indent(self.slow_lines or ["pass"]),
-            ]
+            body += ["try:", *_indent(prologue), "except Exception:", *_indent(slow)]
         body += ["ch = False", *members, "return ch"]
-        namespace = {**self.lowering.namespace, **self.namespace}
+        function = "sample" if letter is not None else "step"
+        lines = [f"def {function}({signature}):", *_indent(body), f"return {function}"]
+        if letter is not None:
+            lines = [f"def bind({', '.join(binds)}):", *_indent(lines), "return bind"]
         names = sorted(namespace)
-        source = "\n".join([
-            f"def make({', '.join(names)}):",
-            "    def step(letter, H, S, c):",
-            *_indent(body, 2),
-            "    return step",
-            "",
-        ])
+        source = "\n".join([f"def make({', '.join(names)}):", *_indent(lines), ""])
         make = define(source, "make", {})
-        step = make(**namespace)
-        step.source = source
-        return step
+        built = make(**namespace)
+        built.source = source
+        return built
 
 
 def _indent(lines: Sequence[str], depth: int = 1) -> List[str]:
@@ -698,17 +568,26 @@ def _indent(lines: Sequence[str], depth: int = 1) -> List[str]:
     return [pad + line for line in lines]
 
 
-#: Generated step functions: tuple of member plan keys -> function.
-_STEP_CACHE: Dict[Tuple, Callable] = {}
+#: Generated step functions: member plans -> function; sampler
+#: factories: (letter shape key, member plans) -> factory or None.
+#: Plans hash by identity, and the plan cache holds one per key.
+_STEP_CACHE: Dict[Tuple, Optional[Callable]] = {}
 
 
-def _step_function(plans: Sequence[_Plan]) -> Callable:
-    key = tuple(plan.key for plan in plans)
-    function = _STEP_CACHE.get(key)
+def _step_function(plans: Tuple[_Plan, ...]) -> Callable:
+    function = _STEP_CACHE.get(plans)
     if function is None:
-        function = _StepSource(plans).build()
-        _STEP_CACHE[key] = function
+        function = _STEP_CACHE[plans] = _StepSource(plans).build()
     return function
+
+
+def _sampler_factory(plans: Tuple[_Plan, ...], letter: LetterSource) -> Optional[Callable]:
+    key = (letter.key, plans)
+    try:
+        return _STEP_CACHE[key]
+    except KeyError:
+        factory = _STEP_CACHE[key] = _StepSource(plans).build(letter)
+        return factory
 
 
 # ---------------------------------------------------------------------------
@@ -724,6 +603,10 @@ class FusedPropertySet:
     became definite, so a harness only scans verdicts on those cycles.
     With observability on, one ``perf_counter`` pair times each set
     step; members apportion it by their step counts.
+
+    A harness that reads a generated letter steps the set through
+    :meth:`sample` instead: then the window holds value tuples, and
+    :attr:`history` turns them back into dict letters when asked.
     """
 
     #: Bumped whenever a set splits, so holders of sets can regroup.
@@ -738,7 +621,10 @@ class FusedPropertySet:
         self.members: Tuple[CompiledProperty, ...] = tuple(members)
         self.plans = tuple(member.plan for member in self.members)
         self.depth = max((plan.depth for plan in self.plans), default=0)
-        self.history: List[Letter] = list(history)[-(self.depth + 1):] if history else []
+        #: the last ``depth + 1`` letters -- or, while ``_names`` is
+        #: set, their value tuples in ``_names`` order
+        self._window: List[Any] = list(history)[-(self.depth + 1):] if history else []
+        self._names: Optional[Tuple[str, ...]] = None
         self.cycle = cycle
         self.retired = False
         self.obs_seconds = 0.0
@@ -750,23 +636,79 @@ class FusedPropertySet:
         self._latched = self._latched_members()
         self._function: Optional[Callable] = None
 
+    @property
+    def history(self) -> List[Letter]:
+        """The letter window (current letter last)."""
+        if self._names is not None:
+            self._window = letters_of(self._names, self._window)
+            self._names = None
+        return self._window
+
+    @history.setter
+    def history(self, letters: List[Letter]) -> None:
+        """Adopt ``letters`` (current letter last) as the window."""
+        self._window = letters
+        self._names = None
+
     def step(self, letter: Letter) -> bool:
         """Advance every member by one letter; true if a verdict latched."""
         letter = freeze_letter(letter)
+        window = self.history
         self.cycle += 1
         function = self._function or self._compile()
         if OBS.enabled:
             for member in self._latched:
                 member._obs_skipped += 1
             started = _perf_counter()
-            changed = function(letter, self.history, self.state, self.cycle)
+            changed = function(letter, window, self.state, self.cycle)
             self.obs_seconds += _perf_counter() - started
             self.obs_steps += 1
         else:
-            changed = function(letter, self.history, self.state, self.cycle)
+            changed = function(letter, window, self.state, self.cycle)
         if changed:
             self._latched = self._latched_members()
         return changed
+
+    def sampler(self, letter: LetterSource) -> Optional[Callable]:
+        """This set's sample-and-step factory for one letter shape:
+        ``factory(*objects)`` is a sampler for :meth:`sample`.  None
+        when the properties read a name the letter does not have."""
+        return _sampler_factory(self.plans, letter)
+
+    def sample(self, sample: Callable, names: Tuple[str, ...]) -> Optional[bool]:
+        """Advance every member by one cycle read by a bound sampler over
+        a letter with ``names``, as :meth:`step` would on that letter.
+        None (nothing stepped) when the window cannot hold the
+        sampler's value tuples (:meth:`_adopt`)."""
+        if self._names is not names and not self._adopt(names):
+            return None
+        self.cycle += 1
+        if OBS.enabled:
+            for member in self._latched:
+                member._obs_skipped += 1
+            started = _perf_counter()
+            changed = sample(self._window, self.state, self.cycle)
+            self.obs_seconds += _perf_counter() - started
+            self.obs_steps += 1
+        else:
+            changed = sample(self._window, self.state, self.cycle)
+        if changed:
+            self._latched = self._latched_members()
+        return changed
+
+    def _adopt(self, names: Tuple[str, ...]) -> bool:
+        """Hold the window as value tuples in ``names`` order; False
+        (window untouched) when a letter in it has other names."""
+        window = self.history
+        if any(len(letter) != len(names) for letter in window):
+            return False
+        try:
+            tuples = [tuple([letter[name] for name in names]) for letter in window]
+        except KeyError:
+            return False
+        self._window = tuples
+        self._names = names
+        return True
 
     def reset(self) -> None:
         """Every member back to its pre-trace state."""
@@ -791,9 +733,10 @@ class FusedPropertySet:
         return self._function
 
     def _latched_members(self) -> List["CompiledProperty"]:
+        state = self.state
         return [
             m for m in self.members
-            if m.latch_definite and m.verdict().is_definite
+            if m.latch_definite and state[m._base + _VERDICT].is_definite
         ]
 
     def _split(self, member: "CompiledProperty") -> "FusedPropertySet":
@@ -818,16 +761,18 @@ class CompiledProperty(Monitor):
     """
 
     engine = "compiled"
+    #: the set this member is a view into, and where its slots start
+    property_set: Optional[FusedPropertySet] = None
+    _base = 0
+    #: observability step counts carried over from earlier sets
+    _obs_steps_base = 0
+    _obs_seconds_base = 0.0
+    _obs_skipped = 0
 
     def __init__(self, plan: _Plan):
         self.plan = plan
         self.name = plan.name
         self.report_message = plan.report
-        self.property_set: Optional[FusedPropertySet] = None
-        self._base = 0
-        self._obs_steps_base = 0
-        self._obs_seconds_base = 0.0
-        self._obs_skipped = 0
 
     # -- views over the set --------------------------------------------------
 
@@ -952,6 +897,10 @@ class CompiledSuffixImplication(CompiledProperty):
         return self.property_set.state[self._base + _STAT]
 
 
+#: member class per plan kind (every other kind: CompiledProperty)
+_MEMBER_CLASSES = {"cover": CompiledCover, "implication": CompiledSuffixImplication}
+
+
 # ---------------------------------------------------------------------------
 # The public compilation API
 # ---------------------------------------------------------------------------
@@ -961,28 +910,13 @@ class CompiledSuffixImplication(CompiledProperty):
 #: binding) -> zero-arg monitor factory.
 _PLAN_CACHE: Dict[Tuple, Callable[[], Monitor]] = {}
 
-_CACHE_STATS = {
-    "plan_hits": 0,
-    "plan_misses": 0,
-    "automaton_hits": 0,
-    "automaton_misses": 0,
-}
-
-
-def _bump(stat: str, metric: str, result: str) -> None:
-    _CACHE_STATS[stat] += 1
-    metrics = OBS.metrics
-    if metrics.enabled:
-        metrics.counter(metric, result=result).inc()
-
-
 def compile_cache_stats() -> Dict[str, int]:
     """Process-wide compile-cache counters (plans and automata).
 
     Exposed on the worker ``/healthz`` endpoint; hits should dwarf
     misses in any real regression (same properties x many seeds).
     """
-    stats = dict(_CACHE_STATS)
+    stats = dict(COMPILE_STATS)
     stats["plans"] = len(_PLAN_CACHE)
     stats["automata"] = len(_AUTOMATON_CACHE)
     stats["automaton_states"] = sum(
@@ -995,10 +929,11 @@ def compile_cache_stats() -> Dict[str, int]:
 def clear_compile_caches() -> None:
     """Drop all compilation caches (tests and memory-pressure hooks)."""
     _PLAN_CACHE.clear()
+    _SUITE_CACHE.clear()
     _AUTOMATON_CACHE.clear()
     _STEP_CACHE.clear()
-    for key in _CACHE_STATS:
-        _CACHE_STATS[key] = 0
+    for key in COMPILE_STATS:
+        COMPILE_STATS[key] = 0
 
 
 def property_digest(source: Property | Directive | Formula | str) -> str:
@@ -1082,7 +1017,38 @@ def compile_properties(
     produce identical verdict traces.
     """
     resolved = _validate_engine(engine) if engine is not None else default_engine()
-    monitors = [_compile_one(source, bindings, resolved) for source in sources]
+    return _instantiate([_plan_for(source, bindings, resolved) for source in sources])
+
+
+#: Suites compiled by :func:`compile_suite`: (engine, key) -> plans.
+_SUITE_CACHE: Dict[Tuple, Tuple[Callable[[], Monitor], ...]] = {}
+
+
+def compile_suite(
+    key: Any,
+    sources: Callable[[], Iterable[Property | Directive | Formula | str]],
+) -> List[Monitor]:
+    """``compile_properties(sources())``, resolved once per ``key``.
+
+    The first call per (``key``, :func:`default_engine`) builds the
+    source list and looks its plans up; later calls skip both, build
+    fresh monitors from the same plans and count one plan hit per
+    property -- what the lookups would have counted.  ``key`` must fix
+    the source list (a regression keys its model and topology).
+    """
+    resolved = default_engine()
+    plans = _SUITE_CACHE.get((resolved, key))
+    if plans is None:
+        plans = tuple(_plan_for(source, None, resolved) for source in sources())
+        _SUITE_CACHE[(resolved, key)] = plans
+    else:
+        count_lookup("plan_hits", "psl.compile.cache", "hit", len(plans))
+    return _instantiate(plans)
+
+
+def _instantiate(plans: Sequence[Callable[[], Monitor]]) -> List[Monitor]:
+    """Fresh monitors from plans; the compiled ones fused into one set."""
+    monitors = [plan() for plan in plans]
     members = [m for m in monitors if isinstance(m, CompiledProperty)]
     if members:
         FusedPropertySet(members)
@@ -1098,7 +1064,7 @@ def compile_property(
 ) -> Monitor:
     """Compile one property (see :func:`compile_properties`)."""
     resolved = _validate_engine(engine) if engine is not None else default_engine()
-    monitor = _compile_one(source, bindings, resolved)
+    monitor = _plan_for(source, bindings, resolved)()
     if isinstance(monitor, CompiledProperty):
         FusedPropertySet([monitor])
     if name is not None:
@@ -1106,11 +1072,11 @@ def compile_property(
     return monitor
 
 
-def _compile_one(
+def _plan_for(
     source: Property | Directive | Formula | str,
     bindings: Optional[Mapping[str, str]],
     engine: str,
-) -> Monitor:
+) -> Callable[[], Monitor]:
     directive = _as_directive(source)
     if bindings:
         directive = _rebind(directive, dict(bindings))
@@ -1120,17 +1086,15 @@ def _compile_one(
     key = (engine, directive.kind, directive.prop, binding_key)
     plan = _PLAN_CACHE.get(key)
     if plan is None:
-        _bump("plan_misses", "psl.compile.cache", "miss")
-        plan = _build_plan(directive, engine, key)
+        count_lookup("plan_misses", "psl.compile.cache", "miss")
+        plan = _build_plan(directive, engine)
         _PLAN_CACHE[key] = plan
     else:
-        _bump("plan_hits", "psl.compile.cache", "hit")
-    return plan()
+        count_lookup("plan_hits", "psl.compile.cache", "hit")
+    return plan
 
 
-def _build_plan(
-    directive: Directive, engine: str, key: Tuple
-) -> Callable[[], Monitor]:
+def _build_plan(directive: Directive, engine: str) -> Callable[[], Monitor]:
     """Build the per-property monitor factory for one engine.
 
     Compiled plans build their automata now, so unsupported SEREs
@@ -1138,7 +1102,7 @@ def _build_plan(
     """
     if engine == "compiled":
         try:
-            plan = _match_compiled(directive, key)
+            plan = _match_compiled(directive)
         except PslUnsupportedError:
             plan = None
         if plan is not None:
@@ -1150,7 +1114,7 @@ def _build_plan(
     return interpreted_plan
 
 
-def _match_compiled(directive: Directive, key: Tuple) -> Optional[_Plan]:
+def _match_compiled(directive: Directive) -> Optional[_Plan]:
     """Mirror of ``build_monitor``'s pattern match, building plans for
     the step generator; ``None`` means no compiled lowering exists."""
     prop = directive.prop
@@ -1159,8 +1123,9 @@ def _match_compiled(directive: Directive, key: Tuple) -> Optional[_Plan]:
     def make(kind: str, left: Operand, right: Operand = None, **fields: Any) -> _Plan:
         operands = (left,) if right is None else (left, right)
         depth = max(_operand_depth(operand) for operand in operands)
+        names = frozenset().union(*(operand.variables() for operand in operands))
         return _Plan(
-            kind, prop.name, prop.report, left, right, depth, key=key, **fields
+            kind, prop.name, prop.report, left, right, depth, names=names, **fields
         )
 
     if directive.kind == DirectiveKind.COVER:

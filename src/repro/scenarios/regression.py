@@ -247,24 +247,37 @@ def _build_system(spec: ScenarioSpec):
     raise ValueError(f"unknown model {spec.model!r}")
 
 
-def _attach_monitors(spec: ScenarioSpec, system):
-    """Optionally bind the model's PSL assertion suite to the run."""
-    from ..abv.harness import AbvHarness
-
-    if spec.model == "master_slave":
+def _monitor_directives(model: str, topology: tuple) -> list:
+    """The model's PSL assertion suite for one topology."""
+    if model == "master_slave":
         from ..models.master_slave.properties import ms_invariant_properties
 
-        blocking, non_blocking, slaves = spec.topology
-        directives = ms_invariant_properties(
+        blocking, non_blocking, slaves = topology
+        return ms_invariant_properties(
             blocking + non_blocking, slaves, include_handshake=False
         )
-    else:
-        from ..models.pci.properties import pci_safety_properties
+    from ..models.pci.properties import pci_safety_properties
 
-        masters, targets = spec.topology
-        directives = pci_safety_properties(masters, targets)
+    masters, targets = topology
+    return pci_safety_properties(masters, targets)
+
+
+def _attach_monitors(spec: ScenarioSpec, system):
+    """Optionally bind the model's PSL assertion suite to the run.
+
+    The suite's plans are resolved once per (model, topology, engine)
+    in the process (:func:`repro.psl.compiled.compile_suite`); each
+    scenario builds only fresh monitors from them.
+    """
+    from ..abv.harness import AbvHarness
+    from ..psl.compiled import compile_suite
+
+    monitors = compile_suite(
+        (spec.model, spec.topology),
+        lambda: _monitor_directives(spec.model, spec.topology),
+    )
     harness = AbvHarness(system.simulator, system.clock, system.letter)
-    harness.add_properties(directives)
+    harness.add_monitors(monitors)
     return harness
 
 
@@ -337,7 +350,7 @@ def _run_scenario(spec: ScenarioSpec) -> ScenarioVerdict:
     if spec.cycles > done:
         system.run_cycles(spec.cycles - done)
     if harness is not None:
-        harness.finish()
+        harness.wrap_up()
     with OBS.tracer.span("scenarios.check", "scenarios", label=spec.label):
         report = system.check(spec.label)
         stream = system.transaction_stream()

@@ -29,7 +29,8 @@ the general path would leave them.
 
 The kernel also exposes the hooks the ABV layer needs: per-delta
 callbacks, end-of-instant *settle* observers (monitors sample once a
-rising edge's instant has settled), a cycle counter, and a
+rising edge's instant has settled; the cycle step calls them in place
+instead of arming them), a cycle counter, and a
 ``stop()``/:class:`SimulationStopped` channel so an assertion monitor
 can halt the run (paper Section 3.2: the monitor can "stop the
 simulation when the assertion is fired").
@@ -316,7 +317,10 @@ class Simulator:
         * delta 2 -- the posedge waiters in waiter order; a thread that
           waits only on the posedge is resumed directly, any other
           process through ``execute``; then the update phase;
-        * the settle observers, when armed.
+        * the clock's settle samplers, called in place when the
+          negedge falls inside ``deadline`` and no other settle entry
+          is armed (:meth:`_fire_in_place`); otherwise armed, as the
+          driver arms them, for :meth:`_fire_settle`.
 
         An instant that goes on past delta 2 (a delta notification
         wakes a process) hands its rest to :meth:`_instant`, unhooked
@@ -341,6 +345,10 @@ class Simulator:
         stats = self.stats
         # counters accumulate here and flush once, when the step returns
         stepped = process_runs = signal_changes = deltas = fast = deepest = 0
+        # the settle samplers to fire in place at this cycle's end (the
+        # clock's list as it stood at delta 1), and how many there were
+        samplers = None
+        count = due = 0
         try:
             while True:
                 posedge = clock._posedge
@@ -358,8 +366,12 @@ class Simulator:
                 clock.cycle_count += 1
                 if clock._settle_samplers:
                     due = now + clock._high_time
-                    for sampler in clock._settle_samplers:
-                        self._settle.append((due, sampler))
+                    if self._settle or (deadline is not None and due > deadline):
+                        for sampler in clock._settle_samplers:
+                            self._settle.append((due, sampler))
+                    else:
+                        samplers = clock._settle_samplers
+                        count = len(samplers)
                 self._timed_sequence += 1
                 timed[0] = (now + period, self._timed_sequence, timer)
                 driver._folded_at = now
@@ -445,9 +457,20 @@ class Simulator:
                 fast += 1
                 if self._stop_reason is not None:
                     return True
+                if samplers is not None:
+                    armed, samplers = samplers, None
+                    # a replaced list: they fell back to negedge threads
+                    if clock._settle_samplers is armed and self._fire_in_place(
+                        armed, count, due
+                    ):
+                        return True
                 if self._settle and self._fire_settle(deadline):
                     return True
         finally:
+            if samplers is not None and clock._settle_samplers is samplers:
+                # left before the settle: owe the samples as if armed
+                for sampler in samplers[:count]:
+                    self._settle.append((due, sampler))
             stats.time_advances += stepped
             stats.cycle_step_instants += stepped
             stats.process_runs += process_runs
@@ -456,6 +479,24 @@ class Simulator:
             stats.fast_path_instants += fast
             if deepest > stats.max_deltas_per_instant:
                 stats.max_deltas_per_instant = deepest
+
+    def _fire_in_place(self, samplers: List[Any], count: int, due: int) -> bool:
+        """Call the first ``count`` settle samplers of a cycle the cycle
+        step ran, as :meth:`_fire_settle` would have had they been
+        armed: one that follows a stop stays owed.  Same return."""
+        k = 0
+        try:
+            while k < count and self._stop_reason is None:
+                samplers[k].settle(due)
+                k += 1
+        except SimulationStopped as stop:
+            self.stop(stop.reason)
+            k += 1
+        for sampler in samplers[k:count]:
+            self._settle.append((due, sampler))
+        return self._stop_reason is not None or bool(
+            self._runnable or self._delta_notified or self._update_requests
+        )
 
     def _fire_settle(self, deadline: Optional[int]) -> bool:
         """Call the settle observers due by ``deadline``.

@@ -119,6 +119,7 @@ class GeneratedMachine(AsmMachine):
 
 def _compile_precondition(text: str, cls_name: str, op_name: str):
     try:
+        # repro: allow[lint.codegen-sites] a UML precondition is one user-written expression evaluated as written, not generated source
         code = compile(text, f"<{cls_name}.{op_name} precondition>", "eval")
     except SyntaxError as error:
         raise MappingError(

@@ -412,7 +412,7 @@ class Workbench:
             started = time.perf_counter()
             system.run_cycles(cycles)
             wall = time.perf_counter() - started
-            harness.finish()
+            harness.wrap_up()
         else:
             model = duv.model_factory()
             period = clock_period or duv.clock_period_ps
@@ -425,7 +425,7 @@ class Workbench:
             started = time.perf_counter()
             simulator.run(period * cycles)
             wall = time.perf_counter() - started
-            harness.finish()
+            harness.wrap_up()
             if self._exploration is not None:
                 # fold the run's FSM coverage back into the residue --
                 # what remains is the model checker's added value

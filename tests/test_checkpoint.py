@@ -602,6 +602,81 @@ class TestFaultedRestoreEquivalence:
         assert _comparable(resumed) == _comparable(run_scenario(spec))
 
 
+_TOPOLOGIES = {"master_slave": [(1, 1, 2), (2, 2, 2)], "pci": [(2, 2), (3, 2)]}
+
+
+class TestMonitoredRestoreEquivalence:
+    """Generated restore equivalence with monitors on, under both PSL
+    engines.  The uninterrupted run samples through the generated
+    sample-and-step; the resumed one replays the recorded letters into
+    fresh monitors and goes on stepping letters -- so the property
+    also checks that the two paths' windows and cycle counts agree
+    across capture and replay.  Every snapshot here lands on a
+    deadline posedge, so each checkpoint carries the owed sample."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        model=st.sampled_from(sorted(MONITORED_SPECS)),
+        engine=st.sampled_from(ENGINES),
+        topology=st.integers(min_value=0, max_value=1),
+        seed=st.integers(min_value=0, max_value=2**16),
+        profile=st.sampled_from(sorted(NAMED_PROFILES)),
+        snap_at=st.integers(min_value=1, max_value=60),
+        more=st.integers(min_value=1, max_value=40),
+    )
+    @example(
+        model="pci", engine="compiled", topology=1, seed=2005,
+        profile="default", snap_at=23, more=17,
+    )
+    @example(
+        model="master_slave", engine="interpreted", topology=1, seed=7,
+        profile="bursty", snap_at=40, more=40,
+    )
+    def test_monitored_resume_matches_uninterrupted(
+        self, model, engine, topology, seed, profile, snap_at, more
+    ):
+        spec = ScenarioSpec(
+            model, seed, _TOPOLOGIES[model][topology], profile,
+            snap_at + more, None, True, track_fsm=True,
+        )
+        previous = os.environ.get("REPRO_PSL_ENGINE")
+        os.environ["REPRO_PSL_ENGINE"] = engine
+        try:
+            checkpoint = snapshot_scenario_run(
+                replace(spec, cycles=snap_at), snap_at
+            )
+            owed = checkpoint.clock["owed_sample_in"]
+            assert owed == _build_system(spec).clock._high_time
+            digest = global_registry().put(checkpoint)
+            resumed = _comparable(run_scenario(replace(spec, resume_from=digest)))
+            uninterrupted = _comparable(run_scenario(spec))
+            # the monitors themselves: windows, cycles, verdicts
+            system, harness = restore_system(checkpoint)
+            system.run_cycles(more)
+            ref_system = _build_system(spec)
+            ref = _attach_monitors(spec, ref_system)
+            ref_system.run_cycles(snap_at + more)
+        finally:
+            if previous is None:
+                del os.environ["REPRO_PSL_ENGINE"]
+            else:
+                os.environ["REPRO_PSL_ENGINE"] = previous
+        assert resumed["failed_assertions"] == uninterrupted["failed_assertions"]
+        assert resumed == uninterrupted
+        assert harness.cycles_observed == ref.cycles_observed == snap_at + more
+        assert [_monitor_state(b) for b in harness.bindings] == [
+            _monitor_state(b) for b in ref.bindings
+        ]
+
+
+def _monitor_state(binding):
+    monitor = binding.monitor
+    return (
+        monitor.name, binding.fired, monitor.verdict(),
+        monitor.failure_cycle, monitor.snapshot(),
+    )
+
+
 @pytest.fixture(scope="module")
 def ms_workbench():
     """One explored Master/Slave workbench shared by the planner tests."""

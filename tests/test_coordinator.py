@@ -44,8 +44,15 @@ from repro.dispatch import (
     plan_shards,
     specs_fingerprint,
 )
+from repro.coordinator import service as coordinator_service
 from repro.dispatch.worker import SPEC_CACHE_LIMIT, start_worker
-from repro.scenarios.regression import RegressionRunner, ScenarioSpec, build_specs
+from repro.scenarios.regression import (
+    RegressionReport,
+    RegressionRunner,
+    ScenarioSpec,
+    build_specs,
+)
+from repro.service import NotFound
 from repro.store import ContentStore
 from repro.workbench import SerialEngine, Workbench
 
@@ -525,6 +532,47 @@ class TestElasticService:
         assert second.report_doc["digest"] == serial_report.digest()
         assert first.report_doc["digest"] == second.report_doc["digest"]
 
+    def test_done_jobs_hold_a_store_key_not_the_report(
+        self, tmp_path, serial_report
+    ):
+        host = _ScriptedWorkerHost("only", delay=0.0)
+        coordinator = self._coordinator(tmp_path, {"only:1": host})
+        coordinator.registry.register("only:1")
+        ran = coordinator.submit(specs=SPECS)
+        coordinator.run_pending()
+        cached = coordinator.submit(specs=SPECS)
+        for job in (ran, cached):
+            assert job.status == "done"
+            assert "report_doc" not in vars(job)
+            assert job.report_key == store_key(FINGERPRINT, job.seeds)
+            doc = job.to_json()["report"]
+            assert doc["digest"] == serial_report.digest()
+            assert RegressionReport.from_json(doc).digest() == doc["digest"]
+
+    def test_finished_jobs_are_bounded(self, tmp_path, monkeypatch):
+        """Past the limit the oldest finished job is forgotten (a typed
+        404); a queued job is never evicted."""
+        monkeypatch.setattr(coordinator_service, "FINISHED_JOBS_KEPT", 3)
+        host = _ScriptedWorkerHost("only", delay=0.0)
+        coordinator = self._coordinator(tmp_path, {"only:1": host})
+        coordinator.registry.register("only:1")
+        first = coordinator.submit(specs=SPECS)
+        coordinator.run_pending()
+        other = build_specs(count=2, cycles=40, base_seed=77)
+        queued = coordinator.submit(specs=other)
+        finished = [coordinator.submit(specs=SPECS) for _ in range(3 + 5)]
+        assert len(coordinator.jobs()) == 3 + 1
+        assert coordinator.job(queued.job_id).status == "queued"
+        for job in [first, *finished[:5]]:
+            with pytest.raises(NotFound, match="expired"):
+                coordinator.job(job.job_id)
+        assert [j.job_id for j in coordinator.jobs() if j.status == "done"] == [
+            job.job_id for job in finished[5:]
+        ]
+        coordinator.run_pending()
+        assert queued.status == "done"
+        assert len(coordinator.jobs()) == 3
+
     def test_by_reference_submission_needs_an_upload(self, tmp_path):
         coordinator = self._coordinator(tmp_path, {})
         with pytest.raises(UnknownFingerprintError, match="unknown spec"):
@@ -773,6 +821,20 @@ class TestCoordinatorHttp:
         _coordinator, _workers, client = fleet
         with pytest.raises(CoordinatorError, match="404"):
             client.job("job-9999-deadbeef")
+
+    def test_job_report_verifies_and_an_expired_job_is_a_404(
+        self, fleet, serial_report, monkeypatch
+    ):
+        monkeypatch.setattr(coordinator_service, "FINISHED_JOBS_KEPT", 2)
+        _coordinator, _workers, client = fleet
+        _report, job = client.run(list(SPECS))
+        doc = client.job(job["job"])["report"]
+        assert RegressionReport.from_json(doc).digest() == doc["digest"]
+        assert doc["digest"] == serial_report.digest()
+        for _ in range(2):
+            client.run(list(SPECS))
+        with pytest.raises(CoordinatorError, match="404"):
+            client.job(job["job"])
 
 
 class TestCliCoordinator:

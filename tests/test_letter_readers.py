@@ -78,6 +78,20 @@ def test_one_factory_per_shape():
     assert second.letter()["want0"] is False
 
 
+def test_a_shape_compiles_its_reader_once():
+    """Readers bound before their shape's code exists compile it on
+    the first call, once for all of them."""
+    declaration = LetterDeclaration(("b0", "bits[0]"))
+    first, second = declaration.reader(_Toy(1)), declaration.reader(_Toy(1))
+    (shape,) = declaration._factories.values()
+    assert shape.factory is None
+    first()
+    factory = shape.factory
+    assert second() == {"b0": False}
+    assert shape.factory is factory
+    assert first.bound_letter[0] is second.bound_letter[0] is shape
+
+
 def test_freezing_an_adopted_letter_is_free():
     letter = MsSystemModel(1, 1, 1).letter()
     assert freeze_letter(letter) is letter

@@ -22,6 +22,7 @@ finally:
 
 BUILTIN_RULES = (
     "ckpt.undeclared-state",
+    "lint.codegen-sites",
     "lint.docstring",
     "lint.http-plumbing",
     "lint.layering",
@@ -158,6 +159,40 @@ class TestHttpPlumbing:
                "    def do_POST(self):\n"
                "        return self.rfile.read(10)\n")
         assert run_checks(tmp_path, rules=["lint.http-plumbing"]).ok
+
+
+class TestCodegenSites:
+    _GENERATOR = (
+        "def define(source, name):\n"
+        "    scope = {}\n"
+        "    exec(compile(source, '<generated>', 'exec'), scope)\n"
+        "    return scope[name]\n"
+    )
+
+    def test_planted_exec_in_a_scenarios_module_flagged(self, tmp_path):
+        _plant(tmp_path, "src/repro/scenarios/fast.py",
+               "import re\n\n\n"
+               "def build(source):\n"
+               "    re.compile('x')\n"
+               "    exec(source)\n"
+               "    return compile(source, '<s>', 'exec')\n")
+        report = run_checks(tmp_path, rules=["lint.codegen-sites"])
+        found = sorted(f.line for f in report.unsuppressed())
+        assert found == [6, 7]
+        assert all("psl/codegen.py" in f.message for f in report.findings)
+
+    @pytest.mark.parametrize(
+        "site", ["psl/codegen.py", "asm/lower.py", "abv/letters.py"]
+    )
+    def test_the_three_generators_pass(self, tmp_path, site):
+        _plant(tmp_path, f"src/repro/{site}", self._GENERATOR)
+        assert run_checks(tmp_path, rules=["lint.codegen-sites"]).ok
+
+    def test_the_repo_keeps_three_generators(self):
+        report = run_checks(rules=["lint.codegen-sites"])
+        assert report.ok, report.render()
+        allowed = [f.path for f in report.findings]
+        assert allowed == ["src/repro/uml/to_asm.py"]
 
 
 class TestLetterDeclaration:

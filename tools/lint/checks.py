@@ -27,6 +27,14 @@
     compiles into a reader.  A ``letter()`` function building a dict
     under ``src/repro/models`` is a second, hand-maintained copy of
     that namespace -- the drift the declarations replaced.
+``lint.codegen-sites``
+    Generated Python source is turned into functions in three places
+    only: ``psl/codegen.py`` (``define``: fused property steps, their
+    sample-and-step, Boolean functions), ``asm/lower.py`` (lowered ASM
+    rules) and ``abv/letters.py`` (letter readers).  An ``exec(...)``
+    or builtin ``compile(...)`` call anywhere else under
+    ``src/repro`` is a fourth generator, with its own cache and
+    filename scheme; route it through one of the three instead.
 ``lint.layering``
     The packages under ``src/repro`` form one import order
     (:data:`LAYERS`, lowest first; ``docs/architecture.md`` gives the
@@ -336,6 +344,43 @@ def lint_http_plumbing(root: Path) -> List[Finding]:
                     message=(
                         f"{flagged} outside repro/service.py duplicates the "
                         f"shared JSON service base; add a route instead"
+                    ),
+                ))
+    return findings
+
+
+#: the modules allowed to compile generated source (see the module doc)
+_CODEGEN_SITES = ("psl/codegen.py", "asm/lower.py", "abv/letters.py")
+
+
+@register(
+    "lint.codegen-sites",
+    "exec()/compile() of generated source only in the three code generators",
+)
+def lint_codegen_sites(root: Path) -> List[Finding]:
+    """Flag builtin ``exec``/``compile`` calls outside the generators."""
+    package = root / "src" / "repro"
+    allowed = {(package / site).resolve() for site in _CODEGEN_SITES}
+    findings: List[Finding] = []
+    for path in _source_files(root):
+        if path.resolve() in allowed:
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in ("exec", "compile")
+            ):
+                findings.append(Finding(
+                    rule="lint.codegen-sites",
+                    severity="error",
+                    path=repo_relative(path, root),
+                    line=node.lineno,
+                    message=(
+                        f"{node.func.id}(...) outside the code generators "
+                        f"({', '.join(_CODEGEN_SITES)}); generate through "
+                        f"repro.psl.codegen.define instead"
                     ),
                 ))
     return findings

@@ -33,6 +33,10 @@ step semantics exact:
 The lowerer declines any function it cannot prove it handles (see
 ``docs/compiled-asm.md`` for the accepted subset), and the action then
 runs interpreted.  The decision depends on the source alone.
+
+:func:`compile_replay` generates the scoreboard's per-transaction
+replay from a :class:`ReplayScript` declaration: one straight-line
+function per script that calls the bound lowered entries directly.
 """
 
 from __future__ import annotations
@@ -43,13 +47,14 @@ import copy
 import enum
 import functools
 import inspect
+import keyword
 import textwrap
 import types
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .collections_ import _ATOMIC, _PASSTHROUGH, AsmSet, Map, Seq, freeze
-from .errors import DomainError, InconsistentUpdateError, RequirementFailure
+from .errors import AsmError, DomainError, InconsistentUpdateError, RequirementFailure
 from .machine import (
     AsmMachine,
     StateVar,
@@ -62,7 +67,16 @@ from .machine import (
 )
 from .updates import _MISSING, StepMode
 
-__all__ = ["CompiledAction", "has_require", "compile_action", "bind"]
+__all__ = [
+    "CompiledAction",
+    "has_require",
+    "compile_action",
+    "bind",
+    "ReplayStep",
+    "ReplayScript",
+    "CompiledReplay",
+    "compile_replay",
+]
 
 #: builtins a lowered body may name (pure over data values)
 _BUILTINS = frozenset(
@@ -893,3 +907,158 @@ def bind(model: Any, cls: type, func: Callable, mode: StepMode) -> Optional[Call
             return None
         lists.append(machines)
     return compiled.factory(_Globals(model._globals), lists, *compiled.constants)
+
+
+# -- scoreboard replay: one generated function per transaction script -------------
+
+
+@dataclass(frozen=True)
+class ReplayStep:
+    """One call of a transaction script: ``role.action(*args)``, run
+    once, or ``repeat`` times when it names a parameter."""
+
+    role: str
+    action: str
+    args: Tuple[str, ...] = ()
+    repeat: Optional[str] = None
+
+
+@dataclass(frozen=True)
+class ReplayScript:
+    """A transaction kind's replay on a reference model, declared as data.
+
+    ``roles`` pairs each machine role with its exact machine class;
+    ``params`` names the transaction's data.  The generated replay takes
+    the role machines, then the parameters, in declared order.
+    """
+
+    name: str
+    roles: Tuple[Tuple[str, type], ...]
+    params: Tuple[str, ...]
+    steps: Tuple[ReplayStep, ...]
+
+    def calls(self, params: Sequence[Any]) -> int:
+        """How many calls one replay with ``params`` makes."""
+        count, repeats = self._counts
+        for index in repeats:
+            if params[index] > 0:
+                count += params[index]
+        return count
+
+    @functools.cached_property
+    def _counts(self) -> Tuple[int, Tuple[int, ...]]:
+        """(calls of the once-steps, param index of each repeat count)"""
+        once = sum(step.repeat is None for step in self.steps)
+        repeats = [self.params.index(s.repeat) for s in self.steps if s.repeat is not None]
+        return once, tuple(repeats)
+
+    def step_at(
+        self, n: int, roles: Sequence[Any], params: Sequence[Any]
+    ) -> Tuple[Any, str, Tuple[Any, ...]]:
+        """The ``n``-th call (0-based) as ``(role value, action, args)``,
+        ``roles`` and ``params`` given in declared order."""
+        names = [role for role, _ in self.roles]
+        for step in self.steps:
+            count = 1
+            if step.repeat is not None:
+                count = max(params[self.params.index(step.repeat)], 0)
+            if n < count:
+                args = tuple(params[self.params.index(arg)] for arg in step.args)
+                return roles[names.index(step.role)], step.action, args
+            n -= count
+        raise IndexError(f"replay {self.name!r}: call index past the script's end")
+
+    def bind(self, model: Any) -> Callable:
+        """The generated replay closed over sealed ``model``'s entries.
+
+        Each action's entry is the model's lowered one (bound on first
+        use, as the ``@action`` wrapper would); a declined action, a role
+        class with subclassed instances in ``model`` or a model that runs
+        interpreted gets the ``@action`` function itself, which takes
+        the same ``(self, *args)``.
+        """
+        compiled = self._compiled
+        lowered = model._lowered
+        entries = []
+        for cls, wrapper in compiled.actions:
+            entry = None
+            if lowered is not None and all(type(m) is cls for m in model.machines_of(cls)):
+                func = wrapper.__wrapped__
+                entry = lowered.get((cls, func), _MISSING)
+                if entry is _MISSING:
+                    entry = model._bind_lowered(cls, func, wrapper.asm_action.mode)
+            entries.append(wrapper if entry is None else entry)
+        return compiled.factory(AsmError, *entries)
+
+    @functools.cached_property
+    def _compiled(self) -> "CompiledReplay":
+        return compile_replay(self)
+
+
+@dataclass(frozen=True)
+class CompiledReplay:
+    """One script's generated replay: a factory over its actions."""
+
+    factory: Callable
+    #: (role class, @action function) per factory slot, in slot order
+    actions: Tuple[Tuple[type, Callable], ...]
+
+
+def _replay_source(script: ReplayScript, slots: Dict[Tuple[str, str], int]) -> List[str]:
+    roles = dict(script.roles)
+    names = list(roles) + list(script.params)
+    if len(set(names)) != len(names) or not all(
+        name.isidentifier() and not keyword.iskeyword(name) and not name.startswith(_PREFIX)
+        for name in names
+    ):
+        raise ValueError(f"replay {script.name!r}: roles and params need distinct plain names")
+    lines = [f"def replay({', '.join(names)}):"]
+    once, repeated = 0, []  # calls made before the current step
+    for step in script.steps:
+        if step.role not in roles or not {*step.args, step.repeat} <= {*script.params, None}:
+            raise ValueError(f"replay {script.name!r}: undeclared name in {step}")
+        if not hasattr(getattr(roles[step.role], step.action, None), "asm_action"):
+            raise ValueError(f"replay {script.name!r}: {step.action!r} is not an @action")
+        slot = slots.setdefault((step.role, step.action), len(slots))
+        call = f"{_PREFIX}e{slot}({', '.join((step.role,) + step.args)})"
+        before = " + ".join([str(once)] + repeated)
+        if step.repeat is None:
+            lines += [
+                "    try:",
+                f"        {call}",
+                f"    except {_PREFIX}AE:",
+                f"        return {before}",
+            ]
+            once += 1
+        else:
+            count = step.repeat
+            lines += [
+                "    try:",
+                f"        for {_PREFIX}k in range({count}):",
+                f"            {call}",
+                f"    except {_PREFIX}AE:",
+                f"        return {before} + {_PREFIX}k",
+            ]
+            repeated.append(f"({count} if {count} > 0 else 0)")
+    return lines + ["    return -1"]
+
+
+@functools.lru_cache(maxsize=None)
+def compile_replay(script: ReplayScript) -> CompiledReplay:
+    """Generate ``script``'s replay once per declaration; memoized.
+
+    The replay calls every step's action straight-line (a ``for`` loop
+    for a repeated step) and returns -1 when every call succeeded, or
+    else how many calls succeeded before one raised an
+    :class:`AsmError`.  Any other exception propagates.
+    """
+    slots: Dict[Tuple[str, str], int] = {}
+    lines = _replay_source(script, slots)
+    params = ", ".join([f"{_PREFIX}AE"] + [f"{_PREFIX}e{slot}" for slot in range(len(slots))])
+    source = [f"def {_PREFIX}factory({params}):"] + ["    " + line for line in lines]
+    source.append("    return replay")
+    module = compile("\n".join(source), f"<asm-replay {script.name}>", "exec")
+    factory = next(c for c in module.co_consts if isinstance(c, types.CodeType))
+    roles = dict(script.roles)
+    actions = tuple((roles[role], getattr(roles[role], name)) for role, name in slots)
+    return CompiledReplay(types.FunctionType(factory, {"__builtins__": builtins}), actions)

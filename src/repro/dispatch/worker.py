@@ -233,8 +233,11 @@ def _resolve_resume_checkpoints(
 
     Digests are pulled from the worker's upload cache into the
     process-global checkpoint registry (where ``run_scenario``
-    resolves them); a digest held by neither raises the 404-class miss
-    so the client re-uploads.  With a multiprocess fan-out the registry
+    resolves them).  A worker with a cache answers from the cache
+    alone: a digest it lacks raises the 404-class miss so the client
+    re-uploads, even when the registry holds it (an embedded worker
+    shares the client's registry).  A worker without a cache resolves
+    from the registry.  With a multiprocess fan-out the registry
     additionally gets a disk spill so spawned children inherit the
     checkpoints through ``REPRO_CHECKPOINT_DIR``.
     """
@@ -248,14 +251,15 @@ def _resolve_resume_checkpoints(
         ensure_spill_dir()
         registry = global_registry()
     for digest in digests:
-        if digest in registry:
-            continue
-        if checkpoint_cache is None:
+        if checkpoint_cache is not None:
+            checkpoint = checkpoint_cache.get(digest)  # the typed miss
+            if digest not in registry:
+                registry.put(checkpoint)
+        elif digest not in registry:
             raise UnknownCheckpointDigestError(
                 f"unknown checkpoint {digest} (this worker has no "
                 "checkpoint cache; POST /checkpoints first)"
             )
-        registry.put(checkpoint_cache.get(digest))
     if metrics is not None:
         metrics.counter("worker.checkpoint_resumes").inc(len(digests))
 

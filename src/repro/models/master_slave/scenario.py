@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
+from ...asm.lower import ReplayScript, ReplayStep
 from ...scenarios.random_ import ScenarioRng
 from ...scenarios.scoreboard import (
     DivergenceKind,
@@ -38,7 +39,7 @@ from ...sysc.bus import BusMode, BusStatus, Transaction, TxnIdAllocator
 from ...sysc.clock import Clock
 from ...sysc.kernel import Simulator
 from ...sysc.state import LIST, SCALAR
-from .asm_model import BLOCKING_BURST, MsSlave, build_master_slave_model
+from .asm_model import BLOCKING_BURST, MsArbiter, MsMaster, MsSlave, build_master_slave_model
 from .systemc_model import MS_CLOCK_PERIOD_PS, MS_LETTER, MsArbiterModule, MsSignals, MsSlaveModule
 
 
@@ -448,8 +449,25 @@ def lower_path_to_goals(
     return goals
 
 
+#: one completed Master/Slave transaction on the reference model
+MS_REPLAY = ReplayScript(
+    name="master_slave.transaction",
+    roles=(("master", MsMaster), ("arbiter", MsArbiter)),
+    params=("slave", "is_write", "words"),
+    steps=(
+        ReplayStep("master", "request"),
+        ReplayStep("arbiter", "grant"),
+        ReplayStep("master", "start_transfer", ("slave", "is_write")),
+        ReplayStep("master", "transfer_word", repeat="words"),
+        ReplayStep("arbiter", "release"),
+    ),
+)
+
+
 class MsReferenceAdapter(ReferenceAdapter):
     """ASM-lockstep golden reference for the Master/Slave bus."""
+
+    script = MS_REPLAY
 
     def __init__(self, n_blocking: int, n_non_blocking: int, n_slaves: int):
         self.n_blocking = n_blocking
@@ -458,7 +476,6 @@ class MsReferenceAdapter(ReferenceAdapter):
         self.golden: Dict[int, int] = {}
         self.expected_words: Dict[int, Tuple[int, int]] = {}  # slave -> (reads, writes)
         self.protocol_diverged = False
-        self._scripts: Dict[tuple, list] = {}
 
     def build_reference(self):
         return build_master_slave_model(
@@ -473,44 +490,16 @@ class MsReferenceAdapter(ReferenceAdapter):
         }
         self.protocol_diverged = False
 
-    def observe(self, txn: Transaction, item: SequenceItem) -> Iterable[Mismatch]:
+    def observe(self, txn: Transaction, item: SequenceItem) -> Tuple[Mismatch, ...]:
         assert self.lockstep is not None, "begin() not called"
-        master_index = int(txn.master.replace("master", ""))
         slave_index = txn.address // 0x100
         words = txn.burst_length
-        # replay scripts depend only on (master, slave, words, is_write)
-        # -- memoize so the hot check loop skips rebuilding them
-        script_key = (master_index, slave_index, words, txn.is_write)
-        script = self._scripts.get(script_key)
-        if script is None:
-            master = f"master{master_index}"
-            script = (
-                [
-                    (master, "request", ()),
-                    ("arbiter", "grant", ()),
-                    (master, "start_transfer", (slave_index, txn.is_write)),
-                ]
-                + [(master, "transfer_word", ())] * words
-                + [("arbiter", "release", ())]
-            )
-            self._scripts[script_key] = script
-        for machine, act, args in script:
-            error = self.lockstep.call(machine, act, *args)
-            if error is not None:
-                self.protocol_diverged = True
-                state = self.lockstep.state_dump()
-                # re-arm the reference so later transactions still get checked
-                self._reset_reference()
-                yield Mismatch(
-                    kind=DivergenceKind.PROTOCOL,
-                    master=txn.master,
-                    txn_id=txn.txn_id,
-                    detail=f"ASM reference rejected replay of {txn.describe()}",
-                    expected="action enabled in the verified design",
-                    observed=error,
-                    reference_state=state,
-                )
-                return
+        diverged = self._replay_transaction(
+            txn, (txn.master, "arbiter"), (slave_index, txn.is_write, words)
+        )
+        if diverged is not None:
+            self.protocol_diverged = True
+            return (diverged,)
         reads, writes = self.expected_words[slave_index]
         if txn.is_write:
             self.expected_words[slave_index] = (reads, writes + words)
@@ -524,18 +513,21 @@ class MsReferenceAdapter(ReferenceAdapter):
                 self.golden.get(txn.address + word, 0) for word in range(words)
             )
             if txn.data != expected:
-                yield Mismatch(
-                    kind=DivergenceKind.DATA,
-                    master=txn.master,
-                    txn_id=txn.txn_id,
-                    detail=(
-                        f"readback diverged from golden memory at "
-                        f"{txn.address:#06x} ({txn.describe()})"
+                return (
+                    Mismatch(
+                        kind=DivergenceKind.DATA,
+                        master=txn.master,
+                        txn_id=txn.txn_id,
+                        detail=(
+                            f"readback diverged from golden memory at "
+                            f"{txn.address:#06x} ({txn.describe()})"
+                        ),
+                        expected=repr(expected),
+                        observed=repr(txn.data),
+                        reference_state=self.lockstep.state_dump(),
                     ),
-                    expected=repr(expected),
-                    observed=repr(txn.data),
-                    reference_state=self.lockstep.state_dump(),
                 )
+        return ()
 
     def finish(
         self,

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
+from ...asm.lower import ReplayScript, ReplayStep
 from ...scenarios.random_ import ScenarioRng
 from ...scenarios.scoreboard import (
     DivergenceKind,
@@ -37,7 +38,7 @@ from ...sysc.clock import Clock
 from ...sysc.kernel import Simulator
 from ...sysc.signal import Signal
 from ...sysc.state import SCALAR
-from .asm_model import build_pci_model
+from .asm_model import PciArbiter, PciMaster, PciTarget, build_pci_model
 from .protocol import MAX_BURST_LENGTH, PCI_CLOCK_PERIOD_PS, PciCommand
 from .systemc_model import PCI_LETTER, PciArbiterModule, PciSignals, PciTargetModule
 
@@ -446,76 +447,67 @@ def lower_path_to_goals(
     return goals
 
 
+#: one completed PCI transaction on the reference model
+PCI_REPLAY = ReplayScript(
+    name="pci.transaction",
+    roles=(("master", PciMaster), ("arbiter", PciArbiter), ("target", PciTarget)),
+    params=("target_index", "burst"),
+    steps=(
+        ReplayStep("master", "request"),
+        ReplayStep("arbiter", "update_m_req"),
+        ReplayStep("arbiter", "grant"),
+        ReplayStep("master", "start_transaction", ("target_index", "burst")),
+        ReplayStep("target", "respond"),
+        ReplayStep("master", "assert_irdy"),
+        ReplayStep("master", "data_phase", repeat="burst"),
+        ReplayStep("master", "finish"),
+        ReplayStep("target", "complete"),
+    ),
+)
+
+
 class PciReferenceAdapter(ReferenceAdapter):
     """ASM-lockstep golden reference for the PCI bus."""
+
+    script = PCI_REPLAY
 
     def __init__(self, n_masters: int, n_targets: int):
         self.n_masters = n_masters
         self.n_targets = n_targets
-        self._scripts: Dict[tuple, list] = {}
 
     def build_reference(self):
         return build_pci_model(self.n_masters, self.n_targets)
 
-    def observe(self, txn: Transaction, item: SequenceItem) -> Iterable[Mismatch]:
+    def observe(self, txn: Transaction, item: SequenceItem) -> Tuple[Mismatch, ...]:
         assert self.lockstep is not None, "begin() not called"
-        master_index = int(txn.master.replace("master", ""))
         target_index = txn.address // 0x1000 - 1
         burst = txn.burst_length
-        # replay scripts depend only on (master, target, burst) --
-        # memoize so the hot check loop skips rebuilding them
-        script_key = (master_index, target_index, burst)
-        script = self._scripts.get(script_key)
-        if script is None:
-            master = f"master{master_index}"
-            target = f"target{target_index}"
-            script = (
-                [
-                    (master, "request", ()),
-                    ("arbiter", "update_m_req", ()),
-                    ("arbiter", "grant", ()),
-                    (master, "start_transaction", (target_index, burst)),
-                    (target, "respond", ()),
-                    (master, "assert_irdy", ()),
-                ]
-                + [(master, "data_phase", ())] * burst
-                + [
-                    (master, "finish", ()),
-                    (target, "complete", ()),
-                ]
-            )
-            self._scripts[script_key] = script
-        for machine, act, args in script:
-            error = self.lockstep.call(machine, act, *args)
-            if error is not None:
-                state = self.lockstep.state_dump()
-                self._reset_reference()
-                yield Mismatch(
-                    kind=DivergenceKind.PROTOCOL,
-                    master=txn.master,
-                    txn_id=txn.txn_id,
-                    detail=f"ASM reference rejected replay of {txn.describe()}",
-                    expected="action enabled in the verified design",
-                    observed=error,
-                    reference_state=state,
-                )
-                return
+        diverged = self._replay_transaction(
+            txn,
+            (txn.master, "arbiter", f"target{target_index}"),
+            (target_index, burst),
+        )
+        if diverged is not None:
+            return (diverged,)
         expected = tuple(item.payload[:burst])
         while len(expected) < burst:
             expected += (0,)
         if txn.data != expected:
-            yield Mismatch(
-                kind=DivergenceKind.DATA,
-                master=txn.master,
-                txn_id=txn.txn_id,
-                detail=(
-                    f"reported payload diverged from the driven stimulus "
-                    f"({txn.describe()})"
+            return (
+                Mismatch(
+                    kind=DivergenceKind.DATA,
+                    master=txn.master,
+                    txn_id=txn.txn_id,
+                    detail=(
+                        f"reported payload diverged from the driven stimulus "
+                        f"({txn.describe()})"
+                    ),
+                    expected=repr(expected),
+                    observed=repr(txn.data),
+                    reference_state=self.lockstep.state_dump(),
                 ),
-                expected=repr(expected),
-                observed=repr(txn.data),
-                reference_state=self.lockstep.state_dump(),
             )
+        return ()
 
     # finish() inherited: the default dropped-transaction accounting
     # is the whole end-of-run story for PCI (no target-side memory)

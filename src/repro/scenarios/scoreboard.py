@@ -10,6 +10,16 @@ mid-replay) is a *protocol divergence*; data that differs from the
 golden memory the replay maintains is a *data divergence*; completed
 transactions the design never reported are *dropped*.
 
+Each adapter declares its transaction's replay once, as a
+:class:`~repro.asm.lower.ReplayScript` (machine roles, parameters,
+the action steps, one of them repeated per data word), and the
+replay runs as one generated function per script
+(:func:`~repro.asm.lower.compile_replay`) calling the model's lowered
+actions straight-line.  It reports how many calls succeeded; on a
+rejection that call alone is run again through :class:`AsmLockstep`
+for the divergence text, which a rejected action cannot change since
+it leaves the state untouched.
+
 Every mismatch carries full divergence context: the transaction record
 (txn_id, cycles, payload), what was expected, what was observed, and a
 dump of the reference model's state at the point of divergence.
@@ -33,6 +43,7 @@ from typing import (
 )
 
 from ..asm.errors import AsmError, RequirementFailure
+from ..asm.lower import ReplayScript
 from ..asm.machine import ActionCall, AsmModel
 from ..sysc.bus import Transaction, TxnIdAllocator
 from ..sysc.module import Module
@@ -161,12 +172,15 @@ class ReferenceAdapter:
 
     Concrete adapters live next to their models
     (:mod:`repro.models.master_slave.scenario`,
-    :mod:`repro.models.pci.scenario`) and implement
-    :meth:`build_reference` plus :meth:`observe`; the lockstep
-    bookkeeping and the dropped-transaction accounting are shared.
+    :mod:`repro.models.pci.scenario`): each declares its transaction's
+    :attr:`script` and implements :meth:`build_reference` plus
+    :meth:`observe`; the lockstep bookkeeping, the generated replay and
+    the dropped-transaction accounting are shared.
     """
 
     lockstep: Optional[AsmLockstep] = None
+    #: one completed transaction's replay on the reference, as data
+    script: ReplayScript
 
     def build_reference(self) -> AsmModel:
         """A fresh, sealed reference model (with a ``system.init``)."""
@@ -186,14 +200,52 @@ class ReferenceAdapter:
         error = self.lockstep.call("system", "init")
         if error:  # pragma: no cover -- the case-study models always init
             raise RuntimeError(f"reference model failed to initialize: {error}")
+        model = self.lockstep.model
+        self._machines = model.machines
+        self._replay = self.script.bind(model)
 
     @property
     def replayed_calls(self) -> int:
         return self.lockstep.calls_executed if self.lockstep else 0
 
-    def observe(self, txn: Transaction, item: SequenceItem) -> Iterable[Mismatch]:
-        """Replay one completed transaction; yield divergences."""
+    def observe(self, txn: Transaction, item: SequenceItem) -> Sequence[Mismatch]:
+        """Replay one completed transaction; its divergences, ``()`` on
+        a match."""
         raise NotImplementedError
+
+    def _replay_transaction(
+        self, txn: Transaction, roles: Sequence[str], params: Sequence[Any]
+    ) -> Optional[Mismatch]:
+        """Run :attr:`script` for ``txn`` on the reference; the protocol
+        divergence, or None when the reference accepted every call.
+
+        ``roles`` names each role's machine (a missing one is passed as
+        None) and ``params`` are the script's parameters.  On a failure
+        the rejected call is run once more through the lockstep, which
+        yields its label and message: a rejected action leaves the
+        state untouched, so the re-run fails the same way.
+        """
+        machines = self._machines
+        failed = self._replay(*map(machines.get, roles), *params)
+        lockstep = self.lockstep
+        if failed < 0:
+            lockstep.calls_executed += self.script.calls(params)
+            return None
+        lockstep.calls_executed += failed
+        machine, action, args = self.script.step_at(failed, roles, params)
+        error = lockstep.call(machine, action, *args)
+        state = lockstep.state_dump()
+        # re-arm the reference so later transactions still get checked
+        self._reset_reference()
+        return Mismatch(
+            kind=DivergenceKind.PROTOCOL,
+            master=txn.master,
+            txn_id=txn.txn_id,
+            detail=f"ASM reference rejected replay of {txn.describe()}",
+            expected="action enabled in the verified design",
+            observed=error,
+            reference_state=state,
+        )
 
     def finish(
         self,
@@ -502,7 +554,7 @@ class Scoreboard:
         recorded_counts: Dict[str, int] = {}
         for txn, item in ordered:
             recorded_counts[txn.master] = recorded_counts.get(txn.master, 0) + 1
-            found = list(self.adapter.observe(txn, item))
+            found = self.adapter.observe(txn, item)
             if found:
                 report.mismatches.extend(found)
             else:

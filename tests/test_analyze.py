@@ -283,7 +283,7 @@ class TestDeltaWitness:
         assert repro_main(argv) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["digest"] == (
-            "f5d7b16053e26d5e9c287d788745e3f00e6eb619dad61d97cbe6cb37571c649b"
+            "7af4a2b143947d011b6a9d1b887d7291a41da7f1a20013e6e8e63ee009582210"
         )
         keys = ("deltas", "reads", "writes", "max_read_set", "max_write_set")
         facts = {

@@ -523,6 +523,22 @@ class TestCheckpointTransport:
         retries = [post for item in reshipped for post in (item, "/run")]
         assert host.posts == ["/checkpoints", "/specs", "/run"] + retries
 
+    def test_embedded_worker_answers_from_its_cache_not_the_registry(
+        self, worker
+    ):
+        """An in-process worker shares the client's checkpoint registry,
+        yet a digest its cache never received still gets the typed 404;
+        the host re-ships that checkpoint once and the run matches."""
+        spec, _, resume_spec = self._resume_setup()
+        assert resume_spec.resume_from in global_registry()
+        base = RegressionRunner([spec], engine=SerialEngine()).run()
+        host = _ForgetfulHost(worker.address, [])
+        # marked as uploaded, never sent
+        host._uploaded.add(("/checkpoints", resume_spec.resume_from))
+        report = host.run_shard(_primed_work(host, [resume_spec]))
+        assert report.digest() == base.digest()
+        assert host.posts == ["/specs", "/run", "/checkpoints", "/run"]
+
     def test_a_second_404_for_the_same_item_surfaces(self, worker):
         host = _ForgetfulHost(
             worker.address, ["unknown spec fingerprint"] * 2

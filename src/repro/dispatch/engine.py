@@ -106,8 +106,10 @@ def select_engine(
     with ``shards`` defaulting to the planner's oversubscription so
     work stealing has a tail to rebalance; plain ``shards=N`` fans
     over N local subprocess hosts; neither falls back to the local
-    serial/multiprocessing heuristic.  ``workers`` keeps its meaning
-    inside each shard host.
+    serial/multiprocessing heuristic.  ``workers`` sizes the pool
+    inside each local shard (a ``--shards`` subprocess); an HTTP worker
+    daemon ignores it and runs each shard on one child per CPU it may
+    use.
     """
     if coordinator:
         # the coordinator layer builds on this one; only a fleet run

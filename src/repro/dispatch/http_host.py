@@ -236,7 +236,7 @@ class HttpHost:
                 f"{work.fingerprint!r} (prime the host before run_shard)"
             )
         shard = work.shard
-        envelope = {"version": WIRE_VERSION, "workers": work.workers or 1}
+        envelope = {"version": WIRE_VERSION}
         coordinate = {"index": shard.index, "of": shard.of}
         body = encode(
             {**envelope, "shard": {**coordinate, "fingerprint": work.fingerprint}}

@@ -13,14 +13,16 @@ Endpoints (full wire contract in ``docs/dispatch.md``):
 
 ``POST /run``
     Body: ``{"version": 1, "shard": {"index": K, "of": N,
-    "fingerprint": F}, "workers": M}``.  The worker re-derives the
-    shard's slice from the ``POST /specs`` upload keyed by ``F`` with
-    the shared deterministic planner, runs it through a
-    :class:`~repro.scenarios.regression.RegressionRunner` (``M`` local
-    worker processes, default 1 -- the shard is the unit of
-    parallelism) and responds ``200`` with the report's ``to_json()``
-    form, digest included.  ``404`` with ``"unknown spec fingerprint"``
-    when the worker does not hold ``F``; inline ``"specs"`` get ``400``.
+    "fingerprint": F}}``.  The worker re-derives the shard's slice
+    from the ``POST /specs`` upload keyed by ``F`` with the shared
+    deterministic planner, runs its scenarios across the daemon's
+    process pool through a
+    :class:`~repro.scenarios.regression.RegressionRunner` and responds
+    ``200`` with the report's ``to_json()`` form, digest included.
+    ``404`` with ``"unknown spec fingerprint"`` when the worker does
+    not hold ``F``; inline ``"specs"`` get ``400``; a ``"workers"``
+    field from older clients is ignored.  A pool child that dies
+    mid-shard makes the answer a ``500``.
 
 ``POST /specs``
     Body: ``{"version": 1, "fingerprint": F, "specs": [...]}`` -- the
@@ -43,7 +45,8 @@ Endpoints (full wire contract in ``docs/dispatch.md``):
 
 ``GET /healthz``
     A JSON liveness document (version, uptime, shards served, cache
-    sizes, PSL engine and compile-cache counters).
+    sizes, ``slots`` -- the pool size --, PSL engine and the pool
+    children's summed compile-cache counters).
 
 ``GET /metrics``
     ``{"ok": true, "metrics": {...}}`` -- the worker's own counters and
@@ -55,8 +58,16 @@ Auth: started with ``--token SECRET`` every endpoint except ``/`` and
 Started with ``--coordinator URL`` the worker self-registers with a
 coordinator daemon and heartbeats it every ``--heartbeat`` seconds
 (re-registering whenever the coordinator forgot it), which is how an
-elastic fleet grows.  In-process embedding goes through
-:func:`start_worker`.
+elastic fleet grows.
+
+The pool (:class:`~repro.dispatch.pool.ForkPool`): the daemon forks
+one child per CPU it may run on (``os.sched_getaffinity``; bound it
+with ``taskset`` or a cpuset) before it serves, and every ``/run``
+spreads its scenarios over them; with one allowed core the shards run
+inline.  SIGTERM or Ctrl-C stops serving, terminates and joins the
+children and exits 0.  In-process embedding goes through
+:func:`start_worker`, which never forks its host program: it runs
+each shard inline on the handler thread.
 """
 
 from __future__ import annotations
@@ -65,7 +76,7 @@ import argparse
 import sys
 import threading
 import time
-from typing import Any, Dict, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .. import __version__
 from ..cliutil import route_warnings_to_stderr
@@ -82,6 +93,9 @@ from ..service import (
     serve_main,
 )
 from ..store import ContentStore, KeyMismatchError
+
+if TYPE_CHECKING:  # only the daemon's main() forks a pool
+    from .pool import ForkPool
 
 #: Spec-cache capacity in distinct fingerprints.  A worker usually
 #: serves a handful of concurrent regressions; least recently used
@@ -223,45 +237,108 @@ def store_checkpoint_request(
     }
 
 
-def _resolve_resume_checkpoints(
+def _request_checkpoints(
     specs: Sequence[Any],
     checkpoint_cache: Optional[ContentStore],
-    workers: int,
     metrics: Optional[MetricsRegistry] = None,
-) -> None:
-    """Make every ``resume_from`` digest in ``specs`` resolvable.
+) -> Dict[str, Any]:
+    """The checkpoints ``specs`` resume from, keyed by digest.
 
-    Digests are pulled from the worker's upload cache into the
-    process-global checkpoint registry (where ``run_scenario``
-    resolves them).  A worker with a cache answers from the cache
-    alone: a digest it lacks raises the 404-class miss so the client
-    re-uploads, even when the registry holds it (an embedded worker
-    shares the client's registry).  A worker without a cache resolves
-    from the registry.  With a multiprocess fan-out the registry
-    additionally gets a disk spill so spawned children inherit the
-    checkpoints through ``REPRO_CHECKPOINT_DIR``.
+    Resolved from this request's worker cache alone (no cache holds
+    nothing): a digest it lacks raises the 404-class miss so the
+    client re-uploads.  Never the process-global registry -- an
+    embedded worker shares that with its client, and a pool child must
+    not depend on what its parent once registered.  Each scenario is
+    handed its checkpoint with the task.
     """
     digests = sorted({s.resume_from for s in specs if s.resume_from})
     if not digests:
-        return
-    from ..checkpoint.store import ensure_spill_dir, global_registry
-
-    registry = global_registry()
-    if workers > 1:
-        ensure_spill_dir()
-        registry = global_registry()
-    for digest in digests:
-        if checkpoint_cache is not None:
-            checkpoint = checkpoint_cache.get(digest)  # the typed miss
-            if digest not in registry:
-                registry.put(checkpoint)
-        elif digest not in registry:
-            raise UnknownCheckpointDigestError(
-                f"unknown checkpoint {digest} (this worker has no "
-                "checkpoint cache; POST /checkpoints first)"
-            )
+        return {}
+    cache = checkpoint_cache if checkpoint_cache is not None else make_checkpoint_cache()
+    checkpoints = {digest: cache.get(digest) for digest in digests}
     if metrics is not None:
         metrics.counter("worker.checkpoint_resumes").inc(len(digests))
+    return checkpoints
+
+
+#: the module whose counters ``/healthz`` reports as ``compile_cache``
+#: (``__package__``, not ``__name__``: the daemon runs as ``__main__``)
+_PSL_COMPILED = f"{__package__.rpartition('.')[0]}.psl.compiled"
+
+
+def _compile_stats() -> Dict[str, int]:
+    """This process's compile-cache counters; ``{}`` while
+    ``repro.psl`` is not loaded (reading them never loads it)."""
+    compiled = sys.modules.get(_PSL_COMPILED)
+    return compiled.compile_cache_stats() if compiled is not None else {}
+
+
+def _pool_task(task: Tuple[Callable, Any, Any]) -> Tuple[Any, Dict[str, int]]:
+    """A pool child's work unit: ``fn(spec, checkpoint)`` and what the
+    run added to the child's compile-cache counters."""
+    fn, spec, checkpoint = task
+    before = _compile_stats()
+    verdict = fn(spec, checkpoint)
+    delta = {
+        key: value - before.get(key, 0)
+        for key, value in _compile_stats().items()
+        if value != before.get(key, 0)
+    }
+    return verdict, delta
+
+
+class CompileTotals:
+    """The pool children's compile-cache counters, summed over the
+    per-task deltas (the daemon itself compiles nothing then)."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._totals: Dict[str, int] = {}
+
+    def add(self, delta: Dict[str, int]) -> None:
+        """Fold one task's delta in."""
+        with self._lock:
+            for key, value in delta.items():
+                self._totals[key] = self._totals.get(key, 0) + value
+
+    def plus(self, stats: Dict[str, int]) -> Dict[str, int]:
+        """``stats`` (the daemon's own counters) with the children's added."""
+        with self._lock:
+            return {
+                key: stats.get(key, 0) + self._totals.get(key, 0)
+                for key in {**stats, **self._totals}
+            }
+
+
+class _ShardEngine:
+    """One ``/run``'s engine: every spec runs with the checkpoint it
+    resumes from, across the daemon's pool or, without one, inline on
+    the handler thread."""
+
+    name = "worker"
+
+    def __init__(
+        self,
+        checkpoints: Dict[str, Any],
+        pool: Optional[ForkPool] = None,
+        compile_totals: Optional[CompileTotals] = None,
+    ):
+        self.checkpoints = checkpoints
+        self.pool = pool
+        self.compile_totals = compile_totals
+        self.workers = pool.workers if pool is not None else 1
+
+    def imap(self, fn: Callable, specs: Iterable[Any]) -> Iterator[Any]:
+        """``fn(spec, checkpoint)`` for every spec, as each completes."""
+        tasks = [(fn, spec, self.checkpoints.get(spec.resume_from)) for spec in specs]
+        if self.pool is None:
+            for _, spec, checkpoint in tasks:
+                yield fn(spec, checkpoint)
+            return
+        for verdict, delta in self.pool.imap(_pool_task, tasks):
+            if delta and self.compile_totals is not None:
+                self.compile_totals.add(delta)
+            yield verdict
 
 
 def run_shard_request(
@@ -269,15 +346,22 @@ def run_shard_request(
     spec_cache: ContentStore,
     metrics: Optional[MetricsRegistry] = None,
     checkpoint_cache: Optional[ContentStore] = None,
+    pool: Optional[ForkPool] = None,
+    compile_totals: Optional[CompileTotals] = None,
 ) -> Dict[str, Any]:
     """Execute one ``POST /run`` body and return the report wire form.
 
     Pure request -> response: no HTTP in sight, which is what the
     in-process tests exercise.  Raises :class:`WorkerError` for a
-    malformed body (inline specs included) and
+    malformed body (inline specs included),
     :class:`UnknownFingerprintError` for a fingerprint ``spec_cache``
-    does not hold; anything else propagating out is a genuine worker
-    crash and maps to a 500.  ``metrics`` (the serving daemon's own
+    does not hold and :class:`UnknownCheckpointDigestError` for a
+    resume digest ``checkpoint_cache`` does not hold; anything else
+    propagating out is a genuine worker crash (a dead pool child
+    included) and maps to a 500.  The scenarios run across ``pool``
+    when given (``compile_totals`` then sums its children's
+    compile-cache counters), else inline.  A ``"workers"`` field from
+    older clients is ignored.  ``metrics`` (the serving daemon's own
     registry, never the process-global one) receives the worker-side
     counters the ``GET /metrics`` endpoint reports.
     """
@@ -305,14 +389,10 @@ def run_shard_request(
     specs = list(plan_shards(spec_cache.get(fingerprint), of)[index].specs)
     if metrics is not None:
         metrics.counter("worker.spec_cache_hits").inc()
-    workers = body.get("workers") or 1
-    _resolve_resume_checkpoints(specs, checkpoint_cache, workers, metrics)
-    # spawn, not fork: this runs on a handler thread of a threading
-    # HTTP server, and forking a pool while another handler thread may
-    # hold a lock (stderr logging, imports) can deadlock the child
+    checkpoints = _request_checkpoints(specs, checkpoint_cache, metrics)
     started = time.perf_counter()
     report = RegressionRunner(
-        specs, workers=workers, mp_start_method="spawn" if workers > 1 else None
+        specs, engine=_ShardEngine(checkpoints, pool, compile_totals)
     ).run()
     if metrics is not None:
         metrics.counter("worker.shards_served").inc()
@@ -328,9 +408,11 @@ def run_shard_request(
 
 
 class _WorkerState:
-    """One worker daemon's caches and counters, plus its route table."""
+    """One worker daemon's caches, counters and pool, plus its route table."""
 
-    def __init__(self) -> None:
+    def __init__(self, pool: Optional[ForkPool] = None) -> None:
+        self.pool = pool
+        self.compile_totals = CompileTotals()
         self.shards_served = 0
         self.spec_cache = make_spec_cache()
         self.checkpoint_cache = make_checkpoint_cache()
@@ -351,10 +433,13 @@ class _WorkerState:
             "shards_served": self.shards_served,
             "spec_cache_entries": len(self.spec_cache),
             "checkpoint_cache_entries": len(self.checkpoint_cache),
+            # scenarios this daemon runs at once: its pool's children
+            "slots": self.pool.workers if self.pool is not None else 1,
             # the per-worker property-compilation cache: one compile
             # per distinct property, however many shards x seeds run
+            # (summed over the pool children, which do the compiling)
             "psl_engine": default_engine(),
-            "compile_cache": compile_cache_stats(),
+            "compile_cache": self.compile_totals.plus(compile_cache_stats()),
         }
 
     def run(self, body: Dict[str, Any]) -> Dict[str, Any]:
@@ -364,6 +449,8 @@ class _WorkerState:
             self.spec_cache,
             metrics=self.metrics,
             checkpoint_cache=self.checkpoint_cache,
+            pool=self.pool,
+            compile_totals=self.compile_totals,
         )
         self.shards_served += 1
         return doc
@@ -388,11 +475,22 @@ class _WorkerState:
 
 
 def worker_service(
-    host: str = "127.0.0.1", port: int = 0, token: Optional[str] = None
+    host: str = "127.0.0.1",
+    port: int = 0,
+    token: Optional[str] = None,
+    pool: Optional[ForkPool] = None,
 ) -> JsonService:
-    """Bind one worker daemon (not yet serving)."""
+    """Bind one worker daemon (not yet serving).
+
+    With a ``pool`` the shards' scenarios run across its children, and
+    the serving loop replaces any child that died between requests.
+    """
     return JsonService(
-        (host, port), "repro-worker", _WorkerState().routes(), token=token
+        (host, port),
+        "repro-worker",
+        _WorkerState(pool).routes(),
+        token=token,
+        maintenance=pool.replenish if pool is not None else None,
     )
 
 
@@ -487,6 +585,8 @@ def start_worker(
 ) -> WorkerHandle:
     """Serve the worker endpoints from a daemon thread; port 0 = ephemeral.
 
+    Runs every shard inline on its handler thread: this embeds the
+    worker in another program's process, which it must not fork.
     ``coordinator`` points at a coordinator daemon to self-register
     with (heartbeating every ``heartbeat`` seconds); ``token`` both
     guards this worker's endpoints and authenticates toward the
@@ -557,7 +657,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     options = parser.parse_args(argv)
     route_warnings_to_stderr()
-    server = worker_service(options.host, options.port, options.token)
+    # /healthz reads the compile caches and every scenario loads
+    # them: load them once, before the fork, and the children share
+    # the pages instead of each importing its own copy
+    from ..psl import compiled  # noqa: F401
+
+    # fork the pool now, while this is the only thread there is
+    from .pool import ForkPool
+
+    pool = ForkPool.for_this_process()
+    try:
+        server = worker_service(options.host, options.port, options.token, pool)
+    except BaseException:
+        if pool is not None:
+            pool.stop()
+        raise
     bound_host, bound_port = server.server_address[:2]
     links = []
     if options.coordinator:
@@ -571,7 +685,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
     for link in links:
         link.start()
-    return serve_main(server, *links)
+    return serve_main(server, *links, *([pool] if pool is not None else []))
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -73,15 +73,10 @@ class MultiprocessingEngine:
 
     name = "multiprocessing"
 
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        start_method: Optional[str] = None,
-    ):
+    def __init__(self, workers: Optional[int] = None):
         if workers is None:
             workers = min(multiprocessing.cpu_count(), 8)
         self.workers = max(workers, 1)
-        self.start_method = start_method
 
     def imap(
         self, fn: Callable[[_Item], _Result], items: Iterable[_Item]
@@ -92,12 +87,7 @@ class MultiprocessingEngine:
             for item in pending:
                 yield fn(item)
             return
-        context = (
-            multiprocessing.get_context(self.start_method)
-            if self.start_method
-            else multiprocessing.get_context()
-        )
-        pool = context.Pool(processes=self.workers)
+        pool = multiprocessing.Pool(processes=self.workers)
         try:
             yield from pool.imap_unordered(fn, pending)
         finally:
@@ -110,11 +100,7 @@ class MultiprocessingEngine:
         return f"MultiprocessingEngine(workers={self.workers})"
 
 
-def resolve_engine(
-    workers: Optional[int],
-    n_items: int,
-    start_method: Optional[str] = None,
-) -> Engine:
+def resolve_engine(workers: Optional[int], n_items: int) -> Engine:
     """The default engine choice for a fan-out of ``n_items``.
 
     Mirrors the historical ``RegressionRunner`` heuristic: at most 8
@@ -126,4 +112,4 @@ def resolve_engine(
     workers = max(workers, 1)
     if workers == 1:
         return SerialEngine()
-    return MultiprocessingEngine(workers, start_method=start_method)
+    return MultiprocessingEngine(workers)

@@ -281,8 +281,16 @@ def _attach_monitors(spec: ScenarioSpec, system):
     return harness
 
 
-def run_scenario(spec: ScenarioSpec) -> ScenarioVerdict:
-    """Execute one spec end to end (the multiprocessing work unit)."""
+def run_scenario(
+    spec: ScenarioSpec, checkpoint: Optional[Any] = None
+) -> ScenarioVerdict:
+    """Execute one spec end to end (the multiprocessing work unit).
+
+    ``checkpoint`` is the one ``spec.resume_from`` names, when the
+    caller already holds it (a worker daemon hands each scenario the
+    checkpoints its request uploaded); without it the digest resolves
+    in :func:`repro.checkpoint.global_registry`.
+    """
     if OBS.enabled:
         with OBS.tracer.span(
             "scenarios.run_scenario",
@@ -291,10 +299,10 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioVerdict:
             label=spec.label,
             seed=spec.seed,
         ) as span:
-            verdict = _run_scenario(spec)
+            verdict = _run_scenario(spec, checkpoint)
             span.set(transactions=verdict.transactions, ok=verdict.ok)
         return verdict
-    return _run_scenario(spec)
+    return _run_scenario(spec, checkpoint)
 
 
 def _capture_frontier(
@@ -315,16 +323,18 @@ def _capture_frontier(
     return global_registry().put(checkpoint)
 
 
-def _run_scenario(spec: ScenarioSpec) -> ScenarioVerdict:
+def _run_scenario(spec: ScenarioSpec, checkpoint: Optional[Any]) -> ScenarioVerdict:
     started = time.perf_counter()
     if spec.resume_from:
         # resume: rebuild the system in its checkpointed state and run
         # only the remainder (spec.cycles is the total).  Imported
         # lazily -- repro.checkpoint builds on this module.
         from ..checkpoint.capture import restore_scenario
-        from ..checkpoint.store import global_registry
 
-        checkpoint = global_registry().get(spec.resume_from)
+        if checkpoint is None:
+            from ..checkpoint.store import global_registry
+
+            checkpoint = global_registry().get(spec.resume_from)
         system, harness = restore_scenario(spec, checkpoint)
         done = checkpoint.cycles_run
         if OBS.metrics.enabled:
@@ -627,18 +637,14 @@ class RegressionRunner:
         specs: Sequence[ScenarioSpec],
         workers: Optional[int] = None,
         fail_fast: bool = False,
-        mp_start_method: Optional[str] = None,
         engine: Optional[Engine] = None,
     ):
         self.specs = list(specs)
         if engine is None:
-            engine = resolve_engine(
-                workers, len(self.specs), start_method=mp_start_method
-            )
+            engine = resolve_engine(workers, len(self.specs))
         self.engine = engine
         self.workers = engine.workers
         self.fail_fast = fail_fast
-        self.mp_start_method = mp_start_method
 
     def run(self) -> RegressionReport:
         if OBS.enabled:

@@ -223,17 +223,29 @@ class ReferenceAdapter:
         None) and ``params`` are the script's parameters.  On a failure
         the rejected call is run once more through the lockstep, which
         yields its label and message: a rejected action leaves the
-        state untouched, so the re-run fails the same way.
+        state untouched, so the re-run fails the same way.  A replay
+        that reaches a missing machine (a record naming a master the
+        design lacks) is a divergence too, naming that machine.
         """
         machines = self._machines
-        failed = self._replay(*map(machines.get, roles), *params)
         lockstep = self.lockstep
-        if failed < 0:
-            lockstep.calls_executed += self.script.calls(params)
-            return None
-        lockstep.calls_executed += failed
-        machine, action, args = self.script.step_at(failed, roles, params)
-        error = lockstep.call(machine, action, *args)
+        try:
+            failed = self._replay(*map(machines.get, roles), *params)
+        except Exception:
+            missing = ", ".join(role for role in roles if role not in machines)
+            if not missing:
+                raise
+            detail = f"ASM reference has no machine {missing} for {txn.describe()}"
+            expected, error = "a machine of the verified design", f"unknown machine {missing}"
+        else:
+            if failed < 0:
+                lockstep.calls_executed += self.script.calls(params)
+                return None
+            lockstep.calls_executed += failed
+            machine, action, args = self.script.step_at(failed, roles, params)
+            error = lockstep.call(machine, action, *args)
+            detail = f"ASM reference rejected replay of {txn.describe()}"
+            expected = "action enabled in the verified design"
         state = lockstep.state_dump()
         # re-arm the reference so later transactions still get checked
         self._reset_reference()
@@ -241,8 +253,8 @@ class ReferenceAdapter:
             kind=DivergenceKind.PROTOCOL,
             master=txn.master,
             txn_id=txn.txn_id,
-            detail=f"ASM reference rejected replay of {txn.describe()}",
-            expected="action enabled in the verified design",
+            detail=detail,
+            expected=expected,
             observed=error,
             reference_state=state,
         )

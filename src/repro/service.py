@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import hmac
 import json
+import signal
 import sys
 import threading
 import urllib.error
@@ -204,7 +205,9 @@ class JsonService(ThreadingHTTPServer):
     """A threaded JSON daemon serving one route table.
 
     Threaded so health probes answer while a long request (a shard
-    run, a job dispatch) is in flight.
+    run, a job dispatch) is in flight.  ``maintenance`` runs on the
+    serving thread after every request and every idle poll -- the one
+    place a daemon's main thread gets to act while it serves.
     """
 
     daemon_threads = True
@@ -215,11 +218,18 @@ class JsonService(ThreadingHTTPServer):
         name: str,
         routes: Dict[Tuple[str, str], Route],
         token: Optional[str] = None,
+        maintenance: Optional[Callable[[], None]] = None,
     ):
         super().__init__(address, _JsonHandler)
         self.name = name
         self.routes = routes
         self.token = token
+        self.maintenance = maintenance
+
+    def service_actions(self) -> None:
+        """Run the ``maintenance`` hook (socketserver's loop calls this)."""
+        if self.maintenance is not None:
+            self.maintenance()
 
     def route(self, method: str, path: str) -> Tuple[Route, Optional[str]]:
         """The function serving ``method path`` plus its prefix tail."""
@@ -283,9 +293,12 @@ def serve_main(server: JsonService, *companions: Any) -> int:
 
     Writes exactly one stdout line, ``<name> listening on
     http://HOST:PORT``, so a parent that spawned the daemon with
-    ``--port 0`` can parse the ephemeral port.
+    ``--port 0`` can parse the ephemeral port.  SIGTERM ends it like
+    Ctrl-C: the companions stop, the socket closes, the exit status
+    is 0.
     """
     host, port = server.server_address[:2]
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     print(f"{server.name} listening on http://{host}:{port}", flush=True)
     try:
         server.serve_forever()

@@ -283,7 +283,7 @@ class TestDeltaWitness:
         assert repro_main(argv) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["digest"] == (
-            "7af4a2b143947d011b6a9d1b887d7291a41da7f1a20013e6e8e63ee009582210"
+            "4957706f34656b7524768438c8ee0e8f0f8da44614cd3fbe52127c4f3e51f339"
         )
         keys = ("deltas", "reads", "writes", "max_read_set", "max_write_set")
         facts = {

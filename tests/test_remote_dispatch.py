@@ -197,6 +197,7 @@ class TestWorkerProtocol:
             "shards_served",
             "spec_cache_entries",
             "checkpoint_cache_entries",
+            "slots",
             "psl_engine",
             "compile_cache",
         }
@@ -206,6 +207,8 @@ class TestWorkerProtocol:
         assert doc["shards_served"] == 0
         assert doc["spec_cache_entries"] == 0
         assert doc["checkpoint_cache_entries"] == 0
+        # an embedded worker never forks its host program: one slot
+        assert doc["slots"] == 1
         assert doc["psl_engine"] in ("compiled", "interpreted")
         assert {"plan_hits", "plan_misses", "automaton_hits", "automaton_misses"} <= set(
             doc["compile_cache"]
@@ -538,6 +541,46 @@ class TestCheckpointTransport:
         report = host.run_shard(_primed_work(host, [resume_spec]))
         assert report.digest() == base.digest()
         assert host.posts == ["/specs", "/run", "/checkpoints", "/run"]
+
+    def test_each_worker_resolves_only_the_checkpoints_it_was_sent(
+        self, worker_pair
+    ):
+        """Two workers in one process: the one sent the checkpoint
+        resumes from it without filling the process-global registry,
+        and the other still answers the typed 404."""
+        spec = ScenarioSpec(
+            "pci", 2005, (2, 2), "default", 90, None, False, (), False
+        )
+        checkpoint = snapshot_scenario_run(replace(spec, cycles=40), 40)
+        resumed = replace(spec, resume_from=checkpoint.digest)
+        assert checkpoint.digest not in global_registry()
+        fingerprint = specs_fingerprint([resumed])
+        run = {
+            "version": 1,
+            "shard": {"index": 0, "of": 1, "fingerprint": fingerprint},
+        }
+        sent, never_sent = worker_pair
+        for worker in worker_pair:
+            status, _ = _post_json(
+                worker,
+                "/specs",
+                {"version": 1, "fingerprint": fingerprint,
+                 "specs": [resumed.to_json()]},
+            )
+            assert status == 200
+        status, _ = _post_json(
+            sent, "/checkpoints",
+            {"version": 1, "checkpoint": checkpoint.to_json()},
+        )
+        assert status == 200
+        status, doc = _post_json(sent, "/run", run)
+        assert status == 200
+        base = RegressionRunner([spec], engine=SerialEngine()).run()
+        assert doc["digest"] == base.digest()
+        assert checkpoint.digest not in global_registry()
+        status, doc = _post_json(never_sent, "/run", run)
+        assert status == 404
+        assert "unknown checkpoint" in doc["error"]
 
     def test_a_second_404_for_the_same_item_surfaces(self, worker):
         host = _ForgetfulHost(

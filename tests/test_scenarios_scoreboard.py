@@ -162,6 +162,34 @@ class TestProtocolDivergence:
         assert [m.kind for m in mismatches] == [DivergenceKind.PROTOCOL]
         assert "rejected" in mismatches[0].observed
 
+    @pytest.mark.parametrize(
+        "adapter,address,good",
+        [
+            (MsReferenceAdapter(1, 1, 2), 0x100, "master1"),
+            (PciReferenceAdapter(2, 2), 0x2000, "master1"),
+        ],
+        ids=["master_slave", "pci"],
+    )
+    def test_unknown_master_is_a_divergence_not_a_crash(self, adapter, address, good):
+        # a record naming a master the reference lacks diverges, names
+        # that master, and leaves later records checked as usual
+        item = SequenceItem(target=1, is_write=True, burst=1, address_offset=0,
+                            payload=(9,))
+        ghost, valid = (
+            Transaction(
+                master=master, address=address, is_write=True, data=(9,),
+                mode=BusMode.NON_BLOCKING, start_cycle=4 * n, end_cycle=4 * n + 2,
+                txn_id=n,
+            )
+            for n, master in enumerate(("master7", good))
+        )
+        report = Scoreboard(adapter, "ghost").check([(ghost, item), (valid, item)])
+        assert report.matches == 1
+        [mismatch] = report.mismatches
+        assert mismatch.kind is DivergenceKind.PROTOCOL
+        assert mismatch.master == "master7"
+        assert "master7" in mismatch.observed and "master7" in mismatch.detail
+
 
 class TestDeterminism:
     def test_same_seed_byte_identical_stream(self):

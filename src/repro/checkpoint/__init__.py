@@ -14,9 +14,11 @@ first-class, shippable object instead:
   monitor letter streams) with the restore-equivalence guarantee
   ``restore(snapshot(T)) + k cycles == run(T + k)``, byte-identical
   digests included.
-* :mod:`~repro.checkpoint.store` -- the digest-keyed global registry
-  (a :class:`~repro.store.ContentStore`) with disk spill
-  (``REPRO_CHECKPOINT_DIR``) plus single-file reading for the CLI.
+* :mod:`~repro.checkpoint.store` -- the digest-keyed, in-memory global
+  registry (a :class:`~repro.store.ContentStore`) plus single-file
+  reading for the CLI.  Checkpoints cross processes as values: a
+  capture rides back on its verdict, a resume source rides out in the
+  spec file or a ``/checkpoints`` upload.
 
 Consumers: ``ScenarioSpec.resume_from`` (regression runs forked from a
 frontier state), the directed-closure frontier planner
@@ -43,7 +45,6 @@ from .snapshot import WIRE_VERSION, Checkpoint
 from .store import (
     SPILL_DIR_ENV,
     checkpoint_store,
-    ensure_spill_dir,
     global_registry,
     load_checkpoint,
     reset_global_registry,
@@ -60,7 +61,6 @@ __all__ = [
     "UnknownCheckpointError",
     "WIRE_VERSION",
     "checkpoint_store",
-    "ensure_spill_dir",
     "global_registry",
     "load_checkpoint",
     "reset_global_registry",

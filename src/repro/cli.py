@@ -333,14 +333,14 @@ def _cmd_resume(options: argparse.Namespace) -> int:
     """Load a checkpoint file and run its scenario to a later cycle."""
     from dataclasses import replace
 
-    from .checkpoint import CheckpointError, global_registry, load_checkpoint
+    from .checkpoint import CheckpointError, load_checkpoint
     from .scenarios.regression import run_scenario
 
     try:
         checkpoint = load_checkpoint(options.source)
     except CheckpointError as exc:
         raise SystemExit(f"error: {exc}") from exc
-    digest = global_registry().put(checkpoint)
+    digest = checkpoint.digest
     total = options.cycles
     if total is None:
         total = max(checkpoint.spec.cycles, checkpoint.cycles_run)
@@ -348,7 +348,7 @@ def _cmd_resume(options: argparse.Namespace) -> int:
         checkpoint.spec, cycles=total, resume_from=digest, checkpoint_at=None
     )
     try:
-        verdict = run_scenario(spec)
+        verdict = run_scenario(spec, checkpoint)
     except CheckpointError as exc:
         raise SystemExit(f"error: {exc}") from exc
     if options.json:

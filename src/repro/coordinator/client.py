@@ -84,19 +84,14 @@ class CoordinatorClient:
         :func:`repro.checkpoint.global_registry`) before submission.
         Returns how many were sent.
         """
-        digests = sorted(
-            {spec.resume_from for spec in specs if spec.resume_from}
-        )
-        if not digests:
+        if not any(spec.resume_from for spec in specs):
             return 0
-        from ..checkpoint.store import global_registry
+        from ..checkpoint.store import resume_checkpoints
 
-        registry = global_registry()
-        for digest in digests:
-            self._upload(
-                "/checkpoints", {"checkpoint": registry.get(digest).to_json()}
-            )
-        return len(digests)
+        checkpoints = resume_checkpoints(specs)
+        for checkpoint in checkpoints:
+            self._upload("/checkpoints", {"checkpoint": checkpoint.to_json()})
+        return len(checkpoints)
 
     def _upload(self, path: str, doc: Dict[str, Any]) -> None:
         """POST one upload (``/specs``, ``/checkpoints``); raise unless 200."""

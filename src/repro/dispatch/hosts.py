@@ -13,10 +13,12 @@ in, a :class:`~repro.scenarios.regression.RegressionReport` coming out
 -- which is why the transports are interchangeable above this module.
 
 A host that dies, times out, emits unparseable output or returns a
-report that fails digest verification raises :class:`HostFailure`; the
-dispatcher treats that as "this machine is gone", not "the regression
-failed", and retries the shard elsewhere.  A *regression* failure (the
-scenarios genuinely diverged) is a valid report and is never retried.
+report that fails verification (:func:`verified_report`: its digest,
+its verdict count, every checkpoint sidecar) raises
+:class:`HostFailure`; the dispatcher treats that as "this machine is
+gone", not "the regression failed", and retries the shard elsewhere.
+A *regression* failure (the scenarios genuinely diverged) is a valid
+report and is never retried.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import os
 import subprocess
 import sys
 from dataclasses import dataclass
-from typing import List, Optional, Protocol, runtime_checkable
+from typing import List, Optional, Protocol, Union, runtime_checkable
 
 from ..scenarios.engines import SerialEngine
 from ..scenarios.regression import RegressionReport, RegressionRunner
@@ -87,6 +89,38 @@ class HostFailure(RuntimeError):
         self.shard_label = shard_label
         self.reason = reason
         self.kind = kind
+
+
+def verified_report(
+    host: str, shard: Shard, body: Union[str, bytes], context: str = ""
+) -> RegressionReport:
+    """The shard report in a host's JSON reply, verified, or a typed
+    :class:`HostFailure`: ``garbage-json`` (``context`` says what the
+    transport knows), ``digest-mismatch`` (the report digest or a
+    checkpoint sidecar) or ``bad-report`` (the verdict count)."""
+    from ..checkpoint.errors import CheckpointError
+
+    def failure(reason: str, kind: str) -> HostFailure:
+        return HostFailure(host, shard.label, reason, kind=kind)
+
+    try:
+        doc = json.loads(body)
+        report = RegressionReport.from_json(doc)
+    except (KeyError, TypeError, ValueError) as exc:
+        reason = f"{type(exc).__name__}: {exc}"
+        raise failure(
+            f"unparseable shard report{context}: {reason}", "garbage-json"
+        ) from exc
+    except CheckpointError as exc:
+        raise failure(
+            f"checkpoint sidecar failed verification: {exc}", "digest-mismatch"
+        ) from exc
+    if report.digest() != doc.get("digest"):
+        raise failure("report failed digest verification", "digest-mismatch")
+    if len(report.verdicts) != len(shard.specs):
+        counts = f"{len(report.verdicts)} verdicts for {len(shard.specs)} specs"
+        raise failure(counts, "bad-report")
+    return report
 
 
 @runtime_checkable
@@ -216,26 +250,10 @@ class LocalSubprocessHost:
                 f"killed by signal {-process.returncode}",
                 kind="killed",
             )
-        try:
-            doc = json.loads(stdout)
-        except ValueError as exc:
-            detail = (stderr or stdout or "").strip().splitlines()
-            tail = detail[-1] if detail else "no output"
-            raise HostFailure(
-                self.name,
-                label,
-                f"unparseable report (exit {process.returncode}): {tail}",
-                kind="garbage-json",
-            ) from exc
-        report = RegressionReport.from_json(doc)
-        if report.digest() != doc.get("digest"):
-            raise HostFailure(
-                self.name,
-                label,
-                "shard report failed digest verification",
-                kind="digest-mismatch",
-            )
-        return report
+        detail = (stderr or stdout or "").strip().splitlines()
+        tail = detail[-1] if detail else "no output"
+        context = f" (exit {process.returncode}; {tail})"
+        return verified_report(self.name, work.shard, stdout, context)
 
     def __repr__(self) -> str:
         return f"LocalSubprocessHost({self.name!r})"

@@ -46,7 +46,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..scenarios.regression import RegressionReport, ScenarioSpec
 from ..service import WIRE_VERSION, encode, error_text, http_request
-from .hosts import HostFailure, ShardWork
+from .hosts import HostFailure, ShardWork, verified_report
 from .planner import Shard
 
 #: Default per-shard HTTP timeout (seconds): generous, because a shard
@@ -134,32 +134,7 @@ class HttpHost:
     def _execute_run(self, body: bytes, shard: Shard) -> RegressionReport:
         """POST one ``/run`` body and verify the report that comes back."""
         raw = self._post("/run", body, shard.label)
-        try:
-            doc = json.loads(raw)
-            report = RegressionReport.from_json(doc)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise HostFailure(
-                self.name,
-                shard.label,
-                f"unparseable shard report: {exc}",
-                kind="garbage-json",
-            ) from exc
-        if report.digest() != doc.get("digest"):
-            raise HostFailure(
-                self.name,
-                shard.label,
-                "shard report failed digest verification",
-                kind="digest-mismatch",
-            )
-        if len(report.verdicts) != len(shard.specs):
-            raise HostFailure(
-                self.name,
-                shard.label,
-                f"worker returned {len(report.verdicts)} verdicts "
-                f"for {len(shard.specs)} specs",
-                kind="bad-report",
-            )
-        return report
+        return verified_report(self.name, shard, raw)
 
     def _upload(
         self,
@@ -196,21 +171,17 @@ class HttpHost:
         here, before the spec list is sent.
         """
         label = work.shard.label
-        digests = sorted(
-            {spec.resume_from for spec in work.shard.specs if spec.resume_from}
-        )
-        if digests:
-            from ..checkpoint.store import global_registry
+        if any(spec.resume_from for spec in work.shard.specs):
+            from ..checkpoint.store import resume_checkpoints
 
-            registry = global_registry()
-            for digest in digests:
+            for checkpoint in resume_checkpoints(work.shard.specs):
                 self._upload(
                     "/checkpoints",
-                    digest,
+                    checkpoint.digest,
                     label,
                     force == "/checkpoints",
-                    lambda digest=digest: {
-                        "checkpoint": registry.get(digest).to_json()
+                    lambda checkpoint=checkpoint: {
+                        "checkpoint": checkpoint.to_json()
                     },
                 )
         shipped = self._upload(

@@ -75,13 +75,14 @@ class ScenarioSpec:
     track_fsm: bool = False
     #: checkpoint digest to resume from instead of running from reset;
     #: ``cycles`` stays the *total* -- the run covers the remainder.
-    #: Resolved against :func:`repro.checkpoint.global_registry` (or the
-    #: dispatch layer's ``/checkpoints`` cache on remote hosts).
+    #: Resolved against the running process's
+    #: :func:`repro.checkpoint.global_registry` (a ``--shard`` child
+    #: fills it from its spec file) or a worker's ``/checkpoints`` cache.
     resume_from: Optional[str] = None
-    #: cycle boundary to snapshot at (<= ``cycles``); the digest lands in
-    #: the verdict's ``frontier_digest`` and the checkpoint in the run
-    #: process's registry.  The closure loop sets this to cache frontier
-    #: states its next round can fork from.
+    #: cycle boundary to snapshot at (<= ``cycles``); the checkpoint
+    #: travels back as the verdict's ``checkpoint`` sidecar, its digest
+    #: as ``frontier_digest``.  The closure loop sets this to cache
+    #: frontier states its next round can fork from.
     checkpoint_at: Optional[int] = None
 
     @property
@@ -148,9 +149,11 @@ class ScenarioVerdict:
     #: coarse ASM events reconstructed from the run's records
     #: (only when the spec asked for ``track_fsm``)
     fsm_events: Tuple[Tuple[str, str, tuple], ...] = ()
-    #: digest of the checkpoint ``spec.checkpoint_at`` captured, if any;
-    #: resolvable in the registry of the process that ran the scenario
+    #: digest of the checkpoint ``spec.checkpoint_at`` captured, if any
     frontier_digest: Optional[str] = None
+    #: that checkpoint itself, riding back with the verdict (pickle or
+    #: ``to_json``): a sidecar outside equality and every digest
+    checkpoint: Optional[Any] = field(default=None, compare=False, repr=False)
 
     def summary(self) -> str:
         status = "PASS" if self.ok else "FAIL"
@@ -169,9 +172,10 @@ class ScenarioVerdict:
 
         Lossless: ``from_json`` rebuilds an equal verdict, which is what
         lets a shard host ship its results back as JSON and the merger
-        fold them into a report whose digest matches a serial run.
+        fold them into a report whose digest matches a serial run.  A
+        ``checkpoint`` sidecar is emitted only when present.
         """
-        return {
+        doc = {
             "label": self.spec.label,
             "model": self.spec.model,
             "seed": self.spec.seed,
@@ -195,9 +199,19 @@ class ScenarioVerdict:
             ],
             "frontier_digest": self.frontier_digest,
         }
+        if self.checkpoint is not None:
+            doc["checkpoint"] = self.checkpoint.to_json()
+        return doc
 
     @classmethod
     def from_json(cls, doc: Dict[str, Any]) -> "ScenarioVerdict":
+        """Rebuild a verdict, verifying its sidecar (a damaged one, or one
+        that is not ``frontier_digest``, raises a ``CheckpointError``)."""
+        checkpoint = doc.get("checkpoint")
+        if checkpoint is not None:
+            checkpoint = _verified_sidecar(
+                checkpoint, doc.get("frontier_digest")
+            )
         return cls(
             spec=ScenarioSpec.from_json(doc["spec"]),
             ok=doc["ok"],
@@ -217,7 +231,22 @@ class ScenarioVerdict:
                 for machine, action, args in doc.get("fsm_events", ())
             ),
             frontier_digest=doc.get("frontier_digest"),
+            checkpoint=checkpoint,
         )
+
+
+def _verified_sidecar(doc: Any, frontier_digest: Optional[str]) -> Any:
+    """The checkpoint a verdict document carries, verified end to end."""
+    from ..checkpoint.errors import CheckpointIntegrityError
+    from ..checkpoint.snapshot import Checkpoint
+
+    checkpoint = Checkpoint.from_json(doc)
+    if checkpoint.digest != frontier_digest:
+        raise CheckpointIntegrityError(
+            f"verdict sidecar is checkpoint {checkpoint.digest}, but its "
+            f"frontier_digest is {frontier_digest!r}"
+        )
+    return checkpoint
 
 
 def _build_system(spec: ScenarioSpec):
@@ -289,7 +318,8 @@ def run_scenario(
     ``checkpoint`` is the one ``spec.resume_from`` names, when the
     caller already holds it (a worker daemon hands each scenario the
     checkpoints its request uploaded); without it the digest resolves
-    in :func:`repro.checkpoint.global_registry`.
+    in :func:`repro.checkpoint.global_registry`.  A ``checkpoint_at``
+    capture is the verdict's sidecar, and no registry's entry.
     """
     if OBS.enabled:
         with OBS.tracer.span(
@@ -305,14 +335,11 @@ def run_scenario(
     return _run_scenario(spec, checkpoint)
 
 
-def _capture_frontier(
-    spec: ScenarioSpec, system, harness, at_cycles: int
-) -> str:
-    """Snapshot the (quiescent) system into the registry; the digest."""
+def _capture_frontier(spec: ScenarioSpec, system, harness, at_cycles: int):
+    """Snapshot the (quiescent) system: the verdict's sidecar."""
     from dataclasses import replace
 
     from ..checkpoint.capture import snapshot_system
-    from ..checkpoint.store import global_registry
 
     base = replace(
         spec, cycles=at_cycles, resume_from=None, checkpoint_at=None
@@ -320,7 +347,7 @@ def _capture_frontier(
     checkpoint = snapshot_system(system, base, at_cycles, harness=harness)
     if OBS.metrics.enabled:
         OBS.metrics.counter("checkpoint.captured").inc()
-    return global_registry().put(checkpoint)
+    return checkpoint
 
 
 def _run_scenario(spec: ScenarioSpec, checkpoint: Optional[Any]) -> ScenarioVerdict:
@@ -347,15 +374,13 @@ def _run_scenario(spec: ScenarioSpec, checkpoint: Optional[Any]) -> ScenarioVerd
             # the snapshot replays the letter stream; record from cycle 0
             harness.record_letters = True
         done = 0
-    frontier_digest = None
+    frontier = None
     if (
         spec.checkpoint_at is not None
         and done < spec.checkpoint_at <= spec.cycles
     ):
         system.run_cycles(spec.checkpoint_at - done)
-        frontier_digest = _capture_frontier(
-            spec, system, harness, spec.checkpoint_at
-        )
+        frontier = _capture_frontier(spec, system, harness, spec.checkpoint_at)
         done = spec.checkpoint_at
     if spec.cycles > done:
         system.run_cycles(spec.cycles - done)
@@ -394,7 +419,8 @@ def _run_scenario(spec: ScenarioSpec, checkpoint: Optional[Any]) -> ScenarioVerd
             sorted((bin_.describe(), hits) for bin_, hits in bins.hits.items())
         ),
         fsm_events=events,
-        frontier_digest=frontier_digest,
+        frontier_digest=frontier.digest if frontier is not None else None,
+        checkpoint=frontier,
     )
 
 
@@ -461,8 +487,17 @@ class SpecFileError(ValueError):
 
 
 def save_specs(specs: Sequence[ScenarioSpec], path: str) -> None:
-    """Write a spec list as the versioned JSON wire format."""
-    doc = {"version": SPEC_FILE_VERSION, "specs": [s.to_json() for s in specs]}
+    """Write a spec list as the versioned JSON wire format, with the
+    wire documents of the checkpoints its specs resume from
+    (``"checkpoints"``) so the loading process can resolve them."""
+    doc: Dict[str, Any] = {
+        "version": SPEC_FILE_VERSION,
+        "specs": [s.to_json() for s in specs],
+    }
+    if any(spec.resume_from for spec in specs):
+        from ..checkpoint.store import resume_checkpoints
+
+        doc["checkpoints"] = [c.to_json() for c in resume_checkpoints(specs)]
     text = json.dumps(doc, indent=2, sort_keys=True)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)
@@ -473,8 +508,10 @@ def load_specs(path: str) -> List[ScenarioSpec]:
 
     Every way the file can be wrong -- unreadable, not JSON, not a
     spec document, another format version, an entry that does not
-    rebuild a spec of a known model -- raises :class:`SpecFileError`
-    naming the path (and the entry), never a bare parse error.
+    rebuild a spec of a known model, an embedded checkpoint that fails
+    verification -- raises :class:`SpecFileError` naming the path (and
+    the entry), never a bare parse error.  The verified checkpoints go
+    into this process's :func:`repro.checkpoint.global_registry`.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -506,7 +543,26 @@ def load_specs(path: str) -> List[ScenarioSpec]:
                 f"{spec.model!r} (choose from {', '.join(MODELS)})"
             )
         specs.append(spec)
+    if doc.get("checkpoints"):
+        _register_checkpoints(path, doc["checkpoints"])
     return specs
+
+
+def _register_checkpoints(path: str, docs: Any) -> None:
+    """Verify and register a spec file's checkpoint documents."""
+    from ..checkpoint.errors import CheckpointError
+    from ..checkpoint.snapshot import Checkpoint
+    from ..checkpoint.store import global_registry
+
+    if not isinstance(docs, list):
+        raise SpecFileError(f"{path}: \"checkpoints\" is not a list")
+    for index, entry in enumerate(docs):
+        try:
+            global_registry().put(Checkpoint.from_json(entry))
+        except CheckpointError as exc:
+            raise SpecFileError(
+                f"{path}: checkpoint entry {index} rejected: {exc}"
+            ) from exc
 
 
 @dataclass

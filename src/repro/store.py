@@ -6,7 +6,7 @@ Every store and cache in the system is a :class:`ContentStore`:
   (a directory, no memory tier);
 * the process-global checkpoint registry
   (:func:`repro.checkpoint.global_registry`: an unbounded memory tier,
-  spilling to the ``REPRO_CHECKPOINT_DIR`` directory when one is set);
+  no directory);
 * the worker's spec-list and checkpoint caches (bounded LRU memory
   tiers, no directory).
 
@@ -92,12 +92,12 @@ class ContentStore:
         self.decode = decode
         self.limit = limit
         self.missing = missing
-        self.directory: Optional[str] = None
+        self.directory = directory or None
         self.corruptions = 0
         self._memory: "OrderedDict[str, Any]" = OrderedDict()
         self._lock = threading.Lock()
-        if directory:
-            self.attach(directory)
+        if self.directory:
+            os.makedirs(self.directory, exist_ok=True)
 
     def _path(self, key: str) -> str:
         return os.path.join(self.directory, f"{key}.json")
@@ -180,15 +180,6 @@ class ContentStore:
             os.unlink(path)
         except OSError:
             pass
-
-    def attach(self, directory: str) -> None:
-        """Late-bind a directory and flush the memory tier into it."""
-        os.makedirs(directory, exist_ok=True)
-        self.directory = directory
-        with self._lock:
-            entries = list(self._memory.items())
-        for key, value in entries:
-            self._write(key, value)
 
     def __contains__(self, key: str) -> bool:
         return self.fetch(key) is not None

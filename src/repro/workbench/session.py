@@ -33,7 +33,7 @@ import traceback
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..abv.harness import AbvHarness, FailureAction
-from ..checkpoint import ensure_spill_dir, global_registry
+from ..checkpoint import UnknownCheckpointError, global_registry
 from ..dispatch import select_engine
 from ..obs.runtime import OBS
 from ..explorer.engine import ExplorationResult, explore as run_exploration
@@ -80,6 +80,20 @@ def _fsm_digest(fsm: Fsm) -> str:
     )
     body = f"states:{fsm.state_count()}\n" + "\n".join(lines)
     return hashlib.sha256(body.encode("utf-8")).hexdigest()[:16]
+
+
+def _hold_frontier(verdict: Any) -> None:
+    """Register a verdict's frontier checkpoint sidecar; a digest with
+    neither sidecar nor registry entry (a runner may register its own)
+    raises, naming the verdict, instead of silently forking nothing."""
+    digest = verdict.frontier_digest
+    if verdict.checkpoint is not None:
+        global_registry().put(verdict.checkpoint, key=digest)
+    elif digest not in global_registry():
+        raise UnknownCheckpointError(
+            f"{verdict.spec.label}: frontier checkpoint {digest} came back "
+            "without its checkpoint and is not in this process's registry"
+        )
 
 
 class Workbench:
@@ -711,15 +725,17 @@ class Workbench:
         regression digest matches a serial run.
 
         With ``frontier=True`` (the default) every directed run
-        snapshots its end state into the checkpoint registry, keyed by
-        the FSM state its event walk stopped in.  The next round's
-        planner treats those covered frontier states as extra path
-        origins: a residue edge strictly closer to a frontier state
-        than to reset is planned from there, and its scenario *forks*
-        the cached checkpoint (``resume_from``) instead of re-walking
-        the warm-up -- same achieved-edge accounting, measurably fewer
-        simulated cycles per round (each round reports
-        ``cycles_simulated`` and ``cycles_saved``).
+        snapshots its end state; the checkpoint rides back on the
+        verdict into this process's checkpoint registry, keyed by the
+        FSM state its event walk stopped in (a digest that arrives
+        without its checkpoint is an :class:`UnknownCheckpointError`).
+        The next round's planner treats those covered frontier states
+        as extra path origins: a residue edge strictly closer to a
+        frontier state than to reset is planned from there, and its
+        scenario *forks* the cached checkpoint (``resume_from``)
+        instead of re-walking the warm-up -- same achieved-edge
+        accounting, measurably fewer simulated cycles per round (each
+        round reports ``cycles_simulated`` and ``cycles_saved``).
         """
         return self._execute(
             "close_coverage",
@@ -778,12 +794,6 @@ class Workbench:
         coordinator_metrics: List[Dict[str, Any]] = []
 
         use_frontier = bool(frontier)
-        checkpoint_registry = None
-        if use_frontier:
-            # the spill dir makes subprocess-captured checkpoints
-            # resolvable here when a later round forks them
-            ensure_spill_dir()
-            checkpoint_registry = global_registry()
         #: covered FSM state -> (checkpoint digest, cycles run, seed) of
         #: the directed run whose event walk stopped there
         frontier_checkpoints: Dict[int, Tuple[str, int, int]] = {}
@@ -791,15 +801,6 @@ class Workbench:
 
         def plan_round(edges: Tuple[str, ...], round_index: int) -> List[Any]:
             planned = []
-            available = (
-                sorted(
-                    state
-                    for state, (digest, _, _) in frontier_checkpoints.items()
-                    if digest in checkpoint_registry
-                )
-                if use_frontier
-                else []
-            )
             facts = fork_facts.setdefault(
                 round_index,
                 {"forked_goals": 0, "cycles_saved": 0, "cycles_simulated": 0},
@@ -809,7 +810,8 @@ class Workbench:
             # up the budget, and neither do frontier forks -- they skip
             # the warm-up, so they ride along as cheap extras
             from_reset_planned = 0
-            for plan in planner.plan(edges, frontier=available):
+            origins = sorted(frontier_checkpoints)
+            for plan in planner.plan(edges, frontier=origins):
                 goals = lower_path_for_model(
                     duv.scenario_model, plan.calls(), topology
                 )
@@ -897,10 +899,11 @@ class Workbench:
                 achieved.update(walk.exercised)
                 visited_states.update(walk.visited_states)
                 off_path += walk.off_path
+                if not (use_frontier and verdict.frontier_digest):
+                    continue
+                _hold_frontier(verdict)
                 if (
-                    use_frontier
-                    and verdict.frontier_digest
-                    and walk.final_state is not None
+                    walk.final_state is not None
                     and walk.final_state not in frontier_checkpoints
                 ):
                     frontier_checkpoints[walk.final_state] = (

@@ -7,14 +7,18 @@ shipped scenario models, both PSL stepping engines, at any quiescent
 snapshot boundary, whether the resumed run executes serially or in
 fresh shard subprocesses.  Around it: the wire form's typed rejection
 taxonomy (Hypothesis round trips included), crash-safe persistence,
-and the frontier planner the directed-closure loop forks from.
+the one channel a checkpoint crosses processes by (a capture on its
+verdict, a resume source in the spec file or an upload), and the
+frontier planner the directed-closure loop forks from.
 """
 
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
+from contextlib import contextmanager
 from copy import deepcopy
 from dataclasses import replace
 from types import SimpleNamespace
@@ -24,7 +28,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.checkpoint import (
-    SPILL_DIR_ENV,
     WIRE_VERSION,
     Checkpoint,
     CheckpointError,
@@ -33,8 +36,6 @@ from repro.checkpoint import (
     CheckpointStateError,
     CheckpointVersionError,
     UnknownCheckpointError,
-    checkpoint_store,
-    ensure_spill_dir,
     global_registry,
     load_checkpoint,
     reset_global_registry,
@@ -45,20 +46,25 @@ from repro.checkpoint import (
 )
 from repro.checkpoint import snapshot
 from repro.checkpoint.snapshot import WIRE_KIND
-from repro.dispatch import ShardDispatcher
+from repro.dispatch import HttpHost, ShardDispatcher
+from repro.dispatch.worker import start_worker
 from repro.explorer.goal_planner import GoalPlanner, walk_fsm_events
 from repro.psl.compiled import ENGINES
 from repro.scenarios.regression import (
     RegressionRunner,
     ScenarioSpec,
+    ScenarioVerdict,
+    SpecFileError,
     _attach_monitors,
     _build_system,
+    load_specs,
     run_scenario,
+    save_specs,
 )
 from repro.scenarios.scoreboard import FaultPlan
 from repro.scenarios.sequences import NAMED_PROFILES
 from repro.store import atomic_write
-from repro.workbench import SerialEngine, Workbench
+from repro.workbench import SerialEngine, StageStatus, Workbench
 
 CYCLES = 120
 
@@ -135,21 +141,16 @@ class TestRestoreEquivalence:
         resumed = _comparable(run_scenario(replace(spec, resume_from=digest)))
         assert resumed == _baseline("master_slave", "interpreted")
 
-    def test_fresh_process_restore_serial_vs_sharded(
-        self, tmp_path, monkeypatch
-    ):
+    def test_fresh_process_restore_serial_vs_sharded(self):
         """Resumed specs produce the baseline report digest both on the
         serial engine and across shard *subprocesses* that rebuild the
-        checkpoints from the spilled wire files."""
-        monkeypatch.setenv(SPILL_DIR_ENV, str(tmp_path / "spill"))
-        reset_global_registry()
+        checkpoints from the wire documents in their spec file."""
         resumed = []
         for model in sorted(MONITORED_SPECS):
             spec = MONITORED_SPECS[model]
             checkpoint = snapshot_scenario_run(replace(spec, cycles=60), 60)
             digest = global_registry().put(checkpoint)
             resumed.append(replace(spec, resume_from=digest))
-        ensure_spill_dir()
         baseline = RegressionRunner(
             list(MONITORED_SPECS.values()), engine=SerialEngine()
         ).run()
@@ -346,11 +347,14 @@ class TestPinnedWire:
         assert snapshot_scenario_run(spec, CYCLES).digest == digest
 
     def test_spilled_file_bytes_are_pinned(self, tmp_path):
-        """The store entry a spilling registry writes for a pinned
-        capture: the file's SHA-256, not just the payload digest."""
+        """The file ``repro checkpoint --out`` writes for a pinned
+        capture (one ``atomic_write`` of its wire document): the file's
+        SHA-256, not just the payload digest."""
         spec, digest = PINNED_DIGESTS["pci-monitored"]
-        checkpoint_store(str(tmp_path)).put(snapshot_scenario_run(spec, CYCLES))
-        data = (tmp_path / f"{digest}.json").read_bytes()
+        path = tmp_path / "run.ckpt"
+        atomic_write(str(path), snapshot_scenario_run(spec, CYCLES).to_json())
+        assert load_checkpoint(str(path)).digest == digest
+        data = path.read_bytes()
         assert hashlib.sha256(data).hexdigest() == (
             "cd5f5a40dcd7b095d46bc4e63a8eb09bbb753d026f65ad9e7b29b7f43e0c7e66"
         )
@@ -393,6 +397,8 @@ class TestCachedDigest:
         assert _fresh_digest(checkpoint) == checkpoint.digest == digest
 
     def test_a_put_and_a_fetch_encode_once_each(self, tmp_path, monkeypatch):
+        """A registry put and the file written from the stored value
+        share one encode; reading the file back verifies with one."""
         checkpoint = snapshot_scenario_run(
             ScenarioSpec("master_slave", 2005, (1, 1, 2), "default", 40), 40
         )
@@ -404,10 +410,12 @@ class TestCachedDigest:
 
         # the canonical encodes are the json.dumps calls in snapshot.py
         monkeypatch.setattr(snapshot, "json", SimpleNamespace(dumps=dumps))
-        digest = checkpoint_store(str(tmp_path)).put(checkpoint)
+        path = str(tmp_path / "run.ckpt")
+        digest = global_registry().put(checkpoint)
+        atomic_write(path, global_registry().get(digest).to_json())
         assert len(calls) == 1
         calls.clear()
-        fetched = checkpoint_store(str(tmp_path)).fetch(digest)
+        fetched = load_checkpoint(path)
         assert len(calls) == 1
         assert fetched.digest == digest == _fresh_digest(fetched)
 
@@ -463,65 +471,6 @@ class TestAtomicPersistence:
         with pytest.raises(CheckpointFormatError, match="cannot read"):
             load_checkpoint(str(path))
 
-    def test_registry_spill_round_trips_across_reset(self, tmp_path):
-        old, _ = self._checkpoints()
-        first = checkpoint_store(str(tmp_path))
-        digest = first.put(old)
-        # a second registry over the same directory (= a fresh worker
-        # process) resolves the digest purely from disk
-        second = checkpoint_store(str(tmp_path))
-        assert second.get(digest).digest == digest
-        with pytest.raises(UnknownCheckpointError):
-            second.get("f" * 64)
-
-
-
-class TestSpillDirectory:
-    """``ensure_spill_dir`` removes a spill directory it created at
-    exit, and never one named by ``REPRO_CHECKPOINT_DIR``."""
-
-    def _close_in_a_subprocess(self, tmp_path, spill=None):
-        env = {
-            k: v for k, v in os.environ.items() if k != SPILL_DIR_ENV
-        }
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [os.path.abspath(src), env.get("PYTHONPATH")])
-        )
-        env["TMPDIR"] = str(tmp_path)
-        if spill is not None:
-            env[SPILL_DIR_ENV] = spill
-        result = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "import os\n"
-                "from repro.checkpoint import SPILL_DIR_ENV\n"
-                "from repro.workbench import Workbench\n"
-                "Workbench('master_slave').close_coverage(rounds=1, cycles=60)\n"
-                "spill = os.environ[SPILL_DIR_ENV]\n"
-                "print(spill, len(os.listdir(spill)))\n",
-            ],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=120,
-        )
-        assert result.returncode == 0, result.stderr
-        used, entries = result.stdout.split()
-        assert int(entries) > 0
-        return used
-
-    def test_a_created_spill_directory_is_removed_at_exit(self, tmp_path):
-        used = self._close_in_a_subprocess(tmp_path)
-        assert os.path.dirname(used) == str(tmp_path)
-        assert not os.path.exists(used)
-        assert os.listdir(tmp_path) == []
-
-    def test_a_named_spill_directory_survives(self, tmp_path):
-        spill = str(tmp_path / "spill")
-        assert self._close_in_a_subprocess(tmp_path, spill) == spill
-        assert os.listdir(spill)
 
 class TestHypothesisRoundTrip:
     """Random prefixes: wire round trip and re-snapshot identity."""
@@ -818,3 +767,165 @@ class TestFrontierPlanning:
         to_mid_from_reset = cycles_until(from_reset, 17)
         assert to_mid is not None and to_mid_from_reset is not None
         assert to_mid < to_mid_from_reset
+
+
+class TestCheckpointChannel:
+    """A capture travels home as its verdict's sidecar, a resume source
+    out in its spec file: neither needs a shared directory, and neither
+    fills a registry behind the caller's back."""
+
+    SPEC = ScenarioSpec(
+        "master_slave", 2005, (1, 1, 2), "default", 80,
+        track_fsm=True, checkpoint_at=50,
+    )
+
+    def test_a_capture_rides_the_verdict_not_the_registry(self):
+        verdict = run_scenario(self.SPEC)
+        assert len(global_registry()) == 0
+        assert verdict.checkpoint.digest == verdict.frontier_digest
+        assert verdict.checkpoint.cycles_run == 50
+        wire = json.loads(json.dumps(verdict.to_json()))
+        again = ScenarioVerdict.from_json(wire)
+        assert again.to_json() == wire
+        assert again.checkpoint.digest == verdict.frontier_digest
+        # outside equality, and absent from a capture-free verdict
+        assert replace(verdict, checkpoint=None) == verdict
+        plain = run_scenario(replace(self.SPEC, checkpoint_at=None))
+        assert "checkpoint" not in plain.to_json()
+
+    @pytest.mark.parametrize("damage", ["tampered", "foreign"])
+    def test_a_bad_sidecar_is_a_typed_error(self, damage):
+        doc = run_scenario(self.SPEC).to_json()
+        if damage == "tampered":
+            doc["checkpoint"]["payload"]["txn_next"] += 1
+        else:
+            doc["frontier_digest"] = "0" * 64
+        with pytest.raises(CheckpointIntegrityError):
+            ScenarioVerdict.from_json(doc)
+
+    def _saved(self, tmp_path):
+        spec = MONITORED_SPECS["pci"]
+        checkpoint = snapshot_scenario_run(replace(spec, cycles=60), 60)
+        resumed = replace(spec, resume_from=global_registry().put(checkpoint))
+        path = str(tmp_path / "specs.json")
+        save_specs([spec, resumed], path)
+        reset_global_registry()
+        return path, [spec, resumed]
+
+    def test_a_spec_file_carries_the_checkpoints_it_resumes_from(
+        self, tmp_path
+    ):
+        path, specs = self._saved(tmp_path)
+        assert load_specs(path) == specs
+        digest = specs[1].resume_from
+        assert global_registry().get(digest).digest == digest
+        plain = str(tmp_path / "plain.json")
+        save_specs(specs[:1], plain)
+        with open(plain, encoding="utf-8") as handle:
+            assert "checkpoints" not in json.load(handle)
+
+    def test_a_corrupt_embedded_checkpoint_names_the_path(self, tmp_path):
+        path, _ = self._saved(tmp_path)
+        with open(path, encoding="utf-8") as handle:
+            doc = json.load(handle)
+        doc["checkpoints"][0]["payload"]["txn_next"] += 1
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(doc, handle)
+        with pytest.raises(
+            SpecFileError, match=re.escape(path) + ".*checkpoint entry 0"
+        ):
+            load_specs(path)
+        assert len(global_registry()) == 0
+
+
+class _ForgetfulEngine:
+    """Runs every spec inline, then loses each capture: the verdict
+    names a frontier digest nobody holds."""
+
+    name = "forgetful"
+    workers = 1
+
+    def imap(self, fn, specs):
+        for spec in specs:
+            verdict = fn(spec)
+            if verdict.frontier_digest:
+                verdict = replace(
+                    verdict, frontier_digest="0" * 64, checkpoint=None
+                )
+            yield verdict
+
+
+def test_a_frontier_digest_nobody_holds_is_a_typed_error():
+    workbench = Workbench("master_slave", engine=_ForgetfulEngine())
+    result = workbench.close_coverage(rounds=2, cycles=60, max_goals=2)
+    assert result.status is StageStatus.ERROR
+    assert isinstance(result.exception, UnknownCheckpointError)
+    assert re.search(r"master_slave\[[0-9x]+\]#\d+/directed", result.error)
+    assert "0" * 64 in result.error
+
+
+@contextmanager
+def _worker_daemon():
+    """A ``python -m repro.dispatch.worker`` subprocess; its address."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro.dispatch.worker", "--port", "0"],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        text=True,
+    )
+    try:
+        line = process.stdout.readline()
+        assert "http://" in line, line
+        yield line.rsplit("http://", 1)[1].strip()
+    finally:
+        process.terminate()
+        process.wait(timeout=30)
+        process.stdout.close()
+
+
+@contextmanager
+def _transport(name):
+    """The close_coverage options that run its rounds on ``name``."""
+    if name == "embedded-worker":
+        handle = start_worker()
+        try:
+            yield {"hosts": [HttpHost(handle.address)]}
+        finally:
+            handle.stop()
+    elif name == "worker-daemon":
+        with _worker_daemon() as address:
+            yield {"hosts": [HttpHost(address)]}
+    else:
+        yield {"serial": {"workers": 1}, "workers": {"workers": 2},
+               "shards": {"shards": 2}}[name]
+
+
+#: the close-frontier regime's outcome on Master/Slave, serial
+CLOSE_FACTS = {
+    "achieved": 23,
+    "forked_goals": 2,
+    "cycles_saved": 212,
+    "cycles_simulated": 5868,
+}
+
+
+@pytest.mark.parametrize(
+    "transport",
+    ["serial", "workers", "shards", "embedded-worker", "worker-daemon"],
+)
+def test_frontier_closure_forks_alike_on_every_transport(transport):
+    """Whatever process ran a round's scenarios, their captures come
+    home on the verdicts, so the next round forks the same goals."""
+    workbench = Workbench("master_slave")
+    workbench.explore()
+    with _transport(transport) as options:
+        result = workbench.close_coverage(
+            rounds=6, cycles=160, max_goals=6, frontier=True, **options
+        )
+    assert result.ok, result.error or result.summary
+    data = result.data
+    assert {key: data[key] for key in CLOSE_FACTS} == CLOSE_FACTS
+    assert data["residue_before"]["uncovered_transitions"] == 29

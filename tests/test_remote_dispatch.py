@@ -643,6 +643,109 @@ class TestCheckpointTransport:
         assert host.fetch_metrics()["counters"] == {}
 
 
+class _ReplyingHost(HttpHost):
+    """An HTTP host whose worker answers every ``/run`` with ``reply``."""
+
+    def __init__(self, reply):
+        super().__init__("127.0.0.1:9", name="replying")
+        self.reply = reply
+
+    def _post(self, path, payload, label):
+        return self.reply if path == "/run" else b"{}"
+
+
+def _work(host, specs):
+    """One whole-list shard of ``specs`` for ``host`` (primed if HTTP)."""
+    if isinstance(host, HttpHost):
+        return _primed_work(host, specs)
+    return ShardWork(shard=plan_shards(specs, 1)[0], spec_file="")
+
+
+def _printing_host(tmp_path, doc):
+    """A subprocess host whose ``--shard`` child prints ``doc``."""
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    host = LocalSubprocessHost("printing")
+    host._command = lambda work: [
+        sys.executable,
+        "-c",
+        "import sys; sys.stdout.write(open(sys.argv[1]).read())",
+        str(path),
+    ]
+    return host
+
+
+class TestCheckpointSidecarVerification:
+    """Both hosts verify the checkpoint a verdict brings home: a
+    damaged sidecar, or one that is not the verdict's frontier digest,
+    is a typed HostFailure, never an escaped CheckpointError."""
+
+    SPEC = ScenarioSpec(
+        "master_slave", 2005, (1, 1, 2), "default", 80,
+        track_fsm=True, checkpoint_at=50,
+    )
+
+    @pytest.fixture(scope="class")
+    def report_doc(self):
+        runner = RegressionRunner([self.SPEC], engine=SerialEngine())
+        return runner.run().to_json()
+
+    @staticmethod
+    def _damaged(report_doc, damage):
+        doc = json.loads(json.dumps(report_doc))
+        verdict = doc["verdicts"][0]
+        if damage == "tampered":
+            verdict["checkpoint"]["payload"]["txn_next"] += 1
+        else:
+            verdict["frontier_digest"] = "0" * 64
+        return doc
+
+    @pytest.mark.parametrize("damage", ["tampered", "foreign"])
+    def test_http_host(self, report_doc, damage):
+        damaged = self._damaged(report_doc, damage)
+        host = _ReplyingHost(json.dumps(damaged).encode())
+        with pytest.raises(HostFailure, match="sidecar") as caught:
+            host.run_shard(_work(host, [self.SPEC]))
+        assert caught.value.kind == "digest-mismatch"
+
+    @pytest.mark.parametrize("damage", ["tampered", "foreign"])
+    def test_subprocess_host(self, report_doc, damage, tmp_path):
+        host = _printing_host(tmp_path, self._damaged(report_doc, damage))
+        with pytest.raises(HostFailure, match="sidecar") as caught:
+            host.run_shard(_work(host, [self.SPEC]))
+        assert caught.value.kind == "digest-mismatch"
+
+    def test_an_intact_sidecar_comes_home_on_both_hosts(
+        self, report_doc, tmp_path
+    ):
+        digest = report_doc["verdicts"][0]["frontier_digest"]
+        for host in (
+            _ReplyingHost(json.dumps(report_doc).encode()),
+            _printing_host(tmp_path, report_doc),
+        ):
+            report = host.run_shard(_work(host, [self.SPEC]))
+            assert report.verdicts[0].checkpoint.digest == digest
+
+
+class TestSubprocessHostReports:
+    """The subprocess host parses a child's report the way the HTTP
+    host parses a worker's: every malformed report is typed."""
+
+    def test_an_empty_object_is_garbage_json(self, tmp_path):
+        host = _printing_host(tmp_path, {})
+        with pytest.raises(HostFailure, match="verdicts") as caught:
+            host.run_shard(_work(host, SPECS[:1]))
+        assert caught.value.kind == "garbage-json"
+
+    def test_a_report_for_other_specs_is_a_bad_report(
+        self, serial_report, tmp_path
+    ):
+        host = _printing_host(tmp_path, serial_report.to_json())
+        with pytest.raises(HostFailure, match="6 verdicts for 1") as caught:
+            host.run_shard(_work(host, SPECS[:1]))
+        assert caught.value.kind == "bad-report"
+
+
 class _ForgetfulHost(HttpHost):
     """An HttpHost whose worker answers its first ``/run`` requests with
     the typed 404 for each item in ``missing`` (what a restart or an

@@ -1,9 +1,9 @@
 """The one content store, under every configuration the system uses.
 
 Each case is a store a former class became: the coordinator's result
-store and shard resume checkpoints, the process-global checkpoint
-registry with its spill directory, and the worker's spec-list and
-checkpoint LRU caches.  The contract: values come back only verified,
+store and shard resume checkpoints, the process-global (in-memory)
+checkpoint registry, and the worker's spec-list and checkpoint LRU
+caches.  The contract: values come back only verified,
 a put whose content does not derive its claimed key is refused, a
 corrupt directory entry is dropped and counted, a crash mid-write
 leaves no partial entry, and the worker caches evict at their limits.
@@ -11,15 +11,12 @@ leaves no partial entry, and the worker caches evict at their limits.
 
 import json
 import os
-import subprocess
-import sys
 from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
 
 from repro.checkpoint import (
-    SPILL_DIR_ENV,
     UnknownCheckpointError,
     checkpoint_store,
     snapshot_scenario_run,
@@ -72,14 +69,14 @@ CASES = {
     "result": (lambda root: report_store(root), None),
     "shard": (lambda root: report_store(os.path.join(root, "shards")), None),
     "checkpoint-registry": (
-        lambda root: checkpoint_store(root), UnknownCheckpointError
+        lambda root: checkpoint_store(), UnknownCheckpointError
     ),
     "spec-cache": (lambda root: make_spec_cache(), UnknownFingerprintError),
     "checkpoint-cache": (
         lambda root: make_checkpoint_cache(), UnknownCheckpointDigestError
     ),
 }
-ON_DISK = ["result", "shard", "checkpoint-registry"]
+ON_DISK = ["result", "shard"]
 
 
 def _digest_of(value):
@@ -197,34 +194,6 @@ class TestWorkerCacheLimits:
         with pytest.raises(UnknownCheckpointDigestError, match="evicted"):
             cache.get(stand_ins[0].digest)
         assert cache.get(stand_ins[-1].digest) is stand_ins[-1]
-
-
-def test_checkpoint_spill_is_readable_from_a_subprocess(values, tmp_path):
-    """A checkpoint put into a spilling registry resolves in a child
-    process that only inherits ``REPRO_CHECKPOINT_DIR``."""
-    checkpoint = values["checkpoint-registry"][0]
-    digest = checkpoint_store(str(tmp_path)).put(checkpoint)
-    env = dict(os.environ, **{SPILL_DIR_ENV: str(tmp_path)})
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [os.path.abspath(src), env.get("PYTHONPATH")])
-    )
-    result = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "import sys\n"
-            "from repro.checkpoint import global_registry\n"
-            "print(global_registry().get(sys.argv[1]).cycles_run)\n",
-            digest,
-        ],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=60,
-    )
-    assert result.returncode == 0, result.stderr
-    assert int(result.stdout) == checkpoint.cycles_run
 
 
 def test_atomic_write_is_one_sorted_dumps(tmp_path):

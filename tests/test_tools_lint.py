@@ -140,6 +140,24 @@ class TestWireParity:
                "        return cls(doc[\"name\"], doc.get(\"seed\", 0))\n")
         assert run_checks(tmp_path, rules=["lint.wire-parity"]).ok
 
+    def test_an_assigned_document_counts_its_keys(self, tmp_path):
+        """``doc = {...}``, an optional ``doc[key] = ...``, ``return
+        doc``: every key written either way may be read back, and a
+        key written neither way is still flagged."""
+        _plant(tmp_path, "src/repro/wire.py",
+               "class Verdict:\n"
+               "    def to_json(self):\n"
+               "        doc = {\"name\": self.name}\n"
+               "        if self.extra is not None:\n"
+               "            doc[\"extra\"] = self.extra\n"
+               "        return doc\n\n"
+               "    @classmethod\n"
+               "    def from_json(cls, doc):\n"
+               "        return cls(doc[\"name\"], doc.get(\"extra\"),"
+               " doc[\"seed\"])\n")
+        report = run_checks(tmp_path, rules=["lint.wire-parity"])
+        assert [f.message.split()[3] for f in report.findings] == ["'seed'"]
+
 
 class TestHttpPlumbing:
     def test_handler_subclass_and_body_read_flagged(self, tmp_path):

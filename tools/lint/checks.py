@@ -220,15 +220,18 @@ def lint_wall_clock(root: Path) -> List[Finding]:
 
 
 def _to_json_keys(fn: ast.FunctionDef) -> Set[str]:
-    """String keys ``to_json`` emits: returned dict literals' top-level
-    keys plus ``doc["key"] = ...`` item assignments."""
+    """String keys ``to_json`` emits: the top-level keys of returned or
+    assigned dict literals (``doc = {...}``) plus ``doc["key"] = ...``
+    item assignments."""
     keys: Set[str] = set()
     for node in ast.walk(fn):
-        if isinstance(node, ast.Return) and isinstance(node.value, ast.Dict):
+        if isinstance(node, (ast.Return, ast.Assign, ast.AnnAssign)) and (
+            isinstance(node.value, ast.Dict)
+        ):
             for key in node.value.keys:
                 if isinstance(key, ast.Constant) and isinstance(key.value, str):
                     keys.add(key.value)
-        elif isinstance(node, ast.Assign):
+        if isinstance(node, ast.Assign):
             for target in node.targets:
                 if (
                     isinstance(target, ast.Subscript)

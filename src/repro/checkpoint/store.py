@@ -15,7 +15,6 @@
 from __future__ import annotations
 
 import json
-import threading
 from typing import Any, Callable, Iterable, List, Optional
 
 from ..store import ContentStore
@@ -56,17 +55,19 @@ def load_checkpoint(path: str) -> Checkpoint:
 
 
 #: the process-global registry ``ScenarioSpec.resume_from`` resolves against
-_GLOBAL: Optional[ContentStore] = None
-_GLOBAL_LOCK = threading.Lock()
+_GLOBAL = checkpoint_store()
 
 
 def global_registry() -> ContentStore:
-    """The lazily-created process-global checkpoint store."""
-    global _GLOBAL
-    with _GLOBAL_LOCK:
-        if _GLOBAL is None:
-            _GLOBAL = checkpoint_store()
-        return _GLOBAL
+    """The process-global checkpoint store."""
+    return _GLOBAL
+
+
+def hold_checkpoints(checkpoints: Iterable[Checkpoint]) -> None:
+    """Register checkpoints that arrived as values (a pool child's
+    initializer: a spawned child inherits no registry)."""
+    for checkpoint in checkpoints:
+        _GLOBAL.put(checkpoint)
 
 
 def resume_checkpoints(specs: Iterable[Any]) -> List[Checkpoint]:
@@ -78,7 +79,6 @@ def resume_checkpoints(specs: Iterable[Any]) -> List[Checkpoint]:
 
 
 def reset_global_registry() -> None:
-    """Drop the process-global registry and every checkpoint in it."""
+    """Replace the process-global registry with an empty one."""
     global _GLOBAL
-    with _GLOBAL_LOCK:
-        _GLOBAL = None
+    _GLOBAL = checkpoint_store()

@@ -75,23 +75,16 @@ class CoordinatorClient:
             body = {"error": f"HTTP {status}"}
         return status, body
 
-    def upload_checkpoints(self, specs: List[ScenarioSpec]) -> int:
-        """Ship every checkpoint the specs resume from to the coordinator.
+    def upload_checkpoints(self, specs: List[ScenarioSpec]) -> None:
+        """Ship every checkpoint the specs resume from (out of this
+        process's :func:`repro.checkpoint.global_registry`) to the
+        coordinator, which can fan them out only if it holds them."""
+        if any(spec.resume_from for spec in specs):
+            from ..checkpoint.store import resume_checkpoints
 
-        Specs carrying ``resume_from`` reference checkpoints by digest;
-        the coordinator can only fan them out to workers if it holds
-        the wire objects, so they are uploaded (from this process's
-        :func:`repro.checkpoint.global_registry`) before submission.
-        Returns how many were sent.
-        """
-        if not any(spec.resume_from for spec in specs):
-            return 0
-        from ..checkpoint.store import resume_checkpoints
-
-        checkpoints = resume_checkpoints(specs)
-        for checkpoint in checkpoints:
-            self._upload("/checkpoints", {"checkpoint": checkpoint.to_json()})
-        return len(checkpoints)
+            for checkpoint in resume_checkpoints(specs):
+                doc = {"checkpoint": checkpoint.to_json()}
+                self._upload("/checkpoints", doc)
 
     def _upload(self, path: str, doc: Dict[str, Any]) -> None:
         """POST one upload (``/specs``, ``/checkpoints``); raise unless 200."""

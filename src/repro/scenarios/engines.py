@@ -66,9 +66,10 @@ class SerialEngine:
 class MultiprocessingEngine:
     """Fans work units across a local process pool.
 
-    ``fn`` and the items must be picklable (scenario specs are).  Small
-    batches (one item, or one worker) degrade to inline execution so a
-    pool is never spawned for nothing.
+    ``fn`` and the items must be picklable (scenario specs are); the
+    checkpoints that items' ``resume_from`` names go to every child
+    with the pool.  Small batches (one item, or one worker) degrade to
+    inline execution so a pool is never spawned for nothing.
     """
 
     name = "multiprocessing"
@@ -87,7 +88,16 @@ class MultiprocessingEngine:
             for item in pending:
                 yield fn(item)
             return
-        pool = multiprocessing.Pool(processes=self.workers)
+        resumes = [i for i in pending if getattr(i, "resume_from", None)]
+        options: dict = {}
+        if resumes:
+            from ..checkpoint.store import hold_checkpoints, resume_checkpoints
+
+            options = dict(
+                initializer=hold_checkpoints,
+                initargs=(resume_checkpoints(resumes),),
+            )
+        pool = multiprocessing.Pool(processes=self.workers, **options)
         try:
             yield from pool.imap_unordered(fn, pending)
         finally:

@@ -838,6 +838,43 @@ class TestCheckpointChannel:
         assert len(global_registry()) == 0
 
 
+_SPAWNED_POOL = """
+import multiprocessing
+from dataclasses import replace
+from repro.checkpoint import global_registry, snapshot_scenario_run
+from repro.scenarios.engines import MultiprocessingEngine, SerialEngine
+from repro.scenarios.regression import RegressionRunner, ScenarioSpec
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method("spawn")
+    spec = ScenarioSpec("pci", 2011, (2, 2), "default", 120, None, True)
+    plain = ScenarioSpec("master_slave", 2005, (2, 2, 2), "bursty", 120)
+    checkpoint = snapshot_scenario_run(replace(spec, cycles=60), 60)
+    resumed = replace(spec, resume_from=global_registry().put(checkpoint))
+    engine = MultiprocessingEngine(2)
+    pooled = RegressionRunner([resumed, plain], engine=engine).run()
+    serial = RegressionRunner([spec, plain], engine=SerialEngine()).run()
+    print(pooled.digest(), serial.digest())
+"""
+
+
+def test_spawned_pool_children_get_the_resume_checkpoints(tmp_path):
+    """A pool child started by ``spawn`` inherits no registry: the
+    engine hands every child the checkpoints its batch resumes from.
+    (Its own process, so the spawn helpers end with it.)"""
+    script = tmp_path / "spawned_pool.py"
+    script.write_text(_SPAWNED_POOL, encoding="utf-8")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    result = subprocess.run(
+        [sys.executable, str(script)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    pooled, serial = result.stdout.split()
+    assert pooled == serial
+
+
 class _ForgetfulEngine:
     """Runs every spec inline, then loses each capture: the verdict
     names a frontier digest nobody holds."""

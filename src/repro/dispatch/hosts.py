@@ -98,8 +98,6 @@ def verified_report(
     :class:`HostFailure`: ``garbage-json`` (``context`` says what the
     transport knows), ``digest-mismatch`` (the report digest or a
     checkpoint sidecar) or ``bad-report`` (the verdict count)."""
-    from ..checkpoint.errors import CheckpointError
-
     def failure(reason: str, kind: str) -> HostFailure:
         return HostFailure(host, shard.label, reason, kind=kind)
 
@@ -111,7 +109,13 @@ def verified_report(
         raise failure(
             f"unparseable shard report{context}: {reason}", "garbage-json"
         ) from exc
-    except CheckpointError as exc:
+    except Exception as exc:
+        # imported only here: loading repro.checkpoint in every client
+        # costs about 0.5 MB, and only a sidecar raises a CheckpointError
+        from ..checkpoint.errors import CheckpointError
+
+        if not isinstance(exc, CheckpointError):
+            raise
         raise failure(
             f"checkpoint sidecar failed verification: {exc}", "digest-mismatch"
         ) from exc

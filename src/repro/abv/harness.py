@@ -420,6 +420,23 @@ class AbvHarness:
             stop_reason = f"assertion {monitor.name!r} fired"
         return stop_reason
 
+    def close(self) -> None:
+        """Release the monitors once the run is over and checked: the
+        bindings, the bound samplers and the recorded letters go, and
+        this harness leaves its clock's settle samplers.  Reports,
+        ``cycles_observed`` and the closed simulator stay readable."""
+        samplers = self.clock._settle_samplers
+        if self in samplers:
+            samplers.remove(self)
+        if self.bindings:
+            self._regroup()
+            for fused in self._plan[0]:
+                fused.close()
+        self.bindings = []
+        self._plan = None
+        self._samplers = None
+        self.recorded_letters = []
+
     # -- results ---------------------------------------------------------------------
 
     def finish(self) -> List[MonitorReport]:
@@ -529,3 +546,7 @@ class _SamplerThread(ThreadProcess):
     def make_static_sensitive(self) -> None:
         super().make_static_sensitive()
         self.harness._choose_sampling()
+
+    def close(self) -> None:
+        super().close()
+        self.harness = None

@@ -445,6 +445,21 @@ class AsmModel:
     def sealed(self) -> bool:
         return self._sealed
 
+    def close(self) -> None:
+        """Release the model once nothing will run it again.
+
+        Each machine's ``model`` back-reference ties it and the model
+        into a cycle; closing detaches every machine and forgets them,
+        with the compiled actions bound over them, so both are freed by
+        reference counting.  A closed model has no machines.
+        """
+        for machine in self.machines.values():
+            machine.model = None
+        self.machines = {}
+        self._machines_by_class = {}
+        self._apply_targets = {}
+        self._lowered = None
+
     def initial_state(self) -> FullState:
         if self._initial_state is None:
             return self.full_state()

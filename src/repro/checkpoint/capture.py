@@ -26,6 +26,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..scenarios.directed import DirectedSequence
 from ..scenarios.regression import ScenarioSpec, _attach_monitors, _build_system
 from ..scenarios.sequences import sequence_for_profile
+from ..sysc.errors import SyscError
 from ..sysc.signal import _NOTHING
 from ..sysc.state import SCALAR
 from .errors import CheckpointFormatError, CheckpointStateError
@@ -111,6 +112,8 @@ def snapshot_system(
     checkpoint that restores *almost* correctly.
     """
     sim = system.simulator
+    if sim.closed:
+        raise SyscError(f"system {sim.name!r} is closed; snapshot it before closing it")
     if sim._runnable or sim._delta_notified or sim._update_requests:
         raise CheckpointStateError(
             "system is mid-instant (runnable processes or pending "
@@ -325,4 +328,9 @@ def snapshot_scenario_run(spec: ScenarioSpec, cycles: int) -> Checkpoint:
         harness = _attach_monitors(spec, system)
         harness.record_letters = True
     system.run_cycles(cycles)
-    return snapshot_system(system, spec, cycles, harness)
+    try:
+        return snapshot_system(system, spec, cycles, harness)
+    finally:
+        if harness is not None:
+            harness.close()
+        system.close()

@@ -493,10 +493,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     close.add_argument(
         "--frontier",
-        action="store_true",
+        action=argparse.BooleanOptionalAction,
+        default=True,
         help="checkpoint the states each round reaches and fork the "
         "next round's goals from the nearest snapshot instead of "
-        "replaying the warm-up from reset",
+        "replaying the warm-up from reset (default on, as in "
+        "Workbench.close_coverage; --no-frontier replays from reset)",
     )
     close.add_argument("--workers", type=int, default=None)
     close.add_argument(

@@ -473,6 +473,7 @@ class MsReferenceAdapter(ReferenceAdapter):
         self.n_blocking = n_blocking
         self.n_non_blocking = n_non_blocking
         self.n_slaves = n_slaves
+        self.topology = (n_blocking, n_non_blocking, n_slaves)
         self.golden: Dict[int, int] = {}
         self.expected_words: Dict[int, Tuple[int, int]] = {}  # slave -> (reads, writes)
         self.protocol_diverged = False

@@ -474,6 +474,7 @@ class PciReferenceAdapter(ReferenceAdapter):
     def __init__(self, n_masters: int, n_targets: int):
         self.n_masters = n_masters
         self.n_targets = n_targets
+        self.topology = (n_masters, n_targets)
 
     def build_reference(self):
         return build_pci_model(self.n_masters, self.n_targets)

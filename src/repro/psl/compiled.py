@@ -723,6 +723,14 @@ class FusedPropertySet:
             self.state[member._base:member._base + _WIDTH] = member._initial()
         self._latched = []
 
+    def close(self) -> None:
+        """Let go of the members once their run is over: the set and
+        its members refer to each other, and only this side can go.
+        The members keep reading their verdicts and counters from
+        :attr:`state`; the set steps no one any more."""
+        self.members = ()
+        self._latched = []
+
     @property
     def source(self) -> str:
         """The generated Python source of this set's step function."""

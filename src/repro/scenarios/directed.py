@@ -206,16 +206,24 @@ class DirectedClosureLoop:
         return sum(len(r.achieved_edges) for r in self.rounds)
 
     def run(self) -> List[ClosureRound]:
-        """Drive plan/run/fold rounds until dry or out of budget."""
+        """Drive plan/run/fold rounds until dry or out of budget.
+
+        A loop runs once: it lets go of ``plan_round`` and
+        ``run_round`` as it starts, since a caller's closures usually
+        hold the caller, which holds the loop's results."""
+        plan_round, run_round = self.plan_round, self.run_round
+        if plan_round is None:
+            raise RuntimeError("a closure loop runs once")
+        self.plan_round = self.run_round = None
         for round_index in range(self.max_rounds):
             if not self.residue:
                 break
             before = len(self.residue)
-            planned = self.plan_round(tuple(self.residue), round_index)
+            planned = plan_round(tuple(self.residue), round_index)
             if not planned:
                 self.went_dry = True
                 break
-            achieved = set(self.run_round(planned, round_index))
+            achieved = set(run_round(planned, round_index))
             achieved &= set(self.residue)
             self.residue = [e for e in self.residue if e not in achieved]
             self.rounds.append(

@@ -374,6 +374,19 @@ def _run_scenario(spec: ScenarioSpec, checkpoint: Optional[Any]) -> ScenarioVerd
             # the snapshot replays the letter stream; record from cycle 0
             harness.record_letters = True
         done = 0
+    try:
+        return _drive(spec, system, harness, done, started)
+    finally:
+        if harness is not None:
+            harness.close()
+        system.close()
+
+
+def _drive(
+    spec: ScenarioSpec, system, harness, done: int, started: float
+) -> ScenarioVerdict:
+    """Run a built (or restored) system through ``spec.cycles`` and
+    check it: the verdict of :func:`_run_scenario`."""
     frontier = None
     if (
         spec.checkpoint_at is not None

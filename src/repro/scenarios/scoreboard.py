@@ -4,7 +4,7 @@ The paper verifies the ASM design formally, then trusts the translated
 SystemC model to refine it.  The scoreboard closes that gap at run
 time: every completed SystemC-level :class:`~repro.sysc.bus.Transaction`
 is replayed -- in completion order -- as a sequence of guarded ASM
-actions on a fresh instance of the very model the explorer verified.
+actions on the model the explorer verified, re-armed for each check.
 A transaction the ASM model would not accept (a ``require`` fails
 mid-replay) is a *protocol divergence*; data that differs from the
 golden memory the replay maintains is a *data divergence*; completed
@@ -30,17 +30,7 @@ from __future__ import annotations
 import enum
 import hashlib
 from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ..asm.errors import AsmError, RequirementFailure
 from ..asm.lower import ReplayScript
@@ -48,6 +38,7 @@ from ..asm.machine import ActionCall, AsmModel
 from ..sysc.bus import Transaction, TxnIdAllocator
 from ..sysc.module import Module
 from ..sysc.state import PHASE, SCALAR, TUPLE, replay, wire, wire_pairs
+from .references import REFERENCES
 from .sequences import SequenceItem
 
 
@@ -172,37 +163,41 @@ class ReferenceAdapter:
 
     Concrete adapters live next to their models
     (:mod:`repro.models.master_slave.scenario`,
-    :mod:`repro.models.pci.scenario`): each declares its transaction's
-    :attr:`script` and implements :meth:`build_reference` plus
-    :meth:`observe`; the lockstep bookkeeping, the generated replay and
-    the dropped-transaction accounting are shared.
+    :mod:`repro.models.pci.scenario`): each declares :attr:`script` and
+    :attr:`topology` and implements :meth:`build_reference` plus
+    :meth:`observe`; the lockstep bookkeeping, the pooled reference, the
+    generated replay and the dropped-transaction accounting are shared.
     """
 
     lockstep: Optional[AsmLockstep] = None
     #: one completed transaction's replay on the reference, as data
     script: ReplayScript
+    #: the shape :meth:`build_reference` builds (part of the pool key)
+    topology: Tuple[int, ...]
 
     def build_reference(self) -> AsmModel:
-        """A fresh, sealed reference model (with a ``system.init``)."""
+        """A fresh, sealed reference model (before its ``system.init``)."""
         raise NotImplementedError
 
     def begin(self) -> None:
-        """Arm a fresh reference (called once per check pass)."""
-        self._reset_reference()
+        """Check out an armed reference (called once per check pass)."""
+        self._reference = REFERENCES.checkout(self)
+        self._rearm()
 
-    def _reset_reference(self) -> None:
-        """(Re)build the golden model, preserving the replay counter --
-        also used to re-arm after a protocol divergence so later
-        transactions still get checked."""
-        previous = self.lockstep.calls_executed if self.lockstep else 0
-        self.lockstep = AsmLockstep(self.build_reference())
-        self.lockstep.calls_executed = previous
-        error = self.lockstep.call("system", "init")
-        if error:  # pragma: no cover -- the case-study models always init
-            raise RuntimeError(f"reference model failed to initialize: {error}")
-        model = self.lockstep.model
-        self._machines = model.machines
-        self._replay = self.script.bind(model)
+    def end(self) -> None:
+        """Hand the reference back (:attr:`lockstep` still reads it)."""
+        REFERENCES.checkin(self._reference)
+        self._reference = None
+
+    def _rearm(self) -> None:
+        """Restore the post-init state, counted as the init call it stands
+        for -- also after a protocol divergence, so later ones get checked."""
+        model = self._reference.model
+        model.restore(self._reference.armed)
+        self.lockstep = self.lockstep or AsmLockstep(model)
+        self.lockstep.model = model
+        self.lockstep.calls_executed += 1
+        self._machines, self._replay = model.machines, self._reference.replay
 
     @property
     def replayed_calls(self) -> int:
@@ -247,8 +242,7 @@ class ReferenceAdapter:
             detail = f"ASM reference rejected replay of {txn.describe()}"
             expected = "action enabled in the verified design"
         state = lockstep.state_dump()
-        # re-arm the reference so later transactions still get checked
-        self._reset_reference()
+        self._rearm()
         return Mismatch(
             kind=DivergenceKind.PROTOCOL,
             master=txn.master,
@@ -383,6 +377,12 @@ class ScenarioSystem:
 
     def run_cycles(self, cycles: int) -> None:
         self.simulator.run(self.clock.period * cycles)
+
+    def close(self) -> None:
+        """Free the finished system (:meth:`Simulator.close`) and its
+        cached letter reader, which may read the system itself."""
+        self.simulator.close()
+        vars(self).pop("letter", None)
 
     def records(self) -> List[Tuple[Transaction, SequenceItem]]:
         merged: List[Tuple[Transaction, SequenceItem]] = []
@@ -560,8 +560,18 @@ class Scoreboard:
         records: Sequence[Tuple[Transaction, SequenceItem]],
         completed: Optional[Mapping[str, int]] = None,
     ) -> ScoreboardReport:
-        report = ScoreboardReport(scenario=self.scenario)
         self.adapter.begin()
+        try:
+            return self._check(records, completed)
+        finally:
+            self.adapter.end()
+
+    def _check(
+        self,
+        records: Sequence[Tuple[Transaction, SequenceItem]],
+        completed: Optional[Mapping[str, int]],
+    ) -> ScoreboardReport:
+        report = ScoreboardReport(scenario=self.scenario)
         ordered = sorted(records, key=lambda pair: (pair[0].end_cycle, pair[0].txn_id))
         recorded_counts: Dict[str, int] = {}
         for txn, item in ordered:

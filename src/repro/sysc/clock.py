@@ -121,6 +121,13 @@ class _ClockDriver(Process):
         self._high_next = not self._high_next
         self._arm(delay)
 
+    def close(self) -> None:
+        """Break the clock <-> driver cycle and release the clock's
+        settle samplers (which hold their harness)."""
+        super().close()
+        self._clock._settle_samplers = []
+        self._clock = self._simulator = self._timer = None
+
     def unfold(self) -> None:
         """Give a folded cycle its falling edge back.
 

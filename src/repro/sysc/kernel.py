@@ -78,6 +78,7 @@ class Simulator:
         self._timed_ids: Dict[int, int] = {}
 
         self._initialized = False
+        self._closed = False
         self._stop_reason: Optional[str] = None
         #: called after every update phase (delta boundary) of an
         #: instant that started with the list non-empty
@@ -193,6 +194,47 @@ class Simulator:
                 self._make_runnable(process)
         self._initialized = True
 
+    def close(self) -> None:
+        """Release the elaborated design once its last run is over.
+
+        Every process is closed (a thread's generator too), then every
+        module (:meth:`~repro.sysc.module.Module.close`), and every
+        table this simulator keeps is emptied.  That removes the
+        process -> body -> module -> signal -> event -> process and
+        simulator -> signal -> simulator edges, so a finished design --
+        with every record it holds -- is freed by reference counting,
+        not left to the cyclic collector.  The counters, ``time`` and
+        ``name`` stay readable; :meth:`run` raises :class:`SyscError`.
+        Closing twice does nothing.
+        """
+        if self._closed:
+            return
+        self._closed = True
+        for process in self.processes:
+            process.close()
+        for module in self.modules:
+            module.close()
+        for table in (
+            self.processes,
+            self.signals,
+            self.modules,
+            self._runnable,
+            self._update_requests,
+            self._delta_notified,
+            self._spare_requests,
+            self._spare_notified,
+            self._timed,
+            self._cancelled,
+            self._timed_ids,
+            self.on_delta,
+            self._settle,
+        ):
+            table.clear()
+
+    @property
+    def closed(self) -> bool:
+        return self._closed
+
     def stop(self, reason: str = "") -> None:
         """Request a graceful stop at the end of the current delta."""
         self._stop_reason = reason or "sc_stop"
@@ -270,6 +312,8 @@ class Simulator:
             )
 
     def _run(self, duration: Optional[int]) -> None:
+        if self._closed:
+            raise SyscError(f"simulator {self.name!r} is closed; it cannot run")
         self.initialize()
         deadline = None if duration is None else self.time + duration
         started_wall = _wall_time.perf_counter()

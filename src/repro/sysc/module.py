@@ -18,7 +18,7 @@ from .errors import BindingError, ElaborationError
 from .event import Event
 from .process_ import MethodProcess, ThreadProcess
 from .signal import Signal
-from .state import StateEntry
+from .state import PHASE, StateEntry
 
 if TYPE_CHECKING:
     from .kernel import Simulator
@@ -162,6 +162,15 @@ class Module:
         )
         self.simulator.register_process(process)
         return process
+
+    def close(self) -> None:
+        """Drop this module's self-references once its simulator is
+        closed (:meth:`Simulator.close` calls it): the current phase
+        handler a ``PHASE`` entry of :attr:`STATE` names is a bound
+        method of the module itself.  Nothing else is touched."""
+        for _, attr, codec in self.STATE:
+            if codec is PHASE:
+                setattr(self, attr, None)
 
     # -- elaboration checks ---------------------------------------------------------
 

@@ -69,6 +69,15 @@ class Process:
             if self not in event.static_waiters:
                 event.static_waiters.append(self)
 
+    def close(self) -> None:
+        """Terminate for good and drop every reference this process
+        holds (its owner and sensitivity), so a closed design has no
+        cycle through it (see :meth:`Simulator.close`)."""
+        self.terminated = True
+        self.runnable = False
+        self.owner = None
+        self.sensitivity = []
+
     def clear_static_sensitivity(self) -> None:
         for event in self.sensitivity:
             if self in event.static_waiters:
@@ -98,6 +107,10 @@ class MethodProcess(Process):
 
     def execute(self, simulator: "Simulator") -> None:
         self.body()
+
+    def close(self) -> None:
+        super().close()
+        self.body = None
 
 
 class ThreadProcess(Process):
@@ -209,6 +222,17 @@ class ThreadProcess(Process):
             if self in event.dynamic_waiters:
                 event.dynamic_waiters.remove(self)
         self._waiting_on = []
+
+    def close(self) -> None:
+        """Close the generator (its frame holds the module) and drop
+        the body and every event this thread waits on."""
+        generator, self._generator = self._generator, None
+        if generator is not None:
+            generator.close()
+        super().close()
+        self.body = None
+        self._waiting_on = []
+        self._timer = None
 
     def kill(self) -> None:
         self._unsubscribe()

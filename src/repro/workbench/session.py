@@ -262,6 +262,7 @@ class Workbench:
         config = duv.exploration.with_overrides(properties=properties, **overrides)
         findings = check_rules(model, config)
         result = run_exploration(model, config)
+        model.close()
         self._exploration = result
         residue = CoverageResidue.from_fsm(result.fsm)
         self._residue = residue

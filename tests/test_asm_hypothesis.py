@@ -451,7 +451,7 @@ def _stepwise(adapter_cls):
                     if error is None:
                         continue
                     state = self.lockstep.state_dump()
-                    self._reset_reference()
+                    self._rearm()
                     return Mismatch(
                         kind=DivergenceKind.PROTOCOL,
                         master=txn.master,

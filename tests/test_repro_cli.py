@@ -103,6 +103,29 @@ class TestClose:
         assert close["data"]["achieved"] > 0
         assert close["data"]["residue"]["transition_coverage"] > 0
 
+    @pytest.mark.parametrize(
+        "flag,forked,simulated",
+        [((), 2, 5868), (("--frontier",), 2, 5868), (("--no-frontier",), 0, 5760)],
+        ids=["default", "frontier", "no-frontier"],
+    )
+    def test_close_forks_from_the_frontier_by_default(
+        self, capsys, flag, forked, simulated
+    ):
+        # the same defaults as Workbench.close_coverage(frontier=True)
+        code, out = run_cli(
+            capsys,
+            "close", "--model", "master_slave", "--rounds", "6",
+            "--cycles", "160", "--max-goals", "6", "--workers", "1",
+            *flag, "--json",
+        )
+        assert code == 0
+        stages = {s["stage"]: s for s in json.loads(out)["stages"]}
+        data = stages["close_coverage"]["data"]
+        assert data["frontier"] is bool(forked)
+        assert (data["forked_goals"], data["cycles_simulated"]) == (forked, simulated)
+        assert data["achieved"] == 23
+        assert data["residue_before"]["uncovered_transitions"] == 29
+
 
 class TestFlow:
     @pytest.mark.slow

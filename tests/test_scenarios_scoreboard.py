@@ -1,10 +1,19 @@
 """Scoreboard divergence paths: faults must produce mismatches, clean
 designs must not, and everything must reproduce from its seed."""
 
+import threading
+from dataclasses import replace
+
 import pytest
 
+from repro.asm.machine import ActionCall
+from repro.dispatch import HttpHost, ShardDispatcher
+from repro.dispatch.worker import start_worker
 from repro.models.master_slave.scenario import MsReferenceAdapter, MsScenarioSystem
 from repro.models.pci.scenario import PciReferenceAdapter, PciScenarioSystem
+from repro.scenarios import scoreboard
+from repro.scenarios.references import REFERENCES, ReferencePool
+from repro.scenarios.regression import RegressionRunner, build_specs
 from repro.scenarios.scoreboard import (
     DivergenceKind,
     FaultPlan,
@@ -210,3 +219,156 @@ class TestDeterminism:
 
     def test_verdict_digest_is_stable(self):
         assert ms_system(seed=5).check("s").digest() == ms_system(seed=5).check("s").digest()
+
+
+def _fresh_state(adapter):
+    """The full state a freshly built, initialized reference has."""
+    model = adapter.build_reference()
+    model.execute(ActionCall("system", "init"))
+    return model.full_state()
+
+
+class TestReferencePool:
+    """One armed reference per (adapter class, topology), checked out
+    by one check at a time and re-armed by restore."""
+
+    @pytest.fixture
+    def pool(self, monkeypatch):
+        """A fresh process pool, so a key holds only what a test made."""
+        pool = ReferencePool()
+        monkeypatch.setattr(scoreboard, "REFERENCES", pool)
+        return pool
+
+    def test_concurrent_checkouts_of_one_key_get_distinct_models(self):
+        pool = ReferencePool()
+        barrier = threading.Barrier(2, timeout=30)
+        held = []
+
+        def check_out():
+            reference = pool.checkout(MsReferenceAdapter(1, 1, 2))
+            held.append(reference)
+            barrier.wait()  # both hold theirs at once
+            pool.checkin(reference)
+
+        threads = [threading.Thread(target=check_out) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        first, second = held
+        assert first.key == second.key
+        assert first.model is not second.model
+        assert first.replay is not second.replay
+        # both went back; the next two checkouts reuse them
+        again = {id(pool.checkout(MsReferenceAdapter(1, 1, 2)).model) for _ in range(2)}
+        assert again == {id(first.model), id(second.model)}
+
+    @pytest.mark.parametrize(
+        "make,fault",
+        [
+            (ms_system, FaultPlan("corrupt-read", unit=0, nth=2)),
+            (ms_system, FaultPlan("drop", unit=1, nth=2)),
+            (pci_system, FaultPlan("corrupt-read", unit=0, nth=2)),
+            (pci_system, FaultPlan("drop", unit=1, nth=2)),
+        ],
+        ids=["ms-corrupt-read", "ms-drop", "pci-corrupt-read", "pci-drop"],
+    )
+    def test_a_faulty_check_leaves_a_reference_that_rearms_fresh(self, pool, make, fault):
+        system = make(fault=fault)
+        adapter = system.reference_adapter()
+        report = Scoreboard(adapter, "fault").check(
+            system.records(), system.completed_counts()
+        )
+        assert not report.ok
+        dirty = adapter.lockstep.model
+        fresh = _fresh_state(adapter)
+        if make is ms_system:
+            # the slaves' word counters moved (a PCI replay ends every
+            # transaction back at idle)
+            assert dirty.full_state() != fresh
+        again = system.reference_adapter()
+        again.begin()
+        assert again.lockstep.model is dirty
+        assert dirty.full_state() == fresh
+
+    @pytest.mark.parametrize(
+        "make,address,good",
+        [
+            (lambda: MsReferenceAdapter(1, 1, 2), 0x100, "master1"),
+            (lambda: PciReferenceAdapter(2, 2), 0x2000, "master1"),
+        ],
+        ids=["master_slave", "pci"],
+    )
+    def test_a_protocol_divergence_rearms_fresh(self, pool, make, address, good):
+        adapter = make()
+        item = SequenceItem(target=1, is_write=True, burst=1, address_offset=0,
+                            payload=(9,))
+        valid, ghost = (
+            Transaction(
+                master=master, address=address, is_write=True, data=(9,),
+                mode=BusMode.NON_BLOCKING, start_cycle=4 * n, end_cycle=4 * n + 2,
+                txn_id=n,
+            )
+            for n, master in enumerate((good, "master7"))
+        )
+        report = Scoreboard(adapter, "ghost").check([(valid, item), (ghost, item)])
+        assert [m.kind for m in report.mismatches] == [DivergenceKind.PROTOCOL]
+        # the ghost re-armed the reference mid-check
+        assert adapter.lockstep.model.full_state() == _fresh_state(adapter)
+        again = make()
+        again.begin()
+        assert again.lockstep.model is adapter.lockstep.model
+        assert again.lockstep.model.full_state() == _fresh_state(adapter)
+
+    def test_the_pool_stays_bounded_under_adapter_subclasses(self):
+        pool = ReferencePool()
+        n_classes = pool.MAX_KEYS + 3
+        for n in range(n_classes):
+            subclass = type(f"Sub{n}", (MsReferenceAdapter,), {})
+            taken = [pool.checkout(subclass(1, 1, 2)) for _ in range(pool.PER_KEY + 1)]
+            for reference in taken:
+                pool.checkin(reference)
+        assert len(pool._free) == pool.MAX_KEYS
+        assert {len(free) for free in pool._free.values()} == {pool.PER_KEY}
+        # the least recently used keys went first
+        assert [key[0].__name__ for key in pool._free][0] == "Sub3"
+
+    def test_the_process_pool_is_bounded(self):
+        assert len(REFERENCES._free) <= REFERENCES.MAX_KEYS
+        assert all(len(free) <= REFERENCES.PER_KEY for free in REFERENCES._free.values())
+
+    def test_an_embedded_worker_checks_concurrent_runs_of_one_topology(
+        self, monkeypatch
+    ):
+        """Two ``/run``s in flight on one in-process worker check
+        scenarios of one topology at once, on its handler threads, each
+        on its own reference, and reach the serial digest."""
+        specs = [
+            replace(spec, topology=(1, 1, 2))
+            for spec in build_specs(models=("master_slave",), count=4, cycles=200)
+        ]
+        serial = RegressionRunner(specs, workers=1).run()
+        barrier = threading.Barrier(2, timeout=60)
+        first_taken = {}
+        checkout = REFERENCES.checkout
+
+        def checkout_in_step(adapter):
+            reference = checkout(adapter)
+            thread = threading.get_ident()
+            if thread not in first_taken:
+                # each handler thread's first check waits for the other's
+                first_taken[thread] = reference.model
+                barrier.wait()
+            return reference
+
+        monkeypatch.setattr(REFERENCES, "checkout", checkout_in_step)
+        handle = start_worker()
+        try:
+            hosts = [HttpHost(handle.address, name=name) for name in ("a", "b")]
+            outcome = ShardDispatcher(specs, shards=2, hosts=hosts).run()
+        finally:
+            handle.stop()
+        assert outcome.report.digest() == serial.digest()
+        assert len(first_taken) == 2
+        first, second = first_taken.values()
+        assert first is not second

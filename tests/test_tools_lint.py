@@ -24,6 +24,7 @@ BUILTIN_RULES = (
     "ckpt.undeclared-state",
     "lint.codegen-sites",
     "lint.docstring",
+    "lint.gc-tuning",
     "lint.http-plumbing",
     "lint.layering",
     "lint.letter-declaration",
@@ -115,6 +116,36 @@ class TestWallClock:
         [finding] = report.findings
         assert finding.suppressed is True
         assert "never digested" in finding.suppression_reason
+
+
+class TestGcTuning:
+    @pytest.mark.parametrize(
+        "source,call",
+        [
+            ("import gc\n\n\ndef tidy():\n    gc.collect()\n", "gc.collect()"),
+            ("import gc as _gc\n\n\ndef fast():\n    _gc.disable()\n", "gc.disable()"),
+            ("from gc import freeze\n\n\ndef boot():\n    freeze()\n", "gc.freeze()"),
+            ("import gc\n\ngc.set_threshold(100000)\n", "gc.set_threshold()"),
+        ],
+        ids=["collect", "disable-aliased", "freeze-imported", "set-threshold"],
+    )
+    def test_collector_tuning_flagged(self, tmp_path, source, call):
+        _plant(tmp_path, "src/repro/memory.py", source)
+        report = run_checks(tmp_path, rules=["lint.gc-tuning"])
+        assert not report.ok
+        [finding] = report.findings
+        assert call in finding.message and finding.line > 1
+
+    def test_reading_the_collector_allowed(self, tmp_path):
+        _plant(tmp_path, "src/repro/memory.py",
+               "import gc\n\n\ndef counts():\n"
+               "    return gc.get_count(), gc.isenabled()\n")
+        assert run_checks(tmp_path, rules=["lint.gc-tuning"]).ok
+
+    def test_outside_src_is_free(self, tmp_path):
+        _plant(tmp_path, "tests/test_memory.py",
+               "import gc\n\n\ndef test_x():\n    gc.collect()\n")
+        assert run_checks(tmp_path, rules=["lint.gc-tuning"]).ok
 
 
 class TestWireParity:

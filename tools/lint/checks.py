@@ -10,6 +10,13 @@
     ``time.localtime``/``ctime`` and ``datetime.now``/``utcnow``/
     ``today`` make output run-dependent.  ``perf_counter`` (duration
     measurement, reported as metrics only) stays allowed.
+``lint.gc-tuning``
+    A finished scenario frees itself by reference counting (systems,
+    harnesses and reference models break their own cycles when they
+    close), so memory stays bounded by construction.  A
+    ``gc.collect``, ``gc.disable``, ``gc.freeze`` or
+    ``gc.set_threshold`` call under ``src/repro`` would bound it by
+    collector settings instead, and hide the next cycle that creeps in.
 ``lint.wire-parity``
     A class with both ``to_json`` and ``from_json`` must read only
     fields it writes: ``from_json`` consuming a key ``to_json`` never
@@ -214,6 +221,58 @@ def lint_wall_clock(root: Path) -> List[Finding]:
                         f"digested output must not depend on the clock "
                         f"(use perf_counter for durations, and keep them "
                         f"in metrics)"
+                    ),
+                ))
+    return findings
+
+
+_GC_TUNING = {"collect", "disable", "freeze", "set_threshold"}
+
+
+@register(
+    "lint.gc-tuning",
+    "memory stays bounded by construction, not by collector settings",
+)
+def lint_gc_tuning(root: Path) -> List[Finding]:
+    """Flag calls that run or tune the cyclic collector under ``src/repro``."""
+    findings: List[Finding] = []
+    for path in _source_files(root):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        modules: Set[str] = set()
+        names: Dict[str, str] = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules.update(a.asname or a.name for a in node.names if a.name == "gc")
+            elif isinstance(node, ast.ImportFrom) and node.module == "gc":
+                names.update(
+                    (a.asname or a.name, a.name)
+                    for a in node.names if a.name in _GC_TUNING
+                )
+        if not (modules or names):
+            continue
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            flagged: Optional[str] = None
+            if isinstance(func, ast.Name) and func.id in names:
+                flagged = f"gc.{names[func.id]}"
+            elif (
+                isinstance(func, ast.Attribute)
+                and isinstance(func.value, ast.Name)
+                and func.value.id in modules
+                and func.attr in _GC_TUNING
+            ):
+                flagged = f"gc.{func.attr}"
+            if flagged is not None:
+                findings.append(Finding(
+                    rule="lint.gc-tuning",
+                    severity="error",
+                    path=repo_relative(path, root),
+                    line=node.lineno,
+                    message=(
+                        f"{flagged}() in library code; break the reference "
+                        f"cycle instead (close what a finished run built)"
                     ),
                 ))
     return findings

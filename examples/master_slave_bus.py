@@ -4,8 +4,9 @@
 Exercises the blocking (burst) vs non-blocking (single word) modes:
 model checks the arbiter/transfer invariants, verifies eventual service
 for the highest-priority master on the FSM, then simulates the mixed
-system and reports per-master throughput plus the burst-atomicity
-assertions.
+system (the scenario system every regression runs, under endless
+random traffic) and reports per-master throughput plus the
+burst-atomicity assertions.
 
 Run:  python examples/master_slave_bus.py [blocking] [non_blocking] [slaves]
 """
@@ -16,7 +17,6 @@ from repro.abv import AbvHarness
 from repro.explorer import ExplorationConfig, check_eventually, explore
 from repro.psl import AssertionProperty, compile_properties
 from repro.models.master_slave import (
-    MsSystemModel,
     build_master_slave_model,
     master_slave_domains,
     master_slave_init_call,
@@ -26,6 +26,7 @@ from repro.models.master_slave import (
     ms_timed_properties,
     want_trigger,
 )
+from repro.models.master_slave.duv import build_duv
 from repro.models.master_slave.properties import served_goal
 
 
@@ -69,7 +70,7 @@ def main(n_blocking: int = 1, n_non_blocking: int = 1, n_slaves: int = 2) -> Non
 
     # -- simulation with monitors ---------------------------------------------------
     print("\n== SystemC simulation ==")
-    system = MsSystemModel(n_blocking, n_non_blocking, n_slaves, seed=2005)
+    system = build_duv(n_blocking, n_non_blocking, n_slaves).systemc_factory(2005)
     harness = AbvHarness(system.simulator, system.clock, system.letter)
     monitors = compile_properties(
         ms_invariant_properties(n_masters, n_slaves, include_handshake=False)
@@ -88,11 +89,13 @@ def main(n_blocking: int = 1, n_non_blocking: int = 1, n_slaves: int = 2) -> Non
     for master in system.masters:
         mode = "blocking " if master.blocking else "non-block"
         print(
-            f"  {master.name:<12} [{mode}] {len(master.transactions):>5} "
+            f"  {master.name:<12} [{mode}] {len(master.records):>5} "
             f"transfers, {master.words_moved:>6} words, "
             f"{master.wait_cycles:>6} wait cycles"
         )
     print(system.collect_statistics().summary())
+    harness.close()
+    system.close()
 
 
 if __name__ == "__main__":

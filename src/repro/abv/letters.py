@@ -12,7 +12,7 @@ of ``name -> expression``::
              ("blocking{i}", "masters[i].blocking")),
     )
 
-    class MsSystemModel:
+    class MsScenarioSystem(ScenarioSystem):
         letter = MS_LETTER
 
 An expression is a Python expression over the system's attributes.  A

@@ -12,8 +12,9 @@ counts), and checks the delta-cycle discipline the kernel assumes:
 ``race.multi-driver``
     A signal writable by two different module classes, or by a
     plurally-instantiated class through anything but a
-    ``self``-anchored index.  Two same-delta writes are last-write-
-    wins in :meth:`Signal.write` -- scheduler order decides the value.
+    ``self``-anchored index (the instance's own ``self.index``).  Two
+    same-delta writes are last-write-wins in :meth:`Signal.write` --
+    scheduler order decides the value.
 ``race.read-after-write``
     A process reads a signal it wrote earlier in the same straight-
     line segment (no ``yield`` between): the read sees the pre-delta
@@ -215,12 +216,17 @@ def _collect_signal_decls(
 
 
 def _classify_index(node: ast.AST) -> object:
-    """Literal / ``self``-anchored / dynamic index classification."""
+    """Literal / ``self``-anchored / dynamic index classification.
+
+    Only the instance's own ``self.index`` anchors: a register such as
+    ``self._slave_index`` selects a shared slot that several instances
+    may pick, so it is dynamic."""
     if isinstance(node, ast.Constant) and isinstance(node.value, int):
         return ("lit", node.value)
     for child in ast.walk(node):
         if (
             isinstance(child, ast.Attribute)
+            and child.attr == "index"
             and isinstance(child.value, ast.Name)
             and child.value.id == "self"
         ):
@@ -553,9 +559,9 @@ def _collect_systems(
     A top-level class is a non-module class no other source class
     instantiates (a system); it builds the module classes it
     instantiates, directly or through the non-module classes it
-    instantiates (a clock building its driver).  A model's scenario
-    system and its free-running system are two tops, so their modules
-    neither share a design nor multiply each other's instances.
+    instantiates (a clock building its driver).  Two tops in one source
+    set are two designs, so their modules neither share a design nor
+    multiply each other's instances.
     """
     other_names = {cls.name for cls in other_classes}
     direct = {

@@ -49,11 +49,14 @@ def _repo_relative(path: Path) -> str:
 
 
 def _model_source_path(duv: DUV, seed: int) -> Path:
-    """The file defining the DUV's SystemC system class."""
+    """The file declaring the DUV's SystemC wires (its signal class),
+    the model file the other sources are found beside."""
     system = duv.systemc_factory(seed)
-    source = inspect.getsourcefile(type(system))
+    wires = type(system.wires)
+    system.close()
+    source = inspect.getsourcefile(wires)
     if source is None:  # pragma: no cover - source always on disk here
-        raise FileNotFoundError(f"no source file for {type(system)!r}")
+        raise FileNotFoundError(f"no source file for {wires!r}")
     return Path(source)
 
 
@@ -124,6 +127,7 @@ def _witness_findings(
             ),
             model=duv.name,
         ))
+    system.close()
     return findings, witness.stats
 
 

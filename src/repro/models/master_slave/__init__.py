@@ -29,10 +29,8 @@ from .scenario import (
 from .systemc_model import (
     MS_CLOCK_PERIOD_PS,
     MsArbiterModule,
-    MsMasterModule,
     MsSignals,
     MsSlaveModule,
-    MsSystemModel,
 )
 
 __all__ = [
@@ -54,10 +52,8 @@ __all__ = [
     "want_trigger",
     "MS_CLOCK_PERIOD_PS",
     "MsArbiterModule",
-    "MsMasterModule",
     "MsSignals",
     "MsSlaveModule",
-    "MsSystemModel",
     "FaultyMsSlave",
     "MsReferenceAdapter",
     "MsScenarioSystem",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from ...explorer.config import ExplorationConfig
+from ...scenarios.sequences import RandomTraffic
 from ...workbench.duv import DUV, LivenessCheck
 from .asm_model import (
     build_master_slave_model,
@@ -17,7 +18,8 @@ from .properties import (
     served_goal,
     want_trigger,
 )
-from .systemc_model import MS_CLOCK_PERIOD_PS, MsSystemModel
+from .scenario import MsScenarioSystem
+from .systemc_model import MS_CLOCK_PERIOD_PS
 
 
 def build_duv(
@@ -52,8 +54,8 @@ def build_duv(
         liveness_checks=(
             LivenessCheck("served0", want_trigger(0), served_goal(0)),
         ),
-        systemc_factory=lambda seed: MsSystemModel(
-            n_blocking, n_non_blocking, n_slaves, seed=seed
+        systemc_factory=lambda seed: MsScenarioSystem(
+            n_blocking, n_non_blocking, n_slaves, RandomTraffic(), seed
         ),
         simulation_directives=(
             ms_invariant_properties(n_masters, n_slaves, include_handshake=False)

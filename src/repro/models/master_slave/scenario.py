@@ -3,18 +3,19 @@
 Sequence-driven stimulus and scoreboard binding for the Table 2 model:
 
 * :class:`MsSequenceMaster` -- a master that executes
-  :class:`~repro.scenarios.sequences.SequenceItem` stimulus instead of
-  free-running random traffic.  Blocking masters move the item as a
-  ``BLOCKING_BURST`` burst, non-blocking masters move one word --
-  exactly the two modes of the paper's Section 4.1 bus -- and, unlike
-  the free-running master, capture read data so the scoreboard can
-  check payload integrity, not just protocol shape.
+  :class:`~repro.scenarios.sequences.SequenceItem` stimulus.  Blocking
+  masters move the item as a ``BLOCKING_BURST`` burst, non-blocking
+  masters move one word -- exactly the two modes of the paper's
+  Section 4.1 bus -- and capture read data so the scoreboard can check
+  payload integrity, not just protocol shape.
 * :class:`FaultyMsSlave` -- a slave with an injectable read-corruption
   defect (:class:`~repro.scenarios.scoreboard.FaultPlan`), used to
   prove the scoreboard detects divergence.
 * :class:`MsScenarioSystem` -- clock + arbiter + sequence masters +
   slaves, exposing the canonical property namespace of
-  :mod:`.properties` so assertion monitors bind unchanged.
+  :mod:`.properties` so assertion monitors bind unchanged.  It is the
+  model's one SystemC top: the DUV's ``systemc_factory`` drives it
+  with endless random traffic for ``simulate_abv``.
 * :class:`MsReferenceAdapter` -- replays every completed transaction
   on the *verified ASM model* (request / grant / start_transfer /
   transfer_word... / release) and keeps a golden memory.
@@ -139,8 +140,8 @@ class MsSequenceMaster(SequenceMaster):
         )
         self.issued += 1
         self.in_flight = True
-        # request / grant handshake (same discipline as the
-        # free-running MsMasterModule, so the property suite binds)
+        # request / grant handshake: the discipline the property
+        # suite's want/owner/transferring letters describe
         self.wires.want[self.index].write(True)
         self._phase = self._phase_grant
         return True

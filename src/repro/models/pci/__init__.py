@@ -43,17 +43,13 @@ __all__ = [
 
 from .systemc_model import (
     PciArbiterModule,
-    PciMasterModule,
     PciSignals,
-    PciSystemModel,
     PciTargetModule,
 )
 
 __all__ += [
     "PciArbiterModule",
-    "PciMasterModule",
     "PciSignals",
-    "PciSystemModel",
     "PciTargetModule",
 ]
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from ...explorer.config import ExplorationConfig
+from ...scenarios.sequences import RandomTraffic
 from ...workbench.duv import DUV, LivenessCheck
 from .asm_model import (
     build_pci_model,
@@ -19,7 +20,7 @@ from .properties import (
     transaction_goal,
 )
 from .protocol import PCI_CLOCK_PERIOD_PS
-from .systemc_model import PciSystemModel
+from .scenario import PciScenarioSystem
 
 
 def build_duv(
@@ -49,8 +50,8 @@ def build_duv(
             LivenessCheck("grant0", request_trigger(0), grant_goal(0)),
             LivenessCheck("transaction0", request_trigger(0), transaction_goal(0)),
         ),
-        systemc_factory=lambda seed: PciSystemModel(
-            n_masters, n_targets, seed=seed
+        systemc_factory=lambda seed: PciScenarioSystem(
+            n_masters, n_targets, RandomTraffic(), seed
         ),
         simulation_directives=pci_safety_properties(n_masters, n_targets),
         scenario_model="pci",

@@ -10,8 +10,10 @@ Sequence-driven stimulus and scoreboard binding for the Table 1 model:
   end; a ``corrupt-read`` fault models a data-path defect between the
   bus and the master's completion record.
 * :class:`PciScenarioSystem` -- clock + arbiter + sequence masters +
-  the unmodified :class:`~.systemc_model.PciTargetModule` targets,
-  exposing the canonical property namespace for assertion monitors.
+  the :class:`~.systemc_model.PciTargetModule` targets, exposing the
+  canonical property namespace for assertion monitors.  It is the
+  model's one SystemC top: the DUV's ``systemc_factory`` drives it
+  with endless random traffic for ``simulate_abv``.
 * :class:`PciReferenceAdapter` -- replays each completed transaction
   on the verified PCI ASM model: request, hidden arbitration
   (update_m_req/grant), address phase, target response, all data
@@ -127,9 +129,8 @@ class PciSequenceMaster(SequenceMaster):
         return None
 
     def _phase_req(self) -> Optional[bool]:
-        """Start one attempt: same signal discipline as the free-running
-        :class:`~.systemc_model.PciMasterModule`, so the Table 1
-        property suite binds to scenario runs unchanged."""
+        """Start one attempt: the REQ#/GNT#/FRAME#/IRDY# discipline the
+        Table 1 property suite describes."""
         self.idle_flag.write(False)
         self.wires.req[self.index].write(True)
         self._phase = self._phase_gnt

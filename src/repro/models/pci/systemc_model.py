@@ -7,15 +7,17 @@ then simulates it with the compiled assertion monitors).  Modules:
 * :class:`PciArbiterModule` -- REQ#/GNT# pairs per master, lowest-index
   priority, *hidden arbitration* (re-arbitrates while a transaction is
   still running),
-* :class:`PciMasterModule`  -- issues memory read/write transactions
-  with seeded pseudo-random idle gaps, burst lengths and addresses;
-  honours STOP# by backing off and retrying,
 * :class:`PciTargetModule`  -- positive address decode (DEVSEL# within
   its configured decode latency), data phases (TRDY#), and seeded
   random retry injection (STOP#),
-* :class:`PciSystemModel`   -- wires everything, exposes the canonical
-  signal namespace of :mod:`.properties` for the assertion monitors
-  (declared once as :data:`PCI_LETTER`).
+* :data:`PCI_LETTER` -- the canonical signal namespace of
+  :mod:`.properties` the assertion monitors read.
+
+The initiators and the top that wires everything are
+:class:`~.scenario.PciSequenceMaster` (memory read/write transactions
+from a sequence, honouring STOP# by backing off and retrying) and
+:class:`~.scenario.PciScenarioSystem`, the one design that simulation,
+regression and closure all run.
 
 The model is cycle-based: every module owns one thread clocked on the
 shared 33 MHz clock's posedge; monitors see the state the negedge
@@ -25,21 +27,15 @@ shows.
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from typing import Optional
 
 from ...abv.letters import LetterDeclaration, each
-from ...sysc.bus import BusStatistics, Transaction, BusMode, BusStatus, TxnIdAllocator
 from ...sysc.clock import Clock
 from ...sysc.kernel import Simulator
 from ...sysc.module import Module
 from ...sysc.signal import Signal
 from ...sysc.state import PHASE, RANDOM, SCALAR
-from .protocol import (
-    DEVSEL_TIMEOUT_CYCLES,
-    MAX_BURST_LENGTH,
-    PCI_CLOCK_PERIOD_PS,
-    PciCommand,
-)
+from .protocol import DEVSEL_TIMEOUT_CYCLES, PciCommand
 
 
 class PciSignals:
@@ -111,132 +107,6 @@ class PciArbiterModule(Module):
                     gnt[index].write(True)
                     self.grants_issued += 1
                     break
-
-
-class PciMasterModule(Module):
-    """A PCI initiator issuing pseudo-random transactions."""
-
-    def __init__(
-        self,
-        index: int,
-        sim: Simulator,
-        clock: Clock,
-        wires: PciSignals,
-        n_targets: int,
-        seed: int,
-        max_idle: int = 3,
-        txn_ids: TxnIdAllocator | None = None,
-    ):
-        super().__init__(f"master{index}", sim)
-        self.index = index
-        self.clock = clock
-        self._posedge = clock.posedge_event
-        self.wires = wires
-        self.n_targets = n_targets
-        self.random = random.Random(seed)
-        self.max_idle = max_idle
-        self.txn_ids = txn_ids or TxnIdAllocator()
-        self.transactions: List[Transaction] = []
-        self.retries = 0
-        self.words_moved = 0
-        #: canonical "in data phase" flag for the monitors
-        self.data_flag = Signal(False, f"master{index}_data", sim)
-        self.idle_flag = Signal(True, f"master{index}_idle", sim)
-        self.thread(self.run)
-
-    def run(self):
-        wires = self.wires
-        while True:
-            # idle gap
-            for _ in range(self.random.randrange(1, self.max_idle + 1)):
-                yield self._posedge
-            target = self.random.randrange(self.n_targets)
-            burst = self.random.randint(1, MAX_BURST_LENGTH)
-            command = (
-                PciCommand.MEM_WRITE
-                if self.random.random() < 0.5
-                else PciCommand.MEM_READ
-            )
-            transaction = Transaction(
-                master=self.name,
-                address=0x1000 * (target + 1),
-                is_write=command.is_write,
-                data=tuple(range(burst)),
-                mode=BusMode.BLOCKING,
-                start_cycle=self.clock.cycle_count,
-                txn_id=self.txn_ids.allocate(),
-            )
-            completed = False
-            while not completed:
-                completed = yield from self._attempt(target, burst, command)
-                if not completed:
-                    self.retries += 1
-                    # back off a little before retrying
-                    for _ in range(self.random.randrange(1, 3)):
-                        yield self._posedge
-            transaction.end_cycle = self.clock.cycle_count
-            transaction.status = BusStatus.OK
-            self.transactions.append(transaction)
-
-    def _attempt(self, target: int, burst: int, command: PciCommand):
-        """One transaction attempt; returns False when STOP#-ed."""
-        wires = self.wires
-        self.idle_flag.write(False)
-        # REQ# until granted
-        wires.req[self.index].write(True)
-        while not wires.gnt[self.index].read():
-            yield self._posedge
-        # wait for bus idle -- and for any draining STOP# of the chosen
-        # target (its STOP# belongs to the previous transaction; a new
-        # address phase must start clean)
-        while (
-            wires.frame.read()
-            or wires.owner.read() != -1
-            or wires.stop[target].read()
-        ):
-            yield self._posedge
-        # address phase
-        wires.req[self.index].write(False)
-        wires.frame.write(True)
-        wires.owner.write(self.index)
-        wires.addr.write(target)
-        wires.command.write(command)
-        yield self._posedge
-        # IRDY# and data phases
-        wires.irdy.write(True)
-        self.data_flag.write(True)
-        words_left = burst
-        cycles_waited = 0
-        while words_left > 0:
-            yield self._posedge
-            if wires.stop[target].read():
-                # Target requested stop: back off (retry).
-                yield from self._release(aborted=True)
-                return False
-            if wires.trdy[target].read():
-                words_left -= 1
-                self.words_moved += 1
-                cycles_waited = 0
-                if words_left == 0:
-                    wires.frame.write(False)  # last data phase
-            else:
-                cycles_waited += 1
-                if cycles_waited > 16:  # defensive: no livelock
-                    yield from self._release(aborted=True)
-                    return False
-        yield self._posedge
-        yield from self._release(aborted=False)
-        return True
-
-    def _release(self, aborted: bool):
-        wires = self.wires
-        wires.frame.write(False)
-        wires.irdy.write(False)
-        wires.owner.write(-1)
-        wires.addr.write(-1)
-        self.data_flag.write(False)
-        self.idle_flag.write(True)
-        yield self._posedge
 
 
 class PciTargetModule(Module):
@@ -409,59 +279,3 @@ PCI_LETTER = LetterDeclaration(
         ("stop{j}", "wires.stop[j]"),
     ),
 )
-
-
-class PciSystemModel:
-    """Top level: clock + wires + arbiter + masters + targets."""
-
-    letter = PCI_LETTER
-
-    def __init__(
-        self,
-        n_masters: int,
-        n_targets: int,
-        seed: int = 2005,
-        clock_period: int = PCI_CLOCK_PERIOD_PS,
-        stop_probability: float = 0.05,
-    ):
-        self.n_masters = n_masters
-        self.n_targets = n_targets
-        self.simulator = Simulator(f"pci_{n_masters}m_{n_targets}s")
-        self.clock = Clock("pci_clk", clock_period, self.simulator)
-        self.wires = PciSignals(self.simulator, n_masters, n_targets)
-        self.txn_ids = TxnIdAllocator()
-        self.arbiter = PciArbiterModule(
-            "arbiter", self.simulator, self.clock, self.wires
-        )
-        self.masters = [
-            PciMasterModule(
-                i, self.simulator, self.clock, self.wires, n_targets, seed + i,
-                txn_ids=self.txn_ids,
-            )
-            for i in range(n_masters)
-        ]
-        self.targets = [
-            PciTargetModule(
-                j,
-                self.simulator,
-                self.clock,
-                self.wires,
-                seed + 100 + j,
-                decode_latency=1 + (j % (DEVSEL_TIMEOUT_CYCLES - 1)),
-                stop_probability=stop_probability,
-            )
-            for j in range(n_targets)
-        ]
-        self.statistics = BusStatistics()
-
-    def run_cycles(self, cycles: int) -> None:
-        self.simulator.run(self.clock.period * cycles)
-
-    def collect_statistics(self) -> BusStatistics:
-        stats = BusStatistics()
-        for master in self.masters:
-            for transaction in master.transactions:
-                stats.record(transaction)
-        stats.arbitration_rounds = self.arbiter.grants_issued
-        self.statistics = stats
-        return stats

@@ -35,7 +35,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Seque
 from ..asm.errors import AsmError, RequirementFailure
 from ..asm.lower import ReplayScript
 from ..asm.machine import ActionCall, AsmModel
-from ..sysc.bus import Transaction, TxnIdAllocator
+from ..sysc.bus import BusStatistics, Transaction, TxnIdAllocator
 from ..sysc.module import Module
 from ..sysc.state import PHASE, SCALAR, TUPLE, replay, wire, wire_pairs
 from .references import REFERENCES
@@ -299,6 +299,7 @@ class ScenarioSystem:
 
     simulator: Any
     clock: Any
+    arbiter: Any
     masters: Sequence[Any]
 
     def reference_adapter(self) -> ReferenceAdapter:
@@ -390,6 +391,16 @@ class ScenarioSystem:
             merged.extend(master.records)
         return merged
 
+    def collect_statistics(self) -> BusStatistics:
+        """Bus counters of the run so far: every recorded transaction,
+        the masters' wait cycles and the arbiter's grants."""
+        stats = BusStatistics()
+        for txn, _ in self.records():
+            stats.record(txn)
+        stats.wait_cycles = sum(m.wait_cycles for m in self.masters)
+        stats.arbitration_rounds = self.arbiter.grants_issued
+        return stats
+
     def completed_counts(self) -> Dict[str, int]:
         return {m.name: m.completed for m in self.masters}
 
@@ -422,6 +433,9 @@ class SequenceMaster(Module):
     consume the wake (one ``yield posedge`` in a generator) and None to
     fall through to the next phase in the same cycle.
     """
+
+    #: bus wait cycles; a master that counts them declares the register
+    wait_cycles = 0
 
     #: the registers every sequence master carries (subclasses extend
     #: it); the item stream is replayed forward to the recorded

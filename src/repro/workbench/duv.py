@@ -121,11 +121,14 @@ class DUV:
 
     ``systemc_factory`` (``seed -> system``) builds the hand-written
     SystemC-level model for ABV simulation; the system must expose
-    ``simulator``, ``clock``, ``letter`` and ``run_cycles`` (both case
-    studies' ``*SystemModel`` classes do).  When it is None the
-    workbench falls back to the generic ASM->SystemC runtime
-    translation (:func:`repro.translate.runtime.build_runtime`), which
-    is what ad-hoc/toy designs use.
+    ``simulator``, ``clock``, ``letter``, ``run_cycles`` and ``close``
+    (both case studies build their
+    :class:`~repro.scenarios.scoreboard.ScenarioSystem`, driven by
+    endless seeded random traffic, so simulation and regression run
+    one design).  When it is None the workbench falls back to the
+    generic ASM->SystemC runtime translation
+    (:func:`repro.translate.runtime.build_runtime`), which is what
+    ad-hoc/toy designs use.
 
     ``scenario_model`` is the key the scenario-regression layer knows
     the design by (``"master_slave"`` / ``"pci"``); None disables the

@@ -382,11 +382,12 @@ class Workbench:
         """Simulate with the PSL monitor suite bound (paper Section 3.2).
 
         On the generic ASM-runtime path the run's FSM coverage is
-        folded back into the session residue; the hand-written SystemC
-        models (both registered case studies) do not expose their ASM
-        action stream, so there the residue keeps its post-``explore``
-        value -- the whole formally explored FSM (``residue_updated``
-        in the stage data says which case applied).
+        folded back into the session residue; on the hand-written
+        SystemC models (both registered case studies) the residue keeps
+        its post-``explore`` value -- the whole formally explored FSM
+        (``residue_updated`` in the stage data says which case
+        applied).  Harness and system are closed once the report
+        exists, so a finished stage leaves no reference cycles.
         """
         return self._execute(
             "simulate_abv",
@@ -421,6 +422,7 @@ class Workbench:
 
         if duv.systemc_factory is not None:
             system = duv.systemc_factory(seed)
+            close = system.close
             harness = AbvHarness(system.simulator, system.clock, system.letter)
             for monitor in monitors:
                 harness.add_monitor(monitor, actions)
@@ -434,6 +436,7 @@ class Workbench:
             simulator, clock, module = build_runtime(
                 model, clock_period=period, policy=policy
             )
+            close = simulator.close
             harness = AbvHarness(simulator, clock, module.letter)
             for monitor in monitors:
                 harness.add_monitor(monitor, actions)
@@ -460,15 +463,17 @@ class Workbench:
             failed_assertions=[b.monitor.name for b in harness.failed],
             monitor_verdicts={m.name: m.verdict().value for m in monitors},
         )
+        # the report holds plain values: free the run's reference cycles
+        harness.close()
+        close()
         data: Dict[str, Any] = {
             "cycles": report.cycles,
             "seed": seed,
             "monitors": len(monitors),
             "failed_assertions": report.failed_assertions,
             "monitor_verdicts": report.monitor_verdicts,
-            # False on the hand-written SystemC path: those models do
-            # not expose their ASM action stream, so FSM coverage is
-            # not folded back and the residue stays the explored whole
+            # False on the hand-written SystemC path: its FSM coverage
+            # is not folded back, so the residue stays the explored whole
             "residue_updated": residue_json is not None,
         }
         if residue_json is not None:
@@ -482,7 +487,7 @@ class Workbench:
                 "sim_wall_seconds": round(wall, 6),
                 "delta_ns_per_cycle": round(report.delta_ns_per_cycle, 3),
             },
-            payload={"report": report, "harness": harness},
+            payload={"report": report},
         )
 
     def _dispatch_facts(self, outcome: Any, stage: str) -> Dict[str, Any]:

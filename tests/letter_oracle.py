@@ -29,14 +29,14 @@ def ms_model_letter(system) -> Dict[str, Any]:
         letter[f"owner{i}"] = wires.owner.read() == i
         letter[f"transferring{i}"] = wires.transferring[i].read()
         letter[f"blocking{i}"] = system.masters[i].blocking
-        letter[f"done{i}"] = False  # simulation-level masters do not park
+        letter[f"done{i}"] = False  # endless traffic never parks a master
     for j in range(system.n_slaves):
         letter[f"slave{j}_busy"] = wires.slave_busy[j].read()
     return letter
 
 
 def pci_letter(system) -> Dict[str, Any]:
-    """The PCI scenario's and the PCI model's letter (they were equal)."""
+    """The PCI letter, of the regression's and the simulated system."""
     wires = system.wires
     addressed = wires.addr.read()
     letter: Dict[str, Any] = {

@@ -1,23 +1,31 @@
 """Generated letter readers against the hand-written letters they replaced.
 
 ``MS_LETTER`` and ``PCI_LETTER`` are each declared once and compiled
-into one reader per system shape.  The oracle is the four hand-written
-``letter()`` bodies, kept in ``tests/letter_oracle.py``.  After every
-cycle the reader must equal the oracle in values, key order and value
-types (``True`` is not ``1``).
+into one reader per system shape.  The oracle is the hand-written
+``letter()`` bodies, kept in ``tests/letter_oracle.py``.  The model
+readers are read on the systems ``simulate_abv`` runs (each DUV's
+``systemc_factory``), the scenario readers on the regression's.  After
+every cycle the reader must equal the oracle in values, key order and
+value types (``True`` is not ``1``).
 """
 
 import pytest
 
 from letter_oracle import ms_model_letter, ms_scenario_letter, pci_letter
 from repro.abv.letters import LetterDeclaration, each
-from repro.models.master_slave.systemc_model import MS_LETTER, MsSystemModel
-from repro.models.pci.systemc_model import PCI_LETTER, PciSystemModel
+from repro.models.master_slave.systemc_model import MS_LETTER
+from repro.models.pci.systemc_model import PCI_LETTER
 from repro.psl.letter import FrozenLetter, freeze_letter
 from repro.scenarios.regression import _build_system, build_specs
 from repro.sysc import Signal, Simulator
+from repro.workbench import default_registry
 
 CYCLES = 200
+
+
+def simulated(model, *topology, seed=2005):
+    """The system ``simulate_abv`` builds for one topology."""
+    return default_registry().get(model, *topology).systemc_factory(seed)
 
 
 def _typed(letter):
@@ -46,7 +54,7 @@ def test_scenario_reader_matches_the_oracle(spec):
 
 @pytest.mark.parametrize("topology", [(1, 1, 1), (2, 1, 2), (2, 2, 3)])
 def test_ms_model_reader_matches_the_oracle(topology):
-    system = MsSystemModel(*topology)
+    system = simulated("master_slave", *topology)
     for cycle in range(CYCLES):
         system.run_cycles(1)
         assert _typed(system.letter()) == _typed(ms_model_letter(system))
@@ -54,14 +62,14 @@ def test_ms_model_reader_matches_the_oracle(topology):
 
 @pytest.mark.parametrize("topology", [(1, 1), (2, 3), (3, 2)])
 def test_pci_model_reader_matches_the_oracle(topology):
-    system = PciSystemModel(*topology)
+    system = simulated("pci", *topology)
     for cycle in range(CYCLES):
         system.run_cycles(1)
         assert _typed(system.letter()) == _typed(pci_letter(system))
 
 
 def test_the_reader_is_cached_on_the_instance():
-    system = PciSystemModel(2, 2)
+    system = simulated("pci", 2, 2)
     assert system.letter is system.letter
     assert type(system).letter is PCI_LETTER
 
@@ -69,7 +77,8 @@ def test_the_reader_is_cached_on_the_instance():
 def test_one_factory_per_shape():
     """Systems of one shape share the compiled code; each binds its own
     signals."""
-    first, second = MsSystemModel(2, 1, 2, seed=1), MsSystemModel(2, 1, 2, seed=2)
+    first = simulated("master_slave", 2, 1, 2, seed=1)
+    second = simulated("master_slave", 2, 1, 2, seed=2)
     first.letter(), second.letter()
     shapes = [key for key in MS_LETTER._factories if key[0] == (3, 2)]
     assert len(shapes) == 1
@@ -93,7 +102,7 @@ def test_a_shape_compiles_its_reader_once():
 
 
 def test_freezing_an_adopted_letter_is_free():
-    letter = MsSystemModel(1, 1, 1).letter()
+    letter = simulated("master_slave", 1, 1, 1).letter()
     assert freeze_letter(letter) is letter
     assert letter == dict(letter) and hash(letter) == hash(freeze_letter(dict(letter)))
 

@@ -1,4 +1,8 @@
-"""Simulation-level tests for both case studies (SystemC models + ABV)."""
+"""Simulation-level tests for both case studies (SystemC models + ABV).
+
+Each model has one SystemC top, its scenario system; here it runs the
+way ``simulate_abv`` runs it, driven by endless seeded random traffic.
+"""
 
 import pytest
 
@@ -6,19 +10,27 @@ from repro.abv import AbvHarness, FailureAction
 from repro.psl import Verdict, build_monitor
 from repro.models.master_slave import (
     BLOCKING_BURST,
-    MsSystemModel,
+    MsScenarioSystem,
     ms_invariant_properties,
     ms_timed_properties,
 )
-from repro.models.pci import PciSystemModel
+from repro.models.pci import PciScenarioSystem
 from repro.models.pci.properties import (
     pci_cover_properties,
     pci_safety_properties,
 )
+from repro.scenarios import RandomTraffic
+from repro.scenarios.scoreboard import ScenarioSystem
+from repro.workbench import default_registry
+from repro.workbench.registry import ModelRegistry
+
+
+def pci_system(n_masters, n_targets, seed=2005, **options):
+    return PciScenarioSystem(n_masters, n_targets, RandomTraffic(), seed, **options)
 
 
 def run_pci(n_masters=2, n_targets=2, cycles=2000, seed=2005):
-    system = PciSystemModel(n_masters, n_targets, seed=seed)
+    system = pci_system(n_masters, n_targets, seed=seed)
     harness = AbvHarness(system.simulator, system.clock, system.letter)
     monitors = [
         build_monitor(d) for d in pci_safety_properties(n_masters, n_targets)
@@ -53,13 +65,13 @@ class TestPciSimulation:
         assert any(t > 0 for t in triggered)
 
     def test_retries_happen_with_high_stop_probability(self):
-        system = PciSystemModel(2, 1, seed=11, stop_probability=0.4)
+        system = pci_system(2, 1, seed=11, stop_probability=0.4)
         system.run_cycles(3000)
         assert sum(m.retries for m in system.masters) > 0
         assert sum(t.stops_issued for t in system.targets) > 0
 
     def test_coverage_goals_hit(self):
-        system = PciSystemModel(2, 2, seed=5, stop_probability=0.3)
+        system = pci_system(2, 2, seed=5, stop_probability=0.3)
         harness = AbvHarness(system.simulator, system.clock, system.letter)
         covers = [build_monitor(d) for d in pci_cover_properties(2, 2)]
         harness.add_monitors(covers)
@@ -89,7 +101,7 @@ class TestPciSimulation:
         """Wire a deliberately wrong assertion; STOP must halt the run."""
         from repro.psl import parse_formula
 
-        system = PciSystemModel(1, 1, seed=3)
+        system = pci_system(1, 1, seed=3)
         harness = AbvHarness(system.simulator, system.clock, system.letter)
         wrong = build_monitor(parse_formula("never req0"), "wrong")
         harness.add_monitor(
@@ -101,7 +113,9 @@ class TestPciSimulation:
 
 
 def run_ms(n_blocking=1, n_non_blocking=1, n_slaves=2, cycles=2000, seed=2005):
-    system = MsSystemModel(n_blocking, n_non_blocking, n_slaves, seed=seed)
+    system = MsScenarioSystem(
+        n_blocking, n_non_blocking, n_slaves, RandomTraffic(), seed
+    )
     harness = AbvHarness(system.simulator, system.clock, system.letter)
     n_masters = n_blocking + n_non_blocking
     monitors = [
@@ -120,11 +134,11 @@ class TestMasterSlaveSimulation:
         system, harness, _ = run_ms()
         blocking = [m for m in system.masters if m.blocking]
         non_blocking = [m for m in system.masters if not m.blocking]
-        assert all(m.transactions for m in blocking)
-        assert all(m.transactions for m in non_blocking)
+        assert all(m.records for m in blocking)
+        assert all(m.records for m in non_blocking)
         # blocking masters move BLOCKING_BURST words per transaction
         for master in blocking:
-            transaction = master.transactions[0]
+            transaction, _ = master.records[0]
             assert transaction.burst_length == BLOCKING_BURST
 
     def test_all_assertions_hold(self):
@@ -163,3 +177,29 @@ class TestMasterSlaveSimulation:
         assert failed == []
         # slave 1 has one wait state; transfers to it take longer
         assert system.slaves[1].wait_states == 1
+
+
+@pytest.mark.parametrize("model", ModelRegistry().names())
+def test_the_simulated_system_is_the_scenario_system(model):
+    """Each case study simulates the one design its regressions run,
+    and its bus statistics are read off the scoreboard's records."""
+    system = default_registry().get(model).systemc_factory(2005)
+    assert isinstance(system, ScenarioSystem)
+    system.run_cycles(1500)
+    stats = system.collect_statistics()
+    transactions = [txn for txn, _ in system.records()]
+    assert stats.transactions == len(transactions) > 10
+    assert stats.words_moved == sum(t.burst_length for t in transactions)
+    assert stats.writes == sum(t.is_write for t in transactions)
+    assert stats.reads == stats.transactions - stats.writes
+    assert stats.wait_cycles == sum(m.wait_cycles for m in system.masters)
+    assert stats.arbitration_rounds >= stats.transactions
+    per_master = {
+        m.name: {
+            "transactions": len(m.records),
+            "words": sum(t.burst_length for t, _ in m.records),
+        }
+        for m in system.masters
+    }
+    assert stats.per_master == per_master
+    system.close()

@@ -36,7 +36,6 @@ from repro.obs import (
 from repro.obs import runtime
 from repro.psl import build_monitor, compile_property
 from repro.psl.compiled import ENGINES
-from repro.models.pci import PciSystemModel
 from repro.models.pci.properties import pci_safety_properties
 from repro.scenarios import build_specs
 from repro.scenarios.regression import RegressionRunner
@@ -186,9 +185,14 @@ class TestRuntime:
         assert OBS.metrics.enabled is True
 
 
+def _pci_system():
+    """The PCI (1, 1) system ``simulate_abv`` runs."""
+    return default_registry().get("pci", 1, 1).systemc_factory(11)
+
+
 class TestKernelAndMonitorSpans:
     def _simulate(self, cycles=150):
-        system = PciSystemModel(1, 1, seed=11)
+        system = _pci_system()
         harness = AbvHarness(system.simulator, system.clock, system.letter)
         harness.add_monitors(
             [build_monitor(d) for d in pci_safety_properties(1, 1)[:3]]
@@ -243,7 +247,7 @@ class TestKernelAndMonitorSpans:
         """A compiled set is timed once per step; its members' spans
         split that time by step count and keep every attribute."""
         enable_tracing()
-        system = PciSystemModel(1, 1, seed=11)
+        system = _pci_system()
         harness = AbvHarness(system.simulator, system.clock, system.letter)
         harness.add_properties(pci_safety_properties(1, 1)[:3], engine="compiled")
         system.run_cycles(150)

@@ -1,7 +1,8 @@
 """A scenario's lifecycle: build, run, check, close.
 
 A finished scenario frees itself by reference counting: no system,
-reference model, harness or closure loop is left in a reference cycle
+reference model, harness, closure loop or ``simulate_abv`` stage is
+left in a reference cycle
 for the cyclic collector, so peak memory is a property of one pass.
 A closed system refuses to run or snapshot with a typed error.
 """
@@ -73,6 +74,15 @@ class TestNoCyclicGarbage:
         spec = _spec(model, fault=FaultPlan(kind, unit=0, nth=2))
         assert not run_scenario(spec).ok
         assert cyclic_garbage(lambda: run_scenario(spec)) == 0
+
+
+@pytest.mark.parametrize("model", sorted(TOPOLOGIES))
+def test_simulate_abv_leaves_no_cyclic_garbage(model):
+    def simulate():
+        stage = Workbench(model).simulate_abv(cycles=200)
+        assert set(stage.payload) == {"report"}
+
+    assert cyclic_garbage(simulate) == 0
 
 
 def test_explore_leaves_no_cyclic_garbage():

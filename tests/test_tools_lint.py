@@ -29,6 +29,7 @@ BUILTIN_RULES = (
     "lint.layering",
     "lint.letter-declaration",
     "lint.monitor-construction",
+    "lint.one-top",
     "lint.wall-clock",
     "lint.wire-parity",
 )
@@ -267,6 +268,43 @@ class TestLetterDeclaration:
                "def letter(self):\n"
                "    return {'x': 1}\n")
         assert run_checks(tmp_path, rules=["lint.letter-declaration"]).ok
+
+
+class TestOneTop:
+    def test_a_second_top_is_flagged(self, tmp_path):
+        _plant(tmp_path, "src/repro/models/toy/systemc_model.py",
+               "from ...sysc import kernel\n"
+               "from ...sysc.kernel import Simulator\n\n\n"
+               "class ToySystemModel:\n"
+               "    def __init__(self):\n"
+               "        self.simulator = Simulator('toy')\n\n\n"
+               "class ToyBench(object):\n"
+               "    def build(self):\n"
+               "        return kernel.Simulator('bench')\n")
+        report = run_checks(tmp_path, rules=["lint.one-top"])
+        assert [(f.path, f.line) for f in report.unsuppressed()] == [
+            ("src/repro/models/toy/systemc_model.py", 5),
+            ("src/repro/models/toy/systemc_model.py", 10),
+        ]
+        assert "ToySystemModel" in report.findings[0].message
+        assert all("ScenarioSystem" in f.message for f in report.findings)
+
+    def test_scenario_systems_and_other_packages_allowed(self, tmp_path):
+        _plant(tmp_path, "src/repro/models/toy/scenario.py",
+               "class ToyScenarioSystem(ScenarioSystem):\n"
+               "    def __init__(self):\n"
+               "        self.simulator = Simulator('toy')\n\n\n"
+               "class FaultyToySystem(ToyScenarioSystem):\n"
+               "    def __init__(self):\n"
+               "        self.simulator = Simulator('faulty')\n")
+        _plant(tmp_path, "src/repro/translate/runtime.py",
+               "class Runtime:\n"
+               "    def build(self):\n"
+               "        return Simulator('runtime')\n")
+        assert run_checks(tmp_path, rules=["lint.one-top"]).ok
+
+    def test_the_shipped_models_have_one_top_each(self):
+        assert run_checks(rules=["lint.one-top"]).findings == []
 
 
 class TestUndeclaredState:

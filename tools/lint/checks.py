@@ -52,6 +52,14 @@
     lower layer -- and ``if TYPE_CHECKING:`` imports never run.  A
     module whose package is missing from the table is flagged too, so
     the order stays complete.
+``lint.one-top``
+    Each case study has one SystemC design, its scenario system, which
+    simulation, regression, closure and checkpoints all run.  Under
+    ``src/repro/models`` a class that constructs ``Simulator(...)`` is
+    a top, and it must subclass
+    :class:`repro.scenarios.scoreboard.ScenarioSystem` (directly or
+    through another models class), so a second, free-running top
+    cannot grow back beside it.
 ``ckpt.undeclared-state``
     A stateful module declares the registers a checkpoint carries once,
     as a class-level ``STATE`` table (:mod:`repro.sysc.state`).  In a
@@ -75,6 +83,15 @@ from .registry import Finding, register, repo_relative
 
 _BANNED_TIME_ATTRS = {"time", "localtime", "ctime"}
 _BANNED_DATETIME_ATTRS = {"now", "utcnow", "today"}
+
+
+def _name_of(node: ast.expr) -> Optional[str]:
+    """The last name of ``Name`` / ``pkg.Name`` (None otherwise)."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
 
 
 def _source_files(root: Path) -> List[Path]:
@@ -383,9 +400,7 @@ def lint_http_plumbing(root: Path) -> List[Finding]:
         for node in ast.walk(tree):
             flagged: Optional[str] = None
             if isinstance(node, ast.ClassDef) and any(
-                (base.id if isinstance(base, ast.Name) else
-                 base.attr if isinstance(base, ast.Attribute) else None)
-                == "BaseHTTPRequestHandler"
+                _name_of(base) == "BaseHTTPRequestHandler"
                 for base in node.bases
             ):
                 flagged = f"class {node.name}(BaseHTTPRequestHandler)"
@@ -485,6 +500,58 @@ def lint_letter_declaration(root: Path) -> List[Finding]:
     return findings
 
 
+@register(
+    "lint.one-top",
+    "a model class that builds a Simulator subclasses ScenarioSystem",
+)
+def lint_one_top(root: Path) -> List[Finding]:
+    """Flag a ``Simulator(...)``-building models class that is not a
+    :class:`ScenarioSystem`."""
+    trees = {
+        path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted((root / "src" / "repro" / "models").rglob("*.py"))
+    }
+    bases: Dict[str, List[Optional[str]]] = {
+        cls.name: [_name_of(base) for base in cls.bases]
+        for tree in trees.values()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+    }
+
+    def is_scenario_system(name: Optional[str], seen: Set[str]) -> bool:
+        if name == "ScenarioSystem":
+            return True
+        if name is None or name in seen:
+            return False
+        return any(
+            is_scenario_system(base, seen | {name})
+            for base in bases.get(name, ())
+        )
+
+    findings: List[Finding] = []
+    for path, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef) or is_scenario_system(
+                cls.name, set()
+            ):
+                continue
+            for node in ast.walk(cls):
+                if isinstance(node, ast.Call) and _name_of(node.func) == "Simulator":
+                    findings.append(Finding(
+                        rule="lint.one-top",
+                        severity="error",
+                        path=repo_relative(path, root),
+                        line=cls.lineno,
+                        message=(
+                            f"class {cls.name} builds a Simulator but is not "
+                            f"a ScenarioSystem: a model's one SystemC top is "
+                            f"its scenario system"
+                        ),
+                    ))
+                    break
+    return findings
+
+
 def _state_expr(cls: ast.ClassDef) -> Optional[ast.expr]:
     """The class-level ``STATE = ...`` value, if the class declares one."""
     for node in cls.body:
@@ -524,11 +591,7 @@ class _StateIndex:
                     result = self._attrs(expr)
                 else:
                     for base in cls.bases:
-                        base_name = (
-                            base.id if isinstance(base, ast.Name)
-                            else base.attr if isinstance(base, ast.Attribute)
-                            else None
-                        )
+                        base_name = _name_of(base)
                         if base_name is not None:
                             result = self.declared(base_name)
                             if result:

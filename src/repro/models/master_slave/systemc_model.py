@@ -3,10 +3,10 @@
 Mirrors the SystemC 2.0 distribution's bus example the paper extends:
 an arbiter, a shared bus with *blocking* (burst) and *non-blocking*
 (single word) master interfaces, and memory slaves.  The masters and
-the top that wires them are
-:class:`~.scenario.MsSequenceMaster` and
-:class:`~.scenario.MsScenarioSystem`, the one design that simulation,
-regression and closure all run.
+the top that wires them are :class:`~.scenario.MsSequenceMaster` and
+:class:`~.scenario.MsScenarioSystem`, the one design that
+``simulate_abv``, regression, closure and checkpoints all run (see
+:mod:`.scenario`).
 
 The module set exposes the canonical signal namespace of
 :mod:`.properties` (declared once as :data:`MS_LETTER`) so the very
